@@ -39,10 +39,11 @@ class BtrPlacePlanner:
         self.rides = rides if rides is not None else (
             lambda vm: vm.inplace_compatible)
         self._rr_cursor = 0  # spread placement rotates over live nodes
-        # The node set is fixed for the life of a plan; sorting once keeps
-        # destination picks O(live) instead of O(n log n) per migration,
-        # which matters at fleet scale (thousands of hosts).
+        # The node set is fixed for the life of a plan.  Offline groups are
+        # contiguous slices of the sorted names, so the live list never
+        # needs building: see _pick_destination.
         self._sorted_names = sorted(self.cluster.nodes)
+        self._index = {name: i for i, name in enumerate(self._sorted_names)}
 
     def _offline_groups(self) -> List[List[str]]:
         names = self._sorted_names
@@ -94,13 +95,21 @@ class BtrPlacePlanner:
         knowledge of *future* offline groups, so evacuees land on
         not-yet-upgraded hosts too and may migrate again later — the reason
         the paper's 100-VM cluster needs 154 migrations at 0 % compatibility.
+
+        The live nodes are the sorted names minus the offline group, a
+        contiguous slice ``names[start:start + width]``; live position
+        ``k`` is ``names[k]`` below ``start`` and ``names[k + width]``
+        from it on, so each pick is O(1) per candidate tried.
         """
-        offline = set(offline_group)
-        live = [name for name in self._sorted_names if name not in offline]
+        names = self._sorted_names
+        start = self._index[offline_group[0]]
+        width = len(offline_group)
+        live = len(names) - width
         if not live:
             raise PlanningError("no live nodes to receive evacuated VMs")
-        for _ in range(len(live)):
-            candidate = live[self._rr_cursor % len(live)]
+        for _ in range(live):
+            k = self._rr_cursor % live
+            candidate = names[k] if k < start else names[k + width]
             self._rr_cursor += 1
             if self.cluster.nodes[candidate].free_slots > 0:
                 return candidate

@@ -17,6 +17,9 @@ from repro.errors import ClusterError
 
 GIB = 1024 ** 3
 
+#: VM slots per host: 96 GB / 4 GB VMs, minus the host reservation
+NODE_CAPACITY_VMS = 22
+
 
 class WorkloadKind(enum.Enum):
     """The §5.4 VM mix; dirty rates drive per-migration times."""
@@ -52,7 +55,7 @@ class ClusterNode:
     """One physical host in the cluster plan."""
 
     name: str
-    capacity_vms: int = 22  # 96 GB / 4 GB minus host reservation
+    capacity_vms: int = NODE_CAPACITY_VMS
     hypervisor: str = "xen"
     upgraded: bool = False
     vms: List[str] = field(default_factory=list)

@@ -242,26 +242,39 @@ def decide_fleet(policy: MechanismPolicy,
     slots cannot receive its evacuees, so its evacuations land on the
     other providers, drained in sorted name order).  Deterministic:
     same profiles and slots produce the same decisions.
+
+    The pool keeps a running total, and ``providers`` holds the names
+    that still have slots, smallest name last, so each decision and each
+    drain step costs O(1) amortized.
     """
-    remaining = {name: free_slots[name] for name in sorted(free_slots)}
+    remaining = {name: slots for name, slots in free_slots.items() if slots}
+    providers = sorted(remaining, reverse=True)
+    total = sum(remaining.values())
     decisions: Dict[str, HostDecision] = {}
     for host in sorted(host_vms):
-        spare = sum(slots for name, slots in remaining.items()
-                    if name != host)
         decision = policy.decide_host(
             host, host_vms[host], inplace=inplace, migration=migration,
-            spare_slots=spare,
+            spare_slots=total - remaining.get(host, 0),
         )
         decisions[host] = decision
         need = len(decision.evacuate)
-        for name in remaining:
-            if need == 0:
-                break
+        # The host's own slots cannot receive its evacuees: lift it off
+        # the pool while draining, then put it back.  Every provider
+        # ahead of it is exhausted by then, so it is still the smallest.
+        skipped = None
+        while need and providers:
+            name = providers[-1]
             if name == host:
+                skipped = providers.pop()
                 continue
             taken = min(remaining[name], need)
             remaining[name] -= taken
+            total -= taken
             need -= taken
+            if not remaining[name]:
+                providers.pop()
+        if skipped is not None:
+            providers.append(skipped)
     return decisions
 
 

@@ -12,8 +12,14 @@ mutation first calls :meth:`FleetInventory.advance` to integrate
 ``exposed-hosts x elapsed-time`` for each open CVE up to *now*, then
 applies the change.  The integral is therefore exact for piecewise-
 constant exposure, which is exactly what a discrete-event fleet produces.
+
+Accrual never walks the hosts.  The inventory keeps a ``kind -> host
+count`` ledger, updated by every commit, so a flaw's exposure is a sum
+over the few hypervisor kinds it affects: each accrual costs
+O(open CVEs x kinds), independent of fleet size.
 """
 
+from collections import Counter
 from typing import Dict, List
 
 from repro.errors import SentinelError
@@ -41,6 +47,8 @@ class FleetInventory:
             host: DEFAULT_VERSIONS.get(kind, "unknown")
             for host, kind in self._kind.items()
         }
+        #: hypervisor kind -> hosts running it (kinds with none are dropped)
+        self._kind_count: Dict[str, int] = dict(Counter(self._kind.values()))
         self._open: Dict[str, CVERecord] = {}
         #: exposure-host-seconds accrued per CVE (closed CVEs keep theirs)
         self.exposure_s: Dict[str, float] = {}
@@ -76,7 +84,11 @@ class FleetInventory:
         return cve_id in self._open
 
     def exposed_hosts(self, cve_id: str) -> List[str]:
-        """Hosts whose current hypervisor the open flaw affects."""
+        """Hosts whose current hypervisor the open flaw affects.
+
+        A full scan of the fleet: callers that only need the number use
+        :meth:`exposure_count`.
+        """
         record = self._open.get(cve_id)
         if record is None:
             return []
@@ -84,7 +96,12 @@ class FleetInventory:
                 if record.affects(self._kind[host])]
 
     def exposure_count(self, cve_id: str) -> int:
-        return len(self.exposed_hosts(cve_id))
+        """How many hosts the open flaw exposes, in O(kinds)."""
+        record = self._open.get(cve_id)
+        if record is None:
+            return 0
+        return sum(count for kind, count in self._kind_count.items()
+                   if record.affects(kind))
 
     # ------------------------------------------------------------------
     # mutations (each accrues exposure up to *now* first)
@@ -124,8 +141,12 @@ class FleetInventory:
     def commit_host(self, now_s: float, host: str, kind: str) -> None:
         """A campaign finished transplanting ``host`` onto ``kind``."""
         self.advance(now_s)
-        self.kind_of(host)  # validates
+        old = self.kind_of(host)  # validates
         self._kind[host] = kind
+        self._kind_count[old] -= 1
+        if not self._kind_count[old]:
+            del self._kind_count[old]
+        self._kind_count[kind] = self._kind_count.get(kind, 0) + 1
         self._version[host] = DEFAULT_VERSIONS.get(kind, "unknown")
 
     # ------------------------------------------------------------------

@@ -32,6 +32,7 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.cluster.model import NODE_CAPACITY_VMS
 from repro.errors import SentinelError
 from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.sentinel.feedstream import (
@@ -274,8 +275,10 @@ class Sentinel:
             disclosed_at_s=now,
             severity=record.severity.value,
             affected=sorted(record.affected),
-            exposed_at_disclosure=self.inventory.exposure_count(
-                event.cve_id),
+            # The one full host scan per disclosure; accruals and
+            # remediation checks use the O(kinds) count.
+            exposed_at_disclosure=len(self.inventory.exposed_hosts(
+                event.cve_id)),
         )
         self.states[event.cve_id] = state
         # The ordinary patch cycle runs regardless of any transplant: when
@@ -381,7 +384,7 @@ class Sentinel:
         if not self.inventory.kinds().get(request.source_kind):
             self.counters["requests_dropped"] += 1
             return False
-        free_slots = 22 - self.config.vms_per_host  # ClusterNode capacity
+        free_slots = NODE_CAPACITY_VMS - self.config.vms_per_host
         if free_slots < self.config.policy.min_free_slots:
             # The fleet is packed too tight to evacuate anything; these
             # hosts ride the patch cycle (the paper's InPlaceTP argument

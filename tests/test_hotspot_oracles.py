@@ -1,0 +1,234 @@
+"""Differential tests: the optimized fleet-scale paths against references.
+
+The exposure ledger, the spare-slot budget and the destination rotation
+were each rewritten from a rescan per operation to O(1) or O(kinds)
+bookkeeping.  The rescanning versions live on in :mod:`tests.oracles`;
+these tests drive both with random inputs and require identical results,
+down to the exact floats of the exposure integral.  A last test counts
+operations to show accrual cost no longer grows with the fleet.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster.btrplace import BtrPlacePlanner
+from repro.cluster.model import Cluster, ClusterNode, ClusterVM, WorkloadKind
+from repro.core.mechanisms import (
+    WORKLOAD_SLO_S,
+    MechanismKind,
+    MechanismPolicy,
+    VMProfile,
+    decide_fleet,
+)
+from repro.core.pipeline import TransplantPipelines, VerifySpec
+from repro.errors import PlanningError, SentinelError
+from repro.hypervisors.base import HypervisorKind
+from repro.sentinel import FeedSchedule, FleetInventory, Sentinel, SentinelConfig
+from repro.vulndb.cve import CVERecord
+
+from tests.oracles import FullScanInventory, LiveListPlanner, decide_fleet_rescan
+
+GIB = 1024 ** 3
+KINDS = ("xen", "kvm", "nova")
+
+
+# -- exposure ledger -----------------------------------------------------------
+
+RECORDS = [
+    CVERecord(cve_id=f"CVE-2021-{i:04d}", year=2021, affected=frozenset(a),
+              component="pv", cvss_score=9.0, days_to_patch=10)
+    for i, a in enumerate([{"xen"}, {"kvm"}, {"nova"}, {"xen", "kvm"},
+                           {"kvm", "nova"}, {"xen", "kvm", "nova"},
+                           {"esxi"}])
+]
+
+inventory_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["open", "close", "commit", "advance"]),
+        st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+        st.integers(min_value=0, max_value=len(RECORDS) - 1),
+        st.integers(min_value=0, max_value=11),
+        st.sampled_from(KINDS),
+    ),
+    max_size=40,
+)
+
+
+def _apply(inventory, op, now, record, host, kind):
+    """Run one operation; a rejected one returns its error message."""
+    try:
+        if op == "open":
+            inventory.open_cve(now, record)
+        elif op == "close":
+            inventory.close_cve(now, record.cve_id)
+        elif op == "commit":
+            inventory.commit_host(now, host, kind)
+        else:
+            inventory.advance(now)
+    except SentinelError as exc:
+        return str(exc)
+    return None
+
+
+@given(fleet=st.lists(st.sampled_from(KINDS), min_size=1, max_size=12),
+       ops=inventory_ops)
+@settings(max_examples=150, deadline=None)
+def test_inventory_matches_full_scan(fleet, ops):
+    hosts = {f"h{i:02d}": kind for i, kind in enumerate(fleet)}
+    fast, reference = FleetInventory(hosts), FullScanInventory(hosts)
+    now = 0.0
+    for op, gap, cve, host, kind in ops:
+        now += gap
+        name = f"h{host % len(fleet):02d}"
+        assert _apply(fast, op, now, RECORDS[cve], name, kind) == \
+            _apply(reference, op, now, RECORDS[cve], name, kind)
+        for record in RECORDS:
+            assert fast.exposure_count(record.cve_id) == \
+                reference.exposure_count(record.cve_id)
+    fast.advance(now + 1.0)
+    reference.advance(now + 1.0)
+    # Exact float equality: the integral must not even re-associate.
+    assert fast.exposure_s == reference.exposure_s
+    assert fast.snapshot() == reference.snapshot()
+
+
+# -- spare-slot budget -----------------------------------------------------------
+
+PIPELINES = TransplantPipelines(verify=VerifySpec(0.01, 0.002))
+WORKLOADS = tuple(WORKLOAD_SLO_S)
+
+
+def _profile(name, workload, memory_gib, capable, migratable):
+    return VMProfile(
+        name=name, memory_bytes=memory_gib * GIB,
+        dirty_rate_bytes_s={"idle": 1 << 20, "cpu-memory": 48 << 20,
+                            "streaming": 96 << 20}[workload],
+        downtime_slo_s=WORKLOAD_SLO_S[workload],
+        inplace_capable=capable, migratable=migratable,
+    )
+
+
+@st.composite
+def fleets(draw):
+    """Hosts and slot providers drawn from one name space, so they
+    interleave in sorted order and overlap: some hosts provide slots,
+    some providers are spare nodes, some hosts are absent from the map,
+    and some providers have zero slots."""
+    names = [f"n{i:02d}" for i in range(draw(st.integers(1, 14)))]
+    hosts = draw(st.lists(st.sampled_from(names), unique=True, max_size=10))
+    host_vms = {
+        host: [
+            _profile(f"{host}-vm{j}", draw(st.sampled_from(WORKLOADS)),
+                     draw(st.sampled_from([2, 4, 8])),
+                     draw(st.booleans()), draw(st.booleans()))
+            for j in range(draw(st.integers(0, 6)))
+        ]
+        for host in hosts
+    }
+    providers = draw(st.lists(st.sampled_from(names), unique=True))
+    free_slots = {name: draw(st.integers(0, 5)) for name in providers}
+    return host_vms, free_slots
+
+
+@given(fleet=fleets(), kind=st.sampled_from(list(MechanismKind)))
+@settings(max_examples=150, deadline=None)
+def test_decide_fleet_matches_rescan(fleet, kind):
+    host_vms, free_slots = fleet
+    policy = MechanismPolicy(kind)
+    pipelines = dict(inplace=PIPELINES.inplace(HypervisorKind.KVM),
+                     migration=PIPELINES.migration(HypervisorKind.KVM))
+    assert decide_fleet(policy, host_vms, free_slots, **pipelines) == \
+        decide_fleet_rescan(policy, host_vms, free_slots, **pipelines)
+
+
+# -- destination rotation --------------------------------------------------------
+
+@st.composite
+def clusters(draw):
+    """A placement spec: per node its capacity and its VMs' ride flags.
+    Small capacities make full nodes (and capacity failures) common."""
+    nodes = []
+    for _ in range(draw(st.integers(1, 14))):
+        capacity = draw(st.integers(1, 6))
+        rides = draw(st.lists(st.booleans(), max_size=capacity))
+        nodes.append((capacity, rides))
+    return nodes
+
+
+def _build(spec):
+    cluster = Cluster()
+    index = 0
+    for n, (capacity, rides) in enumerate(spec):
+        cluster.add_node(ClusterNode(f"node{n:02d}", capacity_vms=capacity))
+        for ride in rides:
+            cluster.add_vm(ClusterVM(f"vm{index:03d}",
+                                     workload=WorkloadKind.STREAMING,
+                                     inplace_compatible=ride),
+                           node_name=f"node{n:02d}")
+            index += 1
+    return cluster
+
+
+def _outcome(planner_cls, spec, group_size, apply):
+    cluster = _build(spec)
+    try:
+        result = planner_cls(cluster, group_size=group_size).plan(apply=apply)
+    except PlanningError as exc:
+        result = str(exc)
+    placement = {name: (node.vms, node.hypervisor, node.upgraded)
+                 for name, node in cluster.nodes.items()}
+    return result, placement
+
+
+@given(spec=clusters(), group_size=st.integers(1, 5), apply=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_planner_matches_live_list(spec, group_size, apply):
+    assert _outcome(BtrPlacePlanner, spec, group_size, apply) == \
+        _outcome(LiveListPlanner, spec, group_size, apply)
+
+
+# -- accrual cost is independent of fleet size -------------------------------
+
+
+def _affects_per_advance(monkeypatch, hosts):
+    """(affects calls, open CVEs, distinct kinds) for every accrual of a
+    sentinel replay on ``hosts`` hosts."""
+    inside = [False]
+    calls = [0]
+    samples = []
+    affects, advance = CVERecord.affects, FleetInventory.advance
+
+    def counting_affects(self, kind):
+        if inside[0]:
+            calls[0] += 1
+        return affects(self, kind)
+
+    def measured_advance(self, now_s):
+        before = calls[0]
+        open_cves, kinds = len(self.open_cves()), len(self.kinds())
+        inside[0] = True
+        try:
+            advance(self, now_s)
+        finally:
+            inside[0] = False
+        samples.append((calls[0] - before, open_cves, kinds))
+
+    monkeypatch.setattr(CVERecord, "affects", counting_affects)
+    monkeypatch.setattr(FleetInventory, "advance", measured_advance)
+    config = SentinelConfig(
+        hosts=hosts, vms_per_host=4, seed=11,
+        feed=FeedSchedule(seed=11, limit=60, mean_gap_days=7.0),
+    )
+    Sentinel(config).run()
+    monkeypatch.undo()
+    return samples
+
+
+@pytest.mark.parametrize("hosts", [20, 80])
+def test_accrual_cost_bounded_by_open_cves_times_kinds(monkeypatch, hosts):
+    samples = _affects_per_advance(monkeypatch, hosts)
+    assert any(calls for calls, _, _ in samples)  # the wrapper saw accruals
+    assert any(kinds > 1 for _, _, kinds in samples)  # campaigns committed
+    for calls, open_cves, kinds in samples:
+        assert calls <= open_cves * kinds
