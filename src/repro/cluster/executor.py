@@ -71,14 +71,13 @@ class PlanExecutor:
     def migration_plan(self, action: MigrationAction) -> StagePlan:
         """MigrationTP stage plan for one evacuation over the fabric."""
         return self.pipelines.migration(self.target_kind).plan_vm(
-            action.vm_name, action.memory_bytes,
-            action.workload.dirty_rate_bytes_s,
+            action.memory_bytes, action.workload.dirty_rate_bytes_s,
         )
 
     def upgrade_plan(self, action: InPlaceAction) -> StagePlan:
         """InPlaceTP stage plan for one host carrying ``vm_count`` VMs."""
         return self.pipelines.inplace(self.target_kind).plan_host(
-            action.node_name, action.vm_count, action.total_memory_bytes,
+            action.vm_count, action.total_memory_bytes,
         )
 
     def migration_time_s(self, action: MigrationAction) -> float:

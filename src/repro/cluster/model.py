@@ -31,11 +31,14 @@ class WorkloadKind(enum.Enum):
     @property
     def dirty_rate_bytes_s(self) -> float:
         """Page-dirtying rate during pre-copy (drives migration length)."""
-        return {
-            WorkloadKind.IDLE: 1 << 20,            # ~1 MB/s
-            WorkloadKind.CPU_MEMORY: 48 << 20,     # ~48 MB/s
-            WorkloadKind.STREAMING: 96 << 20,      # ~96 MB/s
-        }[self]
+        return _DIRTY_RATE_BYTES_S[self]
+
+
+_DIRTY_RATE_BYTES_S = {
+    WorkloadKind.IDLE: 1 << 20,            # ~1 MB/s
+    WorkloadKind.CPU_MEMORY: 48 << 20,     # ~48 MB/s
+    WorkloadKind.STREAMING: 96 << 20,      # ~96 MB/s
+}
 
 
 @dataclass

@@ -134,8 +134,7 @@ class InPlaceTP:
             entry_counts.append(entries)
         pipeline = InPlacePipeline(self.machine, self.cost,
                                    self.target_kind, verify=verify)
-        return pipeline.plan_shapes(self.machine.name, vm_shapes,
-                                    entry_counts)
+        return pipeline.plan_shapes(vm_shapes, entry_counts)
 
     # -- the full workflow, phase by phase ---------------------------------
 

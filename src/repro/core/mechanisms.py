@@ -151,9 +151,9 @@ class MechanismPolicy:
         else:
             evacuate, riders, reason = self._decide_auto(
                 vms, inplace=inplace, migration=migration,
-                spare_slots=spare_slots, host=host)
+                spare_slots=spare_slots)
 
-        predicted = self._predicted_downtime_s(host, riders, inplace)
+        predicted = self._predicted_downtime_s(riders, inplace)
         violations = tuple(
             vm.name for vm in riders
             if not vm.inplace_capable or vm.downtime_slo_s < predicted
@@ -175,16 +175,16 @@ class MechanismPolicy:
         )
 
     @staticmethod
-    def _predicted_downtime_s(host: str, riders: Sequence[VMProfile],
+    def _predicted_downtime_s(riders: Sequence[VMProfile],
                               inplace: InPlacePipeline) -> float:
         plan = inplace.plan_host(
-            host, len(riders), sum(vm.memory_bytes for vm in riders))
+            len(riders), sum(vm.memory_bytes for vm in riders))
         return plan.downtime_s
 
     def _decide_auto(self, vms: Sequence[VMProfile], *,
                      inplace: InPlacePipeline,
                      migration: MigrationPipeline,
-                     spare_slots: int, host: str):
+                     spare_slots: int):
         """The §4.5.2 heuristic, iterated to a fixed point.
 
         A rider evacuates when (a) it cannot ride at all, or (b) its SLO
@@ -202,7 +202,7 @@ class MechanismPolicy:
             budget = spare_slots - len(evacuate)
             if budget <= 0:
                 break
-            predicted = self._predicted_downtime_s(host, riders, inplace)
+            predicted = self._predicted_downtime_s(riders, inplace)
             violators = []
             for vm in riders:
                 if not vm.migratable:
@@ -210,7 +210,7 @@ class MechanismPolicy:
                 if vm.inplace_capable and vm.downtime_slo_s >= predicted:
                     continue
                 migration_downtime = migration.plan_vm(
-                    vm.name, vm.memory_bytes, vm.dirty_rate_bytes_s,
+                    vm.memory_bytes, vm.dirty_rate_bytes_s,
                 ).downtime_s
                 if vm.inplace_capable and migration_downtime > vm.downtime_slo_s:
                     # The fabric cannot beat the reboot for this VM.

@@ -396,8 +396,8 @@ class MigrationTP(_MigrationBase):
             self.destination.hypervisor.kind, charge_proxy=True,
         )
         vm = domain.vm
-        return pipeline.plan_vm(vm.name, vm.image.size_bytes,
-                                dirty_rate_bytes_s, vm.config.vcpus)
+        return pipeline.plan_vm(vm.image.size_bytes, dirty_rate_bytes_s,
+                                vm.config.vcpus)
 
     def migrate(self, domain: Domain, clock: Optional[SimClock] = None,
                 dirty_rate_bytes_s: float = 1 << 20,

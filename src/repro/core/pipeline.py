@@ -102,7 +102,6 @@ class StagePlan:
     """
 
     mechanism: str
-    subject: str
     stages: Tuple[StageCost, ...]
     total_s: float
     execute_s: float
@@ -112,13 +111,13 @@ class StagePlan:
         seen = [s.stage for s in self.stages]
         if seen != [s for s in STAGE_ORDER if s in seen]:
             raise TransplantError(
-                f"{self.subject}: stages out of protocol order: "
+                f"{self.mechanism} plan: stages out of protocol order: "
                 f"{[s.value for s in seen]}"
             )
         loose = sum(s.duration_s for s in self.stages)
         if not math.isclose(loose, self.total_s, rel_tol=1e-9, abs_tol=1e-12):
             raise TransplantError(
-                f"{self.subject}: total_s {self.total_s!r} is not a "
+                f"{self.mechanism} plan: total_s {self.total_s!r} is not a "
                 f"re-association of the stage sum {loose!r}"
             )
 
@@ -162,6 +161,12 @@ class InPlacePipeline:
     :class:`repro.cluster.plan.InPlaceAction` describes); ``plan_shapes``
     takes explicit per-VM ``(vcpus, entries)`` shapes for a live
     population (what the orchestrator policy predicts downtime from).
+
+    A plan is a pure value of its shape: everything else it reads is
+    fixed at construction, so ``plan_host`` builds each
+    ``(vm_count, total_memory_bytes)`` once and returns the cached frozen
+    plan afterwards.  ``plan_shapes`` populations vary, so it is not
+    cached.
     """
 
     mechanism = "inplace"
@@ -174,10 +179,19 @@ class InPlacePipeline:
         self.cost = cost
         self.target_kind = target_kind
         self.verify = verify
+        self._host_plans: Dict[Tuple[int, int], StagePlan] = {}
 
-    def plan_host(self, subject: str, vm_count: int,
-                  total_memory_bytes: int) -> StagePlan:
+    def plan_host(self, vm_count: int, total_memory_bytes: int) -> StagePlan:
         """Stage costs for a host carrying ``vm_count`` uniform VMs."""
+        key = (vm_count, total_memory_bytes)
+        plan = self._host_plans.get(key)
+        if plan is None:
+            plan = self._host_plans[key] = self._build_host(
+                vm_count, total_memory_bytes)
+        return plan
+
+    def _build_host(self, vm_count: int,
+                    total_memory_bytes: int) -> StagePlan:
         entries_per_vm = (
             self.cost.entries_for(
                 total_memory_bytes // max(1, vm_count), PAGE_2M,
@@ -189,21 +203,20 @@ class InPlacePipeline:
         vm_shapes = [(1, entries_per_vm)] * vm_count
         capture = (self.cost.pram_phase_s(self.machine, entry_counts)
                    if vm_count else 0.0)
-        return self._build(subject, vm_count, vm_shapes,
-                           sum(entry_counts), capture)
+        return self._build(vm_count, vm_shapes, sum(entry_counts), capture)
 
-    def plan_shapes(self, subject: str, vm_shapes: Sequence,
+    def plan_shapes(self, vm_shapes: Sequence,
                     entry_counts: Optional[Sequence[int]] = None) -> StagePlan:
         """Stage costs for an explicit ``(vcpus, entries)`` population."""
         if entry_counts is None:
             entry_counts = [entries for _, entries in vm_shapes]
         capture = (self.cost.pram_phase_s(self.machine, list(entry_counts))
                    if entry_counts else 0.0)
-        return self._build(subject, len(vm_shapes), list(vm_shapes),
+        return self._build(len(vm_shapes), list(vm_shapes),
                            sum(entry_counts), capture)
 
-    def _build(self, subject: str, vm_count: int, vm_shapes,
-               total_entries: int, capture: float) -> StagePlan:
+    def _build(self, vm_count: int, vm_shapes, total_entries: int,
+               capture: float) -> StagePlan:
         translate = self.cost.translate_phase_s(self.machine, vm_shapes)
         transfer = self.cost.reboot_phase_s(self.machine, self.target_kind,
                                             total_entries)
@@ -229,8 +242,8 @@ class InPlacePipeline:
         execute = _fold([s.duration_s for s in stages[:-1]])
         total = _fold([s.duration_s for s in stages])
         downtime = _fold([s.duration_s for s in stages if s.downtime])
-        return StagePlan(mechanism=self.mechanism, subject=subject,
-                         stages=stages, total_s=total, execute_s=execute,
+        return StagePlan(mechanism=self.mechanism, stages=stages,
+                         total_s=total, execute_s=execute,
                          downtime_s=downtime)
 
 
@@ -243,6 +256,9 @@ class MigrationPipeline:
     treats the proxy pair as measurement noise — pre-refactor this was
     an undocumented divergence between two formulas in different layers;
     now it is one flag in one place.
+
+    Like :class:`InPlacePipeline`, each ``(memory_bytes,
+    dirty_rate_bytes_s, vcpus)`` shape is built once per instance.
     """
 
     mechanism = "migration"
@@ -260,9 +276,19 @@ class MigrationPipeline:
         self.cost = cost
         self.target_kind = target_kind
         self.charge_proxy = charge_proxy
+        self._vm_plans: Dict[Tuple[int, float, int], StagePlan] = {}
 
-    def plan_vm(self, subject: str, memory_bytes: int,
-                dirty_rate_bytes_s: float, vcpus: int = 1) -> StagePlan:
+    def plan_vm(self, memory_bytes: int, dirty_rate_bytes_s: float,
+                vcpus: int = 1) -> StagePlan:
+        key = (memory_bytes, dirty_rate_bytes_s, vcpus)
+        plan = self._vm_plans.get(key)
+        if plan is None:
+            plan = self._vm_plans[key] = self._build_vm(
+                memory_bytes, dirty_rate_bytes_s, vcpus)
+        return plan
+
+    def _build_vm(self, memory_bytes: int, dirty_rate_bytes_s: float,
+                  vcpus: int) -> StagePlan:
         rounds = plan_precopy(memory_bytes, self.link_rate,
                               dirty_rate_bytes_s, self.cost)
         capture = sum(r.duration_s for r in rounds)
@@ -294,9 +320,8 @@ class MigrationPipeline:
         busy = _fold([s.duration_s for s in stages if not s.downtime])
         downtime = _fold([s.duration_s for s in stages if s.downtime])
         total = busy + downtime
-        return StagePlan(mechanism=self.mechanism, subject=subject,
-                         stages=stages, total_s=total, execute_s=total,
-                         downtime_s=downtime)
+        return StagePlan(mechanism=self.mechanism, stages=stages,
+                         total_s=total, execute_s=total, downtime_s=downtime)
 
 
 class TransplantPipelines:

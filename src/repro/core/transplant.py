@@ -172,12 +172,12 @@ class HyperTP:
         )
         migration = pipelines.migration(target_kind)
         evacuation_plans = tuple(
-            migration.plan_vm(spec.vm_name, spec.memory_bytes,
-                              spec.dirty_rate_bytes_s, spec.vcpus)
+            migration.plan_vm(spec.memory_bytes, spec.dirty_rate_bytes_s,
+                              spec.vcpus)
             for spec in evacuations
         )
         inplace_plan = pipelines.inplace(target_kind).plan_host(
-            host, vm_count, total_memory_bytes)
+            vm_count, total_memory_bytes)
         return HostUpgradePlan(
             host=host, target=target_kind.value,
             evacuations=evacuation_plans, inplace=inplace_plan,

@@ -271,8 +271,7 @@ class FleetController:
                     upgrade=upgrade,
                     initial_vms=list(initial_vms[upgrade.node_name]),
                     plan=inplace_pipeline.plan_host(
-                        upgrade.node_name, upgrade.vm_count,
-                        upgrade.total_memory_bytes,
+                        upgrade.vm_count, upgrade.total_memory_bytes,
                     ),
                 )
             for action in group.migrations:
@@ -281,7 +280,7 @@ class FleetController:
                 host_plans[action.source].evacuations.append((
                     action, position,
                     migration_pipeline.plan_vm(
-                        action.vm_name, action.memory_bytes,
+                        action.memory_bytes,
                         action.workload.dirty_rate_bytes_s,
                     ),
                 ))
@@ -637,8 +636,7 @@ class FleetController:
                 # The host came up wrong: micro-reboot back to the source
                 # hypervisor (ReHype-style recovery), then report rollback.
                 yield self._pipelines.inplace(self.source_kind).plan_host(
-                    hp.upgrade.node_name, hp.upgrade.vm_count,
-                    hp.upgrade.total_memory_bytes,
+                    hp.upgrade.vm_count, hp.upgrade.total_memory_bytes,
                 ).execute_s
                 yield from self._roll_back(record, hp, remaining=[])
                 return False
@@ -689,7 +687,7 @@ class FleetController:
                         yield self._pipelines.migration(
                             self.source_kind,
                         ).plan_vm(
-                            back.vm_name, back.memory_bytes,
+                            back.memory_bytes,
                             back.workload.dirty_rate_bytes_s,
                         ).total_s
                     self._commit_move(vm, source, hp.name)

@@ -88,7 +88,7 @@ class TransplantPolicy:
         if not vm_shapes:
             vm_shapes = [(0, 0)]
         pipeline = InPlacePipeline(machine, self.cost, target)
-        return pipeline.plan_shapes(machine.name, vm_shapes).downtime_s
+        return pipeline.plan_shapes(vm_shapes).downtime_s
 
     def plan_host(self, machine: Machine,
                   target: HypervisorKind) -> HostPlan:

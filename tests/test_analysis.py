@@ -786,8 +786,7 @@ class TestMechanismHygiene:
             "fleet/controller.py": textwrap.dedent(
                 """
                 def upgrade_time(pipeline, action):
-                    plan = pipeline.plan_host(action.node_name,
-                                              action.vm_count,
+                    plan = pipeline.plan_host(action.vm_count,
                                               action.total_memory_bytes)
                     return plan.total_s
                 """

@@ -2,18 +2,28 @@
 
 The exposure ledger, the spare-slot budget and the destination rotation
 were each rewritten from a rescan per operation to O(1) or O(kinds)
-bookkeeping.  The rescanning versions live on in :mod:`tests.oracles`;
-these tests drive both with random inputs and require identical results,
-down to the exact floats of the exposure integral.  A last test counts
-operations to show accrual cost no longer grows with the fleet.
+bookkeeping, and stage plans are built once per shape instead of once
+per call.  The rescanning and rebuilding versions live on in
+:mod:`tests.oracles`; these tests drive both with random inputs and
+require identical results, down to the exact floats of the exposure
+integral and of every plan.  Op-count tests show accrual cost no longer
+grows with the fleet and each plan shape is costed once per campaign.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.btrplace import BtrPlacePlanner
-from repro.cluster.model import Cluster, ClusterNode, ClusterVM, WorkloadKind
+from repro.cluster.model import (
+    NODE_CAPACITY_VMS,
+    Cluster,
+    ClusterNode,
+    ClusterVM,
+    WorkloadKind,
+)
 from repro.core.mechanisms import (
     WORKLOAD_SLO_S,
     MechanismKind,
@@ -21,13 +31,28 @@ from repro.core.mechanisms import (
     VMProfile,
     decide_fleet,
 )
-from repro.core.pipeline import TransplantPipelines, VerifySpec
+from repro.core import pipeline as pipeline_module
+from repro.core.pipeline import (
+    InPlacePipeline,
+    MigrationPipeline,
+    TransplantPipelines,
+    VerifySpec,
+)
+from repro.core.timings import CostModel
 from repro.errors import PlanningError, SentinelError
+from repro.fleet import FleetConfig, FleetController
+from repro.hw.machine import CLUSTER_NODE_SPEC, Machine
 from repro.hypervisors.base import HypervisorKind
 from repro.sentinel import FeedSchedule, FleetInventory, Sentinel, SentinelConfig
 from repro.vulndb.cve import CVERecord
 
-from tests.oracles import FullScanInventory, LiveListPlanner, decide_fleet_rescan
+from tests.oracles import (
+    FullScanInventory,
+    LiveListPlanner,
+    decide_fleet_rescan,
+    plan_host_rebuild,
+    plan_vm_rebuild,
+)
 
 GIB = 1024 ** 3
 KINDS = ("xen", "kvm", "nova")
@@ -232,3 +257,95 @@ def test_accrual_cost_bounded_by_open_cves_times_kinds(monkeypatch, hosts):
     assert any(kinds > 1 for _, _, kinds in samples)  # campaigns committed
     for calls, open_cves, kinds in samples:
         assert calls <= open_cves * kinds
+
+
+# -- stage plans memoized by shape ---------------------------------------------
+
+MACHINE = Machine(CLUSTER_NODE_SPEC, name="memo-reference")
+DIRTY_RATES = tuple(kind.dirty_rate_bytes_s for kind in WorkloadKind)
+
+
+@st.composite
+def plan_calls(draw):
+    """A random call order over shapes built from small pools of values,
+    so shapes repeat and often share all but one argument: a cache key
+    that dropped an argument would hand back the wrong plan."""
+
+    def pool(values):
+        return st.sampled_from(draw(st.lists(values, min_size=1,
+                                             max_size=3)))
+
+    hosts = st.tuples(pool(st.integers(0, 24)),
+                      pool(st.integers(0, 96 * GIB)))
+    vms = st.tuples(pool(st.integers(0, 16 * GIB)),
+                    pool(st.one_of(st.sampled_from(DIRTY_RATES),
+                                   st.integers(0, 2 << 30))),
+                    pool(st.integers(1, 8)))
+    return draw(st.lists(st.one_of(
+        st.tuples(st.just("host"), hosts),
+        st.tuples(st.just("vm"), vms),
+    ), max_size=30))
+
+
+@given(kind=st.sampled_from(list(HypervisorKind)),
+       verify=st.one_of(st.none(), st.builds(
+           VerifySpec, st.floats(0.0, 1.0), st.floats(0.0, 0.1))),
+       link_rate=st.floats(1e6, 1e10),
+       charge_proxy=st.booleans(),
+       calls=plan_calls())
+@settings(max_examples=150, deadline=None)
+def test_memoized_plans_match_rebuild(kind, verify, link_rate, charge_proxy,
+                                      calls):
+    inplace = InPlacePipeline(MACHINE, target_kind=kind, verify=verify)
+    migration = MigrationPipeline(link_rate, target_kind=kind,
+                                  charge_proxy=charge_proxy)
+    first_seen = {}
+    # An empty host (no capture, no entries) is always among the shapes.
+    for which, shape in calls + [("host", (0, 0))]:
+        if which == "host":
+            plan = inplace.plan_host(*shape)
+            reference = plan_host_rebuild(inplace, *shape)
+        else:
+            plan = migration.plan_vm(*shape)
+            reference = plan_vm_rebuild(migration, *shape)
+        # Field by field, exact floats: the cache must not even
+        # re-associate a sum.
+        assert plan == reference
+        # A repeated shape is served from the cache, not rebuilt.
+        assert first_seen.setdefault((which, shape), plan) is plan
+
+
+def _costing_calls(monkeypatch, config):
+    """Per-argument call counts of the two expensive cost helpers over
+    one fleet campaign."""
+    precopy_calls, pram_calls = Counter(), Counter()
+    plan_precopy, pram_phase_s = (pipeline_module.plan_precopy,
+                                  CostModel.pram_phase_s)
+
+    def counting_precopy(memory_bytes, rate_bytes_s, dirty_rate_bytes_s,
+                         cost):
+        precopy_calls[memory_bytes, rate_bytes_s, dirty_rate_bytes_s] += 1
+        return plan_precopy(memory_bytes, rate_bytes_s, dirty_rate_bytes_s,
+                            cost)
+
+    def counting_pram(self, machine, entry_counts, *args, **kwargs):
+        pram_calls[id(machine), tuple(entry_counts)] += 1
+        return pram_phase_s(self, machine, entry_counts, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "plan_precopy", counting_precopy)
+    monkeypatch.setattr(CostModel, "pram_phase_s", counting_pram)
+    metrics = FleetController(config).run()
+    monkeypatch.undo()
+    return metrics, precopy_calls, pram_calls
+
+
+def test_each_plan_shape_costed_once_per_campaign(monkeypatch):
+    config = FleetConfig(hosts=100, mechanism="hybrid", seed=42)
+    metrics, precopy_calls, pram_calls = _costing_calls(monkeypatch, config)
+    assert metrics.done_hosts == 100
+    assert metrics.migrations_executed > 100  # many VMs share few shapes
+    # The wrappers saw the campaign, and it has only a handful of shapes.
+    assert 0 < len(precopy_calls) <= len(WorkloadKind)
+    assert 0 < len(pram_calls) <= NODE_CAPACITY_VMS + 1
+    assert set(precopy_calls.values()) == {1}
+    assert set(pram_calls.values()) == {1}

@@ -57,19 +57,19 @@ class TestStagePlan:
     def test_stages_follow_protocol_order(self):
         pipelines = TransplantPipelines()
         for plan in (
-            pipelines.inplace(HypervisorKind.KVM).plan_host("h", 10, 40 * GIB),
+            pipelines.inplace(HypervisorKind.KVM).plan_host(10, 40 * GIB),
             pipelines.migration(HypervisorKind.KVM).plan_vm(
-                "vm", 4 * GIB, 1 << 20),
+                4 * GIB, 1 << 20),
         ):
             seen = [cost.stage for cost in plan.stages]
             assert seen == list(STAGE_ORDER)
 
     def test_out_of_order_stages_rejected(self):
         good = TransplantPipelines().inplace(
-            HypervisorKind.KVM).plan_host("h", 2, 8 * GIB)
+            HypervisorKind.KVM).plan_host(2, 8 * GIB)
         with pytest.raises(TransplantError, match="protocol order"):
             StagePlan(
-                mechanism="inplace", subject="h",
+                mechanism="inplace",
                 stages=tuple(reversed(good.stages)),
                 total_s=good.total_s, execute_s=good.execute_s,
                 downtime_s=good.downtime_s,
@@ -77,17 +77,17 @@ class TestStagePlan:
 
     def test_total_must_reassociate_stage_sum(self):
         good = TransplantPipelines().inplace(
-            HypervisorKind.KVM).plan_host("h", 2, 8 * GIB)
+            HypervisorKind.KVM).plan_host(2, 8 * GIB)
         with pytest.raises(TransplantError, match="re-association"):
             StagePlan(
-                mechanism="inplace", subject="h", stages=good.stages,
+                mechanism="inplace", stages=good.stages,
                 total_s=good.total_s * 2, execute_s=good.execute_s,
                 downtime_s=good.downtime_s,
             )
 
     def test_inplace_downtime_is_translate_transfer_restore(self):
         plan = TransplantPipelines().inplace(
-            HypervisorKind.KVM).plan_host("h", 10, 40 * GIB)
+            HypervisorKind.KVM).plan_host(10, 40 * GIB)
         downtime_stages = [c.stage for c in plan.stages if c.downtime]
         assert downtime_stages == [Stage.TRANSLATE, Stage.TRANSFER,
                                    Stage.RESTORE]
@@ -95,21 +95,21 @@ class TestStagePlan:
 
     def test_migration_downtime_is_stop_and_copy(self):
         plan = TransplantPipelines().migration(
-            HypervisorKind.KVM).plan_vm("vm", 4 * GIB, 48 << 20)
+            HypervisorKind.KVM).plan_vm(4 * GIB, 48 << 20)
         downtime_stages = [c.stage for c in plan.stages if c.downtime]
         assert downtime_stages == [Stage.TRANSLATE, Stage.TRANSFER,
                                    Stage.RESTORE]
         assert plan.stage_s(Stage.TRANSLATE) == 0.0  # planner: no proxy term
         charged = MigrationPipeline(
             fabric_link_rate(), charge_proxy=True,
-        ).plan_vm("vm", 4 * GIB, 48 << 20)
+        ).plan_vm(4 * GIB, 48 << 20)
         assert charged.stage_s(Stage.TRANSLATE) == pytest.approx(
             2 * DEFAULT_COST_MODEL.proxy_translate_s)
 
     def test_verify_spec_charged_per_vm(self):
         pipelines = TransplantPipelines(verify=VerifySpec(0.01, 0.002))
         plan = pipelines.inplace(HypervisorKind.KVM).plan_host(
-            "h", 10, 40 * GIB)
+            10, 40 * GIB)
         assert plan.stage_s(Stage.VERIFY) == pytest.approx(
             0.01 + 0.002 * 10)
         assert plan.total_s == pytest.approx(
@@ -117,7 +117,7 @@ class TestStagePlan:
 
     def test_spans_cover_stage_durations(self):
         plan = TransplantPipelines().migration(
-            HypervisorKind.KVM).plan_vm("vm", 4 * GIB, 48 << 20)
+            HypervisorKind.KVM).plan_vm(4 * GIB, 48 << 20)
         spans = plan.spans(100.0, track="t")
         assert spans  # non-empty stages rendered
         assert all(s.start_s >= 100.0 for s in spans)
@@ -253,37 +253,59 @@ class TestFleetParity:
 # -- golden byte-identity (acceptance criterion) -------------------------------
 
 
+def assert_matches_goldens(tmp_path, name, config, fail_rate, max_retries):
+    """Run one journaled, traced campaign and compare its metrics JSON,
+    Perfetto trace and journal byte for byte with ``goldens/<name>*``.
+    Returns the campaign's metrics."""
+    from repro.journal import CampaignJournal, campaign_meta
+    from repro.fleet import FailureInjector, RetryPolicy
+    from repro.obs import Tracer
+    from repro.par import merge_traces
+    from repro.par.shard import spans_to_payload
+
+    injector = FailureInjector(fail_rate, seed=config.seed)
+    retry = RetryPolicy(max_retries=max_retries)
+    journal_path = str(tmp_path / "campaign.journal")
+    journal = CampaignJournal.create(
+        journal_path, campaign_meta(config, injector, retry))
+    tracer = Tracer()
+    controller = FleetController(config, injector=injector, retry=retry,
+                                 journal=journal, tracer=tracer)
+    metrics = controller.run()
+
+    document = json.dumps(metrics.to_dict(), indent=2, sort_keys=True)
+    assert document.encode() == read_golden(f"{name}.json")
+    trace = merge_traces(
+        [("fleet", spans_to_payload(tracer.trace))], prefix=False)
+    assert (trace.to_chrome_trace().encode()
+            == read_golden(f"{name}_trace.json"))
+    with open(journal_path, "rb") as handle:
+        assert handle.read() == read_golden(f"{name}.journal")
+    return metrics
+
+
 class TestGoldenByteIdentity:
     def test_inplace_only_campaign_matches_pre_refactor_goldens(self,
                                                                 tmp_path):
         """Metrics JSON, Perfetto trace and journal are byte-identical to
         artifacts captured before the pipeline refactor."""
-        from repro.journal import CampaignJournal, campaign_meta
-        from repro.fleet import FailureInjector, RetryPolicy
-        from repro.obs import Tracer
-        from repro.par import merge_traces
-        from repro.par.shard import spans_to_payload
-
         config = FleetConfig(hosts=10, vms_per_host=10,
                              inplace_fraction=1.0, seed=42)
-        injector = FailureInjector(0.0, seed=config.seed)
-        retry = RetryPolicy(max_retries=3)
-        journal_path = str(tmp_path / "campaign.journal")
-        journal = CampaignJournal.create(
-            journal_path, campaign_meta(config, injector, retry))
-        tracer = Tracer()
-        controller = FleetController(config, injector=injector, retry=retry,
-                                     journal=journal, tracer=tracer)
-        metrics = controller.run()
+        assert_matches_goldens(tmp_path, "fleet_inplace_only", config,
+                               fail_rate=0.0, max_retries=3)
 
-        document = json.dumps(metrics.to_dict(), indent=2, sort_keys=True)
-        assert document.encode() == read_golden("fleet_inplace_only.json")
-        trace = merge_traces(
-            [("fleet", spans_to_payload(tracer.trace))], prefix=False)
-        assert (trace.to_chrome_trace().encode()
-                == read_golden("fleet_inplace_only_trace.json"))
-        with open(journal_path, "rb") as handle:
-            assert handle.read() == read_golden("fleet_inplace_only.journal")
+    def test_auto_campaign_with_faults_matches_goldens(self, tmp_path):
+        """Migrations, retries and rollbacks: every plan_vm cost and the
+        rollback path's source-direction plans, byte-identical to
+        artifacts captured before plans were memoized by shape."""
+        config = FleetConfig(hosts=20, vms_per_host=10, mechanism="auto",
+                             seed=21)
+        metrics = assert_matches_goldens(tmp_path, "fleet_auto_faults",
+                                         config, fail_rate=0.05,
+                                         max_retries=1)
+        assert metrics.migrations_executed > 0
+        assert metrics.retries_total >= 1
+        assert metrics.rolled_back_hosts >= 1
 
     def test_default_mechanism_leaves_document_unannotated(self):
         config = FleetConfig(hosts=4, vms_per_host=4, seed=7)
@@ -365,7 +387,7 @@ class TestMechanismStagePlans:
                                                   d.vm.image.page_size, True))
                   for d in machine.hypervisor.domains.values()]
         plan = InPlacePipeline(machine, target_kind=HypervisorKind.KVM,
-                               ).plan_shapes(machine.name, shapes)
+                               ).plan_shapes(shapes)
         assert predicted == plan.downtime_s
 
 
@@ -522,7 +544,7 @@ class TestMechanismPolicy:
             for name in decision.evacuate:
                 vm = by_name[name]
                 downtime = migration.plan_vm(
-                    vm.name, vm.memory_bytes, vm.dirty_rate_bytes_s,
+                    vm.memory_bytes, vm.dirty_rate_bytes_s,
                 ).downtime_s
                 # A capable VM only moves when moving actually meets the
                 # SLO; an incapable one moves because riding is worse.
