@@ -27,6 +27,7 @@ import hashlib
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import FleetError
@@ -45,7 +46,13 @@ from repro.core.pipeline import Stage, StagePlan, TransplantPipelines, VerifySpe
 from repro.core.timings import DEFAULT_COST_MODEL, CostModel
 from repro.fleet.failures import FailureInjector, FailurePhase, RetryPolicy
 from repro.fleet.metrics import FleetMetrics, collect_metrics
-from repro.fleet.simsync import FifoSemaphore, FleetProcess, Gate, Latch
+from repro.fleet.simsync import (
+    FifoSemaphore,
+    FleetProcess,
+    Gate,
+    Latch,
+    fired_gate,
+)
 from repro.fleet.state import FleetTrace, HostRecord, HostState
 from repro.hw.machine import CLUSTER_NODE_SPEC, Machine, MachineSpec
 from repro.hypervisors.base import HypervisorKind
@@ -54,6 +61,9 @@ from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
 from repro.vulndb.advisor import TransplantAdvisor
 from repro.vulndb.data import VulnerabilityDatabase, load_default_database
+
+#: a host record's state value, read without the enum's ``value`` property
+_STATE_VALUE = attrgetter("state._value_")
 
 
 @dataclass(frozen=True)
@@ -141,7 +151,8 @@ class _SlotLedger:
     A migration reserves a destination slot before touching the fabric and
     frees a source slot once the VM has left; reservations wait FIFO per
     node, so overlapping waves can never overcommit a host even though the
-    planner validated capacity only for sequential execution.
+    planner validated capacity only for sequential execution.  An
+    immediate grant returns the ledger's one pre-fired gate.
     """
 
     def __init__(self, engine: Engine, free: Dict[str, int]):
@@ -150,14 +161,14 @@ class _SlotLedger:
         self._waiters: Dict[str, Deque[Gate]] = {
             name: deque() for name in free
         }
+        self._granted = fired_gate(engine)
 
     def reserve(self, node: str) -> Gate:
-        gate = Gate(self._engine)
         if self._free[node] > 0:
             self._free[node] -= 1
-            gate.fire()
-        else:
-            self._waiters[node].append(gate)
+            return self._granted
+        gate = Gate(self._engine)
+        self._waiters[node].append(gate)
         return gate
 
     def release(self, node: str) -> None:
@@ -329,6 +340,9 @@ class FleetController:
             for vm, count in sorted(self._chain_counts.items())
         }
         self._aborted: Set[str] = set()
+        # host_plans is sorted by name, so the fault streams here and the
+        # host records below list hosts in the order the state digest
+        # needs.
         self._streams = {hp.name: self.injector.stream_for(hp.name)
                          for hp in host_plans}
         self._migrations_executed = 0
@@ -445,7 +459,8 @@ class FleetController:
             # closed on the replay byte-compare.  The metrics document is
             # a deterministic function of that state, so it is bound too
             # (and CI additionally cmp-checks the artifacts byte-for-byte).
-            self.journal.commit(completed, self._state_digest())
+            self.journal.commit(completed,
+                                self._state_digest(self._host_states()))
         return metrics
 
     @staticmethod
@@ -475,33 +490,43 @@ class FleetController:
         byte-for-byte, so a recovered controller proves its placement map,
         host records and fault-stream RNG positions match the crashed run.
         """
+        states = self._host_states()
         self.journal.checkpoint(
             self._engine.now,
-            self._state_digest(),
-            done_hosts=sum(1 for r in self.records.values()
-                           if r.state is HostState.DONE),
+            self._state_digest(states),
+            done_hosts=states.count(HostState.DONE.value),
             migrations_executed=self._migrations_executed,
         )
 
-    def _state_digest(self) -> bytes:
+    def _host_states(self) -> List[str]:
+        """Every host's state value, in sorted host order.
+
+        ``records`` is filled in sorted host order, and the attrgetter
+        reads the enum's raw ``_value_`` field, so the whole walk runs in
+        C with no Python call per host (``.value`` is a property).
+        """
+        return list(map(_STATE_VALUE, self.records.values()))
+
+    def _state_digest(self, states: List[str]) -> bytes:
         """SHA-256 over a canonical rendering of the recoverable state.
 
         Rendered as the ``repr`` of plain sorted tuples rather than JSON:
         the digest only has to be deterministic (replay byte-compares it
-        against the journaled checkpoint), and tuple repr keeps the whole
-        1000-host walk at C speed so checkpointing stays off the
-        campaign's critical path.  The digest is deliberately slim: host
-        names are implied by sorted order (naming is a deterministic
-        function of the journaled config), and per-host retry/rollback/
-        skip counters are transitively bound already — every retry and
-        rollback emits transitions that replay byte-compares one by one.
+        against the journaled checkpoint).  The digest is deliberately
+        slim: host names are implied by sorted order (naming is a
+        deterministic function of the journaled config), and per-host
+        retry/rollback/skip counters are transitively bound already —
+        every retry and rollback emits transitions that replay
+        byte-compares one by one.
+
+        ``states`` comes from :meth:`_host_states`.  Hosts are read in
+        sorted order without re-sorting, and sorting the aborted VM names
+        runs in C, so a checkpoint makes no Python call per host: the
+        per-host work is C-level list building, ``repr`` and ``sha256``.
         """
-        states = [record.state.value
-                  for _, record in sorted(self.records.items())]
-        draws = [stream.draws
-                 for _, stream in sorted(self._streams.items())]
         state = (sorted(self._aborted), states, self._migrations_executed,
-                 self._placement_sig, draws)
+                 self._placement_sig,
+                 list(map(attrgetter("draws"), self._streams.values())))
         return hashlib.sha256(repr(state).encode("utf-8")).digest()
 
     # -- host state machine --------------------------------------------------

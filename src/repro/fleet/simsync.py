@@ -10,7 +10,9 @@ may yield either a float (sleep) or a waitable (park until signalled).
 Everything is built on ``engine.call_after`` — wake-ups are scheduled
 events, never polling loops, so a campaign over thousands of hosts stays
 O(events log events).  Waiters wake in strict FIFO order at the timestamp
-of the signal, which keeps runs deterministic.
+of the signal, which keeps runs deterministic.  A grant that needs no
+waiting reuses its semaphore's (or ledger's) one pre-fired gate rather
+than allocating a fresh one.
 """
 
 from typing import Callable, Deque, Generator, List, Optional
@@ -23,6 +25,8 @@ from repro.sim.engine import Engine
 class Waitable:
     """Base class: something a :class:`FleetProcess` can yield on."""
 
+    __slots__ = ()
+
     def subscribe(self, fn: Callable[[], None]) -> None:
         raise NotImplementedError
 
@@ -30,28 +34,34 @@ class Waitable:
 class Gate(Waitable):
     """A one-shot event: waiters park until :meth:`fire` is called."""
 
+    __slots__ = ("_engine", "_waiters")
+
     def __init__(self, engine: Engine):
         self._engine = engine
-        self._fired = False
-        self._waiters: List[Callable[[], None]] = []
+        #: parked callbacks; None once the gate has fired
+        self._waiters: Optional[List[Callable[[], None]]] = []
 
     @property
     def fired(self) -> bool:
-        return self._fired
+        return self._waiters is None
 
     def fire(self) -> None:
-        if self._fired:
-            return
-        self._fired = True
-        waiters, self._waiters = self._waiters, []
-        for fn in waiters:
+        waiters, self._waiters = self._waiters, None
+        for fn in waiters or ():
             self._engine.call_after(0.0, fn)
 
     def subscribe(self, fn: Callable[[], None]) -> None:
-        if self._fired:
+        if self._waiters is None:
             self._engine.call_after(0.0, fn)
         else:
             self._waiters.append(fn)
+
+
+def fired_gate(engine: Engine) -> Gate:
+    """A gate that is already open: subscribers wake at the current instant."""
+    gate = Gate(engine)
+    gate.fire()
+    return gate
 
 
 class Latch(Waitable):
@@ -82,7 +92,11 @@ class FifoSemaphore:
     ``acquire()`` returns a :class:`Gate` that fires when the permit is
     granted; ``release()`` hands the permit to the longest waiter.  A
     ``permits`` of ``None`` means unbounded (every acquire granted at once).
+    An immediate grant returns the semaphore's one pre-fired gate: a fired
+    gate holds no waiters, so every holder can share it.
     """
+
+    __slots__ = ("_engine", "_capacity", "_free", "_queue", "_granted")
 
     def __init__(self, engine: Engine, permits: Optional[int]):
         if permits is not None and permits < 1:
@@ -91,16 +105,16 @@ class FifoSemaphore:
         self._capacity = permits
         self._free = permits
         self._queue: Deque[Gate] = deque()
+        self._granted = fired_gate(engine)
 
     def acquire(self) -> Gate:
-        gate = Gate(self._engine)
         if self._free is None:
-            gate.fire()
-        elif self._free > 0:
+            return self._granted
+        if self._free > 0:
             self._free -= 1
-            gate.fire()
-        else:
-            self._queue.append(gate)
+            return self._granted
+        gate = Gate(self._engine)
+        self._queue.append(gate)
         return gate
 
     def release(self) -> None:
@@ -209,11 +223,11 @@ class FleetProcess:
             self.done = True
             self.error = exc
             raise
-        if isinstance(item, Waitable):
-            item.subscribe(self._step)
-        elif (isinstance(item, (int, float)) and not isinstance(item, bool)
-              and item >= 0):
+        if (isinstance(item, (int, float)) and not isinstance(item, bool)
+                and item >= 0):
             self._engine.call_after(float(item), self._step)
+        elif isinstance(item, Waitable):
+            item.subscribe(self._step)
         else:
             # bool is an int subclass: without the explicit rejection a
             # buggy ``yield done_flag`` becomes a silent 1-second sleep.

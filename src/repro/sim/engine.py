@@ -9,11 +9,13 @@ concurrency are supported:
   how workloads and transplant phases are written throughout the library.
 
 Events at equal timestamps run in scheduling order (FIFO), which keeps runs
-deterministic.
+deterministic.  Times must be finite: a NaN compares false against
+everything, so it would slip past every ordering check.
 """
 
-import heapq
 import itertools
+from heapq import heappop, heappush
+from math import inf, isfinite
 from typing import Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -33,9 +35,6 @@ class Event:
 
     def cancel(self) -> None:
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class Process:
@@ -70,7 +69,7 @@ class Process:
             self.done = True
             self.error = exc
             raise
-        if not isinstance(delay, (int, float)) or delay < 0:
+        if not isinstance(delay, (int, float)) or not 0 <= delay < inf:
             raise SimulationError(
                 f"process {self.name!r} yielded invalid delay {delay!r}"
             )
@@ -85,32 +84,45 @@ class Process:
 
 
 class Engine:
-    """Discrete-event loop over a :class:`SimClock`."""
+    """Discrete-event loop over a :class:`SimClock`.
+
+    Pending events sit in a heap of ``(time, seq, event)`` tuples, so
+    ordering compares a float and an int in C (``seq`` is unique, so two
+    entries never compare their events).  The hot loops read the clock's
+    ``_now`` field directly; the property would cost a Python call per
+    event.
+    """
 
     def __init__(self, clock: Optional[SimClock] = None):
         self.clock = clock if clock is not None else SimClock()
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
 
     @property
     def now(self) -> float:
-        return self.clock.now
+        return self.clock._now
 
     def call_at(self, timestamp: float, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` to run at absolute simulated ``timestamp``."""
-        if timestamp < self.clock.now:
+        now = self.clock._now
+        if not now <= timestamp < inf:
+            if timestamp < now:
+                raise SimulationError(
+                    f"cannot schedule event in the past ({timestamp} < {now})"
+                )
             raise SimulationError(
-                f"cannot schedule event in the past ({timestamp} < {self.clock.now})"
+                f"cannot schedule event at non-finite time {timestamp}"
             )
-        event = Event(timestamp, next(self._seq), fn)
-        heapq.heappush(self._queue, event)
+        seq = next(self._seq)
+        event = Event(timestamp, seq, fn)
+        heappush(self._queue, (timestamp, seq, event))
         return event
 
     def call_after(self, delay: float, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.call_at(self.clock.now + delay, fn)
+        return self.call_at(self.clock._now + delay, fn)
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a generator process immediately (its first step runs now)."""
@@ -129,19 +141,23 @@ class Engine:
 
         Returns the clock value when the loop stops.
         """
-        while self._queue:
-            event = self._queue[0]
+        if until is not None and not isfinite(until):
+            raise SimulationError(f"cannot run until non-finite time {until}")
+        queue, clock = self._queue, self.clock
+        while queue:
+            time, _, event = queue[0]
             if event.cancelled:
-                heapq.heappop(self._queue)
+                heappop(queue)
                 continue
-            if until is not None and event.time > until:
+            if until is not None and time > until:
                 break
-            heapq.heappop(self._queue)
-            self.clock.advance_to(event.time)
+            heappop(queue)
+            if time != clock._now:
+                clock.advance_to(time)
             event.fn()
-        if until is not None and self.clock.now < until:
-            self.clock.advance_to(until)
-        return self.clock.now
+        if until is not None and clock.now < until:
+            clock.advance_to(until)
+        return clock.now
 
     def run_process(self, gen: Generator, name: str = ""):
         """Spawn ``gen``, run the loop until it completes, return its result."""
@@ -156,11 +172,13 @@ class Engine:
 
     def run_one(self) -> bool:
         """Run a single pending event.  Returns False if the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue, clock = self._queue, self.clock
+        while queue:
+            event = heappop(queue)[2]
             if event.cancelled:
                 continue
-            self.clock.advance_to(event.time)
+            if event.time != clock._now:
+                clock.advance_to(event.time)
             event.fn()
             return True
         return False

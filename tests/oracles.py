@@ -10,12 +10,30 @@ agree with, kept verbatim for differential tests:
 * :class:`LiveListPlanner` — the live-node list rebuilt for every
   evacuated VM, O(hosts) per migration;
 * :func:`plan_host_rebuild` / :func:`plan_vm_rebuild` — a stage plan
-  built afresh on every call, never cached by shape.
+  built afresh on every call, never cached by shape;
+* :class:`HeapEngine` — a heap of event objects ordered by the
+  Python-level ``HeapEvent.__lt__``;
+* :func:`state_digest_rescan` — the checkpoint digest and DONE count
+  computed by re-sorting every host record and fault stream and reading
+  each state through ``HostState.value``.
 
 Test-only: nothing outside ``tests/`` imports this module.
 """
 
-from typing import Dict, List, Mapping, Sequence
+import hashlib
+import heapq
+import itertools
+from typing import (
+    Callable,
+    Dict,
+    Generator,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.cluster.btrplace import BtrPlacePlanner
 from repro.core.mechanisms import HostDecision, MechanismPolicy, VMProfile
@@ -28,9 +46,12 @@ from repro.core.pipeline import (
     StagePlan,
     _fold,
 )
-from repro.errors import PlanningError, SentinelError
+from repro.errors import PlanningError, SentinelError, SimulationError
+from repro.fleet.state import HostState
 from repro.hw.memory import PAGE_2M
 from repro.sentinel.inventory import FleetInventory
+from repro.sim.clock import SimClock
+from repro.sim.engine import Process
 
 
 class FullScanInventory(FleetInventory):
@@ -181,3 +202,128 @@ def plan_vm_rebuild(pipeline: MigrationPipeline, memory_bytes: int,
     total = busy + downtime
     return StagePlan(mechanism=pipeline.mechanism, stages=stages,
                      total_s=total, execute_s=total, downtime_s=downtime)
+
+
+class HeapEvent:
+    """A scheduled callback.  ``cancel()`` prevents it from firing."""
+
+    __slots__ = ("time", "seq", "fn", "cancelled")
+
+    def __init__(self, time: float, seq: int, fn: Callable[[], None]):
+        self.time = time
+        self.seq = seq
+        self.fn = fn
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        self.cancelled = True
+
+    def __lt__(self, other: "HeapEvent") -> bool:
+        return (self.time, self.seq) < (other.time, other.seq)
+
+
+class HeapEngine:
+    """Discrete-event loop over a :class:`SimClock`."""
+
+    def __init__(self, clock: Optional[SimClock] = None):
+        self.clock = clock if clock is not None else SimClock()
+        self._queue: List[HeapEvent] = []
+        self._seq = itertools.count()
+
+    @property
+    def now(self) -> float:
+        return self.clock.now
+
+    def call_at(self, timestamp: float, fn: Callable[[], None]) -> HeapEvent:
+        """Schedule ``fn`` to run at absolute simulated ``timestamp``."""
+        if timestamp < self.clock.now:
+            raise SimulationError(
+                f"cannot schedule event in the past ({timestamp} < {self.clock.now})"
+            )
+        event = HeapEvent(timestamp, next(self._seq), fn)
+        heapq.heappush(self._queue, event)
+        return event
+
+    def call_after(self, delay: float, fn: Callable[[], None]) -> HeapEvent:
+        """Schedule ``fn`` to run ``delay`` seconds from now."""
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
+        return self.call_at(self.clock.now + delay, fn)
+
+    def spawn(self, gen: Generator, name: str = "") -> Process:
+        """Start a generator process immediately (its first step runs now)."""
+        process = Process(self, gen, name=name)
+        self.call_after(0.0, process._step)
+        return process
+
+    def spawn_at(self, timestamp: float, gen: Generator, name: str = "") -> Process:
+        """Start a generator process at an absolute timestamp."""
+        process = Process(self, gen, name=name)
+        self.call_at(timestamp, process._step)
+        return process
+
+    def run(self, until: Optional[float] = None) -> float:
+        """Run events until the queue drains or ``until`` is reached.
+
+        Returns the clock value when the loop stops.
+        """
+        while self._queue:
+            event = self._queue[0]
+            if event.cancelled:
+                heapq.heappop(self._queue)
+                continue
+            if until is not None and event.time > until:
+                break
+            heapq.heappop(self._queue)
+            self.clock.advance_to(event.time)
+            event.fn()
+        if until is not None and self.clock.now < until:
+            self.clock.advance_to(until)
+        return self.clock.now
+
+    def run_process(self, gen: Generator, name: str = ""):
+        """Spawn ``gen``, run the loop until it completes, return its result."""
+        process = self.spawn(gen, name=name)
+        while not process.done and self._queue:
+            self.run_one()
+        if not process.done:
+            raise SimulationError(f"process {process.name!r} starved (empty queue)")
+        if process.error is not None:
+            raise process.error
+        return process.result
+
+    def run_one(self) -> bool:
+        """Run a single pending event.  Returns False if the queue is empty."""
+        while self._queue:
+            event = heapq.heappop(self._queue)
+            if event.cancelled:
+                continue
+            self.clock.advance_to(event.time)
+            event.fn()
+            return True
+        return False
+
+    def run_all(self, processes: Iterable[Process]) -> Tuple:
+        """Run until every process in ``processes`` has completed."""
+        pending = list(processes)
+        while any(not p.done for p in pending):
+            if not self.run_one():
+                starved = [p.name for p in pending if not p.done]
+                raise SimulationError(f"processes starved: {starved}")
+        return tuple(p.result for p in pending)
+
+
+def state_digest_rescan(controller) -> Tuple[bytes, int]:
+    """A running controller's checkpoint digest and DONE-host count,
+    re-read from every host record and fault stream and re-sorted."""
+    states = [record.state.value
+              for _, record in sorted(controller.records.items())]
+    draws = [stream.draws
+             for _, stream in sorted(controller._streams.items())]
+    state = (sorted(controller._aborted), states,
+             controller._migrations_executed, controller._placement_sig,
+             draws)
+    digest = hashlib.sha256(repr(state).encode("utf-8")).digest()
+    done_hosts = sum(1 for r in controller.records.values()
+                     if r.state is HostState.DONE)
+    return digest, done_hosts

@@ -408,6 +408,18 @@ class TestRollback:
         assert metrics.window_percentiles_s == {}
         assert metrics.fleet_window_s is None
 
+    @pytest.mark.xfail(strict=True, raises=FleetError, reason=(
+        "known defect: node02 rolls back and pulls its VMs home, filling "
+        "the slots that node04's and node05's planned moves into node02 "
+        "wait for; both hosts park in the slot ledger forever"))
+    def test_rollback_onto_a_planned_destination_terminates(self):
+        _, metrics = run_campaign(
+            fail_rate=0.2, retry=RetryPolicy(max_retries=2),
+            hosts=6, vms_per_host=10, inplace_fraction=0.8,
+            mechanism="migration", seed=3,
+        )
+        assert metrics.all_terminal
+
 
 class TestConcurrencyCap:
     @pytest.mark.parametrize("cap", [1, 2, 4])

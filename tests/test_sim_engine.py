@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
 
 
@@ -150,3 +151,60 @@ def test_spawn_at_delays_start():
     engine.spawn_at(4.0, proc())
     engine.run()
     assert started == [4.0]
+
+
+# -- non-finite times ------------------------------------------------------------
+# A NaN compares false against everything: before these guards an event
+# at NaN fired between the events at 0.5 s and 1.0 s, set the clock to
+# NaN, and from then on no "past" check could fire again.
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_timestamp_rejected(bad):
+    engine = Engine()
+    fired = []
+    engine.call_at(0.5, lambda: fired.append(engine.now))
+    engine.call_at(1.0, lambda: fired.append(engine.now))
+    with pytest.raises(SimulationError):
+        engine.call_at(bad, lambda: fired.append(engine.now))
+    with pytest.raises(SimulationError):
+        engine.call_after(bad, lambda: fired.append(engine.now))
+    engine.run()
+    assert fired == [0.5, 1.0] and engine.now == 1.0
+    with pytest.raises(SimulationError, match="past"):
+        engine.call_at(0.25, lambda: None)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_process_non_finite_delay_rejected(bad):
+    def proc():
+        yield 1.0
+        yield bad
+
+    engine = Engine()
+    with pytest.raises(SimulationError, match="invalid delay"):
+        engine.run_process(proc())
+    assert engine.now == 1.0
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_clock_rejects_non_finite_times(bad):
+    clock = SimClock(2.0)
+    with pytest.raises(SimulationError):
+        clock.advance(bad)
+    with pytest.raises(SimulationError):
+        clock.advance_to(bad)
+    with pytest.raises(SimulationError):
+        SimClock(bad)
+    assert clock.now == 2.0
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_run_until_non_finite_rejected(bad):
+    engine = Engine()
+    engine.call_at(1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        engine.run(until=bad)
+    assert engine.now == 0.0
