@@ -39,9 +39,6 @@ class Solution:
         """The input fact, or ``default`` when the node is unreachable."""
         return self.in_facts.get(index, default)
 
-    def out_fact(self, index: int, default=frozenset()):
-        return self.out_facts.get(index, default)
-
     def reachable(self, index: int) -> bool:
         return index in self.in_facts
 

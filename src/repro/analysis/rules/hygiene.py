@@ -1,7 +1,8 @@
 """Sim-layer hygiene rules.
 
 ``sim-clock-hygiene``: the simulated layers (``sim/``, ``core/``,
-``hypervisors/``, ``fleet/``) must take all time from
+``hypervisors/``, ``fleet/``, ``cluster/``, ``sentinel/`` and the rest
+of :data:`CLOCK_SCOPE`) must take all time from
 :class:`~repro.sim.clock.SimClock`.
 A stray ``time.time()`` or ``datetime.now()`` makes experiment results
 depend on the host's wall clock — irreproducible and wrong under the
@@ -23,9 +24,13 @@ from repro.analysis.project import Project, SourceModule, dotted_name
 
 #: layers that must run on simulated time (path prefixes); par/ is in
 #: scope with one audited exception, the repro.par.realtime boundary
-#: (pool deadlines and respawn backoff are real infrastructure)
+#: (pool deadlines and respawn backoff are real infrastructure).  The
+#: rest of the tree (analysis/, bench/, the CLI) never simulates; CI
+#: also lints benchmarks/, which times itself on purpose.
 CLOCK_SCOPE = ("sim/", "core/", "hypervisors/", "fleet/", "obs/", "io/",
-               "par/", "sentinel/")
+               "par/", "sentinel/", "cluster/", "workloads/", "guest/",
+               "hw/", "devices/", "storage/", "orchestrator/", "vulndb/",
+               "journal.py")
 
 #: fully-qualified callables that read the wall clock or block on it
 WALL_CLOCK_CALLS = frozenset({

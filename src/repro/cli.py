@@ -10,9 +10,9 @@
 * ``hypertp vulns``    — print Table 1 from the embedded dataset.
 * ``hypertp cluster``  — run the Fig. 13 cluster-upgrade sweep.
 * ``hypertp fleet``    — run an emergency-response campaign end to end and
-  print the fleet-wide vulnerability-window percentiles.
-* ``hypertp trace``    — replay a seeded fleet campaign with tracing on and
-  emit the Perfetto/Chrome timeline (byte-identical per seed).
+  print the fleet-wide vulnerability-window percentiles; ``--trace`` and
+  ``--metrics`` also write its Perfetto timeline and metrics snapshot
+  (byte-identical per seed).
 * ``hypertp sentinel`` — replay a vulnerability feed against a simulated
   fleet and respond continuously: gate, score, transplant, return.
 * ``hypertp tcb``      — print the §4.4 TCB accounting.
@@ -136,6 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--trace", dest="trace_path", metavar="FILE",
                        help="also write the campaign's Perfetto/Chrome "
                             "trace JSON")
+    fleet.add_argument("--metrics", dest="metrics_path", metavar="FILE",
+                       help="also write the metrics-registry snapshot JSON")
     fleet.add_argument("--workers", type=int, default=1,
                        help="route the campaign through the repro.par "
                             "worker pool (output is byte-identical to "
@@ -152,30 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fault injection: kill the controller right "
                             "after the Nth journal record is durable "
                             "(exit code 3; requires --journal/--resume)")
-
-    trace = sub.add_parser(
-        "trace",
-        help="replay a seeded fleet campaign and emit its Perfetto trace",
-    )
-    trace.add_argument("--hosts", type=int, default=10)
-    trace.add_argument("--vms-per-host", type=int, default=10)
-    trace.add_argument("--inplace-fraction", type=float, default=0.8)
-    trace.add_argument("--group-size", type=int, default=2)
-    trace.add_argument("--seed", type=int, default=42)
-    trace.add_argument("--concurrency", type=int, default=8,
-                       help="max hosts in flight at once (0 = unbounded)")
-    trace.add_argument("--sequential-groups", action="store_true")
-    trace.add_argument("--fail-rate", type=float, default=0.0,
-                       help="per-phase failure-injection probability")
-    trace.add_argument("--cve", default="CVE-2016-6258")
-    trace.add_argument("--out", metavar="FILE",
-                       help="write the trace JSON here instead of stdout")
-    trace.add_argument("--metrics", dest="metrics_path", metavar="FILE",
-                       help="also write the metrics-registry snapshot JSON")
-    trace.add_argument("--workers", type=int, default=1,
-                       help="route the replay through the repro.par "
-                            "worker pool (output is byte-identical to "
-                            "--workers 1)")
 
     sentinel = sub.add_parser(
         "sentinel",
@@ -310,7 +288,7 @@ def cmd_inplace(args) -> int:
           f"UISR {report.uisr_bytes / 1024:.1f} KiB, guests intact: "
           f"{report.guest_digests_preserved}")
     if args.trace:
-        from repro.sim.trace import trace_inplace
+        from repro.obs import trace_inplace
 
         with open(args.trace, "w") as handle:
             handle.write(trace_inplace(report).to_chrome_trace())
@@ -353,14 +331,19 @@ def cmd_migrate(args) -> int:
 
 
 def cmd_advise(args) -> int:
+    from repro.errors import VulnDBError
     from repro.vulndb import TransplantAdvisor, load_default_database
 
     db = load_default_database()
     pool = [p.strip() for p in args.pool.split(",") if p.strip()]
     open_cves = [c.strip() for c in args.open_cves.split(",") if c.strip()]
-    advisor = TransplantAdvisor(db, hypervisor_pool=pool)
-    advice = advisor.advise(args.cve, args.current.value,
-                            open_cves=open_cves)
+    try:
+        advisor = TransplantAdvisor(db, hypervisor_pool=pool)
+        advice = advisor.advise(args.cve, args.current.value,
+                                open_cves=open_cves)
+    except VulnDBError as error:
+        print(f"advise: {error}", file=sys.stderr)
+        return 2
     record = db.get(args.cve)
     print(f"{args.cve} (CVSS {record.score}, {record.severity.value}, "
           f"affects {sorted(record.affected)}): {record.description}")
@@ -398,11 +381,24 @@ def cmd_vulns(_args) -> int:
 def cmd_cluster(args) -> int:
     from repro.cluster import BtrPlacePlanner, UpgradeCampaign, encode_plan
     from repro.cluster.model import build_paper_cluster
+    from repro.errors import ClusterError
 
-    fractions = [float(f) for f in args.fractions.split(",")]
     campaign = UpgradeCampaign(hosts=args.hosts,
                                vms_per_host=args.vms_per_host)
-    results = campaign.sweep(fractions)
+    plan = None
+    try:
+        fractions = [float(f) for f in args.fractions.split(",")]
+        results = campaign.sweep(fractions)
+        if args.export_plan:
+            cluster = build_paper_cluster(
+                hosts=args.hosts, vms_per_host=args.vms_per_host,
+                inplace_fraction=args.export_fraction, seed=campaign.seed,
+            )
+            plan = BtrPlacePlanner(
+                cluster, group_size=campaign.group_size).plan(apply=False)
+    except (ClusterError, ValueError) as error:
+        print(f"cluster: {error}", file=sys.stderr)
+        return 2
     gains = UpgradeCampaign.time_gains(results)
     print(f"Cluster upgrade sweep ({args.hosts} hosts x "
           f"{args.vms_per_host} VMs):")
@@ -410,13 +406,7 @@ def cmd_cluster(args) -> int:
         print(f"  {result.inplace_fraction:>5.0%}: "
               f"{result.migration_count:4d} migrations, "
               f"{result.total_minutes:6.1f} min, gain {gain:4.0%}")
-    if args.export_plan:
-        cluster = build_paper_cluster(
-            hosts=args.hosts, vms_per_host=args.vms_per_host,
-            inplace_fraction=args.export_fraction, seed=campaign.seed,
-        )
-        plan = BtrPlacePlanner(cluster,
-                               group_size=campaign.group_size).plan(apply=False)
+    if plan is not None:
         blob = encode_plan(plan)
         with open(args.export_plan, "wb") as handle:
             handle.write(blob)
@@ -425,70 +415,37 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _journaled_fleet_result(args, payload):
-    """Run a journaled (or resumed) campaign inline.
-
-    The journal object cannot cross the worker-pool pipe, so ``--journal``
-    and ``--resume`` bypass :func:`repro.par.run_fleet_campaign`; the
-    returned dict mirrors its shape (``document``/``spans``) exactly.
-    """
-    from repro.fleet import (
-        FailureInjector,
-        FleetConfig,
-        FleetController,
-        RetryPolicy,
-    )
-    from repro.journal import CampaignJournal, campaign_meta, recover
-    from repro.obs import NULL_TRACER, Tracer
-    from repro.par.shard import spans_to_payload
-
-    tracer = Tracer() if payload.get("trace") else None
-    if args.resume:
-        controller, journal = recover(
-            args.resume,
-            tracer=tracer if tracer is not None else NULL_TRACER,
-            crash_after=args.crash_after,
-        )
-        if journal.torn_bytes:
-            print(f"fleet: journal had a torn tail — discarded "
-                  f"{journal.torn_bytes} trailing byte(s) "
-                  f"({journal.torn_error})", file=sys.stderr)
-        print(f"fleet: resuming from {args.resume} — verifying "
-              f"{journal.pending_replay} journaled record(s)",
-              file=sys.stderr)
-    else:
-        config = FleetConfig(**payload["config"])
-        injector = FailureInjector(
-            payload.get("fail_rate", 0.0),
-            seed=payload.get("injector_seed", config.seed),
-        )
-        if payload.get("max_retries") is not None:
-            retry = RetryPolicy(max_retries=payload["max_retries"])
-        else:
-            retry = RetryPolicy()
-        journal = CampaignJournal.create(
-            args.journal, campaign_meta(config, injector, retry),
-            crash_after=args.crash_after,
-        )
-        kwargs = {"injector": injector, "retry": retry, "journal": journal}
-        if tracer is not None:
-            kwargs["tracer"] = tracer
-        controller = FleetController(config, **kwargs)
-    metrics = controller.run()
-    result = {"document": metrics.to_dict()}
-    result["mechanism_mix"] = controller.mechanism_mix()
-    if tracer is not None:
-        result["spans"] = spans_to_payload(tracer.trace)
-    return result
-
-
 def cmd_fleet(args) -> int:
     import json
 
-    from repro.errors import FleetError, JournalCrash, JournalError, ParError
+    from repro.errors import (
+        ClusterError,
+        FleetError,
+        JournalCrash,
+        JournalError,
+        ParError,
+        VulnDBError,
+    )
     from repro.par import merge_traces, run_fleet_campaign
     from repro.vulndb.data import load_default_database
 
+    journaling = bool(args.journal or args.resume)
+    if args.journal and args.resume:
+        print("fleet: --journal and --resume are mutually exclusive",
+              file=sys.stderr)
+        return 2
+    if args.crash_after is not None and not journaling:
+        print("fleet: --crash-after requires --journal or --resume",
+              file=sys.stderr)
+        return 2
+    if args.crash_after is not None and args.crash_after < 1:
+        print(f"fleet: --crash-after must be >= 1, got {args.crash_after}",
+              file=sys.stderr)
+        return 2
+    if journaling and args.workers > 1:
+        print("fleet: a journaled campaign runs inline; drop --workers",
+              file=sys.stderr)
+        return 2
     pool = tuple(p.strip() for p in args.pool.split(",") if p.strip())
     payload = {
         "config": {
@@ -497,7 +454,8 @@ def cmd_fleet(args) -> int:
             "inplace_fraction": args.inplace_fraction,
             "group_size": args.group_size,
             "seed": args.seed,
-            "concurrency": args.concurrency if args.concurrency > 0 else None,
+            # 0 means unbounded; FleetConfig rejects a negative value.
+            "concurrency": args.concurrency or None,
             "sequential_groups": args.sequential_groups,
             "mechanism": args.mechanism,
             "trigger_cve": args.cve,
@@ -508,45 +466,45 @@ def cmd_fleet(args) -> int:
         "injector_seed": args.seed,
         "max_retries": args.max_retries,
         "trace": bool(args.trace_path),
+        "metrics": bool(args.metrics_path),
+        "journal": args.journal,
+        "resume": args.resume,
+        "crash_after": args.crash_after,
     }
-    journaling = bool(args.journal or args.resume)
-    if args.journal and args.resume:
-        print("fleet: --journal and --resume are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    if args.crash_after is not None and not journaling:
-        print("fleet: --crash-after requires --journal or --resume",
-              file=sys.stderr)
-        return 2
-    if journaling and args.workers > 1:
-        print("fleet: a journaled campaign runs inline; drop --workers",
-              file=sys.stderr)
-        return 2
     try:
-        if journaling:
-            result = _journaled_fleet_result(args, payload)
-        else:
-            result = run_fleet_campaign(payload, workers=args.workers)
+        result = run_fleet_campaign(payload, workers=args.workers)
     except JournalCrash as crash:
         print(f"fleet: {crash}", file=sys.stderr)
         return 3
-    except (FleetError, ParError, JournalError) as error:
+    except (ClusterError, FleetError, JournalError, ParError,
+            VulnDBError) as error:
         print(f"fleet: {error}", file=sys.stderr)
         return 2
 
+    # A resumed campaign's shape comes from its journal, not the flags.
+    resumed = result.get("resumed")
+    shape = resumed or payload
+    if resumed:
+        if resumed["torn_bytes"]:
+            print(f"fleet: journal had a torn tail — discarded "
+                  f"{resumed['torn_bytes']} trailing byte(s) "
+                  f"({resumed['torn_error']})", file=sys.stderr)
+        print(f"fleet: resuming from {args.resume} — verifying "
+              f"{resumed['replayed']} journaled record(s)", file=sys.stderr)
     document = result["document"]
     campaign, window = document["campaign"], document["window"]
     robustness = document["robustness"]
-    record = load_default_database().get(args.cve)
-    print(f"{args.cve} disclosed ({record.severity.value}, affects "
-          f"{sorted(record.affected)}): {record.description}")
+    record = load_default_database().get(campaign["trigger_cve"])
+    print(f"{campaign['trigger_cve']} disclosed ({record.severity.value}, "
+          f"affects {sorted(record.affected)}): {record.description}")
     print(f"Advisor: transplant {campaign['source_hypervisor']} -> "
           f"{campaign['target_hypervisor']}")
+    config, fail_rate = shape["config"], shape["fail_rate"]
     print(f"Campaign: {campaign['hosts']} hosts / {campaign['vms']} VMs in "
           f"{campaign['waves']} waves, "
-          f"concurrency {args.concurrency if args.concurrency > 0 else 'unbounded'}"
-          f"{', sequential groups' if args.sequential_groups else ''}"
-          f"{f', fail rate {args.fail_rate:.0%}' if args.fail_rate else ''}"
+          f"concurrency {config['concurrency'] or 'unbounded'}"
+          f"{', sequential groups' if config['sequential_groups'] else ''}"
+          f"{f', fail rate {fail_rate:.0%}' if fail_rate else ''}"
           f"{f', {args.workers} workers' if args.workers > 1 else ''}")
     print(f"  remediated : {robustness['done_hosts']}/{campaign['hosts']} "
           f"hosts ({robustness['rolled_back_hosts']} rolled back)")
@@ -582,6 +540,11 @@ def cmd_fleet(args) -> int:
         with open(args.trace_path, "w") as handle:
             handle.write(trace.to_chrome_trace())
         print(f"  trace JSON written to {args.trace_path}")
+    if args.metrics_path:
+        with open(args.metrics_path, "w") as handle:
+            handle.write(json.dumps(result["registry"], indent=2,
+                                    sort_keys=True))
+        print(f"  metrics snapshot written to {args.metrics_path}")
     terminal = {"done", "rolled-back"}
     if not all(h["state"] in terminal for h in document["per_host"]):
         print("ERROR: campaign left hosts in a non-terminal state",
@@ -590,56 +553,8 @@ def cmd_fleet(args) -> int:
     return 0
 
 
-def cmd_trace(args) -> int:
-    import json
-
-    from repro.errors import FleetError, ParError
-    from repro.par import merge_traces, run_fleet_campaign
-
-    payload = {
-        "config": {
-            "hosts": args.hosts,
-            "vms_per_host": args.vms_per_host,
-            "inplace_fraction": args.inplace_fraction,
-            "group_size": args.group_size,
-            "seed": args.seed,
-            "concurrency": args.concurrency if args.concurrency > 0 else None,
-            "sequential_groups": args.sequential_groups,
-            "trigger_cve": args.cve,
-        },
-        "fail_rate": args.fail_rate,
-        "injector_seed": args.seed,
-        "trace": True,
-        "metrics": True,
-    }
-    try:
-        result = run_fleet_campaign(payload, workers=args.workers)
-    except (FleetError, ParError) as error:
-        print(f"trace: {error}", file=sys.stderr)
-        return 2
-
-    trace = merge_traces([("fleet", result["spans"])], prefix=False)
-    document = trace.to_chrome_trace()
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(document)
-        print(f"trace written to {args.out} ({len(trace)} spans, "
-              f"{len(trace.tracks())} tracks) — open in "
-              f"chrome://tracing or ui.perfetto.dev", file=sys.stderr)
-    else:
-        print(document)
-    if args.metrics_path:
-        with open(args.metrics_path, "w") as handle:
-            handle.write(json.dumps(result["registry"], indent=2,
-                                    sort_keys=True))
-        print(f"metrics snapshot written to {args.metrics_path}",
-              file=sys.stderr)
-    return 0
-
-
 def cmd_sentinel(args) -> int:
     import json
-    import os
 
     from repro.errors import ParError, SentinelError, VulnDBError
     from repro.par import merge_traces, run_sentinel
@@ -685,33 +600,12 @@ def cmd_sentinel(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        if args.journal_dir:
-            # Journal handles cannot cross the worker pipe: run inline,
-            # returning the same result shape as the pooled path.
-            from repro.obs import MetricsRegistry, Tracer
-            from repro.par.shard import spans_to_payload
-            from repro.sentinel import Sentinel
-
-            os.makedirs(args.journal_dir, exist_ok=True)
-            tracer = Tracer() if args.trace_path else None
-            registry = MetricsRegistry() if args.metrics_path else None
-            kwargs = {"journal_dir": args.journal_dir}
-            if tracer is not None:
-                kwargs["tracer"] = tracer
-            if registry is not None:
-                kwargs["registry"] = registry
-            report = Sentinel(config, **kwargs).run()
-            result = {"document": report.to_dict()}
-            if tracer is not None:
-                result["spans"] = spans_to_payload(tracer.trace)
-            if registry is not None:
-                result["registry"] = registry.snapshot()
-        else:
-            result = run_sentinel({
-                "config": config.to_payload(),
-                "trace": bool(args.trace_path),
-                "metrics": bool(args.metrics_path),
-            }, workers=args.workers)
+        result = run_sentinel({
+            "config": config.to_payload(),
+            "trace": bool(args.trace_path),
+            "metrics": bool(args.metrics_path),
+            "journal_dir": args.journal_dir,
+        }, workers=args.workers)
     except (SentinelError, VulnDBError, ParError) as error:
         print(f"sentinel: {error}", file=sys.stderr)
         return 2
@@ -859,7 +753,6 @@ _COMMANDS = {
     "vulns": cmd_vulns,
     "cluster": cmd_cluster,
     "fleet": cmd_fleet,
-    "trace": cmd_trace,
     "sentinel": cmd_sentinel,
     "tcb": cmd_tcb,
     "lint": cmd_lint,

@@ -23,14 +23,9 @@ from typing import List, Tuple
 from repro.cluster.plan import InPlaceAction, MigrationAction, ReconfigurationPlan
 from repro.hw.machine import CLUSTER_NODE_SPEC, MachineSpec
 from repro.obs import NULL_TRACER, Span
-from repro.core.pipeline import StagePlan, TransplantPipelines, fabric_link_rate
+from repro.core.pipeline import StagePlan, TransplantPipelines
 from repro.core.timings import DEFAULT_COST_MODEL, CostModel
 from repro.hypervisors.base import HypervisorKind
-
-
-def cluster_link_rate(node_spec: MachineSpec = CLUSTER_NODE_SPEC) -> float:
-    """Effective bytes/s of the shared migration fabric for ``node_spec``."""
-    return fabric_link_rate(node_spec)
 
 
 @dataclass
@@ -64,7 +59,6 @@ class PlanExecutor:
         self.tracer = tracer
         self.pipelines = TransplantPipelines(
             node_spec=node_spec, cost=cost_model)
-        self._link_rate = self.pipelines.link_rate
 
     # -- per-action stage plans ----------------------------------------------
 

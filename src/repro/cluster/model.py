@@ -143,6 +143,8 @@ def build_paper_cluster(hosts: int = 10, vms_per_host: int = 10,
     """
     import random
 
+    if hosts < 1:
+        raise ClusterError(f"need >= 1 host, got {hosts}")
     if not 0.0 <= inplace_fraction <= 1.0:
         raise ClusterError(f"bad inplace fraction {inplace_fraction}")
     rng = random.Random(seed)

@@ -17,8 +17,9 @@ Every transplant mechanism decomposes into the same six stages::
   translate + transfer + restore — the stop-and-copy.
 
 The planners (:mod:`repro.cluster.executor`), the fleet control plane
-(:mod:`repro.fleet.controller`) and the orchestrator policy all derive
-their per-action durations from these plans, so fleet-scale numbers are
+(:mod:`repro.fleet.controller`) and the mechanism policy
+(:mod:`repro.core.mechanisms`) all derive their per-action durations
+from these plans, so fleet-scale numbers are
 *the same floats* `HyperTP.upgrade_host` predicts — there is no second,
 silently drifting cost path (the pre-refactor drift this module removed:
 three consumers each re-summed the phase helpers in their own order).
@@ -127,10 +128,6 @@ class StagePlan:
                 return cost.duration_s
         return 0.0
 
-    @property
-    def by_stage(self) -> Dict[str, float]:
-        return {cost.stage.value: cost.duration_s for cost in self.stages}
-
     def spans(self, start_s: float, track: str) -> List[Span]:
         """Render the plan as obs spans, one per non-empty stage."""
         spans: List[Span] = []
@@ -160,7 +157,8 @@ class InPlacePipeline:
     ``plan_host`` models the cluster planner's uniform-VM host (what
     :class:`repro.cluster.plan.InPlaceAction` describes); ``plan_shapes``
     takes explicit per-VM ``(vcpus, entries)`` shapes for a live
-    population (what the orchestrator policy predicts downtime from).
+    population (what :meth:`repro.core.inplace.InPlaceTP.stage_plan`
+    prices a live host with).
 
     A plan is a pure value of its shape: everything else it reads is
     fixed at construction, so ``plan_host`` builds each

@@ -16,7 +16,7 @@ from repro.guest.drivers import (
     NetworkDriver,
     PassthroughDriver,
 )
-from repro.hypervisors.state import Packer
+from repro.io.frames import Packer
 
 STRATEGY_PASSTHROUGH = "passthrough-pause"
 STRATEGY_TRANSLATE = "translate"

@@ -32,7 +32,6 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import FleetError
 from repro.cluster.btrplace import BtrPlacePlanner
-from repro.cluster.executor import cluster_link_rate
 from repro.cluster.model import Cluster, build_paper_cluster
 from repro.cluster.plan import InPlaceAction, MigrationAction
 from repro.core.mechanisms import (
@@ -222,12 +221,10 @@ class FleetController:
                 )
             self.target_kind = HypervisorKind(self.advice.recommended_target)
         self._machine = Machine(node_spec, name="fleet-reference")
-        self._link_rate = cluster_link_rate(node_spec)
         # The one cost path: per-host durations come from the same staged
         # pipeline HyperTP.upgrade_host composes, verify stage included.
         self._pipelines = TransplantPipelines(
-            machine=self._machine, link_rate=self._link_rate,
-            cost=cost_model,
+            machine=self._machine, node_spec=node_spec, cost=cost_model,
             verify=VerifySpec(config.verify_fixed_s, config.verify_per_vm_s),
         )
         self.policy = MechanismPolicy(config.mechanism)
@@ -646,7 +643,6 @@ class FleetController:
         return True
 
     def _verify(self, record: HostRecord, hp: _HostPlan):
-        cfg = self.config
         stream = self._streams[record.name]
         record.transition(HostState.VERIFYING, self._engine.now, self.trace)
         verify_s = hp.plan.stage_s(Stage.VERIFY)

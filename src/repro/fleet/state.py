@@ -112,9 +112,6 @@ class FleetTrace:
             )
         self.transitions.append(transition)
 
-    def for_host(self, host: str) -> List[Transition]:
-        return [t for t in self.transitions if t.host == host]
-
     def max_in_flight(self) -> int:
         """Peak number of hosts simultaneously in an active state."""
         in_flight = 0

@@ -115,10 +115,6 @@ class GuestImage:
         for mfn in self._gfn_to_frame.values():
             self.memory.pin(mfn)
 
-    def unpin_all(self) -> None:
-        for mfn in self._gfn_to_frame.values():
-            self.memory.unpin(mfn)
-
     def release(self) -> None:
         """Free all backing frames (VM destruction)."""
         if self._released:

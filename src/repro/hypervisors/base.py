@@ -33,10 +33,6 @@ class HypervisorKind(enum.Enum):
     KVM = "kvm"
     NOVA = "nova"
 
-    @property
-    def display_name(self) -> str:
-        return {"xen": "Xen", "kvm": "KVM", "nova": "NOVA"}[self.value]
-
 
 class HypervisorType(enum.Enum):
     """Type-I runs on bare metal; type-II runs inside a host OS kernel."""

@@ -30,7 +30,7 @@ from repro.guest.devices import (
     XSAVEState,
 )
 from repro.guest.vcpu import SegmentDescriptor, VCPUState
-from repro.hypervisors.state import Packer, Unpacker
+from repro.io.frames import Packer, Unpacker
 
 # MSR indices KVM uses to carry state that Xen keeps in dedicated records.
 MSR_APIC_BASE = 0x0000001B

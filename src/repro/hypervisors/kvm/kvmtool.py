@@ -21,9 +21,6 @@ from repro.hypervisors.kvm import formats
 class KvmtoolVMM:
     """One kvmtool process, bound to one domain on a KVM host."""
 
-    #: single-thread seconds of VMM-side work per ioctl issued
-    IOCTL_COST_S = 8e-6
-
     def __init__(self, hypervisor, domain: Domain):
         self._hv = hypervisor
         self.domain = domain
@@ -61,7 +58,3 @@ class KvmtoolVMM:
         bundle = formats.encode_bundle(vm.vcpus, vm.platform)
         self.ioctls_issued += len(bundle)
         return bundle
-
-    def restore_work_seconds(self, bundle: formats.KVMStateBundle) -> float:
-        """Single-thread host seconds to push a bundle into KVM."""
-        return len(bundle) * self.IOCTL_COST_S

@@ -28,9 +28,6 @@ class CFSRunqueue:
     cpu: int
     tasks: List[CFSTask] = field(default_factory=list)
 
-    def pick_next(self) -> CFSTask:
-        return min(self.tasks, key=lambda t: t.vruntime)
-
 
 class CFSScheduler:
     """CFS runqueues over the host's CPUs."""

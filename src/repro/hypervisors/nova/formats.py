@@ -22,7 +22,7 @@ from repro.guest.devices import (
     XSAVEState,
 )
 from repro.guest.vcpu import SegmentDescriptor, VCPUState
-from repro.hypervisors.state import Packer, Unpacker
+from repro.io.frames import Packer, Unpacker
 
 NOVA_MAGIC = 0x4E4F5641  # "NOVA"
 NOVA_VERSION = 1

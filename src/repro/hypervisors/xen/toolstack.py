@@ -49,9 +49,6 @@ class XenToolstack:
     def pause(self, domid: int, now: float) -> None:
         self._hv.pause_domain(domid, now)
 
-    def unpause(self, domid: int, now: float) -> None:
-        self._hv.resume_domain(domid, now)
-
     def decode_context(self, blob: bytes):
         """Parse a Xen HVM context blob (for proxies and tests)."""
         return formats.decode_hvm_context(blob)

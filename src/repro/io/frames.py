@@ -17,9 +17,9 @@ finished stream must close with; :meth:`FrameReader.expect_end` rejects
 truncated streams and concatenated garbage tails alike.
 
 The module also hosts the low-level :class:`Packer`/:class:`Unpacker`
-pair (grown out of ``repro.hypervisors.state``, which re-exports them for
-compatibility) — the only place in the tree allowed to touch ``struct``,
-enforced by the ``io-format-hygiene`` lint rule.
+pair that every hypervisor's format code packs with — the only place in
+the tree allowed to touch ``struct``, enforced by the
+``io-format-hygiene`` lint rule.
 """
 
 import struct

@@ -51,13 +51,11 @@ CI smoke job drive.
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import JournalCrash, JournalDivergence, JournalError
 from repro.io.frames import (
-    FRAME_OVERHEAD,
     Packer,
     Unpacker,
     decode_frame,

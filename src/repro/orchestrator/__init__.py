@@ -21,7 +21,6 @@ from repro.orchestrator.scheduler_filters import (
     TransplantConsolidationWeigher,
 )
 from repro.orchestrator.api import DatacenterAPI, FleetUpgradeReport
-from repro.orchestrator.policy import Mechanism, TransplantPolicy
 from repro.orchestrator.scheduled_events import (
     AZURE_MAINTENANCE_BOUND_S,
     EventType,
@@ -39,8 +38,6 @@ __all__ = [
     "TransplantConsolidationWeigher",
     "DatacenterAPI",
     "FleetUpgradeReport",
-    "Mechanism",
-    "TransplantPolicy",
     "AZURE_MAINTENANCE_BOUND_S",
     "EventType",
     "MaintenanceEvent",

@@ -36,7 +36,7 @@ import select
 import subprocess
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ParError, StateFormatError

@@ -11,7 +11,9 @@ config payload (never shipped live objects), returning plain dicts: the
 metrics document, span payloads and a registry snapshot.  Because the
 campaign is seeded and the document serialization is deterministic, the
 same payload produces the same dicts inline, in a worker, or in a worker
-that crashed twice and was retried.
+that crashed twice and was retried.  It is the only code that turns a
+payload into a ``FleetController`` — plain, traced, metered, journaled
+or resumed — as :func:`sentinel_task` is for a ``Sentinel``.
 """
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
@@ -72,13 +74,21 @@ def fleet_campaign_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     * ``injector_seed`` — injector RNG seed (default: the config seed);
     * ``max_retries`` — per-host retry budget (default: policy default);
     * ``trace`` — collect spans and return them as payloads;
-    * ``metrics`` — publish into a registry and return its snapshot.
+    * ``metrics`` — publish into a registry and return its snapshot;
+    * ``journal`` — write-ahead journal the campaign to this path;
+    * ``resume`` — recover the campaign journaled at this path and run it
+      to completion; the journal's CAMPAIGN_META stands in for the four
+      keys above;
+    * ``crash_after`` — fault injection with ``journal``/``resume``: raise
+      :class:`~repro.errors.JournalCrash` right after that many records.
 
-    Everything live — clock, engine, tracer, registry — is constructed
-    here, inside the executing process; only seeds and plain data cross
-    the pipe.  The returned ``document`` is exactly
+    Everything live — clock, engine, tracer, registry, journal — is
+    constructed here, inside the executing process; only seeds, paths
+    and plain data cross the pipe.  The returned ``document`` is exactly
     ``FleetMetrics.to_dict()``, so serial and parallel runs serialize to
-    identical bytes.
+    identical bytes.  A resumed run also returns ``resumed``: the records
+    it verified, the torn tail it discarded, and the journaled ``config``
+    and ``fail_rate``.
     """
     from repro.fleet import (
         FailureInjector,
@@ -89,24 +99,47 @@ def fleet_campaign_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     from repro.obs import MetricsRegistry, Tracer
     from repro.par.shard import spans_to_payload
 
-    config = FleetConfig(**payload.get("config", {}))
-    injector = FailureInjector(
-        payload.get("fail_rate", 0.0),
-        seed=payload.get("injector_seed", config.seed),
-    )
-    if payload.get("max_retries") is not None:
-        retry = RetryPolicy(max_retries=payload["max_retries"])
-    else:
-        retry = RetryPolicy()
     tracer = Tracer() if payload.get("trace") else None
     registry = MetricsRegistry() if payload.get("metrics") else None
-
-    kwargs = {"injector": injector, "retry": retry}
+    kwargs: Dict[str, Any] = {}
     if tracer is not None:
         kwargs["tracer"] = tracer
     if registry is not None:
         kwargs["registry"] = registry
-    controller = FleetController(config, **kwargs)
+    resumed = None
+    if payload.get("resume"):
+        from repro.journal import recover
+
+        controller, journal = recover(payload["resume"],
+                                      crash_after=payload.get("crash_after"),
+                                      **kwargs)
+        resumed = {
+            "replayed": journal.pending_replay,
+            "torn_bytes": journal.torn_bytes,
+            "torn_error": journal.torn_error,
+            "config": journal.meta["config"],
+            "fail_rate": max(journal.meta["failures"]["rates"].values(),
+                             default=0.0),
+        }
+    else:
+        config = FleetConfig(**payload.get("config", {}))
+        injector = FailureInjector(
+            payload.get("fail_rate", 0.0),
+            seed=payload.get("injector_seed", config.seed),
+        )
+        if payload.get("max_retries") is not None:
+            retry = RetryPolicy(max_retries=payload["max_retries"])
+        else:
+            retry = RetryPolicy()
+        if payload.get("journal"):
+            from repro.journal import CampaignJournal, campaign_meta
+
+            kwargs["journal"] = CampaignJournal.create(
+                payload["journal"], campaign_meta(config, injector, retry),
+                crash_after=payload.get("crash_after"),
+            )
+        controller = FleetController(config, injector=injector, retry=retry,
+                                     **kwargs)
     metrics = controller.run()
 
     result: Dict[str, Any] = {"document": metrics.to_dict()}
@@ -116,6 +149,8 @@ def fleet_campaign_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         result["spans"] = spans_to_payload(tracer.trace)
     if registry is not None:
         result["registry"] = registry.snapshot()
+    if resumed is not None:
+        result["resumed"] = resumed
     return result
 
 
@@ -129,7 +164,9 @@ def sentinel_task(payload: Dict[str, Any]) -> Dict[str, Any]:
       dicts, a plain-list pool);
     * ``trace`` — collect response-plane spans and return them as
       payloads;
-    * ``metrics`` — publish into a registry and return its snapshot.
+    * ``metrics`` — publish into a registry and return its snapshot;
+    * ``journal_dir`` — write-ahead journal every launched campaign into
+      this directory (created if missing).
 
     Same discipline as :func:`fleet_campaign_task`: clock, engine,
     tracer and registry are built here, in the executing process; the
@@ -149,6 +186,11 @@ def sentinel_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         kwargs["tracer"] = tracer
     if registry is not None:
         kwargs["registry"] = registry
+    if payload.get("journal_dir"):
+        import os
+
+        os.makedirs(payload["journal_dir"], exist_ok=True)
+        kwargs["journal_dir"] = payload["journal_dir"]
     report = Sentinel(config, **kwargs).run()
 
     result: Dict[str, Any] = {"document": report.to_dict()}

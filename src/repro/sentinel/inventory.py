@@ -66,10 +66,6 @@ class FleetInventory:
         except KeyError:
             raise SentinelError(f"unknown host {host!r}") from None
 
-    def version_of(self, host: str) -> str:
-        self.kind_of(host)
-        return self._version[host]
-
     def kinds(self) -> Dict[str, List[str]]:
         """Hypervisor kind -> sorted hosts running it."""
         grouped: Dict[str, List[str]] = {}
@@ -79,9 +75,6 @@ class FleetInventory:
 
     def open_cves(self) -> List[str]:
         return sorted(self._open)
-
-    def is_open(self, cve_id: str) -> bool:
-        return cve_id in self._open
 
     def exposed_hosts(self, cve_id: str) -> List[str]:
         """Hosts whose current hypervisor the open flaw affects.

@@ -29,14 +29,13 @@ Overlap semantics, in order of precedence:
 """
 
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.model import NODE_CAPACITY_VMS
 from repro.errors import SentinelError
 from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.sentinel.feedstream import (
-    DAY_S,
     DisclosureEvent,
     FeedSchedule,
     build_feed,

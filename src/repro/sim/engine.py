@@ -69,7 +69,10 @@ class Process:
             self.done = True
             self.error = exc
             raise
-        if not isinstance(delay, (int, float)) or not 0 <= delay < inf:
+        # bool is an int subclass: without the explicit rejection a buggy
+        # ``yield done_flag`` becomes a silent 1-second sleep.
+        if (not isinstance(delay, (int, float)) or isinstance(delay, bool)
+                or not 0 <= delay < inf):
             raise SimulationError(
                 f"process {self.name!r} yielded invalid delay {delay!r}"
             )

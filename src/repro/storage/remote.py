@@ -106,6 +106,3 @@ class RemoteBlockStore:
                 f"volume {volume_id!r} is not leased by {vm_name}"
             )
         volume.attached_to = None
-
-    def volumes_of(self, vm_name: str):
-        return [v for v in self._volumes.values() if v.attached_to == vm_name]

@@ -94,10 +94,3 @@ class StreamingWorkload(Workload):
             rebuffer_seconds=stalled,
             played_seconds=played,
         )
-
-    def run_with_playback(self, duration_s: float, timeline: HostTimeline
-                          ) -> tuple:
-        """(throughput series, client stats) over one timeline."""
-        series = self.run(duration_s, timeline)
-        stats = self.playback(duration_s, timeline)
-        return series, stats

@@ -7,8 +7,11 @@ the full pass over the shipped ``src/repro`` package and require it to be
 clean — the pass's own acceptance criterion.
 """
 
+import fnmatch
 import json
 import os
+import re
+import sys
 import textwrap
 
 import pytest
@@ -150,7 +153,7 @@ class TestUISRFieldCoverage:
 
 # -- codec-symmetry -----------------------------------------------------------
 
-CODEC_HEADER = "from repro.hypervisors.state import Packer, Unpacker\n"
+CODEC_HEADER = "from repro.io.frames import Packer, Unpacker\n"
 
 
 class TestCodecSymmetry:
@@ -589,6 +592,36 @@ class TestLiveTree:
         out = capsys.readouterr().out
         assert "codec-symmetry" in out
         assert "uisr-field-coverage" in out
+
+
+#: module-level rule constants that name project paths (prefixes, exact
+#: paths or fnmatch patterns)
+SCOPE_CONSTANT = re.compile(r"(SCOPE|_PATHS?|_EXEMPT(_PREFIXES)?)$")
+
+
+@pytest.fixture(scope="module")
+def live_paths():
+    return [module.path
+            for module in Project.from_directory(REPRO_ROOT).modules]
+
+
+def _names_live_code(entry, paths):
+    return any(path.startswith(entry) or fnmatch.fnmatch(path, entry)
+               for path in paths)
+
+
+@pytest.mark.parametrize("rule", all_rules(), ids=lambda rule: rule.name)
+def test_rule_scopes_match_live_modules(rule, live_paths):
+    """Every scope entry of every rule names code that exists, so a rule
+    left guarding deleted code fails in the change that deletes it."""
+    module = sys.modules[rule.__module__]
+    for name, value in sorted(vars(module).items()):
+        if not SCOPE_CONSTANT.search(name):
+            continue
+        for entry in (value,) if isinstance(value, str) else value:
+            assert _names_live_code(entry, live_paths), (
+                f"{rule.name}: {name} entry {entry!r} matches no module "
+                f"under src/repro")
 
 
 # -- span-hygiene -------------------------------------------------------------

@@ -147,18 +147,22 @@ class TestTraceFlag:
         assert {"PRAM", "Reboot", "VMs paused"} <= names
 
 
-class TestTraceCommand:
-    def run_trace(self, capsys, *extra):
-        assert main(["trace", "--hosts", "4", "--vms-per-host", "4",
-                     "--seed", "7", *extra]) == 0
-        return capsys.readouterr()
+class TestFleetTrace:
+    """``fleet --trace``/``--metrics``: the campaign's timeline and
+    metrics snapshot."""
 
-    def test_emits_valid_perfetto_json(self, capsys):
+    def run_fleet(self, tmp_path, capsys, name, *extra):
+        path = tmp_path / name
+        assert main(["fleet", "--hosts", "4", "--vms-per-host", "4",
+                     "--seed", "7", "--trace", str(path), *extra]) == 0
+        capsys.readouterr()
+        return path
+
+    def test_emits_valid_perfetto_json(self, tmp_path, capsys):
         import json
 
-        captured = self.run_trace(capsys)
-        document = json.loads(captured.out)
-        events = document["traceEvents"]
+        path = self.run_fleet(tmp_path, capsys, "trace.json")
+        events = json.loads(path.read_text())["traceEvents"]
         kinds = {e["ph"] for e in events}
         assert kinds == {"M", "X"}
         processes = {e["args"]["name"] for e in events
@@ -166,26 +170,21 @@ class TestTraceCommand:
         # One track per host plus the fleet summary track.
         assert processes == {"fleet", "node00", "node01", "node02", "node03"}
 
-    def test_byte_identical_per_seed(self, capsys):
-        first = self.run_trace(capsys).out
-        second = self.run_trace(capsys).out
-        assert first == second
+    def test_byte_identical_per_seed(self, tmp_path, capsys):
+        first = self.run_fleet(tmp_path, capsys, "first.json")
+        second = self.run_fleet(tmp_path, capsys, "second.json")
+        assert first.read_bytes() == second.read_bytes()
 
-    def test_out_and_metrics_files(self, tmp_path, capsys):
+    def test_trace_and_metrics_files(self, tmp_path, capsys):
         import json
 
-        trace_path = tmp_path / "trace.json"
         metrics_path = tmp_path / "metrics.json"
-        self.run_trace(capsys, "--out", str(trace_path),
-                       "--metrics", str(metrics_path))
+        trace_path = self.run_fleet(tmp_path, capsys, "trace.json",
+                                    "--metrics", str(metrics_path))
         assert json.loads(trace_path.read_text())["traceEvents"]
         snapshot = json.loads(metrics_path.read_text())
         assert snapshot["format"] == "hypertp-metrics"
         assert snapshot["metrics"]["fleet_hosts_done_total"]["value"] == 4.0
-
-    def test_medium_cve_rejected(self, capsys):
-        assert main(["trace", "--hosts", "4",
-                     "--cve", "CVE-2015-8104"]) == 2
 
 
 class TestSentinelCommand:
@@ -248,3 +247,33 @@ class TestSentinelCommand:
 
     def test_bad_pool_rejected(self, capsys):
         assert main(["sentinel", "--pool", "kvm", "--current", "xen"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["fleet", "--cve", "CVE-0000-0000"], id="fleet-unknown-cve"),
+    pytest.param(["fleet", "--pool", ""], id="fleet-empty-pool"),
+    pytest.param(["fleet", "--inplace-fraction", "2"],
+                 id="fleet-inplace-fraction"),
+    pytest.param(["fleet", "--concurrency", "-4"],
+                 id="fleet-negative-concurrency"),
+    pytest.param(["fleet", "--journal", "c.journal", "--crash-after", "0"],
+                 id="fleet-crash-after-zero"),
+    pytest.param(["fleet", "--journal", "c.journal", "--crash-after", "-5"],
+                 id="fleet-crash-after-negative"),
+    pytest.param(["advise", "CVE-0000-0000"], id="advise-unknown-cve"),
+    pytest.param(["cluster", "--fractions", "0,abc"],
+                 id="cluster-bad-fraction"),
+    pytest.param(["cluster", "--hosts", "0"], id="cluster-no-hosts"),
+    pytest.param(["cluster", "--export-plan", "p.bin",
+                  "--export-fraction", "2"], id="cluster-export-fraction"),
+])
+def test_input_error_is_one_line_and_exit_2(argv, tmp_path, monkeypatch,
+                                            capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{argv[0]}: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    # Rejected before any work: no journal was started.
+    assert not (tmp_path / "c.journal").exists()

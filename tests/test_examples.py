@@ -51,8 +51,8 @@ class TestExamples:
 
     def test_policy_driven_upgrade(self):
         out = run_example("policy_driven_upgrade.py")
-        assert "migration" in out
-        assert "pinned" in out
+        assert "latency-critical -> migration" in out
+        assert "dpdk-router -> inplace" in out
         assert "host now runs : kvm" in out
 
     def test_vulnerability_audit(self):

@@ -22,8 +22,6 @@ from repro.io.frames import decode_frame, encode_frame
 from repro.journal import (
     BARRIER_KINDS,
     CAMPAIGN_META_FRAME,
-    CHECKPOINT_FRAME,
-    COMMIT_FRAME,
     HOST_TRANSITION_FRAME,
     WAVE_BARRIER_FRAME,
     CampaignJournal,
@@ -490,6 +488,34 @@ class TestJournalCli:
         assert out.read_bytes() == ref.read_bytes()
         err = capsys.readouterr().err
         assert "resuming" in err
+
+    def test_resume_reports_the_journaled_campaign(self, tmp_path, capsys):
+        # The resumed run's header comes from the journal, not from the
+        # flags' defaults (CVE-2016-6258, concurrency 8, no fail rate).
+        from repro.cli import main
+
+        journal = str(tmp_path / "c.journal")
+        assert main(["fleet", "--hosts", "4", "--vms-per-host", "4",
+                     "--cve", "CVE-2013-90001", "--concurrency", "3",
+                     "--fail-rate", "0.01", "--journal", journal,
+                     "--crash-after", "10"]) == 3
+        capsys.readouterr()
+        assert main(["fleet", "--resume", journal]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("CVE-2013-90001 disclosed")
+        assert "waves, concurrency 3, fail rate 1%\n" in out
+
+    def test_resume_warns_about_a_torn_tail(self, tmp_path, capsys):
+        journal = tmp_path / "c.journal"
+        assert self.fleet("--journal", str(journal),
+                          "--crash-after", "20") == 3
+        with open(journal, "ab") as handle:
+            handle.write(b"\x00\x01\x02")  # half a frame header
+        capsys.readouterr()
+        assert self.fleet("--resume", str(journal)) == 0
+        err = capsys.readouterr().err
+        assert "torn tail — discarded 3 trailing byte(s)" in err
+        assert "verifying 19 journaled record(s)" in err
 
     def test_flag_validation(self, tmp_path, capsys):
         journal = str(tmp_path / "c.journal")

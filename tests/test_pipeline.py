@@ -1,8 +1,8 @@
 """Tests for the staged transplant pipeline and the mechanism policy.
 
-The pipeline is the PR that removed the drift between three cost paths
-(cluster executor, fleet controller, orchestrator policy), so these
-tests are mostly about *equality*: the same floats must come out of
+The pipeline is the one per-host cost path (cluster executor, fleet
+controller, mechanism policy, mechanism simulations), so these tests
+are mostly about *equality*: the same floats must come out of
 every layer, and the default campaign's artifacts must stay
 byte-identical to the pre-refactor goldens.
 """
@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.cluster.executor import PlanExecutor, cluster_link_rate
+from repro.cluster.executor import PlanExecutor
 from repro.cluster.model import build_paper_cluster
 from repro.cluster.btrplace import BtrPlacePlanner
 from repro.core.mechanisms import (
@@ -25,7 +25,6 @@ from repro.core.mechanisms import (
 from repro.core.pipeline import (
     STAGE_ORDER,
     EvacuationSpec,
-    InPlacePipeline,
     MigrationPipeline,
     Stage,
     StagePlan,
@@ -37,7 +36,6 @@ from repro.core.timings import DEFAULT_COST_MODEL
 from repro.core.transplant import HyperTP
 from repro.errors import FleetError, TransplantError
 from repro.fleet import FleetConfig, FleetController
-from repro.hw.machine import CLUSTER_NODE_SPEC
 from repro.hypervisors.base import HypervisorKind
 from repro.sim.clock import SimClock
 
@@ -157,11 +155,6 @@ class TestExecutorParity:
                 )
                 assert (executor.migration_time_s(action)
                         == host_plan.evacuations[0].total_s)
-
-    def test_cluster_link_rate_is_fabric_link_rate(self):
-        assert cluster_link_rate() == fabric_link_rate()
-        assert cluster_link_rate(CLUSTER_NODE_SPEC) == fabric_link_rate(
-            CLUSTER_NODE_SPEC)
 
 
 # -- fleet/core parity (acceptance criterion) ----------------------------------
@@ -374,22 +367,6 @@ class TestMechanismStagePlans:
         # The mechanism sim charges the UISR proxy pair (§3.3).
         assert plan.stage_s(Stage.TRANSLATE) > 0.0
 
-    def test_orchestrator_policy_predicts_pipeline_downtime(
-            self, xen_host_factory):
-        from repro.orchestrator.policy import TransplantPolicy
-
-        machine = xen_host_factory(vm_count=4, memory_gib=1.0)
-        policy = TransplantPolicy()
-        predicted = policy.predict_inplace_downtime_s(
-            machine, HypervisorKind.KVM)
-        shapes = [(d.vm.config.vcpus,
-                   DEFAULT_COST_MODEL.entries_for(d.vm.image.size_bytes,
-                                                  d.vm.image.page_size, True))
-                  for d in machine.hypervisor.domains.values()]
-        plan = InPlacePipeline(machine, target_kind=HypervisorKind.KVM,
-                               ).plan_shapes(shapes)
-        assert predicted == plan.downtime_s
-
 
 # -- mechanism policy ----------------------------------------------------------
 
@@ -500,6 +477,16 @@ class TestMechanismPolicy:
                profile("vm1")]
         decision = decide("auto", vms, pipelines)
         assert "vm0" in decision.evacuate
+
+    def test_auto_never_evacuates_an_unmigratable_vm(self, pipelines):
+        # A pass-through device (§4.2.3) keeps the VM on the reboot even
+        # when no downtime fits its SLO; the miss is recorded instead.
+        pinned = VMProfile(name="vm0", memory_bytes=GIB,
+                           dirty_rate_bytes_s=1 << 20, downtime_slo_s=0.0,
+                           migratable=False)
+        decision = decide("auto", [pinned, profile("vm1")], pipelines)
+        assert decision.evacuate == ()
+        assert decision.slo_violations == ("vm0",)
 
     def test_auto_reaches_fixed_point(self, pipelines):
         # Moving the streaming VMs shrinks the predicted reboot downtime;

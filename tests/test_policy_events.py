@@ -1,13 +1,8 @@
-"""Tests for the transplant policy and the scheduled-events service."""
+"""Tests for the scheduled-events service."""
 
 import pytest
 
 from repro.errors import OrchestratorError
-from repro.guest.drivers import PassthroughDriver
-from repro.hypervisors.base import HypervisorKind
-from repro.sim.clock import SimClock
-from repro.core.transplant import HyperTP
-from repro.orchestrator.policy import Mechanism, TransplantPolicy
 from repro.orchestrator.scheduled_events import (
     AZURE_MAINTENANCE_BOUND_S,
     EventState,
@@ -87,73 +82,3 @@ class TestScheduledEvents:
         service.post("vm1", EventType.REDEPLOY, 0.0, 60.0)
         assert len(service.history()) == 2
         assert len(service.history("vm0")) == 1
-
-
-class TestTransplantPolicy:
-    def test_tolerant_vms_ride_inplace(self, xen_host_factory):
-        machine = xen_host_factory(vm_count=3)
-        policy = TransplantPolicy()  # default: 30 s tolerance
-        plan = policy.plan_host(machine, HypervisorKind.KVM)
-        assert len(plan.by_mechanism(Mechanism.INPLACE)) == 3
-        assert plan.predicted_inplace_downtime_s < 5.0
-
-    def test_strict_vm_migrates(self, xen_host_factory):
-        machine = xen_host_factory(vm_count=2)
-        names = sorted(d.vm.name
-                       for d in machine.hypervisor.domains.values())
-        policy = TransplantPolicy(tolerances_s={names[0]: 0.5})
-        plan = policy.plan_host(machine, HypervisorKind.KVM)
-        assert plan.by_mechanism(Mechanism.MIGRATION) == [names[0]]
-        assert plan.by_mechanism(Mechanism.INPLACE) == [names[1]]
-
-    def test_passthrough_vm_is_pinned(self, xen_host_factory):
-        machine = xen_host_factory(vm_count=1)
-        vm = next(iter(machine.hypervisor.domains.values())).vm
-        vm.attach_device(PassthroughDriver("vf0"))
-        # Even with zero tolerance, it cannot migrate.
-        policy = TransplantPolicy(tolerances_s={vm.name: 0.0})
-        plan = policy.plan_host(machine, HypervisorKind.KVM)
-        assert plan.by_mechanism(Mechanism.PINNED) == [vm.name]
-
-    def test_kvm_to_xen_prediction_is_larger(self, xen_host_factory,
-                                             kvm_host_factory):
-        policy = TransplantPolicy()
-        xen_machine = xen_host_factory()
-        kvm_machine = kvm_host_factory(vm_count=1)
-        to_kvm = policy.predict_inplace_downtime_s(xen_machine,
-                                                   HypervisorKind.KVM)
-        to_xen = policy.predict_inplace_downtime_s(kvm_machine,
-                                                   HypervisorKind.XEN)
-        assert to_xen > to_kvm
-
-    def test_prediction_tracks_actual(self, xen_host_factory):
-        machine = xen_host_factory(vm_count=4, memory_gib=2.0)
-        policy = TransplantPolicy()
-        predicted = policy.predict_inplace_downtime_s(machine,
-                                                      HypervisorKind.KVM)
-        actual = HyperTP().inplace(machine, HypervisorKind.KVM,
-                                   SimClock()).downtime_s
-        assert predicted == pytest.approx(actual, rel=0.05)
-
-    def test_apply_to_configs_feeds_transplant_host(self, xen_host_factory,
-                                                    kvm_host_factory,
-                                                    fabric):
-        machine = xen_host_factory(vm_count=2)
-        names = sorted(d.vm.name
-                       for d in machine.hypervisor.domains.values())
-        policy = TransplantPolicy(tolerances_s={names[0]: 0.0})
-        plan = policy.apply_to_configs(machine, HypervisorKind.KVM)
-        assert plan.by_mechanism(Mechanism.MIGRATION) == [names[0]]
-
-        spare = kvm_host_factory(name="policy-spare")
-        fabric.connect(machine, spare)
-        report = HyperTP().transplant_host(
-            machine, HypervisorKind.KVM, fabric=fabric, spare=spare,
-        )
-        assert report.migrated_count == 1
-        assert report.migrated[0].vm_name == names[0]
-        assert report.inplace_count == 1
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(OrchestratorError):
-            TransplantPolicy(default_tolerance_s=-1.0)

@@ -453,7 +453,7 @@ class TestResidual:
 
 class TestTraceBuilder:
     def test_trace_sentinel_spans(self):
-        from repro.obs import Tracer, trace_sentinel
+        from repro.obs import Tracer
 
         tracer = Tracer()
         report = Sentinel(_small_config(), tracer=tracer).run()

@@ -103,6 +103,19 @@ def test_process_invalid_yield_raises():
         engine.run_process(proc())
 
 
+def test_process_bool_yield_rejected():
+    # bool is an int, but ``yield True`` is a bug, not a 1-second sleep.
+    engine = Engine()
+
+    def proc():
+        yield True
+        yield False
+
+    with pytest.raises(SimulationError, match="invalid delay True"):
+        engine.run_process(proc())
+    assert engine.now == 0.0
+
+
 def test_process_exception_propagates():
     engine = Engine()
 
