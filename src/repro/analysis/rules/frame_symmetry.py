@@ -177,7 +177,7 @@ class _ModuleProtocol:
                 and call.func.id in self.enums:
             # EnumName(tag) raises on unknown tags: it discriminates —
             # and therefore consumes — every member.
-            for member, line in self.enums[call.func.id].items():
+            for member in self.enums[call.func.id]:
                 self.consumed.setdefault(("enum", call.func.id, member),
                                          call.lineno)
 

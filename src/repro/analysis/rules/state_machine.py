@@ -218,7 +218,7 @@ def _node_steps(node: CFGNode, methods: Dict[str, ast.FunctionDef],
 
     A self-call is either a ``call`` (state threads through: plain calls
     and ``yield from`` delegation) or a ``spawn`` (a generator object is
-    created and driven elsewhere — e.g. handed to ``FleetProcess`` — so
+    created and driven elsewhere — e.g. handed to ``engine.spawn`` — so
     the callee is checked with the caller's states as entry, but its
     exit states do *not* flow back into the caller).
     """
@@ -387,7 +387,7 @@ class StateMachineConformanceRule(Rule):
 
     def _check_relation(self, decl: _Declaration) -> Iterable[Finding]:
         path = decl.module.path
-        for member, line in sorted(decl.members.items()):
+        for member in sorted(decl.members):
             if member not in decl.relation:
                 yield self.finding(
                     path, decl.relation_line,

@@ -1,4 +1,5 @@
-"""Sync-primitive protocol rules over :mod:`repro.fleet.simsync` users.
+"""Protocol rules over the fleet's users of the :mod:`repro.sim.engine`
+sync primitives.
 
 ``sync-protocol`` proves, per function, that every explicit
 ``FifoSemaphore.acquire()`` reaches a ``release()`` on *all* paths —
@@ -33,10 +34,8 @@ from repro.analysis.engine import Rule, register_rule
 from repro.analysis.findings import Finding
 from repro.analysis.project import Project, SourceModule
 
-#: modules whose functions are held to the sync protocol (path prefixes);
-#: simsync.py itself implements the primitives and is exempt.
+#: modules whose functions are held to the sync protocol (path prefixes)
 SYNC_SCOPE = ("fleet/",)
-SYNC_EXEMPT = ("fleet/simsync.py",)
 
 #: marks the acquire line of a region that must not suspend.
 NO_YIELD_DIRECTIVE = re.compile(r"#\s*repro-sync:\s*no-yield\b")
@@ -216,8 +215,6 @@ class SyncProtocolRule(Rule):
         for module in project.modules:
             if not module.path.startswith(SYNC_SCOPE):
                 continue
-            if module.path in SYNC_EXEMPT:
-                continue
             no_yield = _no_yield_lines(module)
             for symbol, func in _functions(module):
                 yield from self._check_function(module, symbol, func,
@@ -345,8 +342,6 @@ class SyncLockOrderRule(Rule):
     def check(self, project: Project) -> Iterable[Finding]:
         for module in project.modules:
             if not module.path.startswith(SYNC_SCOPE):
-                continue
-            if module.path in SYNC_EXEMPT:
                 continue
             for node in module.tree.body:
                 if isinstance(node, ast.ClassDef):

@@ -175,7 +175,7 @@ def _named_spec(name: str) -> MachineSpec:
         return SPEC_BY_NAME[name]
     except KeyError:
         raise ValueError(f"unknown machine spec {name!r}; "
-                         f"pick from {sorted(SPEC_BY_NAME)}")
+                         f"pick from {sorted(SPEC_BY_NAME)}") from None
 
 
 def inplace_axis_cell(payload: Dict) -> List[List]:

@@ -37,7 +37,7 @@ def _kind(value: str) -> HypervisorKind:
         raise argparse.ArgumentTypeError(
             f"unknown hypervisor {value!r}; pick from "
             f"{[k.value for k in HypervisorKind]}"
-        )
+        ) from None
 
 
 def _spec(value: str):
@@ -46,7 +46,7 @@ def _spec(value: str):
     except KeyError:
         raise argparse.ArgumentTypeError(
             f"unknown machine {value!r}; pick from {sorted(_SPECS)}"
-        )
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

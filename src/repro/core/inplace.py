@@ -30,6 +30,7 @@ from repro.hypervisors import make_hypervisor
 from repro.hypervisors.base import Hypervisor, HypervisorKind
 from repro.obs import NULL_TRACER, Span
 from repro.sim.clock import SimClock
+from repro.sim.engine import Engine
 from repro.core.kexec import load_kexec_image, micro_reboot
 from repro.core.optimizations import DEFAULT_OPTIMIZATIONS, OptimizationConfig
 from repro.core.pipeline import InPlacePipeline, StagePlan, VerifySpec
@@ -140,16 +141,12 @@ class InPlaceTP:
 
     def run(self, clock: Optional[SimClock] = None) -> InPlaceReport:
         """Execute the transplant, advancing ``clock`` through each phase."""
-        clock = clock or SimClock()
-        steps = self._steps(lambda: clock.now)
-        try:
-            while True:
-                clock.advance(next(steps))
-        except StopIteration as stop:
-            return stop.value
+        engine = Engine(clock)
+        return engine.run_process(self._steps(lambda: engine.now),
+                                  name=f"inplace-{self.machine.name}")
 
-    def as_process(self, engine):
-        """Run the transplant as a discrete-event process on ``engine``.
+    def as_process(self, engine: Engine):
+        """Run the transplant as a process on a caller's shared ``engine``.
 
         Other processes (workload samplers, monitors) interleave with the
         transplant's phases on the shared simulated timeline.  Returns the
@@ -159,11 +156,13 @@ class InPlaceTP:
                             name=f"inplace-{self.machine.name}")
 
     def _steps(self, now):
-        """The workflow as a generator: mutate, then yield each duration.
+        """The workflow as a generator process: mutate, then yield each
+        duration.
 
         ``now`` is a zero-argument callable giving the current simulated
-        time; the driver (``run`` or an engine) advances time by whatever
-        is yielded before resuming the generator.
+        time.  :meth:`run` and :meth:`as_process` both drive the generator
+        on a :class:`~repro.sim.engine.Engine`, which advances time by
+        whatever is yielded before resuming it.
         """
         report = InPlaceReport(
             machine=self.machine.name,

@@ -116,7 +116,7 @@ class MechanismPolicy:
                 raise TransplantError(
                     f"unknown mechanism {kind!r}; pick from "
                     f"{[k.value for k in MechanismKind]}"
-                )
+                ) from None
         self.kind = kind
 
     def decide_host(self, host: str, vms: Sequence[VMProfile], *,

@@ -9,8 +9,10 @@ measures the vulnerability window at datacenter scale:
   fleet-wide transition trace;
 * :mod:`failures` — deterministic per-phase failure injection and the
   bounded exponential-backoff retry policy;
-* :mod:`metrics` — per-host and fleet-wide window metrics with JSON export;
-* :mod:`simsync` — FIFO synchronization primitives over the sim engine.
+* :mod:`metrics` — per-host and fleet-wide window metrics with JSON export.
+
+Every host runs as one :class:`repro.sim.engine.Process` and waits on the
+engine's FIFO gates, latches and semaphores.
 """
 
 from repro.fleet.controller import FleetConfig, FleetController

@@ -45,19 +45,19 @@ from repro.core.pipeline import Stage, StagePlan, TransplantPipelines, VerifySpe
 from repro.core.timings import DEFAULT_COST_MODEL, CostModel
 from repro.fleet.failures import FailureInjector, FailurePhase, RetryPolicy
 from repro.fleet.metrics import FleetMetrics, collect_metrics
-from repro.fleet.simsync import (
-    FifoSemaphore,
-    FleetProcess,
-    Gate,
-    Latch,
-    fired_gate,
-)
 from repro.fleet.state import FleetTrace, HostRecord, HostState
 from repro.hw.machine import CLUSTER_NODE_SPEC, Machine, MachineSpec
 from repro.hypervisors.base import HypervisorKind
 from repro.obs import NULL_TRACER, MetricsRegistry, trace_fleet
 from repro.sim.clock import SimClock
-from repro.sim.engine import Engine
+from repro.sim.engine import (
+    Engine,
+    FifoSemaphore,
+    Gate,
+    Latch,
+    Process,
+    fired_gate,
+)
 from repro.vulndb.advisor import TransplantAdvisor
 from repro.vulndb.data import VulnerabilityDatabase, load_default_database
 
@@ -392,10 +392,8 @@ class FleetController:
                 disclosure_at_s=cfg.disclosure_at_s,
             )
             self.records[hp.name] = record
-            process = FleetProcess(
-                engine, self._host_process(record, hp), name=hp.name,
-            )
-            processes.append(process.start())
+            processes.append(engine.spawn(self._host_process(record, hp),
+                                          name=hp.name))
         if self.journal is not None:
             # Journal appends allocate a handful of objects per record,
             # and each collection those allocations trigger walks the
@@ -461,7 +459,7 @@ class FleetController:
         return metrics
 
     @staticmethod
-    def _run_engine(engine: Engine, processes: List[FleetProcess]) -> None:
+    def _run_engine(engine: Engine, processes: List[Process]) -> None:
         try:
             engine.run()
         except BaseException:

@@ -58,7 +58,8 @@ def encode_regs(vcpu: VCPUState) -> bytes:
         try:
             packer.u64(vcpu.gp[name])
         except KeyError:
-            raise StateFormatError(f"vCPU {vcpu.index} missing GP reg {name}")
+            raise StateFormatError(
+                f"vCPU {vcpu.index} missing GP reg {name}") from None
     return packer.bytes()
 
 

@@ -158,7 +158,8 @@ class Unpacker:
         try:
             return self.raw(length).decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise StateFormatError(f"malformed UTF-8 string blob: {exc}")
+            raise StateFormatError(
+                f"malformed UTF-8 string blob: {exc}") from exc
 
     def raw(self, length: int) -> bytes:
         if length < 0 or self.remaining < length:

@@ -98,7 +98,8 @@ def decode_meta(payload: bytes) -> Dict:
     try:
         meta = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise JournalError(f"malformed CAMPAIGN_META payload: {exc}")
+        raise JournalError(
+            f"malformed CAMPAIGN_META payload: {exc}") from exc
     if meta.get("format") != JOURNAL_FORMAT:
         raise JournalError(
             f"not a campaign journal: format {meta.get('format')!r}, "
@@ -291,7 +292,7 @@ def read_journal(path: str) -> JournalScan:
         with open(path, "rb") as handle:
             return scan_journal(handle.read())
     except OSError as exc:
-        raise JournalError(f"cannot read journal {path}: {exc}")
+        raise JournalError(f"cannot read journal {path}: {exc}") from exc
 
 
 def dump_records(path: str) -> List[Dict]:
@@ -767,7 +768,7 @@ def recover(path: str, *, registry: Optional[MetricsRegistry] = None,
         raise JournalError(
             f"{path}: CAMPAIGN_META does not describe a recoverable "
             f"campaign: {exc!r}"
-        )
+        ) from exc
     controller = FleetController(config, injector=injector, retry=retry,
                                  tracer=tracer, registry=registry,
                                  journal=journal)

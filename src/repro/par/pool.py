@@ -11,7 +11,7 @@ Protocol, parent's view::
 
     parent -> worker   TASK_FRAME    pickle((task_id, "module:func", payload))
     worker -> parent   RESULT_FRAME  pickle((task_id, value))
-    worker -> parent   ERROR_FRAME   pickle((task_id, traceback_text))
+    worker -> parent   ERROR_FRAME   pickle((task_id, traceback_text, error))
     parent -> worker   END frame     clean shutdown; worker exits 0
 
 Robustness (the ReHype lesson applied to the pool itself): every task has
@@ -39,7 +39,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from repro.errors import ParError, StateFormatError
+from repro.errors import ParError, ReproError, StateFormatError
 from repro.io.frames import END_FRAME, encode_frame, read_stream_frame
 from repro.par import realtime
 
@@ -47,7 +47,8 @@ from repro.par import realtime
 TASK_FRAME = 0x21
 #: worker -> parent: the task's pickled return value.
 RESULT_FRAME = 0x22
-#: worker -> parent: the task raised; payload carries the traceback text.
+#: worker -> parent: the task raised; payload carries the traceback text,
+#: plus the exception itself when it is a ReproError (else None).
 ERROR_FRAME = 0x23
 
 #: types that must never ride inside a task payload: they carry live
@@ -209,10 +210,14 @@ def worker_main(stdin=None, stdout=None) -> int:
             value = resolve_ref(ref)(task_payload)
             reply = encode_frame(RESULT_FRAME,
                                  pickle.dumps((task_id, value)))
-        except Exception:
+        except Exception as exc:
+            # A library error (bad config, unknown CVE) is an answer the
+            # parent re-raises as itself; anything else is a bug whose
+            # traceback is all the parent gets.
+            error = exc if isinstance(exc, ReproError) else None
             reply = encode_frame(
                 ERROR_FRAME,
-                pickle.dumps((task_id, traceback.format_exc())),
+                pickle.dumps((task_id, traceback.format_exc(), error)),
             )
         channel_out.write(reply)
         channel_out.flush()
@@ -467,12 +472,15 @@ class WorkerPool:
             worker.task_index = None
             return
         if frame_type == ERROR_FRAME:
-            task_id, text = pickle.loads(payload)
+            task_id, text, error = pickle.loads(payload)
             task = tasks[task_id]
-            raise ParError(
+            failure = ParError(
                 f"task {task.label or task.func} raised in worker "
                 f"{worker.index}:\n{text}"
             )
+            if error is not None:
+                raise error from failure
+            raise failure
         raise ParError(
             f"worker {worker.index} sent unexpected frame type "
             f"{frame_type}"

@@ -7,13 +7,16 @@ Public surface:
 
 * :class:`SimClock` — monotonically-advancing simulated time.
 * :class:`Engine` — event loop scheduling callbacks and generator processes.
-* :class:`Process` — handle to a running generator process.
+* :class:`Process` — handle to a running generator process, which sleeps
+  by yielding a delay and waits by yielding a gate.
+* :class:`Gate` / :class:`Latch` / :class:`FifoSemaphore` — what a process
+  waits on: a one-shot signal, a countdown barrier, FIFO permits.
 * :class:`CPUPool` — models a machine's cores for parallel work estimation.
 * :class:`BandwidthLink` — models a shared network link.
 """
 
 from repro.sim.clock import SimClock
-from repro.sim.engine import Engine, Event, Process
+from repro.sim.engine import Engine, Event, FifoSemaphore, Gate, Latch, Process
 from repro.sim.resources import BandwidthLink, CPUPool
 
 __all__ = [
@@ -21,6 +24,9 @@ __all__ = [
     "Engine",
     "Event",
     "Process",
+    "Gate",
+    "Latch",
+    "FifoSemaphore",
     "CPUPool",
     "BandwidthLink",
 ]

@@ -1,12 +1,21 @@
-"""Event loop and generator-based processes.
+"""Event loop, generator processes and the conditions they wait on.
 
 The engine holds a priority queue of timestamped events.  Two styles of
 concurrency are supported:
 
 * **Callbacks** — ``engine.call_at(t, fn)`` / ``engine.call_after(dt, fn)``.
-* **Processes** — generator functions that ``yield`` a float (seconds to
-  sleep); the engine resumes them after simulated time passes.  This mirrors
-  how workloads and transplant phases are written throughout the library.
+* **Processes** — generator functions started with ``engine.spawn(gen)``.
+  A process yields either a float (seconds to sleep) or a :class:`Gate`
+  (park until it fires); the engine resumes it once simulated time has
+  passed or the gate has opened.  Transplant phases, workloads and every
+  fleet host are written this way.
+
+:class:`Gate`, :class:`Latch` and :class:`FifoSemaphore` are the wait
+conditions: a wave being released, a migration slot freeing up, the
+shared fabric becoming idle.  Wake-ups are scheduled events, never
+polling loops, so a campaign over thousands of hosts stays
+O(events log events).  Waiters wake in strict FIFO order at the
+timestamp of the signal.
 
 Events at equal timestamps run in scheduling order (FIFO), which keeps runs
 deterministic.  Times must be finite: a NaN compares false against
@@ -14,9 +23,10 @@ everything, so it would slip past every ordering check.
 """
 
 import itertools
+from collections import deque
 from heapq import heappop, heappush
 from math import inf, isfinite
-from typing import Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
@@ -38,10 +48,12 @@ class Event:
 
 
 class Process:
-    """Handle to a running generator process.
+    """Handle to a running generator process; start one with
+    :meth:`Engine.spawn`.
 
-    The generator yields floats (sleep durations in simulated seconds).  When
-    it returns, ``done`` becomes true and ``result`` holds its return value.
+    The generator yields a finite delay >= 0 (sleep, in simulated seconds)
+    or a :class:`Gate` (park until it fires).  When it returns, ``done``
+    becomes true and ``result`` holds its return value.
     """
 
     def __init__(self, engine: "Engine", gen: Generator, name: str = ""):
@@ -50,40 +62,42 @@ class Process:
         self.name = name or repr(gen)
         self.done = False
         self.result = None
-        self.error: Optional[BaseException] = None
-        self._waiters: List[Callable[[], None]] = []
+
+    def close(self) -> None:
+        """Abandon the process: drop its suspended frame without running it.
+
+        Crash teardown calls this so host generators are closed in a
+        deterministic order instead of by the garbage collector, whose
+        arbitrary close order of ``yield from`` chains spills
+        "generator already executing" noise onto stderr.
+        """
+        self.done = True
+        self._gen.close()
 
     def _step(self) -> None:
         if self.done:
             return
         try:
-            delay = next(self._gen)
+            item = next(self._gen)
         except StopIteration as stop:
             self.done = True
-            self.result = getattr(stop, "value", None)
-            for waiter in self._waiters:
-                waiter()
-            self._waiters.clear()
+            self.result = stop.value
             return
-        except BaseException as exc:  # surfaced when the engine runs
+        except BaseException:  # surfaced when the engine runs
             self.done = True
-            self.error = exc
             raise
         # bool is an int subclass: without the explicit rejection a buggy
         # ``yield done_flag`` becomes a silent 1-second sleep.
-        if (not isinstance(delay, (int, float)) or isinstance(delay, bool)
-                or not 0 <= delay < inf):
-            raise SimulationError(
-                f"process {self.name!r} yielded invalid delay {delay!r}"
-            )
-        self._engine.call_after(float(delay), self._step)
-
-    def on_done(self, fn: Callable[[], None]) -> None:
-        """Register ``fn`` to run when the process finishes."""
-        if self.done:
-            fn()
+        if (isinstance(item, (int, float)) and not isinstance(item, bool)
+                and 0 <= item < inf):
+            self._engine.call_after(float(item), self._step)
+        elif isinstance(item, Gate):
+            item.subscribe(self._step)
         else:
-            self._waiters.append(fn)
+            raise SimulationError(
+                f"process {self.name!r} yielded {item!r}; expected a "
+                f"finite delay >= 0 or a Gate"
+            )
 
 
 class Engine:
@@ -128,15 +142,10 @@ class Engine:
         return self.call_at(self.clock._now + delay, fn)
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
-        """Start a generator process immediately (its first step runs now)."""
+        """Start a generator process; its first step runs at the current
+        instant, after the events already due then."""
         process = Process(self, gen, name=name)
         self.call_after(0.0, process._step)
-        return process
-
-    def spawn_at(self, timestamp: float, gen: Generator, name: str = "") -> Process:
-        """Start a generator process at an absolute timestamp."""
-        process = Process(self, gen, name=name)
-        self.call_at(timestamp, process._step)
         return process
 
     def run(self, until: Optional[float] = None) -> float:
@@ -169,8 +178,6 @@ class Engine:
             self.run_one()
         if not process.done:
             raise SimulationError(f"process {process.name!r} starved (empty queue)")
-        if process.error is not None:
-            raise process.error
         return process.result
 
     def run_one(self) -> bool:
@@ -186,11 +193,152 @@ class Engine:
             return True
         return False
 
-    def run_all(self, processes: Iterable[Process]) -> Tuple:
-        """Run until every process in ``processes`` has completed."""
-        pending = list(processes)
-        while any(not p.done for p in pending):
-            if not self.run_one():
-                starved = [p.name for p in pending if not p.done]
-                raise SimulationError(f"processes starved: {starved}")
-        return tuple(p.result for p in pending)
+
+# -- wait conditions ----------------------------------------------------------
+
+
+class Gate:
+    """A one-shot event: waiters park until :meth:`fire` is called."""
+
+    __slots__ = ("_engine", "_waiters")
+
+    def __init__(self, engine: Engine):
+        self._engine = engine
+        #: parked callbacks; None once the gate has fired
+        self._waiters: Optional[List[Callable[[], None]]] = []
+
+    @property
+    def fired(self) -> bool:
+        return self._waiters is None
+
+    def fire(self) -> None:
+        waiters, self._waiters = self._waiters, None
+        for fn in waiters or ():
+            self._engine.call_after(0.0, fn)
+
+    def subscribe(self, fn: Callable[[], None]) -> None:
+        if self._waiters is None:
+            self._engine.call_after(0.0, fn)
+        else:
+            self._waiters.append(fn)
+
+
+def fired_gate(engine: Engine) -> Gate:
+    """A gate that is already open: subscribers wake at the current instant."""
+    gate = Gate(engine)
+    gate.fire()
+    return gate
+
+
+class Latch(Gate):
+    """A countdown barrier: a gate that fires when ``count`` reaches zero."""
+
+    __slots__ = ("_count",)
+
+    def __init__(self, engine: Engine, count: int):
+        if count < 0:
+            raise SimulationError(f"latch count must be >= 0, got {count}")
+        super().__init__(engine)
+        self._count = count
+        if count == 0:
+            self.fire()
+
+    def count_down(self) -> None:
+        if self.fired:
+            raise SimulationError("latch already open")
+        self._count -= 1
+        if self._count == 0:
+            self.fire()
+
+
+class FifoSemaphore:
+    """A counting semaphore whose grants are strict FIFO.
+
+    ``acquire()`` returns a :class:`Gate` that fires when the permit is
+    granted; ``release()`` hands the permit to the longest waiter.  A
+    ``permits`` of ``None`` means unbounded (every acquire granted at once).
+    An immediate grant returns the semaphore's one pre-fired gate: a fired
+    gate holds no waiters, so every holder can share it.
+    """
+
+    __slots__ = ("_engine", "_capacity", "_free", "_queue", "_granted")
+
+    def __init__(self, engine: Engine, permits: Optional[int]):
+        if permits is not None and permits < 1:
+            raise SimulationError(f"semaphore needs >= 1 permit, got {permits}")
+        self._engine = engine
+        self._capacity = permits
+        self._free = permits
+        self._queue: Deque[Gate] = deque()
+        self._granted = fired_gate(engine)
+
+    def acquire(self) -> Gate:
+        if self._free is None:
+            return self._granted
+        if self._free > 0:
+            self._free -= 1
+            return self._granted
+        gate = Gate(self._engine)
+        self._queue.append(gate)
+        return gate
+
+    def release(self) -> None:
+        if self._free is None:
+            return
+        if self._queue:
+            self._queue.popleft().fire()
+        elif self._free >= self._capacity:
+            # A double-release would silently raise the admission cap above
+            # its configured permit count; fail loudly instead.
+            raise SimulationError(
+                f"semaphore over-released: all {self._capacity} permits "
+                f"are already free"
+            )
+        else:
+            self._free += 1
+
+    def held(self) -> "SemaphoreHold":
+        """Scope a permit to a ``with`` block.
+
+        ::
+
+            with sem.held() as granted:
+                yield granted       # park until the permit is ours
+                ...                 # critical section
+
+        The permit is returned (or the pending request withdrawn) when the
+        block exits — on normal fall-through, ``return``, and exception
+        unwinds alike, which is what makes release-on-exception structural
+        rather than a per-call-site obligation.
+        """
+        return SemaphoreHold(self)
+
+    def _settle(self, gate: Optional[Gate]) -> None:
+        """End a ``held()`` region: give the permit back, or withdraw a
+        request that was never granted (the process unwound while queued)."""
+        if gate is not None and not gate.fired:
+            self._queue.remove(gate)
+            return
+        self.release()
+
+
+class SemaphoreHold:
+    """Context manager tying one semaphore permit to a ``with`` scope."""
+
+    def __init__(self, sem: FifoSemaphore):
+        self._sem = sem
+        self._gate: Optional[Gate] = None
+        self._active = False
+
+    def __enter__(self) -> Gate:
+        if self._active:
+            raise SimulationError("held() scope re-entered")
+        self._active = True
+        self._gate = self._sem.acquire()
+        return self._gate
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        gate, self._gate = self._gate, None
+        self._active = False
+        self._sem._settle(gate)
+        return False

@@ -7,6 +7,7 @@ the full pass over the shipped ``src/repro`` package and require it to be
 clean — the pass's own acceptance criterion.
 """
 
+import ast
 import fnmatch
 import json
 import os
@@ -26,6 +27,8 @@ from repro.analysis import (
     run_analysis,
 )
 from repro.analysis.engine import AnalysisError
+from repro.analysis.project import top_level_classes, top_level_functions
+from repro.analysis.rules import par_hygiene, registry_complete, uisr_coverage
 from repro.cli import main as cli_main
 
 UISR_CLASSES = textwrap.dedent(
@@ -600,9 +603,13 @@ SCOPE_CONSTANT = re.compile(r"(SCOPE|_PATHS?|_EXEMPT(_PREFIXES)?)$")
 
 
 @pytest.fixture(scope="module")
-def live_paths():
-    return [module.path
-            for module in Project.from_directory(REPRO_ROOT).modules]
+def live_project():
+    return Project.from_directory(REPRO_ROOT)
+
+
+@pytest.fixture(scope="module")
+def live_paths(live_project):
+    return [module.path for module in live_project.modules]
 
 
 def _names_live_code(entry, paths):
@@ -622,6 +629,51 @@ def test_rule_scopes_match_live_modules(rule, live_paths):
             assert _names_live_code(entry, live_paths), (
                 f"{rule.name}: {name} entry {entry!r} matches no module "
                 f"under src/repro")
+
+
+# Rules with no scope constant scan every module for the sites they
+# inspect; a rename that leaves them with no site makes them silently
+# pass.  Each test counts those sites in src/repro with the rule's own
+# matcher.
+
+
+def _live_calls(project):
+    return [node for module in project.modules
+            for node in ast.walk(module.tree) if isinstance(node, ast.Call)]
+
+
+def test_par_entrypoint_rule_sees_live_sinks(live_project):
+    # func_ref / map_tasks / Task(func=...) calls
+    sinks = [call for call in _live_calls(live_project)
+             if par_hygiene._entrypoint_arg(call) is not None]
+    assert sinks
+
+
+def test_par_payload_rule_sees_live_payloads(live_project):
+    # map_tasks(payloads=...) / Task(payload=...) calls
+    payloads = [call for call in _live_calls(live_project)
+                if par_hygiene._payload_args(call)]
+    assert payloads
+
+
+def test_registry_rule_sees_live_registrations(live_project):
+    modules = live_project.modules
+    kind_classes = [top_level_classes(module.tree).get(
+        registry_complete.KIND_CLASS) for module in modules]
+    kind_classes = [cls for cls in kind_classes if cls is not None]
+    assert len(kind_classes) == 1
+    assert registry_complete._enum_members(kind_classes[0])
+    assert any(registry_complete._registered_kinds(module.tree)[0]
+               for module in modules)
+
+
+def test_uisr_coverage_rule_sees_live_converters(live_project):
+    assert uisr_coverage._find_dataclasses(live_project).get(
+        uisr_coverage.STATE_CLASS)
+    names = [name for module in live_project.modules
+             for name in top_level_functions(module.tree)]
+    assert any(name.startswith(uisr_coverage.TO_PREFIX) for name in names)
+    assert any(name.startswith(uisr_coverage.FROM_PREFIX) for name in names)
 
 
 # -- span-hygiene -------------------------------------------------------------

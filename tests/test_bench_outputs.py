@@ -42,7 +42,7 @@ class TestFig6Bench:
     def test_measured_within_tolerance_of_paper(self):
         bench = load_bench("bench_fig6_inplace_breakdown")
         rows = bench.run()
-        for machine, phase, measured, paper in rows:
+        for _machine, phase, measured, paper in rows:
             if phase == "Network":
                 assert measured == paper
             elif phase == "downtime":

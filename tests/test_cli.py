@@ -256,6 +256,15 @@ class TestSentinelCommand:
                  id="fleet-inplace-fraction"),
     pytest.param(["fleet", "--concurrency", "-4"],
                  id="fleet-negative-concurrency"),
+    # The same errors raised inside a worker process.
+    pytest.param(["fleet", "--hosts", "4", "--concurrency", "-4",
+                  "--workers", "2"], id="fleet-negative-concurrency-workers"),
+    pytest.param(["fleet", "--hosts", "4", "--cve", "CVE-0000-0000",
+                  "--workers", "2"], id="fleet-unknown-cve-workers"),
+    pytest.param(["fleet", "--hosts", "4", "--inplace-fraction", "2",
+                  "--workers", "2"], id="fleet-inplace-fraction-workers"),
+    pytest.param(["fleet", "--hosts", "4", "--pool", "", "--workers", "2"],
+                 id="fleet-empty-pool-workers"),
     pytest.param(["fleet", "--journal", "c.journal", "--crash-after", "0"],
                  id="fleet-crash-after-zero"),
     pytest.param(["fleet", "--journal", "c.journal", "--crash-after", "-5"],

@@ -1,13 +1,16 @@
-"""Differential tests: the event loop and wave checkpoints against references.
+"""Differential tests: the event loop, its process driver and wave
+checkpoints against references.
 
 The engine keeps pending events in a heap of ``(time, seq, event)``
 tuples, and a campaign checkpoint reads host states and fault-stream
 positions in the host order they are stored in, with no Python call per
-host.  The heap of ``Event.__lt__``-ordered objects and the rescanning
-digest live on in :mod:`tests.oracles`; these tests drive both sides
-with random programs and campaigns and require identical results.  An
-op-count test shows a checkpoint's Python work no longer grows with the
-fleet.
+host.  ``Engine.spawn`` is the one process driver: its processes yield
+delays or gates, latches and semaphore grants.  The heap of
+``Event.__lt__``-ordered objects, the fleet's former ``FleetProcess``
+driver with its primitives, and the rescanning digest live on in
+:mod:`tests.oracles`; these tests drive both sides with random programs
+and campaigns and require identical results.  An op-count test shows a
+checkpoint's Python work no longer grows with the fleet.
 """
 
 import sys
@@ -15,12 +18,13 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import FleetError
+from repro.errors import FleetError, ReproError
 from repro.fleet import FleetConfig, FleetController
 from repro.fleet.failures import FailureInjector, RetryPolicy
 from repro.journal import CampaignJournal, campaign_meta
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, FifoSemaphore, Gate, Latch
 
+from tests import oracles
 from tests.oracles import HeapEngine, state_digest_rescan
 
 # -- event order ---------------------------------------------------------------
@@ -104,6 +108,130 @@ def _execute(engine_cls, program):
 @settings(max_examples=300, deadline=None)
 def test_engine_matches_single_heap(program):
     assert _execute(Engine, program) == _execute(HeapEngine, program)
+
+
+# -- one process driver --------------------------------------------------------
+
+#: sleeps and timer delays: zero is common, so wake-ups, grants and
+#: sleeps share instants
+SLEEPS = (0.0, 0.0, 0.5, 1.0)
+
+
+@st.composite
+def sync_programs(draw):
+    """Primitives, one operation list per process, and gate timers.
+
+    Operands are indices taken modulo the number of primitives of their
+    kind.  Latch counts include 0 (open at birth); a semaphore's permits
+    of ``None`` means unbounded."""
+    latches = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2))
+    # one permit is where grants queue most
+    permits = draw(st.lists(st.sampled_from([1, 1, 2, None]),
+                            min_size=1, max_size=2))
+    index = st.integers(0, 3)
+    sleep = st.sampled_from(SLEEPS)
+    # Waits, permits and withdrawals are listed twice: FIFO order shows
+    # only where several processes park on one primitive.
+    wait = st.tuples(st.sampled_from(["wait-gate", "wait-latch"]), index)
+    permit = st.tuples(st.sampled_from(["held", "acquire"]), index, sleep)
+    withdraw = st.tuples(st.just("withdraw"), index)
+    operation = st.one_of(
+        st.tuples(st.just("sleep"), sleep),
+        wait,
+        wait,
+        st.tuples(st.sampled_from(["fire", "count-down"]), index),
+        permit,
+        permit,
+        # held() without parking: a queued request is withdrawn
+        withdraw,
+        withdraw,
+    )
+    # FIFO order needs three processes: one holds or fires, two queue
+    processes = draw(st.lists(st.lists(operation, min_size=1, max_size=6),
+                              min_size=3, max_size=6))
+    # a timer fires its gate once processes may be parked on it
+    timers = draw(st.lists(st.tuples(index, st.sampled_from(SLEEPS[2:])),
+                           max_size=3))
+    return (draw(st.integers(1, 2)), latches, permits, processes, timers)
+
+
+def _spawn_fleet_process(engine, gen, name):
+    return oracles.FleetProcess(engine, gen, name=name).start()
+
+
+def _spawn(engine, gen, name):
+    return engine.spawn(gen, name=name)
+
+
+#: (Gate, Latch, FifoSemaphore, spawn) of each side
+FORMER_DRIVER = (oracles.Gate, oracles.Latch, oracles.FifoSemaphore,
+                 _spawn_fleet_process)
+ENGINE_DRIVER = (Gate, Latch, FifoSemaphore, _spawn)
+
+
+def _execute_sync(driver, program):
+    """Run ``program`` on a fresh engine under ``driver``: the
+    ``(label, now)`` log, every process's outcome and the final now."""
+    gate_cls, latch_cls, semaphore_cls, spawn = driver
+    gate_count, latch_counts, permits, processes, timers = program
+    engine = Engine()
+    gates = [gate_cls(engine) for _ in range(gate_count)]
+    latches = [latch_cls(engine, count) for count in latch_counts]
+    semaphores = [semaphore_cls(engine, n) for n in permits]
+    log = []
+
+    def pick(items, index):
+        return items[index % len(items)]
+
+    def body(pid, operations):
+        for step, (kind, operand, *rest) in enumerate(operations):
+            label = (pid, step, kind)
+            if kind == "sleep":
+                yield operand
+            elif kind == "wait-gate":
+                yield pick(gates, operand)
+            elif kind == "fire":
+                pick(gates, operand).fire()
+            elif kind == "wait-latch":
+                yield pick(latches, operand)
+            elif kind == "count-down":
+                try:
+                    pick(latches, operand).count_down()
+                except ReproError:
+                    label += ("already open",)
+            elif kind == "held":
+                with pick(semaphores, operand).held() as granted:
+                    yield granted
+                    log.append((label + ("granted",), engine.now))
+                    yield rest[0]
+            elif kind == "withdraw":
+                with pick(semaphores, operand).held() as granted:
+                    label += (granted.fired,)
+            else:
+                semaphore = pick(semaphores, operand)
+                yield semaphore.acquire()
+                log.append((label + ("granted",), engine.now))
+                yield rest[0]
+                semaphore.release()
+            log.append((label, engine.now))
+        return pid
+
+    for index, delay in timers:
+        engine.call_after(delay, pick(gates, index).fire)
+    started = [spawn(engine, body(pid, operations), f"p{pid}")
+               for pid, operations in enumerate(processes)]
+    engine.run()
+    outcome = [(process.done, process.result) for process in started]
+    for process in started:
+        process.close()  # unwind parked processes in a fixed order
+    return log, outcome, engine.now
+
+
+@given(program=sync_programs())
+@settings(max_examples=400, deadline=None)
+def test_spawn_matches_former_fleet_driver(program):
+    assert (_execute_sync(ENGINE_DRIVER, program)
+            == _execute_sync(FORMER_DRIVER, program))
 
 
 # -- wave checkpoints ----------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.errors import FleetError
+from repro.errors import FleetError, SimulationError
 from repro.cluster.executor import PlanExecutor
 from repro.cluster.plan import InPlaceAction, MigrationAction
 from repro.cluster.model import WorkloadKind
@@ -19,10 +19,9 @@ from repro.fleet import (
     RetryPolicy,
     percentile,
 )
-from repro.fleet.simsync import FifoSemaphore, FleetProcess, Gate, Latch
 from repro.fleet.state import HostRecord, Transition
 from repro.sim.clock import SimClock
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, FifoSemaphore, Gate, Latch
 
 GIB = 1024 ** 3
 
@@ -81,7 +80,7 @@ class TestSimSync:
             yield gate
             log.append(engine.now)
 
-        FleetProcess(engine, waiter(), name="w").start()
+        engine.spawn(waiter(), name="w")
         engine.call_after(5.0, gate.fire)
         engine.run()
         assert log == [5.0]
@@ -98,7 +97,7 @@ class TestSimSync:
             sem.release()
 
         for name in ("a", "b", "c"):
-            FleetProcess(engine, worker(name), name=name).start()
+            engine.spawn(worker(name), name=name)
         engine.run()
         assert order == ["a", "b", "c"]
 
@@ -113,7 +112,7 @@ class TestSimSync:
             done.append(i)
 
         for i in range(5):
-            FleetProcess(engine, worker(i), name=str(i)).start()
+            engine.spawn(worker(i), name=str(i))
         engine.run()
         assert len(done) == 5 and engine.now == 1.0
 
@@ -143,7 +142,7 @@ class TestSemaphoreHold:
                 yield 1.0
 
         for name in ("a", "b", "c"):
-            FleetProcess(engine, worker(name), name=name).start()
+            engine.spawn(worker(name), name=name)
         engine.run()
         assert order == ["a", "b", "c"]
 
@@ -175,7 +174,7 @@ class TestSemaphoreHold:
         sem = FifoSemaphore(engine, None)
         hold = sem.held()
         with hold:
-            with pytest.raises(FleetError):
+            with pytest.raises(SimulationError):
                 hold.__enter__()
 
 
@@ -474,7 +473,7 @@ class TestMetricsDocument:
             FleetConfig(migration_streams=0)
 
 
-# -- simsync bugfixes ---------------------------------------------------------
+# -- sync primitive bugfixes -------------------------------------------------
 
 class TestSemaphoreOverRelease:
     def test_double_release_raises(self):
@@ -484,7 +483,7 @@ class TestSemaphoreOverRelease:
         sem = FifoSemaphore(engine, 2)
         sem.acquire()
         sem.release()
-        with pytest.raises(FleetError, match="over-released"):
+        with pytest.raises(SimulationError, match="over-released"):
             sem.release()
 
     def test_release_with_waiters_never_overflows(self):
@@ -497,7 +496,7 @@ class TestSemaphoreOverRelease:
         engine.run()
         assert waiting.fired
         sem.release()
-        with pytest.raises(FleetError):
+        with pytest.raises(SimulationError):
             sem.release()
 
     def test_unbounded_release_is_noop(self):
@@ -511,14 +510,12 @@ class TestFleetProcessYields:
     def test_bool_yield_rejected(self):
         # Regression: bool is an int subclass, so ``yield done_flag`` used
         # to be accepted as a 1-second sleep instead of failing loudly.
-        from repro.errors import SimulationError
-
         engine = Engine(SimClock())
 
         def buggy():
             yield True
 
-        FleetProcess(engine, buggy(), name="buggy").start()
+        engine.spawn(buggy(), name="buggy")
         with pytest.raises(SimulationError, match="yielded True"):
             engine.run()
 
@@ -529,7 +526,7 @@ class TestFleetProcessYields:
             yield 1.0
             return 41 + 1
 
-        process = FleetProcess(engine, worker(), name="w").start()
+        process = engine.spawn(worker(), name="w")
         engine.run()
         assert process.done
         assert process.result == 42
@@ -540,7 +537,7 @@ class TestFleetProcessYields:
         def worker():
             yield 0.5
 
-        process = FleetProcess(engine, worker(), name="w").start()
+        process = engine.spawn(worker(), name="w")
         engine.run()
         assert process.done and process.result is None
 
@@ -572,7 +569,7 @@ class TestPercentileExactness:
         import statistics
 
         rng = random.Random(1234)
-        for trial in range(50):
+        for _ in range(50):
             n = rng.randint(5, 200)
             values = sorted(rng.uniform(0, 1e4) for _ in range(n))
             cuts = statistics.quantiles(values, n=100, method="inclusive")

@@ -174,7 +174,7 @@ def test_interleaved_free_merges_both_neighbors():
 def test_allocated_bytes_counter_tracks_churn():
     memory = PhysicalMemory(64 * MIB)
     live = []
-    for round_index in range(4):
+    for _ in range(4):
         live.extend(memory.allocate() for _ in range(16))
         live.append(memory.allocate(size=PAGE_2M))
         for frame in live[::2]:

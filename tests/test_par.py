@@ -27,7 +27,7 @@ import time
 import pytest
 
 from repro.analysis import Project, run_analysis
-from repro.errors import ParError
+from repro.errors import FleetError, ParError
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.trace import Span, Trace
 from repro.par import (
@@ -94,6 +94,10 @@ def hang_once(payload):
 
 def raise_value_error(payload):
     raise ValueError(f"deterministic task failure: {payload}")
+
+
+def raise_fleet_error(payload):
+    raise FleetError(f"bad campaign input: {payload}")
 
 
 def noisy_task(payload):
@@ -364,6 +368,19 @@ class TestWorkerPool:
             pool.run([Task(func=func_ref(raise_value_error), payload="x"),
                       Task(func=func_ref(double), payload=1)])
         assert "deterministic task failure" in str(excinfo.value)
+
+    def test_library_error_reraises_as_itself(self):
+        # A ReproError is an answer about the input: the parent raises it
+        # as if the task had run inline, with the worker's traceback as
+        # its cause.
+        pool = WorkerPool(workers=2, task_timeout_s=30)
+        with pytest.raises(FleetError) as excinfo:
+            pool.run([Task(func=func_ref(raise_fleet_error), payload="x"),
+                      Task(func=func_ref(double), payload=1)])
+        assert str(excinfo.value) == "bad campaign input: x"
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, ParError)
+        assert "raise_fleet_error" in str(cause)
 
     def test_unpicklable_payload_rejected(self):
         import threading

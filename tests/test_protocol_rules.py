@@ -261,12 +261,6 @@ class TestSyncProtocol:
         assert findings == []
         assert suppressed == 1
 
-    def test_simsync_itself_is_exempt(self):
-        findings, _ = analyze({
-            "fleet/simsync.py": LEAK["fleet/worker.py"],
-        }, rules=["sync-protocol"])
-        assert findings == []
-
 
 # -- sync-lock-order ----------------------------------------------------------
 

@@ -111,7 +111,7 @@ def test_process_bool_yield_rejected():
         yield True
         yield False
 
-    with pytest.raises(SimulationError, match="invalid delay True"):
+    with pytest.raises(SimulationError, match="yielded True"):
         engine.run_process(proc())
     assert engine.now == 0.0
 
@@ -125,45 +125,6 @@ def test_process_exception_propagates():
 
     with pytest.raises(ValueError, match="boom"):
         engine.run_process(proc())
-
-
-def test_run_all_waits_for_every_process():
-    engine = Engine()
-
-    def proc(duration, value):
-        yield duration
-        return value
-
-    p1 = engine.spawn(proc(1.0, "fast"))
-    p2 = engine.spawn(proc(5.0, "slow"))
-    assert engine.run_all([p1, p2]) == ("fast", "slow")
-    assert engine.now == 5.0
-
-
-def test_on_done_callback_fires():
-    engine = Engine()
-    done = []
-
-    def proc():
-        yield 1.0
-
-    process = engine.spawn(proc())
-    process.on_done(lambda: done.append(engine.now))
-    engine.run()
-    assert done == [1.0]
-
-
-def test_spawn_at_delays_start():
-    engine = Engine()
-    started = []
-
-    def proc():
-        started.append(engine.now)
-        yield 0.0
-
-    engine.spawn_at(4.0, proc())
-    engine.run()
-    assert started == [4.0]
 
 
 # -- non-finite times ------------------------------------------------------------
@@ -197,8 +158,8 @@ def test_process_non_finite_delay_rejected(bad):
         yield bad
 
     engine = Engine()
-    with pytest.raises(SimulationError, match="invalid delay"):
-        engine.run_process(proc())
+    with pytest.raises(SimulationError, match="'proc' yielded"):
+        engine.run_process(proc(), name="proc")
     assert engine.now == 1.0
 
 

@@ -1,5 +1,7 @@
 """Tests for the calibrated cost model."""
 
+import dataclasses
+
 import pytest
 
 from repro.hw.machine import M1_SPEC, M2_SPEC, Machine
@@ -75,7 +77,7 @@ class TestPhaseModels:
 
 class TestCustomModel:
     def test_frozen_dataclass(self):
-        with pytest.raises(Exception):
+        with pytest.raises(dataclasses.FrozenInstanceError):
             cost.kexec_jump_s = 1.0
 
     def test_custom_values_flow_through(self):
