@@ -12,6 +12,7 @@ why VMs can migrate more than once during a campaign — the source of the
 154 > 100 migration count at 0 % compatibility.
 """
 
+from operator import attrgetter
 from typing import List
 
 from repro.errors import PlanningError
@@ -22,6 +23,8 @@ from repro.cluster.plan import (
     MigrationAction,
     ReconfigurationPlan,
 )
+
+_MEMORY_BYTES = attrgetter("memory_bytes")
 
 
 class BtrPlacePlanner:
@@ -58,17 +61,20 @@ class BtrPlacePlanner:
         counts.  Use ``apply=False`` for a single-group dry run.
         """
         plan = ReconfigurationPlan()
+        cluster, rides = self.cluster, self.rides
         for index, group in enumerate(self._offline_groups()):
             group_plan = GroupPlan(group_index=index, nodes=list(group))
+            migrations = group_plan.migrations
             for node_name in group:
-                node = self.cluster.nodes[node_name]
                 staying = []
-                for vm in list(self.cluster.vms_on(node_name)):
-                    if self.rides(vm):
+                # vms_on returns a fresh list: moving VMs off the node
+                # while iterating it is safe.
+                for vm in cluster.vms_on(node_name):
+                    if rides(vm):
                         staying.append(vm)
                         continue
                     dest = self._pick_destination(group, vm.name)
-                    group_plan.migrations.append(MigrationAction(
+                    migrations.append(MigrationAction(
                         vm_name=vm.name,
                         source=node_name,
                         destination=dest,
@@ -76,14 +82,14 @@ class BtrPlacePlanner:
                         workload=vm.workload,
                     ))
                     if apply:
-                        self.cluster.move_vm(vm.name, dest)
+                        cluster.move_vm(vm.name, dest)
                 group_plan.upgrades.append(InPlaceAction(
                     node_name=node_name,
                     vm_count=len(staying),
-                    total_memory_bytes=sum(v.memory_bytes for v in staying),
+                    total_memory_bytes=sum(map(_MEMORY_BYTES, staying)),
                 ))
                 if apply:
-                    self.cluster.mark_upgraded(node_name, "kvm")
+                    cluster.mark_upgraded(node_name, "kvm")
             plan.groups.append(group_plan)
         return plan
 

@@ -11,6 +11,7 @@ full simulated machinery when timing is needed.
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Dict, List, Optional
 
 from repro.errors import ClusterError
@@ -19,6 +20,10 @@ GIB = 1024 ** 3
 
 #: VM slots per host: 96 GB / 4 GB VMs, minus the host reservation
 NODE_CAPACITY_VMS = 22
+
+#: every §5.4 VM: 1 vCPU, 4 GB
+VM_VCPUS = 1
+VM_MEMORY_BYTES = 4 * GIB
 
 
 class WorkloadKind(enum.Enum):
@@ -41,19 +46,19 @@ _DIRTY_RATE_BYTES_S = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class ClusterVM:
     """One VM in the cluster plan."""
 
     name: str
-    vcpus: int = 1
-    memory_bytes: int = 4 * GIB
+    vcpus: int = VM_VCPUS
+    memory_bytes: int = VM_MEMORY_BYTES
     workload: WorkloadKind = WorkloadKind.IDLE
     inplace_compatible: bool = False
     node: Optional[str] = None  # current placement
 
 
-@dataclass
+@dataclass(slots=True)
 class ClusterNode:
     """One physical host in the cluster plan."""
 
@@ -107,7 +112,11 @@ class Cluster:
             raise ClusterError(f"unknown VM {name!r}") from None
 
     def vms_on(self, node_name: str) -> List[ClusterVM]:
-        return [self._vm(v) for v in self._node(node_name).vms]
+        names = self._node(node_name).vms
+        try:
+            return list(map(self.vms.__getitem__, names))
+        except KeyError as missing:
+            raise ClusterError(f"unknown VM {missing.args[0]!r}") from None
 
     def total_vms(self) -> int:
         return len(self.vms)
@@ -140,17 +149,22 @@ def build_paper_cluster(hosts: int = 10, vms_per_host: int = 10,
     Compatibility is assigned round-robin across the workload mix so every
     class participates proportionally (the paper varies the share without
     stating a skew).
+
+    The cluster is built in one bulk pass rather than through
+    :meth:`Cluster.add_vm`: VM names are unique and every node's VMs fit
+    its capacity by construction, once ``vms_per_host`` is in range.
     """
     import random
 
     if hosts < 1:
         raise ClusterError(f"need >= 1 host, got {hosts}")
+    if not 0 <= vms_per_host <= NODE_CAPACITY_VMS:
+        raise ClusterError(
+            f"need 0..{NODE_CAPACITY_VMS} VMs per host, got {vms_per_host}"
+        )
     if not 0.0 <= inplace_fraction <= 1.0:
         raise ClusterError(f"bad inplace fraction {inplace_fraction}")
     rng = random.Random(seed)
-    cluster = Cluster()
-    for h in range(hosts):
-        cluster.add_node(ClusterNode(name=f"node{h:02d}"))
 
     # 30% streaming / 30% cpu+memory / 40% idle, deterministic per seed.
     kinds = []
@@ -164,16 +178,19 @@ def build_paper_cluster(hosts: int = 10, vms_per_host: int = 10,
     flags = [True] * compatible_count + [False] * (total - compatible_count)
     rng.shuffle(flags)
 
-    index = 0
-    for h in range(hosts):
-        for _ in range(vms_per_host):
-            cluster.add_vm(
-                ClusterVM(
-                    name=f"vm{index:03d}",
-                    workload=kinds[index],
-                    inplace_compatible=flags[index],
-                ),
-                node_name=f"node{h:02d}",
-            )
-            index += 1
+    # VM ``index`` is ``vm{index:03d}`` on node ``index // vms_per_host``.
+    cluster = Cluster()
+    vm_names = list(map("vm{:03d}".format, range(total)))
+    node_names = list(map("node{:02d}".format, range(hosts)))
+    placement = chain.from_iterable(map(repeat, node_names,
+                                        repeat(vms_per_host)))
+    # ClusterVM's fields in declaration order: name, vcpus, memory_bytes,
+    # workload, inplace_compatible, node.
+    cluster.vms.update(zip(vm_names, map(
+        ClusterVM, vm_names, repeat(VM_VCPUS), repeat(VM_MEMORY_BYTES),
+        kinds, flags, placement,
+    )))
+    for h, name in enumerate(node_names):
+        cluster.nodes[name] = ClusterNode(
+            name, vms=vm_names[h * vms_per_host:(h + 1) * vms_per_host])
     return cluster

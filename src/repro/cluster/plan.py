@@ -2,17 +2,19 @@
 
 A plan is what the BtrPlace-style planner emits and the executor consumes.
 Actions carry enough information (VM size, workload, endpoints) for the
-executor to time them against the migration cost model.
+executor to time them against the migration cost model.  A campaign makes
+one action per migration and per host, so actions are named tuples:
+immutable values built as one tuple, without the ``object.__setattr__``
+call per field that a frozen dataclass makes.
 """
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, NamedTuple
 
 from repro.cluster.model import WorkloadKind
 
 
-@dataclass(frozen=True)
-class MigrationAction:
+class MigrationAction(NamedTuple):
     """Live-migrate one VM between nodes (MigrationTP in a mixed cluster)."""
 
     vm_name: str
@@ -22,8 +24,7 @@ class MigrationAction:
     workload: WorkloadKind
 
 
-@dataclass(frozen=True)
-class InPlaceAction:
+class InPlaceAction(NamedTuple):
     """Micro-reboot one host into the target hypervisor with its VMs."""
 
     node_name: str

@@ -23,13 +23,16 @@ configurable:
 
 Decisions consume duck-typed :class:`VMProfile` facts, so the cluster
 model (a higher layer) adapts its VMs without this module importing it.
+A campaign adapts every VM it plans, so a profile is a named tuple and
+:func:`cluster_profiles` derives each workload's facts once.
 All durations come from :mod:`repro.core.pipeline` — the policy predicts
 with the same floats the campaign later executes.
 """
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from repro.errors import TransplantError
 from repro.core.pipeline import InPlacePipeline, MigrationPipeline
@@ -46,6 +49,9 @@ WORKLOAD_SLO_S: Dict[str, float] = {
 
 DEFAULT_SLO_S = 30.0
 
+_NAME = attrgetter("name")
+_MEMORY_BYTES = attrgetter("memory_bytes")
+
 
 class MechanismKind(enum.Enum):
     INPLACE = "inplace"
@@ -59,8 +65,15 @@ class MechanismKind(enum.Enum):
 DEFAULT_MECHANISM = MechanismKind.HYBRID
 
 
-@dataclass(frozen=True)
-class VMProfile:
+def workload_facts(workload) -> Tuple[float, float]:
+    """``(dirty rate, downtime SLO)`` of a duck-typed workload class
+    (``value``, ``dirty_rate_bytes_s``): the facts every VM running it
+    shares."""
+    return (workload.dirty_rate_bytes_s,
+            WORKLOAD_SLO_S.get(workload.value, DEFAULT_SLO_S))
+
+
+class VMProfile(NamedTuple):
     """The per-VM facts a mechanism decision consumes."""
 
     name: str
@@ -78,14 +91,34 @@ class VMProfile:
         """Adapt a duck-typed cluster VM (``name``, ``memory_bytes``,
         ``workload`` with ``value``/``dirty_rate_bytes_s``,
         ``inplace_compatible``)."""
-        return cls(
-            name=vm.name,
-            memory_bytes=vm.memory_bytes,
-            dirty_rate_bytes_s=vm.workload.dirty_rate_bytes_s,
-            downtime_slo_s=WORKLOAD_SLO_S.get(vm.workload.value,
-                                              DEFAULT_SLO_S),
-            inplace_capable=vm.inplace_compatible,
-        )
+        dirty_rate_bytes_s, downtime_slo_s = workload_facts(vm.workload)
+        return cls(name=vm.name, memory_bytes=vm.memory_bytes,
+                   dirty_rate_bytes_s=dirty_rate_bytes_s,
+                   downtime_slo_s=downtime_slo_s,
+                   inplace_capable=vm.inplace_compatible)
+
+
+def cluster_profiles(host_vms: Mapping[str, Sequence[str]],
+                     vms: Mapping[str, Any]) -> Dict[str, List[VMProfile]]:
+    """:meth:`VMProfile.from_cluster_vm` for every VM of every host.
+
+    ``host_vms`` maps each host to its VM names, and ``vms`` maps a name
+    to its duck-typed cluster VM.  :func:`workload_facts` runs once per
+    workload class, not once per VM.
+    """
+    facts: Dict[Any, Tuple[float, float]] = {}
+    profiles: Dict[str, List[VMProfile]] = {}
+    for host, names in host_vms.items():
+        row = profiles[host] = []
+        for name in names:
+            vm = vms[name]
+            workload = vm.workload
+            known = facts.get(workload)
+            if known is None:
+                known = facts[workload] = workload_facts(workload)
+            row.append(VMProfile(vm.name, vm.memory_bytes, known[0],
+                                 known[1], vm.inplace_compatible))
+    return profiles
 
 
 @dataclass(frozen=True)
@@ -143,10 +176,13 @@ class MechanismPolicy:
             riders = [vm for vm in vms if vm.name not in gone]
             reason = "operator pinned migration: evacuate everything movable"
         elif self.kind is MechanismKind.HYBRID:
-            evacuate = [vm for vm in vms
-                        if not vm.inplace_capable and vm.migratable]
-            gone = {vm.name for vm in evacuate}
-            riders = [vm for vm in vms if vm.name not in gone]
+            # One pass: a host's VM names are unique.
+            evacuate, riders = [], []
+            for vm in vms:
+                if vm.inplace_capable or not vm.migratable:
+                    riders.append(vm)
+                else:
+                    evacuate.append(vm)
             reason = "paper default: evacuate InPlaceTP-incompatible VMs"
         else:
             evacuate, riders, reason = self._decide_auto(
@@ -167,8 +203,8 @@ class MechanismPolicy:
         return HostDecision(
             host=host,
             resolved=resolved,
-            evacuate=tuple(vm.name for vm in evacuate),
-            rides=tuple(vm.name for vm in riders),
+            evacuate=tuple(map(_NAME, evacuate)),
+            rides=tuple(map(_NAME, riders)),
             slo_violations=violations,
             predicted_downtime_s=predicted,
             reason=reason,
@@ -177,8 +213,7 @@ class MechanismPolicy:
     @staticmethod
     def _predicted_downtime_s(riders: Sequence[VMProfile],
                               inplace: InPlacePipeline) -> float:
-        plan = inplace.plan_host(
-            len(riders), sum(vm.memory_bytes for vm in riders))
+        plan = inplace.plan_host(len(riders), sum(map(_MEMORY_BYTES, riders)))
         return plan.downtime_s
 
     def _decide_auto(self, vms: Sequence[VMProfile], *,

@@ -32,12 +32,16 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import FleetError
 from repro.cluster.btrplace import BtrPlacePlanner
-from repro.cluster.model import Cluster, build_paper_cluster
+from repro.cluster.model import (
+    NODE_CAPACITY_VMS,
+    Cluster,
+    build_paper_cluster,
+)
 from repro.cluster.plan import InPlaceAction, MigrationAction
 from repro.core.mechanisms import (
     HostDecision,
     MechanismPolicy,
-    VMProfile,
+    cluster_profiles,
     decide_fleet,
     mechanism_mix,
 )
@@ -63,6 +67,7 @@ from repro.vulndb.data import VulnerabilityDatabase, load_default_database
 
 #: a host record's state value, read without the enum's ``value`` property
 _STATE_VALUE = attrgetter("state._value_")
+_VM_NODE = attrgetter("node")
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,11 @@ class FleetConfig:
     def __post_init__(self):
         if self.hosts < 1:
             raise FleetError(f"need >= 1 host, got {self.hosts}")
+        if not 0 <= self.vms_per_host <= NODE_CAPACITY_VMS:
+            raise FleetError(
+                f"need 0..{NODE_CAPACITY_VMS} VMs per host, got "
+                f"{self.vms_per_host}"
+            )
         if self.group_size < 1:
             raise FleetError(f"group size must be >= 1, got {self.group_size}")
         if self.concurrency is not None and self.concurrency < 1:
@@ -248,12 +258,9 @@ class FleetController:
         # VMs evacuate and which ride.  A VM keeps its evacuate/ride class
         # for the whole campaign (re-migrations included), exactly like the
         # legacy inplace_compatible flag the hybrid policy reproduces.
-        profiles = {
-            name: [VMProfile.from_cluster_vm(cluster.vms[vm]) for vm in vms]
-            for name, vms in initial_vms.items()
-        }
         self.decisions = decide_fleet(
-            self.policy, profiles, initial_free,
+            self.policy, cluster_profiles(initial_vms, cluster.vms),
+            initial_free,
             inplace=self._pipelines.inplace(self.target_kind),
             migration=self._pipelines.migration(self.target_kind),
         )
@@ -277,7 +284,7 @@ class FleetController:
                     name=upgrade.node_name,
                     wave=group.group_index,
                     upgrade=upgrade,
-                    initial_vms=list(initial_vms[upgrade.node_name]),
+                    initial_vms=initial_vms[upgrade.node_name],
                     plan=inplace_pipeline.plan_host(
                         upgrade.vm_count, upgrade.total_memory_bytes,
                     ),
@@ -312,9 +319,10 @@ class FleetController:
                        for name, node in cluster.nodes.items()}
         initial_free = {name: node.free_slots
                         for name, node in cluster.nodes.items()}
-        self.placement = {vm.name: vm.node for vm in cluster.vms.values()}
-        self.host_hypervisor = {name: self.source_kind.value
-                                for name in cluster.nodes}
+        self.placement = dict(zip(cluster.vms,
+                                  map(_VM_NODE, cluster.vms.values())))
+        self.host_hypervisor = dict.fromkeys(cluster.nodes,
+                                             self.source_kind.value)
 
         host_plans = self._build_host_plans(cluster, initial_vms,
                                             initial_free)

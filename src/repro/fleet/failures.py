@@ -12,7 +12,7 @@ failures is exactly as reproducible as one without.
 import enum
 import random
 from dataclasses import dataclass
-from typing import Dict, Mapping, Union
+from typing import Dict, Mapping, Optional, Union
 
 from repro.errors import FleetError
 
@@ -52,22 +52,30 @@ class RetryPolicy:
 
     def backoff_s(self, attempt: int) -> float:
         """Delay before retry number ``attempt`` (0-based)."""
-        return min(self.backoff_base_s * self.backoff_factor ** attempt,
-                   self.backoff_max_s)
+        try:
+            delay = self.backoff_base_s * self.backoff_factor ** attempt
+        except OverflowError:
+            # Past float range the delay sits at the cap — or at zero
+            # when there is no base delay to grow.
+            return self.backoff_max_s if self.backoff_base_s else 0.0
+        return min(delay, self.backoff_max_s)
 
     def exhausted(self, attempt: int) -> bool:
         return attempt >= self.max_retries
 
 
 class HostFaultStream:
-    """The deterministic fault sequence of one host."""
+    """The deterministic fault sequence of one host.
+
+    The RNG is seeded on the first draw: a phase whose rate is 0 never
+    draws, so a failure-free campaign seeds no host's stream.
+    """
 
     def __init__(self, rates: Mapping[FailurePhase, float], seed: int,
                  host: str):
         self._rates = rates
-        # Random.seed(str) hashes via SHA-512 — stable across processes,
-        # unlike built-in str hashing.
-        self._rng = random.Random(f"fleet:{seed}:{host}")
+        self._seed = f"fleet:{seed}:{host}"
+        self._rng: Optional[random.Random] = None
         #: RNG draws consumed so far — the stream position.  Campaign
         #: checkpoints digest this so a recovered run proves its fault
         #: streams sit exactly where the crashed run left them.
@@ -78,6 +86,10 @@ class HostFaultStream:
         rate = self._rates.get(phase, 0.0)
         if rate <= 0.0:
             return False
+        if self._rng is None:
+            # Random.seed(str) hashes via SHA-512 — stable across
+            # processes, unlike built-in str hashing.
+            self._rng = random.Random(self._seed)
         self.draws += 1
         return self._rng.random() < rate
 

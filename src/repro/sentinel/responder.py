@@ -67,9 +67,10 @@ class SentinelConfig:
     def __post_init__(self):
         if self.hosts < 1:
             raise SentinelError(f"need >= 1 host, got {self.hosts}")
-        if self.vms_per_host < 1:
+        if not 1 <= self.vms_per_host <= NODE_CAPACITY_VMS:
             raise SentinelError(
-                f"need >= 1 VM per host, got {self.vms_per_host}"
+                f"need 1..{NODE_CAPACITY_VMS} VMs per host, got "
+                f"{self.vms_per_host}"
             )
         if not self.pool:
             raise SentinelError("hypervisor pool cannot be empty")

@@ -19,7 +19,14 @@ agree with, kept verbatim for differential tests:
   ``repro.sim.engine`` must schedule identically;
 * :func:`state_digest_rescan` — the checkpoint digest and DONE count
   computed by re-sorting every host record and fault stream and reading
-  each state through ``HostState.value``.
+  each state through ``HostState.value``;
+* :func:`build_paper_cluster_per_vm`, :class:`FrozenVMProfile`,
+  :class:`FrozenMigrationAction`, :class:`FrozenInPlaceAction`,
+  :class:`TwoPassPolicy`, :class:`FrozenRecordPlanner` and
+  :func:`build_host_plans_per_vm` — campaign setup one validated object
+  at a time: the cluster built through ``Cluster.add_vm``, one frozen
+  dataclass per profile and plan record, and each VM's workload facts
+  looked up again for every VM.
 
 Test-only: nothing outside ``tests/`` imports this module.
 """
@@ -28,6 +35,7 @@ import hashlib
 import heapq
 import itertools
 from collections import deque
+from dataclasses import dataclass
 from typing import (
     Callable,
     Deque,
@@ -41,7 +49,17 @@ from typing import (
 )
 
 from repro.cluster.btrplace import BtrPlacePlanner
-from repro.core.mechanisms import HostDecision, MechanismPolicy, VMProfile
+from repro.cluster.model import Cluster, ClusterNode, ClusterVM, WorkloadKind
+from repro.cluster.plan import GroupPlan, ReconfigurationPlan
+from repro.core.mechanisms import (
+    DEFAULT_SLO_S,
+    WORKLOAD_SLO_S,
+    HostDecision,
+    MechanismKind,
+    MechanismPolicy,
+    VMProfile,
+    decide_fleet,
+)
 from repro.core.migration import plan_precopy
 from repro.core.pipeline import (
     InPlacePipeline,
@@ -52,11 +70,13 @@ from repro.core.pipeline import (
     _fold,
 )
 from repro.errors import (
+    ClusterError,
     FleetError,
     PlanningError,
     SentinelError,
     SimulationError,
 )
+from repro.fleet.controller import _HostPlan
 from repro.fleet.state import HostState
 from repro.hw.memory import PAGE_2M
 from repro.sentinel.inventory import FleetInventory
@@ -526,3 +546,263 @@ def state_digest_rescan(controller) -> Tuple[bytes, int]:
     done_hosts = sum(1 for r in controller.records.values()
                      if r.state is HostState.DONE)
     return digest, done_hosts
+
+
+# -- campaign setup, one object at a time --------------------------------------
+#
+# The builders campaign setup used before it went bulk, verbatim but for
+# the names of the reference types they build: the paper cluster built
+# VM by VM through Cluster.add_vm, one frozen-dataclass profile per VM,
+# frozen-dataclass plan records, a two-pass hybrid split, and the
+# controller's host-plan builder as a free function over all of them.
+
+
+def build_paper_cluster_per_vm(hosts: int = 10, vms_per_host: int = 10,
+                               inplace_fraction: float = 0.0,
+                               seed: int = 42) -> Cluster:
+    """The §5.4 testbed with a chosen share of InPlaceTP-compatible VMs.
+
+    Compatibility is assigned round-robin across the workload mix so every
+    class participates proportionally (the paper varies the share without
+    stating a skew).
+    """
+    import random
+
+    if hosts < 1:
+        raise ClusterError(f"need >= 1 host, got {hosts}")
+    if not 0.0 <= inplace_fraction <= 1.0:
+        raise ClusterError(f"bad inplace fraction {inplace_fraction}")
+    rng = random.Random(seed)
+    cluster = Cluster()
+    for h in range(hosts):
+        cluster.add_node(ClusterNode(name=f"node{h:02d}"))
+
+    # 30% streaming / 30% cpu+memory / 40% idle, deterministic per seed.
+    kinds = []
+    total = hosts * vms_per_host
+    kinds.extend([WorkloadKind.STREAMING] * round(total * 0.3))
+    kinds.extend([WorkloadKind.CPU_MEMORY] * round(total * 0.3))
+    kinds.extend([WorkloadKind.IDLE] * (total - len(kinds)))
+    rng.shuffle(kinds)
+
+    compatible_count = round(total * inplace_fraction)
+    flags = [True] * compatible_count + [False] * (total - compatible_count)
+    rng.shuffle(flags)
+
+    index = 0
+    for h in range(hosts):
+        for _ in range(vms_per_host):
+            cluster.add_vm(
+                ClusterVM(
+                    name=f"vm{index:03d}",
+                    workload=kinds[index],
+                    inplace_compatible=flags[index],
+                ),
+                node_name=f"node{h:02d}",
+            )
+            index += 1
+    return cluster
+
+
+@dataclass(frozen=True)
+class FrozenVMProfile:
+    """The per-VM facts a mechanism decision consumes."""
+
+    name: str
+    memory_bytes: int
+    dirty_rate_bytes_s: float
+    downtime_slo_s: float
+    #: False forbids riding the micro-reboot (the legacy
+    #: ``inplace_compatible`` flag): the VM must evacuate if it can
+    inplace_capable: bool = True
+    #: False forbids MigrationTP (pass-through device, §4.2.3)
+    migratable: bool = True
+
+    @classmethod
+    def from_cluster_vm(cls, vm) -> "FrozenVMProfile":
+        """Adapt a duck-typed cluster VM (``name``, ``memory_bytes``,
+        ``workload`` with ``value``/``dirty_rate_bytes_s``,
+        ``inplace_compatible``)."""
+        return cls(
+            name=vm.name,
+            memory_bytes=vm.memory_bytes,
+            dirty_rate_bytes_s=vm.workload.dirty_rate_bytes_s,
+            downtime_slo_s=WORKLOAD_SLO_S.get(vm.workload.value,
+                                              DEFAULT_SLO_S),
+            inplace_capable=vm.inplace_compatible,
+        )
+
+
+@dataclass(frozen=True)
+class FrozenMigrationAction:
+    """Live-migrate one VM between nodes (MigrationTP in a mixed cluster)."""
+
+    vm_name: str
+    source: str
+    destination: str
+    memory_bytes: int
+    workload: WorkloadKind
+
+
+@dataclass(frozen=True)
+class FrozenInPlaceAction:
+    """Micro-reboot one host into the target hypervisor with its VMs."""
+
+    node_name: str
+    vm_count: int
+    total_memory_bytes: int
+
+
+class TwoPassPolicy(MechanismPolicy):
+    """``decide_host`` splitting hybrid hosts in two passes, with every
+    name tuple and memory sum built by a generator."""
+
+    def decide_host(self, host: str, vms: Sequence[VMProfile], *,
+                    inplace: InPlacePipeline,
+                    migration: MigrationPipeline,
+                    spare_slots: int) -> HostDecision:
+        if self.kind is MechanismKind.INPLACE:
+            evacuate: List[VMProfile] = []
+            riders = list(vms)
+            reason = "operator pinned inplace: all VMs ride the reboot"
+        elif self.kind is MechanismKind.MIGRATION:
+            movable = [vm for vm in vms if vm.migratable]
+            # Strictest SLOs first when capacity runs short.
+            movable.sort(key=lambda vm: (vm.downtime_slo_s, vm.name))
+            evacuate = movable[:max(0, spare_slots)]
+            gone = {vm.name for vm in evacuate}
+            riders = [vm for vm in vms if vm.name not in gone]
+            reason = "operator pinned migration: evacuate everything movable"
+        elif self.kind is MechanismKind.HYBRID:
+            evacuate = [vm for vm in vms
+                        if not vm.inplace_capable and vm.migratable]
+            gone = {vm.name for vm in evacuate}
+            riders = [vm for vm in vms if vm.name not in gone]
+            reason = "paper default: evacuate InPlaceTP-incompatible VMs"
+        else:
+            evacuate, riders, reason = self._decide_auto(
+                vms, inplace=inplace, migration=migration,
+                spare_slots=spare_slots)
+
+        predicted = self._predicted_downtime_s(riders, inplace)
+        violations = tuple(
+            vm.name for vm in riders
+            if not vm.inplace_capable or vm.downtime_slo_s < predicted
+        )
+        if not evacuate:
+            resolved = "inplace"
+        elif not riders:
+            resolved = "migration"
+        else:
+            resolved = "hybrid"
+        return HostDecision(
+            host=host,
+            resolved=resolved,
+            evacuate=tuple(vm.name for vm in evacuate),
+            rides=tuple(vm.name for vm in riders),
+            slo_violations=violations,
+            predicted_downtime_s=predicted,
+            reason=reason,
+        )
+
+    @staticmethod
+    def _predicted_downtime_s(riders: Sequence[VMProfile],
+                              inplace: InPlacePipeline) -> float:
+        plan = inplace.plan_host(
+            len(riders), sum(vm.memory_bytes for vm in riders))
+        return plan.downtime_s
+
+
+class FrozenRecordPlanner(BtrPlacePlanner):
+    """``plan`` emitting frozen-dataclass records and copying each node's
+    VM list before walking it."""
+
+    def plan(self, apply: bool = True) -> ReconfigurationPlan:
+        plan = ReconfigurationPlan()
+        for index, group in enumerate(self._offline_groups()):
+            group_plan = GroupPlan(group_index=index, nodes=list(group))
+            for node_name in group:
+                staying = []
+                for vm in list(self.cluster.vms_on(node_name)):
+                    if self.rides(vm):
+                        staying.append(vm)
+                        continue
+                    dest = self._pick_destination(group, vm.name)
+                    group_plan.migrations.append(FrozenMigrationAction(
+                        vm_name=vm.name,
+                        source=node_name,
+                        destination=dest,
+                        memory_bytes=vm.memory_bytes,
+                        workload=vm.workload,
+                    ))
+                    if apply:
+                        self.cluster.move_vm(vm.name, dest)
+                group_plan.upgrades.append(FrozenInPlaceAction(
+                    node_name=node_name,
+                    vm_count=len(staying),
+                    total_memory_bytes=sum(v.memory_bytes for v in staying),
+                ))
+                if apply:
+                    self.cluster.mark_upgraded(node_name, "kvm")
+            plan.groups.append(group_plan)
+        return plan
+
+
+def build_host_plans_per_vm(self, cluster: Cluster,
+                            initial_vms: Dict[str, List[str]],
+                            initial_free: Dict[str, int],
+                            ) -> List[_HostPlan]:
+    """``FleetController._build_host_plans`` over the reference types;
+    ``self`` is a controller, whose ``decisions``, ``_waves`` and
+    ``_chain_counts`` it sets."""
+    # The §4.5.2 decision, per host, on the pristine placement: which
+    # VMs evacuate and which ride.  A VM keeps its evacuate/ride class
+    # for the whole campaign (re-migrations included), exactly like the
+    # legacy inplace_compatible flag the hybrid policy reproduces.
+    profiles = {
+        name: [FrozenVMProfile.from_cluster_vm(cluster.vms[vm])
+               for vm in vms]
+        for name, vms in initial_vms.items()
+    }
+    self.decisions = decide_fleet(
+        TwoPassPolicy(self.policy.kind), profiles, initial_free,
+        inplace=self._pipelines.inplace(self.target_kind),
+        migration=self._pipelines.migration(self.target_kind),
+    )
+    evacuate_class = {
+        vm for decision in self.decisions.values()
+        for vm in decision.evacuate
+    }
+    planner = FrozenRecordPlanner(
+        cluster, group_size=self.config.group_size,
+        rides=lambda vm: vm.name not in evacuate_class,
+    )
+    plan = planner.plan(apply=True)
+    self._waves = len(plan.groups)
+    migration_pipeline = self._pipelines.migration(self.target_kind)
+    inplace_pipeline = self._pipelines.inplace(self.target_kind)
+    chain_counts: Dict[str, int] = {}
+    host_plans: Dict[str, _HostPlan] = {}
+    for group in plan.groups:
+        for upgrade in group.upgrades:
+            host_plans[upgrade.node_name] = _HostPlan(
+                name=upgrade.node_name,
+                wave=group.group_index,
+                upgrade=upgrade,
+                initial_vms=list(initial_vms[upgrade.node_name]),
+                plan=inplace_pipeline.plan_host(
+                    upgrade.vm_count, upgrade.total_memory_bytes,
+                ),
+            )
+        for action in group.migrations:
+            position = chain_counts.get(action.vm_name, 0)
+            chain_counts[action.vm_name] = position + 1
+            host_plans[action.source].evacuations.append((
+                action, position,
+                migration_pipeline.plan_vm(
+                    action.memory_bytes,
+                    action.workload.dirty_rate_bytes_s,
+                ),
+            ))
+    self._chain_counts = chain_counts
+    return [host_plans[name] for name in sorted(host_plans)]

@@ -265,6 +265,8 @@ class TestSentinelCommand:
                   "--workers", "2"], id="fleet-inplace-fraction-workers"),
     pytest.param(["fleet", "--hosts", "4", "--pool", "", "--workers", "2"],
                  id="fleet-empty-pool-workers"),
+    pytest.param(["fleet", "--hosts", "4", "--vms-per-host", "-3"],
+                 id="fleet-negative-vms-per-host"),
     pytest.param(["fleet", "--journal", "c.journal", "--crash-after", "0"],
                  id="fleet-crash-after-zero"),
     pytest.param(["fleet", "--journal", "c.journal", "--crash-after", "-5"],
@@ -273,8 +275,14 @@ class TestSentinelCommand:
     pytest.param(["cluster", "--fractions", "0,abc"],
                  id="cluster-bad-fraction"),
     pytest.param(["cluster", "--hosts", "0"], id="cluster-no-hosts"),
+    pytest.param(["cluster", "--hosts", "4", "--vms-per-host", "-3"],
+                 id="cluster-negative-vms-per-host"),
     pytest.param(["cluster", "--export-plan", "p.bin",
                   "--export-fraction", "2"], id="cluster-export-fraction"),
+    # No node can hold the fleet, so every response would be
+    # capacity-blocked.
+    pytest.param(["sentinel", "--hosts", "4", "--vms-per-host", "30",
+                  "--limit", "5"], id="sentinel-vms-per-host-over-capacity"),
 ])
 def test_input_error_is_one_line_and_exit_2(argv, tmp_path, monkeypatch,
                                             capsys):

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import FleetError, SimulationError
 from repro.cluster.executor import PlanExecutor
 from repro.cluster.plan import InPlaceAction, MigrationAction
-from repro.cluster.model import WorkloadKind
+from repro.cluster.model import NODE_CAPACITY_VMS, WorkloadKind
 from repro.cluster.upgrade import UpgradeCampaign
 from repro.fleet import (
     FailureInjector,
@@ -320,6 +320,11 @@ class TestFailureInjection:
         with pytest.raises(FleetError):
             FailureInjector(1.5)
 
+    def test_backoff_past_float_range_sits_at_the_cap(self):
+        # 2.0 ** 1024 overflows a float.
+        assert RetryPolicy().backoff_s(1100) == 300.0
+        assert RetryPolicy(backoff_base_s=0.0).backoff_s(1100) == 0.0
+
     def test_retry_budget_is_per_phase_not_cumulative(self):
         # Regression: a host that fails once in evacuation AND once in
         # kexec AND once in verify must survive with max_retries=1 — each
@@ -471,6 +476,10 @@ class TestMetricsDocument:
             FleetConfig(concurrency=0)
         with pytest.raises(FleetError):
             FleetConfig(migration_streams=0)
+        with pytest.raises(FleetError):
+            FleetConfig(vms_per_host=-1)
+        with pytest.raises(FleetError):
+            FleetConfig(vms_per_host=NODE_CAPACITY_VMS + 1)
 
 
 # -- sync primitive bugfixes -------------------------------------------------

@@ -8,12 +8,19 @@ per call.  The rescanning and rebuilding versions live on in
 require identical results, down to the exact floats of the exposure
 integral and of every plan.  Op-count tests show accrual cost no longer
 grows with the fleet and each plan shape is costed once per campaign.
+
+Campaign setup builds the paper cluster in bulk, derives profile facts
+once per workload and makes named-tuple records; it is checked against
+the object-at-a-time builders, and an op-count test shows that neither
+fact derivations nor RNG seedings grow with the fleet.
 """
 
+import dataclasses
+import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.btrplace import BtrPlacePlanner
@@ -23,12 +30,15 @@ from repro.cluster.model import (
     ClusterNode,
     ClusterVM,
     WorkloadKind,
+    build_paper_cluster,
 )
+from repro.core import mechanisms
 from repro.core.mechanisms import (
     WORKLOAD_SLO_S,
     MechanismKind,
     MechanismPolicy,
     VMProfile,
+    cluster_profiles,
     decide_fleet,
 )
 from repro.core import pipeline as pipeline_module
@@ -39,16 +49,23 @@ from repro.core.pipeline import (
     VerifySpec,
 )
 from repro.core.timings import CostModel
-from repro.errors import PlanningError, SentinelError
+from repro.errors import ClusterError, PlanningError, SentinelError
 from repro.fleet import FleetConfig, FleetController
+from repro.fleet import failures
 from repro.hw.machine import CLUSTER_NODE_SPEC, Machine
 from repro.hypervisors.base import HypervisorKind
 from repro.sentinel import FeedSchedule, FleetInventory, Sentinel, SentinelConfig
 from repro.vulndb.cve import CVERecord
+from repro.vulndb.data import load_default_database
 
 from tests.oracles import (
+    FrozenRecordPlanner,
+    FrozenVMProfile,
     FullScanInventory,
     LiveListPlanner,
+    TwoPassPolicy,
+    build_host_plans_per_vm,
+    build_paper_cluster_per_vm,
     decide_fleet_rescan,
     plan_host_rebuild,
     plan_vm_rebuild,
@@ -160,11 +177,12 @@ def fleets(draw):
 @settings(max_examples=150, deadline=None)
 def test_decide_fleet_matches_rescan(fleet, kind):
     host_vms, free_slots = fleet
-    policy = MechanismPolicy(kind)
     pipelines = dict(inplace=PIPELINES.inplace(HypervisorKind.KVM),
                      migration=PIPELINES.migration(HypervisorKind.KVM))
-    assert decide_fleet(policy, host_vms, free_slots, **pipelines) == \
-        decide_fleet_rescan(policy, host_vms, free_slots, **pipelines)
+    assert decide_fleet(MechanismPolicy(kind), host_vms, free_slots,
+                        **pipelines) == \
+        decide_fleet_rescan(TwoPassPolicy(kind), host_vms, free_slots,
+                            **pipelines)
 
 
 # -- destination rotation --------------------------------------------------------
@@ -349,3 +367,142 @@ def test_each_plan_shape_costed_once_per_campaign(monkeypatch):
     assert 0 < len(pram_calls) <= NODE_CAPACITY_VMS + 1
     assert set(precopy_calls.values()) == {1}
     assert set(pram_calls.values()) == {1}
+
+
+# -- campaign setup in bulk ----------------------------------------------------
+
+DB = load_default_database()
+
+
+def _fields(record):
+    """A profile or plan record as its ``(field, value)`` pairs, so a
+    named tuple and a frozen dataclass compare field by field."""
+    if dataclasses.is_dataclass(record):
+        return tuple((f.name, getattr(record, f.name))
+                     for f in dataclasses.fields(record))
+    return tuple(zip(record._fields, record))
+
+
+def _snapshot(cluster):
+    """Node order, VM order, every field, and each node's VM list."""
+    return ([(name, dataclasses.astuple(node))
+             for name, node in cluster.nodes.items()],
+            [(name, dataclasses.astuple(vm))
+             for name, vm in cluster.vms.items()])
+
+
+def _plan_rows(plan):
+    return [(group.group_index, group.nodes,
+             [_fields(m) for m in group.migrations],
+             [_fields(u) for u in group.upgrades]) for group in plan.groups]
+
+
+def _setup(build, profile, planner, host_plans, config):
+    """Everything campaign setup produces from ``config``, in order,
+    ending with the error that stopped it, if any."""
+    args = (config.hosts, config.vms_per_host, config.inplace_fraction,
+            config.seed)
+    out = []
+    try:
+        # The BtrPlace plan under the paper's default split.
+        cluster = build(*args)
+        out.append(_snapshot(cluster))
+        plan = planner(cluster, group_size=config.group_size).plan()
+        out.append((_plan_rows(plan), _snapshot(cluster)))
+        # The controller's setup: profiles, decisions, host plans.
+        cluster = build(*args)
+        initial_vms = {name: list(node.vms)
+                       for name, node in cluster.nodes.items()}
+        initial_free = {name: node.free_slots
+                        for name, node in cluster.nodes.items()}
+        out.append({host: [_fields(p) for p in vms]
+                    for host, vms in profile(initial_vms, cluster).items()})
+        controller = FleetController(config, db=DB)
+        plans = host_plans(controller, cluster, initial_vms, initial_free)
+        out.append(controller.decisions)
+        out.append([(hp.name, hp.wave, _fields(hp.upgrade),
+                     [(_fields(a), position, stages)
+                      for a, position, stages in hp.evacuations],
+                     hp.initial_vms, hp.plan) for hp in plans])
+        out.append((controller._waves, controller._chain_counts,
+                    _snapshot(cluster)))
+    except (ClusterError, PlanningError) as error:
+        out.append((type(error).__name__, str(error)))
+    return out
+
+
+def _bulk_setup(config):
+    return _setup(
+        build_paper_cluster,
+        lambda initial_vms, cluster: cluster_profiles(initial_vms,
+                                                      cluster.vms),
+        BtrPlacePlanner, FleetController._build_host_plans, config)
+
+
+def _per_vm_setup(config):
+    return _setup(
+        build_paper_cluster_per_vm,
+        lambda initial_vms, cluster: {
+            host: [FrozenVMProfile.from_cluster_vm(cluster.vms[vm])
+                   for vm in vms]
+            for host, vms in initial_vms.items()},
+        FrozenRecordPlanner, build_host_plans_per_vm, config)
+
+
+@given(hosts=st.integers(1, 40),
+       vms_per_host=st.integers(0, NODE_CAPACITY_VMS),
+       fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+       group_size=st.integers(1, 4),
+       mechanism=st.sampled_from([kind.value for kind in MechanismKind]))
+# One host holds both vm999 and vm1000, whose name order and index
+# order differ.
+@example(hosts=143, vms_per_host=7, fraction=0.8, seed=7, group_size=2,
+         mechanism="hybrid")
+@example(hosts=67, vms_per_host=15, fraction=0.3, seed=42, group_size=3,
+         mechanism="auto")
+@settings(max_examples=100, deadline=None)
+def test_campaign_setup_matches_per_vm_builders(hosts, vms_per_host,
+                                                fraction, seed, group_size,
+                                                mechanism):
+    config = FleetConfig(hosts=hosts, vms_per_host=vms_per_host,
+                         inplace_fraction=fraction, seed=seed,
+                         group_size=group_size, mechanism=mechanism)
+    assert _bulk_setup(config) == _per_vm_setup(config)
+
+
+def _setup_counts(monkeypatch, hosts):
+    """(done hosts, workload-fact derivations per workload, RNGs seeded)
+    over one failure-free campaign."""
+    derived = Counter()
+    seeded = [0]
+    workload_facts = mechanisms.workload_facts
+
+    def counting_facts(workload):
+        derived[workload] += 1
+        return workload_facts(workload)
+
+    class CountingRandom(random.Random):
+        def __init__(self, *args, **kwargs):
+            seeded[0] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(mechanisms, "workload_facts", counting_facts)
+    monkeypatch.setattr(failures.random, "Random", CountingRandom)
+    metrics = FleetController(FleetConfig(hosts=hosts, seed=42),
+                              db=DB).run()
+    monkeypatch.undo()
+    return metrics.done_hosts, derived, seeded[0]
+
+
+def test_setup_work_grows_with_classes_not_vms(monkeypatch):
+    small = _setup_counts(monkeypatch, 20)
+    large = _setup_counts(monkeypatch, 200)
+    assert (small[0], large[0]) == (20, 200)
+    # Each workload's facts are derived once per campaign, whatever its
+    # size: three workloads, at most six (workload, in-place) classes.
+    assert small[1] == large[1]
+    assert set(small[1]) == set(WorkloadKind)
+    assert set(small[1].values()) == {1}
+    # Only the cluster's placement RNG: a fault stream whose phases all
+    # have rate 0 is never seeded.
+    assert small[2] == large[2] == 1
