@@ -1,11 +1,4 @@
-"""Observability hygiene rules.
-
-``span-hygiene``: tracer spans may only be opened with a ``with`` statement
-(``with tracer.span(...)``).  A ``.span()`` call whose context manager is
-never entered — or entered by hand via ``__enter__`` — can leave the span
-open forever; the exporter then refuses the whole trace, or worse, the
-span silently never appears.  The ``with`` form guarantees every opened
-span closes, even on exceptions and across generator yields.
+"""Observability hygiene rule.
 
 ``trace-format-hygiene``: only :mod:`repro.obs` may format trace
 timestamps — i.e. build Chrome trace-event dicts (``"ph"``/``"ts"`` keys,
@@ -16,13 +9,13 @@ integer ids, and the metadata events exist in exactly one place.
 """
 
 import ast
-from typing import Iterable, Set
+from typing import Iterable
 
 from repro.analysis.engine import Rule, register_rule
 from repro.analysis.findings import Finding
 from repro.analysis.project import Project, SourceModule
 
-#: the one layer allowed to open spans freely and format trace events
+#: the one layer allowed to format trace events
 OBS_SCOPE = ("obs/",)
 
 #: dict keys that mark a hand-built Chrome trace event / envelope
@@ -32,42 +25,6 @@ ENVELOPE_KEYS = frozenset({"traceEvents"})
 
 def _in_obs(module: SourceModule) -> bool:
     return module.path.startswith(OBS_SCOPE)
-
-
-@register_rule
-class SpanHygieneRule(Rule):
-    name = "span-hygiene"
-    description = (
-        "tracer spans must be opened with 'with tracer.span(...)' so every "
-        "opened span is closed"
-    )
-
-    def check(self, project: Project) -> Iterable[Finding]:
-        for module in project.modules:
-            if _in_obs(module):
-                continue
-            yield from self._check_module(module)
-
-    def _check_module(self, module: SourceModule) -> Iterable[Finding]:
-        with_contexts: Set[int] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    with_contexts.add(id(item.context_expr))
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (isinstance(func, ast.Attribute) and func.attr == "span"):
-                continue
-            if id(node) in with_contexts:
-                continue
-            yield self.finding(
-                module.path, node.lineno,
-                ".span(...) outside a 'with' statement can leave the span "
-                "open forever; use 'with tracer.span(...)' so it always "
-                "closes",
-            )
 
 
 @register_rule

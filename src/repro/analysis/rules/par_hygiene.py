@@ -8,8 +8,8 @@ nested function, or a bound method passed to ``func_ref`` /
 rule flags it statically.
 
 ``par-payload-hygiene``: task payloads must be plain data.  A payload
-expression that captures a live ``SimClock``, ``Engine`` or ``Tracer``
-ships per-process simulation state through a pickle boundary; the copy
+expression that captures a live ``SimClock`` or ``Engine`` ships
+per-process simulation state through a pickle boundary; the copy
 that materializes in the worker is a *different* clock/engine, so the
 shard silently diverges from the serial run.  Workers must construct
 their own from seeds (see ``docs/parallelism.md``).
@@ -26,7 +26,7 @@ from repro.analysis.project import Project, SourceModule
 ENTRYPOINT_SINKS = frozenset({"func_ref", "map_tasks"})
 
 #: constructors of live simulation objects that must never ride a payload
-LIVE_CONSTRUCTORS = frozenset({"SimClock", "Engine", "Tracer"})
+LIVE_CONSTRUCTORS = frozenset({"SimClock", "Engine"})
 
 
 def _nested_callable_names(tree: ast.Module) -> Set[str]:
@@ -169,8 +169,8 @@ def _payload_args(call: ast.Call) -> List[ast.expr]:
 class ParPayloadHygieneRule(Rule):
     name = "par-payload-hygiene"
     description = (
-        "task payloads must be plain data: no SimClock, Engine or live "
-        "Tracer may cross the worker pipe"
+        "task payloads must be plain data: no SimClock or Engine may "
+        "cross the worker pipe"
     )
 
     def check(self, project: Project) -> Iterable[Finding]:

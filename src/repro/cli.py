@@ -426,7 +426,7 @@ def cmd_fleet(args) -> int:
         ParError,
         VulnDBError,
     )
-    from repro.par import merge_traces, run_fleet_campaign
+    from repro.par import run_fleet_campaign, trace_from_payload
     from repro.vulndb.data import load_default_database
 
     journaling = bool(args.journal or args.resume)
@@ -536,7 +536,7 @@ def cmd_fleet(args) -> int:
             handle.write(json.dumps(document, indent=2, sort_keys=True))
         print(f"  metrics JSON written to {args.json_path}")
     if args.trace_path:
-        trace = merge_traces([("fleet", result["spans"])], prefix=False)
+        trace = trace_from_payload(result["spans"])
         with open(args.trace_path, "w") as handle:
             handle.write(trace.to_chrome_trace())
         print(f"  trace JSON written to {args.trace_path}")
@@ -557,7 +557,7 @@ def cmd_sentinel(args) -> int:
     import json
 
     from repro.errors import ParError, SentinelError, VulnDBError
-    from repro.par import merge_traces, run_sentinel
+    from repro.par import run_sentinel, trace_from_payload
     from repro.sentinel import (
         DAY_S,
         FeedSchedule,
@@ -642,7 +642,7 @@ def cmd_sentinel(args) -> int:
             handle.write(json.dumps(document, indent=2, sort_keys=True))
         print(f"  report JSON written to {args.json_path}")
     if args.trace_path:
-        trace = merge_traces([("sentinel", result["spans"])], prefix=False)
+        trace = trace_from_payload(result["spans"])
         with open(args.trace_path, "w") as handle:
             handle.write(trace.to_chrome_trace())
         print(f"  trace JSON written to {args.trace_path}")

@@ -22,7 +22,6 @@ from typing import List, Tuple
 
 from repro.cluster.plan import InPlaceAction, MigrationAction, ReconfigurationPlan
 from repro.hw.machine import CLUSTER_NODE_SPEC, MachineSpec
-from repro.obs import NULL_TRACER, Span
 from repro.core.pipeline import StagePlan, TransplantPipelines
 from repro.core.timings import DEFAULT_COST_MODEL, CostModel
 from repro.hypervisors.base import HypervisorKind
@@ -51,12 +50,10 @@ class PlanExecutor:
 
     def __init__(self, node_spec: MachineSpec = CLUSTER_NODE_SPEC,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
-                 target_kind: HypervisorKind = HypervisorKind.KVM,
-                 tracer=NULL_TRACER):
+                 target_kind: HypervisorKind = HypervisorKind.KVM):
         self.node_spec = node_spec
         self.cost = cost_model
         self.target_kind = target_kind
-        self.tracer = tracer
         self.pipelines = TransplantPipelines(
             node_spec=node_spec, cost=cost_model)
 
@@ -87,48 +84,16 @@ class PlanExecutor:
         upgrade_s = 0.0
         per_group = []
         per_migration: List[Tuple[str, float]] = []
-        traced = self.tracer.enabled
-        now = 0.0
-        for index, group in enumerate(plan.groups):
-            group_start = now
+        for group in plan.groups:
             group_migration = 0.0
             for action in group.migrations:
-                stage_plan = self.migration_plan(action)
-                t = stage_plan.total_s
+                t = self.migration_time_s(action)
                 per_migration.append((action.vm_name, t))
-                if traced:
-                    self.tracer.add(Span(
-                        f"evacuate {action.vm_name}", "migration",
-                        now, now + t, track="cluster/migrations",
-                        args={"vm": action.vm_name},
-                    ))
-                    self.tracer.extend(stage_plan.spans(
-                        now, track=f"cluster/migrations/{action.vm_name}"))
-                now += t
                 group_migration += t
             # Hosts in a group reboot in parallel.
             group_upgrade = max(
                 (self.upgrade_time_s(a) for a in group.upgrades), default=0.0
             )
-            if traced:
-                for action in group.upgrades:
-                    stage_plan = self.upgrade_plan(action)
-                    t = stage_plan.total_s
-                    self.tracer.add(Span(
-                        f"upgrade {action.node_name}", "upgrade",
-                        now, now + t, track="cluster/upgrades",
-                        args={"vm_count": action.vm_count},
-                    ))
-                    self.tracer.extend(stage_plan.spans(
-                        now, track=f"cluster/upgrades/{action.node_name}"))
-            now += group_upgrade
-            if traced:
-                self.tracer.add(Span(
-                    f"group {index}", "plan",
-                    group_start, now, track="cluster",
-                    args={"migrations": len(group.migrations),
-                          "upgrades": len(group.upgrades)},
-                ))
             migration_s += group_migration
             upgrade_s += group_upgrade
             per_group.append(group_migration + group_upgrade)

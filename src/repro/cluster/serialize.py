@@ -16,7 +16,6 @@ from typing import Dict, Optional
 
 from repro.errors import PlanningError, StateFormatError
 from repro.io.frames import FrameReader, FrameWriter, Packer, StreamMeter, Unpacker
-from repro.obs import NULL_TRACER
 from repro.obs.metrics import MetricsRegistry
 from repro.cluster.model import WorkloadKind
 from repro.cluster.plan import (
@@ -116,49 +115,45 @@ def import_plan(text: str) -> ReconfigurationPlan:
 
 
 def encode_plan(plan: ReconfigurationPlan,
-                registry: Optional[MetricsRegistry] = None,
-                tracer=NULL_TRACER) -> bytes:
+                registry: Optional[MetricsRegistry] = None) -> bytes:
     """Pack a plan into one framed, CRC-checked, versioned binary blob."""
-    with tracer.span("plan.encode", "io"):
-        text = json.dumps(plan_to_dict(plan), sort_keys=True,
-                          separators=(",", ":"))
-        data = text.encode()
-        packer = Packer()
-        packer.u32(PLAN_BLOB_VERSION)
-        packer.u32(len(data)).raw(data)
-        writer = FrameWriter(StreamMeter("plan", registry))
-        writer.frame(PLAN_DOC_FRAME, packer.bytes())
-        return writer.finish()
+    text = json.dumps(plan_to_dict(plan), sort_keys=True,
+                      separators=(",", ":"))
+    data = text.encode()
+    packer = Packer()
+    packer.u32(PLAN_BLOB_VERSION)
+    packer.u32(len(data)).raw(data)
+    writer = FrameWriter(StreamMeter("plan", registry))
+    writer.frame(PLAN_DOC_FRAME, packer.bytes())
+    return writer.finish()
 
 
-def decode_plan(blob: bytes,
-                registry: Optional[MetricsRegistry] = None,
-                tracer=NULL_TRACER) -> ReconfigurationPlan:
+def decode_plan(blob: bytes, registry: Optional[MetricsRegistry] = None
+                ) -> ReconfigurationPlan:
     """Parse a plan blob; rejects corrupt, truncated or trailing bytes."""
-    with tracer.span("plan.decode", "io"):
-        try:
-            reader = FrameReader(blob, StreamMeter("plan", registry))
-            first = reader.read()
-            if first is None:
-                raise PlanningError("empty plan blob")
-            frame_type, payload = first
-            if frame_type != PLAN_DOC_FRAME:
-                raise PlanningError(f"unexpected plan frame type {frame_type}")
-            if reader.read() is not None:
-                raise PlanningError("multiple documents in plan blob")
-            reader.expect_end()
-            body = Unpacker(payload)
-            version = body.u32()
-            if version != PLAN_BLOB_VERSION:
-                raise PlanningError(
-                    f"unsupported plan blob version {version}")
-            text = body.raw(body.u32()).decode()
-            body.expect_end()
-        except PlanningError:
-            raise
-        except StateFormatError as exc:
-            raise PlanningError(f"corrupt plan blob: {exc}") from exc
-        return import_plan(text)
+    try:
+        reader = FrameReader(blob, StreamMeter("plan", registry))
+        first = reader.read()
+        if first is None:
+            raise PlanningError("empty plan blob")
+        frame_type, payload = first
+        if frame_type != PLAN_DOC_FRAME:
+            raise PlanningError(f"unexpected plan frame type {frame_type}")
+        if reader.read() is not None:
+            raise PlanningError("multiple documents in plan blob")
+        reader.expect_end()
+        body = Unpacker(payload)
+        version = body.u32()
+        if version != PLAN_BLOB_VERSION:
+            raise PlanningError(
+                f"unsupported plan blob version {version}")
+        text = body.raw(body.u32()).decode()
+        body.expect_end()
+    except PlanningError:
+        raise
+    except StateFormatError as exc:
+        raise PlanningError(f"corrupt plan blob: {exc}") from exc
+    return import_plan(text)
 
 
 def summarize_plan(plan: ReconfigurationPlan) -> str:

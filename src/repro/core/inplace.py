@@ -28,7 +28,6 @@ from repro.hw.machine import Machine
 from repro.hw.memory import PAGE_4K
 from repro.hypervisors import make_hypervisor
 from repro.hypervisors.base import Hypervisor, HypervisorKind
-from repro.obs import NULL_TRACER, Span
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
 from repro.core.kexec import load_kexec_image, micro_reboot
@@ -49,6 +48,8 @@ class InPlaceReport:
     source: str
     target: str
     vm_count: int
+    #: guest notification + device quiescing, before PRAM (pre-pause)
+    device_prepare_s: float = 0.0
     pram_s: float = 0.0
     translation_s: float = 0.0
     reboot_s: float = 0.0
@@ -88,8 +89,7 @@ class InPlaceTP:
                  registry: Optional[ConverterRegistry] = None,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
                  optimizations: OptimizationConfig = DEFAULT_OPTIMIZATIONS,
-                 failure_hook: Optional[Callable[[str], None]] = None,
-                 tracer=NULL_TRACER):
+                 failure_hook: Optional[Callable[[str], None]] = None):
         if machine.hypervisor is None:
             raise TransplantError(f"{machine.name} has no hypervisor to replace")
         if machine.hypervisor.kind is target_kind:
@@ -106,8 +106,6 @@ class InPlaceTP:
         # Test/chaos hook, invoked at each phase boundary with the phase
         # name; raising from it simulates a failure at that point.
         self.failure_hook = failure_hook
-        #: live span recording; NULL_TRACER costs nothing when untraced
-        self.tracer = tracer
         self.rolled_back = False
 
     def _checkpoint(self, phase: str) -> None:
@@ -170,8 +168,6 @@ class InPlaceTP:
             target=self.target_kind.value,
             vm_count=len(self.source.domains),
         )
-        self.tracer.bind_clock(now)
-        track = self.machine.name
         start = now()
 
         domains = sorted(self.source.domains.values(), key=lambda d: d.domid)
@@ -189,12 +185,11 @@ class InPlaceTP:
 
             # Pre-pause preparation: guest notification + device quiescing,
             # then PRAM construction.
-            device_prepare_s = sum(
+            report.device_prepare_s = sum(
                 plan_device_transplant(d.vm.devices).prepare_seconds
                 for d in domains
             )
-            with self.tracer.span("Device prepare", "prepare", track=track):
-                yield device_prepare_s
+            yield report.device_prepare_s
             self._checkpoint("prepare")
 
             pram = PRAMFilesystem(self.machine.memory)
@@ -216,8 +211,7 @@ class InPlaceTP:
                 self.machine, entry_counts, parallel=self.opts.parallel
             )
             if self.opts.prepare_ahead:
-                with self.tracer.span("PRAM", "prepare", track=track):
-                    yield report.pram_s  # guests still running
+                yield report.pram_s  # guests still running
             self._checkpoint("pram")
 
             # ❷ pause all guests.
@@ -227,8 +221,7 @@ class InPlaceTP:
             paused = True
             if not self.opts.prepare_ahead:
                 # Ablation: PRAM work lands inside the downtime window.
-                with self.tracer.span("PRAM", "downtime", track=track):
-                    yield report.pram_s
+                yield report.pram_s
             self._checkpoint("pause")
 
             # ❸ translate VM_i State -> UISR, store encoded docs in RAM.
@@ -253,8 +246,7 @@ class InPlaceTP:
             report.translation_s = self.cost.translate_phase_s(
                 self.machine, vm_shapes, parallel=self.opts.parallel
             )
-            with self.tracer.span("Translation", "downtime", track=track):
-                yield report.translation_s
+            yield report.translation_s
             self._checkpoint("store-uisr")
         except Exception as exc:
             self._abort(now(), vms, pram, uisr_frames, paused)
@@ -270,9 +262,7 @@ class InPlaceTP:
             self.machine, self.target_kind, total_entries
         )
         micro_reboot(self.machine, target, pram_pointer)
-        with self.tracer.span("Reboot", "downtime", track=track,
-                              args={"target": report.target}):
-            yield report.reboot_s
+        yield report.reboot_s
         network_ready_at = now() + self.machine.nic.init_s
         report.network_s = self.machine.nic.init_s
         self._checkpoint("reboot")
@@ -288,8 +278,7 @@ class InPlaceTP:
             self.machine, vm_shapes, parallel=self.opts.parallel,
             early_restoration=self.opts.early_restoration,
         )
-        with self.tracer.span("Restoration", "downtime", track=track):
-            yield report.restoration_s
+        yield report.restoration_s
         self._checkpoint("restore")
 
         # ❼ resume guests, free ephemeral state, bring the link back up.
@@ -302,20 +291,6 @@ class InPlaceTP:
         pram.teardown()
         yield max(0.0, network_ready_at - now())
         self.machine.nic.bring_up()
-        if self.tracer.enabled:
-            # Closed intervals known only after the fact: the NIC re-init
-            # overlapped restoration, the guests-paused window spans the
-            # whole downtime.
-            self.tracer.add(Span(
-                "NIC re-init", "network",
-                network_ready_at - report.network_s, network_ready_at,
-                track=f"{track}/nic",
-            ))
-            self.tracer.add(Span(
-                "VMs paused", "guest", pause_time, resume_time,
-                track=f"{track}/guests",
-                args={"vm_count": report.vm_count},
-            ))
 
         report.downtime_s = (
             report.translation_s + report.reboot_s + report.restoration_s

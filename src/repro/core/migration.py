@@ -26,7 +26,6 @@ from repro.guest.vm import VirtualMachine
 from repro.hw.machine import Machine
 from repro.hw.network import Fabric
 from repro.hypervisors.base import Domain, Hypervisor
-from repro.obs import NULL_TRACER, Span
 from repro.sim.clock import SimClock
 from repro.core import wire
 from repro.core.timings import DEFAULT_COST_MODEL, CostModel
@@ -108,8 +107,7 @@ class _MigrationBase:
     """Shared mechanics: plan rounds, move guest pages, account time."""
 
     def __init__(self, fabric: Fabric, source: Machine, destination: Machine,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
-                 tracer=NULL_TRACER):
+                 cost_model: CostModel = DEFAULT_COST_MODEL):
         if source is destination:
             raise MigrationError("source and destination must differ")
         if source.hypervisor is None or destination.hypervisor is None:
@@ -118,7 +116,6 @@ class _MigrationBase:
         self.source = source
         self.destination = destination
         self.cost = cost_model
-        self.tracer = tracer
         self.link = fabric.link_between(source, destination)
 
     def _check_migratable(self, vm: VirtualMachine) -> None:
@@ -220,41 +217,13 @@ class _MigrationBase:
     def _flow_rate(self, concurrent: int) -> float:
         return self.link.pipe.flow_rate(concurrent)
 
-    def _record_spans(self, report: "MigrationReport", start_s: float,
-                      pause_s: float, flavor: str) -> None:
-        """Record the migration's timeline (precomputed; costs nothing when
-        the tracer is the shared no-op)."""
-        if not self.tracer.enabled:
-            return
-        track = report.vm_name
-        self.tracer.add(Span(
-            f"{flavor} {report.vm_name}", "migration",
-            start_s, start_s + report.total_s, track=track,
-            args={"source": report.source,
-                  "destination": report.destination},
-        ))
-        t = start_s + self.cost.migration_setup_s
-        for round_ in report.rounds:
-            self.tracer.add(Span(
-                f"pre-copy round {round_.index}", "precopy",
-                t, t + round_.duration_s, track=track,
-                args={"bytes": round_.bytes_sent},
-            ))
-            t += round_.duration_s
-        self.tracer.add(Span(
-            "stop-and-copy", "downtime",
-            pause_s, pause_s + report.downtime_s, track=track,
-        ))
-
 
 class LiveMigration(_MigrationBase):
     """Homogeneous live migration (the Xen->Xen baseline of Table 4)."""
 
     def __init__(self, fabric: Fabric, source: Machine, destination: Machine,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
-                 tracer=NULL_TRACER):
-        super().__init__(fabric, source, destination, cost_model,
-                         tracer=tracer)
+                 cost_model: CostModel = DEFAULT_COST_MODEL):
+        super().__init__(fabric, source, destination, cost_model)
         if source.hypervisor.kind is not destination.hypervisor.kind:
             raise MigrationError(
                 "LiveMigration requires homogeneous hypervisors; "
@@ -297,7 +266,7 @@ class LiveMigration(_MigrationBase):
         report.bytes_transferred = sum(r.bytes_sent for r in rounds)
 
         # The pre-copy rounds travel the wire protocol.
-        stream = wire.MigrationStream(tracer=self.tracer)
+        stream = wire.MigrationStream()
         residual_gfns = self._stream_precopy(vm, rounds, stream,
                                              guest_writes_rng)
         clock.advance(report.precopy_s)
@@ -350,7 +319,6 @@ class LiveMigration(_MigrationBase):
         vm.resume(clock.now)
 
         report.total_s = clock.now - start
-        self._record_spans(report, start, pause_time, "live migration")
         report.guest_digest_preserved = (
             vm.image.content_digest() == final_digest
         )
@@ -366,10 +334,8 @@ class MigrationTP(_MigrationBase):
 
     def __init__(self, fabric: Fabric, source: Machine, destination: Machine,
                  registry: Optional[ConverterRegistry] = None,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
-                 tracer=NULL_TRACER):
-        super().__init__(fabric, source, destination, cost_model,
-                         tracer=tracer)
+                 cost_model: CostModel = DEFAULT_COST_MODEL):
+        super().__init__(fabric, source, destination, cost_model)
         if source.hypervisor.kind is destination.hypervisor.kind:
             raise MigrationError(
                 "MigrationTP expects heterogeneous hypervisors; "
@@ -429,7 +395,7 @@ class MigrationTP(_MigrationBase):
 
         # The pre-copy rounds travel the wire protocol; guest pages are
         # hypervisor-independent and never translated (§3.3).
-        stream = wire.MigrationStream(tracer=self.tracer)
+        stream = wire.MigrationStream()
         residual_gfns = self._stream_precopy(vm, rounds, stream,
                                              guest_writes_rng)
         clock.advance(report.precopy_s)
@@ -490,7 +456,6 @@ class MigrationTP(_MigrationBase):
         vm.resume(clock.now)
 
         report.total_s = clock.now - start
-        self._record_spans(report, start, pause_time, "MigrationTP")
         report.guest_digest_preserved = (
             vm.image.content_digest() == final_digest
         )

@@ -34,7 +34,6 @@ from repro.io.pages import (
     pack_entry_record,
     unpack_entry_record,
 )
-from repro.obs import NULL_TRACER
 from repro.obs.metrics import MetricsRegistry
 
 # Byte budget per metadata page and record sizes.
@@ -235,8 +234,7 @@ class PRAMFilesystem:
     # -- serialization (what early boot parses) ----------------------------------
 
     def encode(self, include_contents: bool = False,
-               registry: Optional[MetricsRegistry] = None,
-               tracer=NULL_TRACER) -> bytes:
+               registry: Optional[MetricsRegistry] = None) -> bytes:
         """Byte-exact encoding of the metadata pages (what early boot parses).
 
         One ``repro.io`` framed stream: a header frame, one FILE frame per
@@ -246,40 +244,38 @@ class PRAMFilesystem:
         page-batch encoder, so the restored guest can be verified against
         what was sealed (stats land in :attr:`last_encode_stats`).
         """
-        with tracer.span("pram.encode", "io"):
-            meter = StreamMeter("pram", registry)
-            writer = FrameWriter(meter)
-            header = Packer().u32(len(self.files)).u8(
-                1 if include_contents else 0)
-            writer.frame(_FRAME_HEADER, header.bytes())
-            pages_encoder = PageStreamEncoder(meter) if include_contents else None
-            self.last_encode_stats = None
-            for name in sorted(self.files):
-                pram_file = self.files[name]
-                encoded_name = name.encode()
-                packer = Packer()
-                packer.u16(len(encoded_name)).raw(encoded_name)
-                packer.u32(pram_file.page_size)
-                packer.u32(pram_file.mode)
-                packer.raw(encode_entry_records(
-                    (e.gfn, e.mfn, e.order) for e in pram_file.entries))
-                writer.frame(_FRAME_FILE, packer.bytes())
-                if pages_encoder is not None:
-                    records = [(gfn, self.memory.read(mfn))
-                               for gfn, mfn
-                               in sorted(pram_file.guest_layout.items())]
-                    contents = Packer()
-                    contents.u16(len(encoded_name)).raw(encoded_name)
-                    contents.raw(pages_encoder.encode_batch(records))
-                    writer.frame(_FRAME_CONTENTS, contents.bytes())
+        meter = StreamMeter("pram", registry)
+        writer = FrameWriter(meter)
+        header = Packer().u32(len(self.files)).u8(
+            1 if include_contents else 0)
+        writer.frame(_FRAME_HEADER, header.bytes())
+        pages_encoder = PageStreamEncoder(meter) if include_contents else None
+        self.last_encode_stats = None
+        for name in sorted(self.files):
+            pram_file = self.files[name]
+            encoded_name = name.encode()
+            packer = Packer()
+            packer.u16(len(encoded_name)).raw(encoded_name)
+            packer.u32(pram_file.page_size)
+            packer.u32(pram_file.mode)
+            packer.raw(encode_entry_records(
+                (e.gfn, e.mfn, e.order) for e in pram_file.entries))
+            writer.frame(_FRAME_FILE, packer.bytes())
             if pages_encoder is not None:
-                self.last_encode_stats = pages_encoder.stats
-            return writer.finish()
+                records = [(gfn, self.memory.read(mfn))
+                           for gfn, mfn
+                           in sorted(pram_file.guest_layout.items())]
+                contents = Packer()
+                contents.u16(len(encoded_name)).raw(encoded_name)
+                contents.raw(pages_encoder.encode_batch(records))
+                writer.frame(_FRAME_CONTENTS, contents.bytes())
+        if pages_encoder is not None:
+            self.last_encode_stats = pages_encoder.stats
+        return writer.finish()
 
     @staticmethod
     def decode(blob: bytes, memory: PhysicalMemory,
-               registry: Optional[MetricsRegistry] = None,
-               tracer=NULL_TRACER) -> "PRAMFilesystem":
+               registry: Optional[MetricsRegistry] = None) -> "PRAMFilesystem":
         """Rebuild a PRAM view from its encoding (target's early boot).
 
         When the stream carries CONTENTS frames, every recorded page
@@ -287,13 +283,12 @@ class PRAMFilesystem:
         scribbled over during the kexec fails loudly instead of restoring
         a silently-wrong guest.
         """
-        with tracer.span("pram.decode", "io"):
-            try:
-                return PRAMFilesystem._decode_frames(blob, memory, registry)
-            except PRAMError:
-                raise
-            except StateFormatError as exc:
-                raise PRAMError(f"corrupt PRAM encoding: {exc}") from exc
+        try:
+            return PRAMFilesystem._decode_frames(blob, memory, registry)
+        except PRAMError:
+            raise
+        except StateFormatError as exc:
+            raise PRAMError(f"corrupt PRAM encoding: {exc}") from exc
 
     @staticmethod
     def _decode_frames(blob: bytes, memory: PhysicalMemory,

@@ -21,7 +21,6 @@ from repro.errors import TransplantError
 from repro.hw.machine import CLUSTER_NODE_SPEC, Machine, MachineSpec
 from repro.hw.network import Fabric
 from repro.hypervisors.base import HypervisorKind
-from repro.obs import NULL_TRACER
 from repro.sim.clock import SimClock
 from repro.core.inplace import InPlaceReport, InPlaceTP
 from repro.core.migration import MigrationReport, MigrationTP
@@ -68,12 +67,10 @@ class HyperTP:
 
     def __init__(self, registry: Optional[ConverterRegistry] = None,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
-                 optimizations: OptimizationConfig = DEFAULT_OPTIMIZATIONS,
-                 tracer=NULL_TRACER):
+                 optimizations: OptimizationConfig = DEFAULT_OPTIMIZATIONS):
         self.registry = registry or default_registry()
         self.cost = cost_model
         self.opts = optimizations
-        self.tracer = tracer
 
     # -- the two mechanisms --------------------------------------------------
 
@@ -83,7 +80,6 @@ class HyperTP:
         transplant = InPlaceTP(
             machine, target_kind, registry=self.registry,
             cost_model=self.cost, optimizations=self.opts,
-            tracer=self.tracer,
         )
         return transplant.run(clock or SimClock())
 
@@ -93,7 +89,7 @@ class HyperTP:
         """MigrationTP: move one VM to a host running a different hypervisor."""
         migrator = MigrationTP(
             fabric, source, destination, registry=self.registry,
-            cost_model=self.cost, tracer=self.tracer,
+            cost_model=self.cost,
         )
         return migrator.migrate(domain, clock or SimClock(),
                                 dirty_rate_bytes_s=dirty_rate_bytes_s)
@@ -138,8 +134,7 @@ class HyperTP:
                 )
             migrator = MigrationTP(fabric, machine, spare,
                                    registry=self.registry,
-                                   cost_model=self.cost,
-                                   tracer=self.tracer)
+                                   cost_model=self.cost)
             for domain in incompatible:
                 report.migrated.append(migrator.migrate(domain, clock))
 

@@ -27,7 +27,6 @@ from repro.guest.devices import (
 )
 from repro.guest.vcpu import SegmentDescriptor, VCPUState
 from repro.io.frames import FrameReader, FrameWriter, Packer, StreamMeter, Unpacker
-from repro.obs import NULL_TRACER
 from repro.obs.metrics import MetricsRegistry
 from repro.core.uisr.format import (
     UISRDeviceState,
@@ -223,30 +222,28 @@ def _unpack_memory_map(unpacker: Unpacker) -> UISRMemoryMap:
 
 
 def encode_uisr(state: UISRVMState,
-                registry: Optional[MetricsRegistry] = None,
-                tracer=NULL_TRACER) -> bytes:
+                registry: Optional[MetricsRegistry] = None) -> bytes:
     """Serialize a UISR document to one framed, CRC-checked stream."""
-    with tracer.span("uisr.encode", "io"):
-        packer = Packer()
-        packer.u32(UISR_MAGIC).u32(state.version)
-        _pack_str(packer, state.vm_name)
-        packer.u32(state.vcpu_count)
-        packer.u64(state.memory_bytes)
-        _pack_str(packer, state.source_hypervisor)
-        packer.u32(len(state.vcpus))
-        for record in state.vcpus:
-            _pack_vcpu(packer, record.vcpu)
-        _pack_platform(packer, state.platform.platform)
-        _pack_memory_map(packer, state.memory_map)
-        packer.u32(len(state.devices))
-        for device in state.devices:
-            _pack_str(packer, device.name)
-            _pack_str(packer, device.device_class)
-            _pack_str(packer, device.strategy)
-            packer.u32(len(device.payload)).raw(device.payload)
-        writer = FrameWriter(StreamMeter("uisr", registry))
-        writer.frame(UISR_DOC_FRAME, packer.bytes())
-        return writer.finish()
+    packer = Packer()
+    packer.u32(UISR_MAGIC).u32(state.version)
+    _pack_str(packer, state.vm_name)
+    packer.u32(state.vcpu_count)
+    packer.u64(state.memory_bytes)
+    _pack_str(packer, state.source_hypervisor)
+    packer.u32(len(state.vcpus))
+    for record in state.vcpus:
+        _pack_vcpu(packer, record.vcpu)
+    _pack_platform(packer, state.platform.platform)
+    _pack_memory_map(packer, state.memory_map)
+    packer.u32(len(state.devices))
+    for device in state.devices:
+        _pack_str(packer, device.name)
+        _pack_str(packer, device.device_class)
+        _pack_str(packer, device.strategy)
+        packer.u32(len(device.payload)).raw(device.payload)
+    writer = FrameWriter(StreamMeter("uisr", registry))
+    writer.frame(UISR_DOC_FRAME, packer.bytes())
+    return writer.finish()
 
 
 def _unwrap_envelope(blob: bytes,
@@ -271,11 +268,9 @@ def _unwrap_envelope(blob: bytes,
 
 
 def decode_uisr(blob: bytes,
-                registry: Optional[MetricsRegistry] = None,
-                tracer=NULL_TRACER) -> UISRVMState:
+                registry: Optional[MetricsRegistry] = None) -> UISRVMState:
     """Parse a UISR document from its framed encoding."""
-    with tracer.span("uisr.decode", "io"):
-        body = _unwrap_envelope(blob, registry)
+    body = _unwrap_envelope(blob, registry)
     unpacker = Unpacker(body)
     magic = unpacker.u32()
     if magic != UISR_MAGIC:

@@ -31,7 +31,6 @@ from repro.io.frames import (
     encode_frame,
 )
 from repro.io.pages import DedupStats, PageStreamDecoder, PageStreamEncoder
-from repro.obs import NULL_TRACER
 from repro.obs.metrics import MetricsRegistry
 
 WIRE_VERSION = 1
@@ -217,15 +216,13 @@ class MigrationStream:
     (and with it the dedup savings) spans every batch the stream carries.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 tracer=NULL_TRACER):
+    def __init__(self, registry: Optional[MetricsRegistry] = None):
         self._buffer = bytearray()
         self.bytes_sent = 0
         self.messages_sent = 0
         self.meter = StreamMeter("wire", registry)
         self._encoder = WireEncoder(self.meter)
         self._decoder = WireDecoder(self.meter)
-        self._tracer = tracer
 
     @property
     def page_stats(self) -> DedupStats:
@@ -233,11 +230,10 @@ class MigrationStream:
         return self._encoder.page_stats
 
     def send(self, message: Message) -> int:
-        with self._tracer.span("wire.send", "io"):
-            frame = self._encoder.encode(message)
-            self._buffer.extend(frame)
-            self.bytes_sent += len(frame)
-            self.messages_sent += 1
+        frame = self._encoder.encode(message)
+        self._buffer.extend(frame)
+        self.bytes_sent += len(frame)
+        self.messages_sent += 1
         return len(frame)
 
     def receive_all(self) -> Iterator[Message]:
@@ -246,8 +242,7 @@ class MigrationStream:
         self._buffer.clear()
         offset = 0
         while offset < len(view):
-            with self._tracer.span("wire.receive", "io"):
-                message, consumed = self._decoder.decode(view, offset)
+            message, consumed = self._decoder.decode(view, offset)
             offset += consumed
             yield message
 

@@ -52,7 +52,7 @@ from repro.fleet.metrics import FleetMetrics, collect_metrics
 from repro.fleet.state import FleetTrace, HostRecord, HostState
 from repro.hw.machine import CLUSTER_NODE_SPEC, Machine, MachineSpec
 from repro.hypervisors.base import HypervisorKind
-from repro.obs import NULL_TRACER, MetricsRegistry, trace_fleet
+from repro.obs import MetricsRegistry, Trace, trace_fleet
 from repro.sim.clock import SimClock
 from repro.sim.engine import (
     Engine,
@@ -197,7 +197,6 @@ class FleetController:
                  retry: Optional[RetryPolicy] = None,
                  node_spec: MachineSpec = CLUSTER_NODE_SPEC,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
-                 tracer=NULL_TRACER,
                  registry: Optional[MetricsRegistry] = None,
                  journal=None):
         self.config = config = config if config is not None else FleetConfig()
@@ -205,7 +204,6 @@ class FleetController:
         self.injector = injector if injector is not None else FailureInjector()
         self.retry = retry if retry is not None else RetryPolicy()
         self.cost = cost_model
-        self.tracer = tracer
         self.registry = registry
         # Any object with transition/wave_barrier/checkpoint/commit methods,
         # normally a repro.journal.CampaignJournal.  Duck-typed so the fleet
@@ -247,6 +245,9 @@ class FleetController:
         #: the hypervisor each host actually runs after the campaign — a
         #: rolled-back host stays on the (vulnerable) source hypervisor
         self.host_hypervisor: Dict[str, str] = {}
+        #: when the last host reached a terminal state; None until run()
+        #: has finished the campaign
+        self.completed_at_s: Optional[float] = None
 
     # -- campaign setup ------------------------------------------------------
 
@@ -332,7 +333,6 @@ class FleetController:
 
         engine = Engine(SimClock(cfg.disclosure_at_s))
         self._engine = engine
-        self.tracer.bind_clock(lambda: engine.now)
         self.trace = FleetTrace(journal=self.journal)
         self._ledger = _SlotLedger(engine, initial_free)
         self._link = FifoSemaphore(engine, cfg.migration_streams)
@@ -428,16 +428,7 @@ class FleetController:
             (t.time_s for t in self.trace.transitions if t.target.terminal),
             default=cfg.disclosure_at_s,
         )
-        if self.tracer.enabled:
-            # One campaign -> one trace: turn the (deterministic) transition
-            # log into per-host state spans nested under wave envelopes.
-            self.tracer.extend(trace_fleet(
-                self.trace.transitions,
-                host_waves={hp.name: hp.wave for hp in host_plans},
-                start_s=cfg.disclosure_at_s,
-                end_s=completed,
-                campaign=f"campaign {cfg.trigger_cve}",
-            ))
+        self.completed_at_s = completed
         metrics = collect_metrics(
             [self.records[name] for name in sorted(self.records)],
             self.trace,
@@ -465,6 +456,24 @@ class FleetController:
             self.journal.commit(completed,
                                 self._state_digest(self._host_states()))
         return metrics
+
+    def timeline(self) -> Trace:
+        """The span timeline of the campaign :meth:`run` finished.
+
+        One campaign -> one trace: the (deterministic) transition log
+        becomes per-host state spans nested under wave envelopes, with
+        the campaign and per-wave spans on the ``fleet`` track.
+        """
+        if self.completed_at_s is None:
+            raise FleetError("timeline() needs a campaign run() finished")
+        cfg = self.config
+        return trace_fleet(
+            self.trace.transitions,
+            host_waves={hp.name: hp.wave for hp in self.host_plans},
+            start_s=cfg.disclosure_at_s,
+            end_s=self.completed_at_s,
+            campaign=f"campaign {cfg.trigger_cve}",
+        )
 
     @staticmethod
     def _run_engine(engine: Engine, processes: List[Process]) -> None:

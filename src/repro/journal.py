@@ -49,7 +49,6 @@ reaches the file — the hook the kill-at-every-record resume tests and the
 CI smoke job drive.
 """
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -61,7 +60,6 @@ from repro.io.frames import (
     decode_frame,
     encode_frame,
 )
-from repro.obs import NULL_TRACER, Span
 from repro.obs.metrics import MetricsRegistry
 
 JOURNAL_FORMAT = "hypertp-journal"
@@ -299,14 +297,9 @@ def dump_records(path: str) -> List[Dict]:
     """Decode every valid record of a journal file (debugging/tests)."""
     scan = read_journal(path)
     return [
-        {"type": FRAME_NAMES[frame_type], **_as_dict(frame_type, payload)}
+        {"type": FRAME_NAMES[frame_type], **decode_record(frame_type, payload)}
         for frame_type, payload in scan.records
     ]
-
-
-def _as_dict(frame_type: int, payload: bytes) -> Dict:
-    record = decode_record(frame_type, payload)
-    return record if isinstance(record, dict) else {"meta": record}
 
 
 # -- the journal --------------------------------------------------------------
@@ -337,7 +330,6 @@ class CampaignJournal:
                  complete: bool = False,
                  torn_bytes: int = 0, torn_error: Optional[str] = None,
                  registry: Optional[MetricsRegistry] = None,
-                 tracer=NULL_TRACER,
                  crash_after: Optional[int] = None):
         self.path = path
         self._handle = handle
@@ -354,12 +346,9 @@ class CampaignJournal:
         self.records_replayed = 0
         self.bytes_appended = 0
         self._crash_after = crash_after
-        self._tracer = tracer
         self._packer = Packer()  # reused per record; see encode_transition
         #: transitions queued in append mode, materialized at group commit
         self._pending: List[Tuple] = []
-        self._replay_t0: Optional[float] = None
-        self._replay_horizon_s: Optional[float] = None
         self._m_records = self._m_bytes = self._m_replayed = None
         if registry is not None:
             self._m_records = registry.counter(
@@ -378,7 +367,6 @@ class CampaignJournal:
     @classmethod
     def create(cls, path: str, meta: Dict, *,
                registry: Optional[MetricsRegistry] = None,
-               tracer=NULL_TRACER,
                crash_after: Optional[int] = None) -> "CampaignJournal":
         """Start a fresh journal: truncate ``path``, write CAMPAIGN_META."""
         meta = dict(meta)
@@ -386,7 +374,7 @@ class CampaignJournal:
         meta.setdefault("version", JOURNAL_VERSION)
         decode_meta(encode_meta(meta))  # validate before the first write
         handle = open(path, "wb")
-        journal = cls(path, handle, meta, registry=registry, tracer=tracer,
+        journal = cls(path, handle, meta, registry=registry,
                       crash_after=crash_after)
         # META is record 0; appended records claim seqs from 1 (__init__).
         journal._append(CAMPAIGN_META_FRAME, encode_meta(meta))
@@ -395,7 +383,6 @@ class CampaignJournal:
     @classmethod
     def resume(cls, path: str, *,
                registry: Optional[MetricsRegistry] = None,
-               tracer=NULL_TRACER,
                crash_after: Optional[int] = None) -> "CampaignJournal":
         """Reopen a crashed (or finished) journal for verified replay.
 
@@ -424,7 +411,7 @@ class CampaignJournal:
         return cls(path, handle, meta, replay=scan.records[1:],
                    complete=scan.complete,
                    torn_bytes=scan.torn_bytes, torn_error=scan.torn_error,
-                   registry=registry, tracer=tracer, crash_after=crash_after)
+                   registry=registry, crash_after=crash_after)
 
     # -- status --------------------------------------------------------------
 
@@ -467,7 +454,7 @@ class CampaignJournal:
             payload = encode_transition(self._next_seq(), time_s, host,
                                         source, target, reason,
                                         into=self._packer)
-            self._record(HOST_TRANSITION_FRAME, payload, time_s)
+            self._record(HOST_TRANSITION_FRAME, payload)
             return
         self._check_open(HOST_TRANSITION_FRAME)
         self._pending.append((self._next_seq(), time_s, host, source,
@@ -480,7 +467,7 @@ class CampaignJournal:
         transitions reach the OS here.
         """
         payload = encode_barrier(self._next_seq(), time_s, wave, kind)
-        self._record(WAVE_BARRIER_FRAME, payload, time_s)
+        self._record(WAVE_BARRIER_FRAME, payload)
         self._flush()
 
     def checkpoint(self, time_s: float, digest: bytes, done_hosts: int,
@@ -488,7 +475,7 @@ class CampaignJournal:
         """Journal a state digest; replay cross-checks it byte-for-byte."""
         payload = encode_checkpoint(self._next_seq(), time_s, digest,
                                     done_hosts, migrations_executed)
-        self._record(CHECKPOINT_FRAME, payload, time_s)
+        self._record(CHECKPOINT_FRAME, payload)
         self._flush()
 
     def commit(self, completed_at_s: float, digest: bytes) -> None:
@@ -500,7 +487,7 @@ class CampaignJournal:
         journaled COMMIT promises fails closed here.
         """
         payload = encode_commit(self._next_seq(), completed_at_s, digest)
-        self._record(COMMIT_FRAME, payload, completed_at_s)
+        self._record(COMMIT_FRAME, payload)
         if not self._complete:
             end = encode_frame(0, b"")
             self._handle.write(end)
@@ -533,28 +520,6 @@ class CampaignJournal:
         self.close()
         return False
 
-    # -- recovery reporting ---------------------------------------------------
-
-    def recovery_spans(self) -> List[Span]:
-        """Spans describing the verified-replay window (``journal`` track).
-
-        Kept out of the campaign tracer on purpose: the resumed trace
-        artifact must stay byte-identical to the uninterrupted one.
-        """
-        if self._replay_t0 is None or self._replay_horizon_s is None:
-            return []
-        return [Span(
-            name="journal.recover",
-            category="journal",
-            start_s=self._replay_t0,
-            end_s=self._replay_horizon_s,
-            track="journal",
-            args={
-                "records_replayed": self.records_replayed,
-                "torn_bytes": self.torn_bytes,
-            },
-        )]
-
     # -- internals ------------------------------------------------------------
 
     def _next_seq(self) -> int:
@@ -577,17 +542,15 @@ class CampaignJournal:
                 f"{FRAME_NAMES.get(frame_type, frame_type)}"
             )
 
-    def _record(self, frame_type: int, payload: bytes,
-                time_s: float) -> None:
+    def _record(self, frame_type: int, payload: bytes) -> None:
         self._check_open(frame_type)
         if self.replaying:
-            self._verify(frame_type, payload, time_s)
+            self._verify(frame_type, payload)
         else:
             self._flush_pending()
             self._append(frame_type, payload)
 
-    def _verify(self, frame_type: int, payload: bytes,
-                time_s: float) -> None:
+    def _verify(self, frame_type: int, payload: bytes) -> None:
         expected_type, expected_payload = self._replay[self._cursor]
         if frame_type != expected_type or payload != expected_payload:
             raise JournalDivergence(
@@ -602,12 +565,6 @@ class CampaignJournal:
         self.records_replayed += 1
         if self._m_replayed is not None:
             self._m_replayed.inc()
-        if self._replay_t0 is None:
-            self._replay_t0 = time_s
-            self._replay_horizon_s = time_s
-        else:
-            self._replay_t0 = min(self._replay_t0, time_s)
-            self._replay_horizon_s = max(self._replay_horizon_s, time_s)
 
     def _flush(self) -> None:
         """Push buffered appends to the OS (the group-commit point)."""
@@ -726,15 +683,7 @@ def campaign_meta(config, injector, retry) -> Dict:
     return meta
 
 
-def state_digest(document: Dict) -> bytes:
-    """SHA-256 over a canonical JSON rendering of a state document."""
-    return hashlib.sha256(
-        json.dumps(document, sort_keys=True).encode("utf-8")
-    ).digest()
-
-
 def recover(path: str, *, registry: Optional[MetricsRegistry] = None,
-            tracer=NULL_TRACER, journal_registry=None,
             crash_after: Optional[int] = None):
     """Rebuild a campaign controller from a journal.
 
@@ -743,15 +692,15 @@ def recover(path: str, *, registry: Optional[MetricsRegistry] = None,
     seed, retry policy) with the journal attached in replay mode —
     ``controller.run()`` replays the journaled prefix under byte
     verification, then continues the campaign, appending new records.
-    ``tracer``/``registry`` attach to the controller exactly as on an
-    uninterrupted run; ``journal_registry`` receives the ``journal_*``
-    operational metrics.
+    ``registry`` attaches to the controller exactly as on an
+    uninterrupted run, and also receives the journal's ``journal_*``
+    operational metrics (records, bytes, replayed records, torn bytes).
     """
     from repro.fleet.controller import FleetConfig, FleetController
     from repro.fleet.failures import FailureInjector, FailurePhase, RetryPolicy
 
-    journal = CampaignJournal.resume(path, registry=journal_registry,
-                                     tracer=tracer, crash_after=crash_after)
+    journal = CampaignJournal.resume(path, registry=registry,
+                                     crash_after=crash_after)
     meta = journal.meta
     try:
         config_kwargs = dict(meta["config"])
@@ -770,8 +719,7 @@ def recover(path: str, *, registry: Optional[MetricsRegistry] = None,
             f"campaign: {exc!r}"
         ) from exc
     controller = FleetController(config, injector=injector, retry=retry,
-                                 tracer=tracer, registry=registry,
-                                 journal=journal)
+                                 registry=registry, journal=journal)
     return controller, journal
 
 
@@ -791,6 +739,5 @@ __all__ = [
     "dump_records",
     "decode_record",
     "campaign_meta",
-    "state_digest",
     "recover",
 ]

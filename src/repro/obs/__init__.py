@@ -1,4 +1,4 @@
-"""Unified observability layer: tracing and metrics for every subsystem.
+"""Unified observability layer: traces and metrics for every subsystem.
 
 The paper's claims are all *windows measured on a timeline* — Fig. 6 phase
 breakdowns, Fig. 11/12 workload dips, the fleet disclosure->remediated
@@ -7,20 +7,20 @@ window — so the reproduction gets one first-class observability layer:
 * :mod:`trace` — the :class:`Span`/:class:`Trace` data model and the
   Perfetto/Chrome trace-event exporter (stable integer pids/tids,
   ``process_name``/``thread_name`` metadata, deterministic bytes);
-* :mod:`tracer` — the sim-clock-sourced :class:`Tracer` with a
-  context-manager/decorator span API, and the zero-cost
-  :data:`NULL_TRACER` every instrumented component defaults to;
+* :mod:`builders` — the one way a timeline is made: pure builders that
+  turn a finished run's records into a :class:`Trace` —
+  :func:`trace_inplace` and :func:`trace_migration` from reports,
+  :func:`trace_fleet` from a campaign's transition log,
+  :func:`trace_sentinel` from a feed replay's CVE and campaign records;
 * :mod:`metrics` — :class:`Counter`/:class:`Gauge`/:class:`Histogram`
   instruments in a :class:`MetricsRegistry` with deterministic sorted-key
-  JSON snapshots;
-* :mod:`builders` — span-timeline builders for finished reports
-  (:func:`trace_inplace`, :func:`trace_migration`) and fleet transition
-  logs (:func:`trace_fleet`).
+  JSON snapshots.
+
+A run never records spans as it goes: it keeps its numbers, and a trace
+is built from them after the run, only when one is asked for.
 
 ``repro.obs`` is the only module allowed to format trace timestamps — a
-``repro lint`` rule (``trace-format-hygiene``) enforces it, alongside
-``span-hygiene`` (spans may only be opened via ``with``, so every opened
-span closes).
+``repro lint`` rule (``trace-format-hygiene``) enforces it.
 """
 
 from repro.obs.builders import (
@@ -37,15 +37,10 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.trace import Span, Trace
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer, traced
 
 __all__ = [
     "Span",
     "Trace",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "traced",
     "Counter",
     "Gauge",
     "Histogram",

@@ -1,10 +1,11 @@
 """Span-timeline builders for report and transition-log objects.
 
 Builders turn finished result objects — an :class:`InPlaceReport`, a
-:class:`MigrationReport`, a fleet transition log — into :class:`Trace`
-objects after the fact.  They complement the live :class:`Tracer` spans:
-builders reconstruct a timeline from a report's numbers (useful when the
-run was not traced), live spans record it as it happens.
+:class:`MigrationReport`, a fleet transition log, a sentinel run's CVE
+and campaign records — into :class:`Trace` objects after the fact.  They
+are the only way a timeline is made: a run records its numbers, and a
+trace is built from them only when one is asked for, so an untraced run
+pays nothing.
 """
 
 from typing import Dict, List, Optional, Tuple
@@ -15,12 +16,17 @@ from repro.obs.trace import Span, Trace
 def trace_inplace(report, start_s: float = 0.0) -> Trace:
     """Build the span timeline of one InPlaceTP run from its report.
 
-    Matches the run's phase ordering: PRAM (pre-pause), then the downtime
-    window (Translation -> Reboot -> Restoration), with the NIC re-init
-    overlapping restoration on its own track.
+    Matches the run's phase ordering: device prepare and PRAM (pre-pause),
+    then the downtime window (Translation -> Reboot -> Restoration), with
+    the NIC re-init overlapping restoration on its own track.  The device
+    prepare span appears only when quiescing devices took time.
     """
     trace = Trace()
     t = start_s
+    if report.device_prepare_s > 0:
+        trace.add(Span("Device prepare", "prepare",
+                       t, t + report.device_prepare_s, track=report.machine))
+        t += report.device_prepare_s
     trace.add(Span("PRAM", "prepare", t, t + report.pram_s,
                    track=report.machine))
     t += report.pram_s
@@ -44,18 +50,29 @@ def trace_inplace(report, start_s: float = 0.0) -> Trace:
 
 
 def trace_migration(report, start_s: float = 0.0) -> Trace:
-    """Build the span timeline of one migration from its report."""
+    """Build the span timeline of one migration from its report.
+
+    An outer span covers the whole migration; the pre-copy rounds start
+    once the connection is set up (``precopy_s`` less the rounds), and
+    the stop-and-copy starts when pre-copy ends.
+    """
     trace = Trace()
-    t = start_s
+    track = report.vm_name
+    flavor = "MigrationTP" if report.heterogeneous else "live migration"
+    trace.add(Span(f"{flavor} {track}", "migration",
+                   start_s, start_s + report.total_s, track=track,
+                   args={"source": report.source,
+                         "destination": report.destination}))
+    rounds_s = sum(r.duration_s for r in report.rounds)
+    t = start_s + (report.precopy_s - rounds_s)
     for round_ in report.rounds:
         trace.add(Span(f"pre-copy round {round_.index}", "precopy",
-                       t, t + round_.duration_s,
-                       track=report.vm_name,
+                       t, t + round_.duration_s, track=track,
                        args={"bytes": round_.bytes_sent}))
         t += round_.duration_s
-    trace.add(Span("stop-and-copy", "downtime", t, t + report.downtime_s,
-                   track=report.vm_name,
-                   args={"destination": report.destination}))
+    pause_s = start_s + report.precopy_s
+    trace.add(Span("stop-and-copy", "downtime",
+                   pause_s, pause_s + report.downtime_s, track=track))
     return trace
 
 

@@ -67,73 +67,31 @@ class Counter:
         return {"kind": self.kind, "help": self.help, "value": self._value}
 
 
-class UpdateSequencer:
-    """A monotonic stamp source shared by a registry's gauges.
-
-    Gauges are point-in-time values, so merging shard snapshots needs to
-    know *which shard wrote last*, not which value is largest.  Every
-    gauge update draws the next stamp; the stamp lands in the gauge's
-    snapshot and :func:`repro.par.shard.merge_snapshots` keeps the value
-    with the highest one.  Shards that partition one logical timeline
-    pass disjoint ``start`` offsets (see ``MetricsRegistry(seq_start=)``)
-    so cross-shard updates stay ordered.
-    """
-
-    def __init__(self, start: int = 0):
-        if start < 0:
-            raise ObservabilityError(
-                f"sequencer start must be >= 0, got {start}"
-            )
-        self._last = int(start)
-
-    def next(self) -> int:
-        self._last += 1
-        return self._last
-
-
 class Gauge:
-    """A value that can go up and down.
-
-    Each update stamps the gauge with the next value from its
-    ``sequencer`` (a private one when constructed standalone), recorded
-    in snapshots as ``seq`` — the last-writer tiebreaker shard merging
-    needs for values that legitimately decrease.
-    """
+    """A value that can go up and down."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "",
-                 sequencer: Optional[UpdateSequencer] = None):
+    def __init__(self, name: str, help: str = ""):
         self.name = _check_name(name)
         self.help = help
         self._value = 0.0
-        self._sequencer = sequencer or UpdateSequencer()
-        self._seq = 0
 
     @property
     def value(self) -> float:
         return self._value
 
-    @property
-    def seq(self) -> int:
-        """Stamp of the last update (0 = never updated)."""
-        return self._seq
-
     def set(self, value: Union[int, float]) -> None:
         self._value = float(value)
-        self._seq = self._sequencer.next()
 
     def inc(self, amount: Union[int, float] = 1.0) -> None:
         self._value += float(amount)
-        self._seq = self._sequencer.next()
 
     def dec(self, amount: Union[int, float] = 1.0) -> None:
         self._value -= float(amount)
-        self._seq = self._sequencer.next()
 
     def snapshot(self) -> Dict[str, object]:
-        return {"kind": self.kind, "help": self.help, "value": self._value,
-                "seq": self._seq}
+        return {"kind": self.kind, "help": self.help, "value": self._value}
 
 
 class Histogram:
@@ -210,22 +168,15 @@ class Histogram:
 
 
 SNAPSHOT_FORMAT = "hypertp-metrics"
-#: version 2 added ``seq`` (last-update stamp) to gauge snapshots
-SNAPSHOT_VERSION = 2
+#: version 3: gauges carry no ``seq`` stamp (version 2 snapshots had one)
+SNAPSHOT_VERSION = 3
 
 
 class MetricsRegistry:
-    """Named instruments with get-or-create semantics and JSON snapshots.
+    """Named instruments with get-or-create semantics and JSON snapshots."""
 
-    ``seq_start`` offsets the registry's gauge-update sequencer; shards
-    that partition one logical run give each shard a disjoint range
-    (e.g. ``shard_index * 10**9``) so merged gauges resolve to the true
-    latest writer rather than the largest value.
-    """
-
-    def __init__(self, seq_start: int = 0):
+    def __init__(self):
         self._metrics: Dict[str, Union[Counter, Gauge, Histogram]] = {}
-        self._sequencer = UpdateSequencer(seq_start)
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -253,9 +204,7 @@ class MetricsRegistry:
         return self._register(name, Counter, lambda: Counter(name, help))
 
     def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._register(
-            name, Gauge, lambda: Gauge(name, help, self._sequencer)
-        )
+        return self._register(name, Gauge, lambda: Gauge(name, help))
 
     def histogram(self, name: str, help: str = "",
                   buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.hypervisors.base import HypervisorKind
-from repro.obs import NULL_TRACER
 from repro.sim.clock import SimClock
 from repro.vulndb.advisor import TransplantAdvice, TransplantAdvisor
 from repro.orchestrator.nova import HostUpgradeResult, NovaCompute
@@ -39,11 +38,9 @@ class FleetUpgradeReport:
 class DatacenterAPI:
     """Entry point an operator (or a pager automation) calls."""
 
-    def __init__(self, nova: NovaCompute, advisor: TransplantAdvisor,
-                 tracer=NULL_TRACER):
+    def __init__(self, nova: NovaCompute, advisor: TransplantAdvisor):
         self.nova = nova
         self.advisor = advisor
-        self.tracer = tracer
 
     def respond_to_cve(self, cve_id: str,
                        open_cves: Sequence[str] = (),
@@ -79,21 +76,13 @@ class DatacenterAPI:
         target = HypervisorKind(advice.recommended_target)
 
         report = FleetUpgradeReport(trigger_cve=cve_id, advice=advice)
-        self.tracer.bind_clock(lambda: clock.now)
-        with self.tracer.span(f"respond_to_cve {cve_id}", "orchestrator",
-                              track="orchestrator",
-                              args={"target": target.value}):
-            for host in sorted(self.nova.database):
-                record = self.nova.database[host]
-                if not trigger.affects(record.hypervisor_type):
-                    continue
-                with self.tracer.span(f"host_live_upgrade {host}",
-                                      "orchestrator",
-                                      track=f"orchestrator/{host}"):
-                    report.per_host[host] = self.nova.host_live_upgrade(
-                        host, target, clock=clock,
-                        evacuation_host=evacuation_host,
-                    )
+        for host in sorted(self.nova.database):
+            record = self.nova.database[host]
+            if not trigger.affects(record.hypervisor_type):
+                continue
+            report.per_host[host] = self.nova.host_live_upgrade(
+                host, target, clock=clock, evacuation_host=evacuation_host,
+            )
         report.total_s = clock.now - start
         return report
 

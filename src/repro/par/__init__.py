@@ -2,15 +2,15 @@
 
 Fleet campaigns and benchmark sweeps are embarrassingly parallel (every
 cell is an independent seeded simulation), but parallelism is only
-admissible here if it is *invisible in the output*: the merged artifact
-must be byte-identical for any worker count and any completion order,
-and ``workers=1`` must be exactly the serial path.  The subsystem:
+admissible here if it is *invisible in the output*: the artifact must
+be byte-identical for any worker count and any completion order, and
+``workers=1`` must be exactly the serial path.  The subsystem:
 
 * :mod:`pool` — spawn-based :class:`WorkerPool` whose task/result
   protocol rides the :mod:`repro.io` frame codec over pipes, with
   per-task timeouts, crash detection, bounded retry and inline fallback;
 * :mod:`shard` — :func:`derive_seed` (stable per-shard seeds) and the
-  order-independent mergers for metrics snapshots and trace spans;
+  plain-dict span payloads a run's trace crosses the pipe as;
 * :mod:`runner` — :class:`ParallelRunner` (order-preserving map) and the
   fleet-campaign worker entrypoint;
 * :mod:`realtime` — the subsystem's one audited wall-clock boundary.
@@ -43,11 +43,10 @@ _EXPORTS = {
     "sentinel_task": "repro.par.runner",
     "run_sentinel": "repro.par.runner",
     "derive_seed": "repro.par.shard",
-    "merge_snapshots": "repro.par.shard",
-    "merge_traces": "repro.par.shard",
     "span_to_payload": "repro.par.shard",
     "span_from_payload": "repro.par.shard",
     "spans_to_payload": "repro.par.shard",
+    "trace_from_payload": "repro.par.shard",
 }
 
 
@@ -82,9 +81,8 @@ __all__ = [
     "sentinel_task",
     "run_sentinel",
     "derive_seed",
-    "merge_snapshots",
-    "merge_traces",
     "span_to_payload",
     "span_from_payload",
     "spans_to_payload",
+    "trace_from_payload",
 ]

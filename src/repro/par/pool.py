@@ -52,12 +52,11 @@ RESULT_FRAME = 0x22
 ERROR_FRAME = 0x23
 
 #: types that must never ride inside a task payload: they carry live
-#: simulation state (clocks, engines, open traces) that cannot survive a
-#: process boundary and would silently desynchronize the run.
+#: simulation state (clocks, engines) that cannot survive a process
+#: boundary and would silently desynchronize the run.
 _FORBIDDEN_PAYLOAD_TYPES = (
     ("repro.sim.clock", "SimClock"),
     ("repro.sim.engine", "Engine"),
-    ("repro.obs.tracer", "Tracer"),
 )
 
 
@@ -143,9 +142,9 @@ def check_payload(payload: Any, _context: str = "payload") -> None:
     """Reject payloads that capture live simulation objects.
 
     Walks plain containers (dict/list/tuple/set); anything carrying a
-    ``SimClock``, ``Engine`` or live ``Tracer`` is refused — those objects
-    hold per-process state (event queues, open spans, bound clocks) that a
-    spawn boundary would quietly reset, making the shard diverge from the
+    ``SimClock`` or ``Engine`` is refused — those objects hold
+    per-process state (event queues, clock positions) that a spawn
+    boundary would quietly reset, making the shard diverge from the
     serial run instead of failing loudly.
     """
     forbidden = []

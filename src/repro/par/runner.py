@@ -73,7 +73,7 @@ def fleet_campaign_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     * ``fail_rate`` — failure-injection probability (default 0.0);
     * ``injector_seed`` — injector RNG seed (default: the config seed);
     * ``max_retries`` — per-host retry budget (default: policy default);
-    * ``trace`` — collect spans and return them as payloads;
+    * ``trace`` — return the campaign's timeline as span payloads;
     * ``metrics`` — publish into a registry and return its snapshot;
     * ``journal`` — write-ahead journal the campaign to this path;
     * ``resume`` — recover the campaign journaled at this path and run it
@@ -82,13 +82,15 @@ def fleet_campaign_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     * ``crash_after`` — fault injection with ``journal``/``resume``: raise
       :class:`~repro.errors.JournalCrash` right after that many records.
 
-    Everything live — clock, engine, tracer, registry, journal — is
-    constructed here, inside the executing process; only seeds, paths
-    and plain data cross the pipe.  The returned ``document`` is exactly
-    ``FleetMetrics.to_dict()``, so serial and parallel runs serialize to
-    identical bytes.  A resumed run also returns ``resumed``: the records
-    it verified, the torn tail it discarded, and the journaled ``config``
-    and ``fail_rate``.
+    Everything live — clock, engine, registry, journal — is constructed
+    here, inside the executing process; only seeds, paths and plain data
+    cross the pipe.  The registry, when asked for, also receives the
+    journal's ``journal_*`` metrics, and the trace is built from the
+    finished campaign (:meth:`FleetController.timeline`).  The returned
+    ``document`` is exactly ``FleetMetrics.to_dict()``, so serial and
+    parallel runs serialize to identical bytes.  A resumed run also
+    returns ``resumed``: the records it verified, the torn tail it
+    discarded, and the journaled ``config`` and ``fail_rate``.
     """
     from repro.fleet import (
         FailureInjector,
@@ -96,23 +98,16 @@ def fleet_campaign_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         FleetController,
         RetryPolicy,
     )
-    from repro.obs import MetricsRegistry, Tracer
+    from repro.obs import MetricsRegistry
     from repro.par.shard import spans_to_payload
 
-    tracer = Tracer() if payload.get("trace") else None
     registry = MetricsRegistry() if payload.get("metrics") else None
-    kwargs: Dict[str, Any] = {}
-    if tracer is not None:
-        kwargs["tracer"] = tracer
-    if registry is not None:
-        kwargs["registry"] = registry
     resumed = None
     if payload.get("resume"):
         from repro.journal import recover
 
-        controller, journal = recover(payload["resume"],
-                                      crash_after=payload.get("crash_after"),
-                                      **kwargs)
+        controller, journal = recover(payload["resume"], registry=registry,
+                                      crash_after=payload.get("crash_after"))
         resumed = {
             "replayed": journal.pending_replay,
             "torn_bytes": journal.torn_bytes,
@@ -131,22 +126,23 @@ def fleet_campaign_task(payload: Dict[str, Any]) -> Dict[str, Any]:
             retry = RetryPolicy(max_retries=payload["max_retries"])
         else:
             retry = RetryPolicy()
+        journal = None
         if payload.get("journal"):
             from repro.journal import CampaignJournal, campaign_meta
 
-            kwargs["journal"] = CampaignJournal.create(
+            journal = CampaignJournal.create(
                 payload["journal"], campaign_meta(config, injector, retry),
-                crash_after=payload.get("crash_after"),
+                registry=registry, crash_after=payload.get("crash_after"),
             )
         controller = FleetController(config, injector=injector, retry=retry,
-                                     **kwargs)
+                                     registry=registry, journal=journal)
     metrics = controller.run()
 
     result: Dict[str, Any] = {"document": metrics.to_dict()}
     # Sorted plain dicts: serializes identically from any worker.
     result["mechanism_mix"] = controller.mechanism_mix()
-    if tracer is not None:
-        result["spans"] = spans_to_payload(tracer.trace)
+    if payload.get("trace"):
+        result["spans"] = spans_to_payload(controller.timeline())
     if registry is not None:
         result["registry"] = registry.snapshot()
     if resumed is not None:
@@ -168,34 +164,30 @@ def sentinel_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     * ``journal_dir`` — write-ahead journal every launched campaign into
       this directory (created if missing).
 
-    Same discipline as :func:`fleet_campaign_task`: clock, engine,
-    tracer and registry are built here, in the executing process; the
-    returned ``document`` is exactly ``SentinelReport.to_dict()``, so
-    serial and parallel runs serialize to identical bytes.
+    Same discipline as :func:`fleet_campaign_task`: clock, engine and
+    registry are built here, in the executing process, and the trace
+    from the finished run (:meth:`Sentinel.timeline`); the returned
+    ``document`` is exactly ``SentinelReport.to_dict()``, so serial and
+    parallel runs serialize to identical bytes.
     """
-    from repro.obs import MetricsRegistry, Tracer
+    from repro.obs import MetricsRegistry
     from repro.par.shard import spans_to_payload
     from repro.sentinel import Sentinel, SentinelConfig
 
     config = SentinelConfig.from_payload(payload.get("config", {}))
-    tracer = Tracer() if payload.get("trace") else None
     registry = MetricsRegistry() if payload.get("metrics") else None
-
-    kwargs: Dict[str, Any] = {}
-    if tracer is not None:
-        kwargs["tracer"] = tracer
-    if registry is not None:
-        kwargs["registry"] = registry
-    if payload.get("journal_dir"):
+    journal_dir = payload.get("journal_dir")
+    if journal_dir:
         import os
 
-        os.makedirs(payload["journal_dir"], exist_ok=True)
-        kwargs["journal_dir"] = payload["journal_dir"]
-    report = Sentinel(config, **kwargs).run()
+        os.makedirs(journal_dir, exist_ok=True)
+    sentinel = Sentinel(config, registry=registry,
+                        journal_dir=journal_dir or None)
+    report = sentinel.run()
 
     result: Dict[str, Any] = {"document": report.to_dict()}
-    if tracer is not None:
-        result["spans"] = spans_to_payload(tracer.trace)
+    if payload.get("trace"):
+        result["spans"] = spans_to_payload(sentinel.timeline())
     if registry is not None:
         result["registry"] = registry.snapshot()
     return result

@@ -1,6 +1,4 @@
-"""Deterministic sharding and order-independent result merging.
-
-Two obligations make parallel runs trustworthy:
+"""Deterministic shard seeds and the span payloads that cross the pipe.
 
 * **Seed derivation** — every shard's randomness comes from
   :func:`derive_seed`, a pure function of the root seed and the shard's
@@ -8,24 +6,17 @@ Two obligations make parallel runs trustworthy:
   draws the same random stream whether it runs first, last, inline or in
   a subprocess.
 
-* **Order-independent merging** — shard outputs come back in completion
-  order, which is nondeterministic; the merge functions here are written
-  so the merged artifact is byte-identical regardless.  Counters sum,
-  gauges max (both commutative), histogram buckets sum after the bounds
-  are checked for identity, and traces are rebuilt from sorted shard
-  labels so the exporter's stable pid/tid remap sees the same track set
-  every run.
-
-All inputs are the plain-dict *snapshots* of registries and spans — not
-the live objects — because that is what crosses the worker pipe.
+* **Span payloads** — a worker returns its run's timeline as plain dicts
+  (:func:`spans_to_payload`), never as live objects, and the caller
+  rebuilds the :class:`~repro.obs.Trace` from them
+  (:func:`trace_from_payload`).  The exporter assigns pids/tids from
+  sorted track names, so the rebuilt trace exports to the same bytes as
+  the run's own.
 """
 
 import hashlib
-from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List
 
-from repro.errors import ParError
-from repro.obs.metrics import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
 from repro.obs.trace import Span, Trace
 
 
@@ -42,98 +33,6 @@ def derive_seed(root_seed: int, *parts) -> int:
         digest.update(b"\x1f")
         digest.update(repr(part).encode("utf-8"))
     return int.from_bytes(digest.digest()[:8], "big") >> 1
-
-
-# -- metrics snapshots --------------------------------------------------------
-
-
-def merge_snapshots(snapshots: Sequence[Dict[str, object]]
-                    ) -> Dict[str, object]:
-    """Merge per-shard :meth:`MetricsRegistry.snapshot` dicts into one.
-
-    Counters sum and histograms sum bucket-wise (both commutative and
-    associative, so completion order cannot leak into the result); gauges
-    resolve to the **latest writer** — the snapshot whose ``seq`` stamp
-    (see :class:`repro.obs.metrics.UpdateSequencer`) is highest, with the
-    larger value breaking stamp ties.  Taking a lexicographic max of
-    ``(seq, value)`` keeps the reduction commutative and associative
-    while staying correct for gauges that legitimately decrease (an
-    in-flight count ending at 0 must merge to 0, not its peak).  Metrics
-    present in only some shards merge with the rest absent-as-zero.
-    Shards that registered the *same* histogram with different bucket
-    bounds are a configuration bug and raise :class:`ParError`.
-    """
-    merged: Dict[str, Dict[str, object]] = {}
-    for snapshot in snapshots:
-        if snapshot.get("format") != SNAPSHOT_FORMAT:
-            raise ParError(
-                f"cannot merge metrics snapshot with format "
-                f"{snapshot.get('format')!r}; want {SNAPSHOT_FORMAT!r}"
-            )
-        for name, metric in snapshot.get("metrics", {}).items():
-            existing = merged.get(name)
-            if existing is None:
-                merged[name] = _copy_metric(metric)
-            else:
-                _merge_metric(name, existing, metric)
-    return {
-        "format": SNAPSHOT_FORMAT,
-        "version": SNAPSHOT_VERSION,
-        "metrics": {name: merged[name] for name in sorted(merged)},
-    }
-
-
-def _copy_metric(metric: Dict[str, object]) -> Dict[str, object]:
-    copy = dict(metric)
-    if metric.get("kind") == "histogram":
-        copy["buckets"] = [dict(bucket) for bucket in metric["buckets"]]
-    return copy
-
-
-def _merge_metric(name: str, into: Dict[str, object],
-                  metric: Dict[str, object]) -> None:
-    kind = metric.get("kind")
-    if kind != into.get("kind"):
-        raise ParError(
-            f"metric {name!r} has kind {kind!r} in one shard and "
-            f"{into.get('kind')!r} in another"
-        )
-    if kind == "counter":
-        into["value"] = into["value"] + metric["value"]
-    elif kind == "gauge":
-        # Latest writer wins; snapshots predating the seq stamp sort as 0.
-        challenger = (metric.get("seq", 0), metric["value"])
-        if challenger > (into.get("seq", 0), into["value"]):
-            into["seq"], into["value"] = challenger
-    elif kind == "histogram":
-        _merge_histogram(name, into, metric)
-    else:
-        raise ParError(f"metric {name!r} has unknown kind {kind!r}")
-
-
-def _merge_histogram(name: str, into: Dict[str, object],
-                     metric: Dict[str, object]) -> None:
-    bounds_a = [bucket["le"] for bucket in into["buckets"]]
-    bounds_b = [bucket["le"] for bucket in metric["buckets"]]
-    if bounds_a != bounds_b:
-        raise ParError(
-            f"histogram {name!r} has different bucket bounds across "
-            f"shards: {bounds_a} vs {bounds_b}"
-        )
-    for target, source in zip(into["buckets"], metric["buckets"]):
-        target["count"] += source["count"]
-    into["count"] = into["count"] + metric["count"]
-    into["sum"] = into["sum"] + metric["sum"]
-    into["min"] = _merge_extreme(into["min"], metric["min"], min)
-    into["max"] = _merge_extreme(into["max"], metric["max"], max)
-
-
-def _merge_extreme(a: Optional[float], b: Optional[float], pick):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return pick(a, b)
 
 
 # -- trace spans --------------------------------------------------------------
@@ -167,27 +66,9 @@ def spans_to_payload(spans: Iterable[Span]) -> List[Dict[str, object]]:
     return [span_to_payload(span) for span in spans]
 
 
-def merge_traces(shards: Sequence[Tuple[str, Iterable[Dict[str, object]]]],
-                 prefix: bool = True) -> Trace:
-    """One campaign trace out of per-shard span payloads.
-
-    ``shards`` pairs each shard's stable label with its span payloads.
-    With ``prefix=True`` (sweeps) every track is namespaced under its
-    shard label so cells don't collide; with ``prefix=False`` (a single
-    campaign routed through the pool) spans merge verbatim, reproducing
-    the inline trace byte-for-byte.  Shards are processed in sorted-label
-    order and the exporter assigns pids/tids from sorted track names, so
-    the output is identical for any completion order.
-    """
+def trace_from_payload(payloads: Iterable[Dict[str, object]]) -> Trace:
+    """Rebuild one run's trace from its span payloads, verbatim."""
     trace = Trace()
-    seen = set()
-    for label, payloads in sorted(shards, key=lambda pair: pair[0]):
-        if label in seen:
-            raise ParError(f"duplicate shard label {label!r} in trace merge")
-        seen.add(label)
-        for payload in payloads:
-            span = span_from_payload(payload)
-            if prefix:
-                span = replace(span, track=f"{label}/{span.track}")
-            trace.add(span)
+    for payload in payloads:
+        trace.add(span_from_payload(payload))
     return trace

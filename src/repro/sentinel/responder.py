@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.model import NODE_CAPACITY_VMS
 from repro.errors import SentinelError
-from repro.obs import NULL_TRACER, MetricsRegistry
+from repro.obs import MetricsRegistry, Trace, trace_sentinel
 from repro.sentinel.feedstream import (
     DisclosureEvent,
     FeedSchedule,
@@ -176,12 +176,10 @@ class Sentinel:
 
     def __init__(self, config: Optional[SentinelConfig] = None,
                  db: Optional[VulnerabilityDatabase] = None,
-                 tracer=NULL_TRACER,
                  registry: Optional[MetricsRegistry] = None,
                  journal_dir: Optional[str] = None):
         self.config = config if config is not None else SentinelConfig()
         self.db = db if db is not None else load_default_database()
-        self.tracer = tracer
         self.registry = registry
         self.journal_dir = journal_dir
         self.policy = ResponsePolicy(self.config.policy, self.db,
@@ -221,7 +219,6 @@ class Sentinel:
         self._events = build_feed(self.db, self.config.feed)
         engine = Engine(SimClock(self.config.feed.start_s))
         self._engine = engine
-        self.tracer.bind_clock(lambda: engine.now)
         for event in self._events:
             engine.call_at(event.time_s,
                            self._disclosure_handler(event))
@@ -243,15 +240,18 @@ class Sentinel:
             completed_at_s=engine.now,
             registry=self.registry,
         )
-        if self.tracer.enabled:
-            from repro.obs import trace_sentinel
-
-            self.tracer.extend(trace_sentinel(
-                [s for c, s in sorted(self.states.items())],
-                self.campaigns,
-                end_s=engine.now,
-            ))
         return report
+
+    def timeline(self) -> Trace:
+        """The response-plane span timeline of the replay :meth:`run`
+        finished: one track per CVE window and per campaign."""
+        if self._engine is None:
+            raise SentinelError("timeline() needs a replay run() finished")
+        return trace_sentinel(
+            [s for c, s in sorted(self.states.items())],
+            self.campaigns,
+            end_s=self._engine.now,
+        )
 
     # ------------------------------------------------------------------
     # disclosure handling

@@ -515,7 +515,6 @@ class TestEngineAndReporters:
             "par-payload-hygiene",
             "registry-completeness",
             "sim-clock-hygiene",
-            "span-hygiene",
             "state-machine-conformance",
             "sync-lock-order",
             "sync-protocol",
@@ -674,52 +673,6 @@ def test_uisr_coverage_rule_sees_live_converters(live_project):
              for name in top_level_functions(module.tree)]
     assert any(name.startswith(uisr_coverage.TO_PREFIX) for name in names)
     assert any(name.startswith(uisr_coverage.FROM_PREFIX) for name in names)
-
-
-# -- span-hygiene -------------------------------------------------------------
-
-class TestSpanHygiene:
-    def test_span_outside_with_flagged(self):
-        findings, _ = analyze(
-            {
-                "core/x.py": textwrap.dedent(
-                    """
-                    def work(tracer):
-                        cm = tracer.span("phase", "cat")
-                        cm.__enter__()
-                    """
-                ),
-            },
-            rules=["span-hygiene"],
-        )
-        assert len(findings) == 1
-        assert findings[0].path == "core/x.py"
-        assert findings[0].line == 3
-        assert "with" in findings[0].message
-
-    def test_with_span_is_clean(self):
-        findings, _ = analyze(
-            {
-                "core/x.py": textwrap.dedent(
-                    """
-                    def work(tracer):
-                        with tracer.span("phase", "cat"):
-                            pass
-                        with tracer.span("a") as a, tracer.span("b"):
-                            pass
-                    """
-                ),
-            },
-            rules=["span-hygiene"],
-        )
-        assert findings == []
-
-    def test_obs_layer_is_exempt(self):
-        findings, _ = analyze(
-            {"obs/tracer.py": "def f(t):\n    t.span('x')\n"},
-            rules=["span-hygiene"],
-        )
-        assert findings == []
 
 
 # -- trace-format-hygiene ------------------------------------------------------

@@ -133,7 +133,7 @@ class TestFleetWindowBench:
             [0.0, 0.01, 0.05, 0.0, 0.0, 0.0]
         assert [entry["mechanism"] for entry in entries] == \
             ["hybrid"] * 3 + ["inplace", "migration", "auto"]
-        for result, entry in zip(results, entries):
+        for result, entry in zip(results, entries, strict=True):
             assert entry["done_hosts"] + entry["rolled_back_hosts"] == 10
             assert result["wall_s"] >= 0
             assert "wall_s" not in entry  # volatile values stay out

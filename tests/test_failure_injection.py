@@ -43,7 +43,7 @@ class TestInPlaceRollback:
         assert transplant.rolled_back
         # Still Xen, VMs running, memory intact, nothing pinned or staged.
         assert machine.hypervisor.kind is HypervisorKind.XEN
-        for vm, digest in zip(vms, digests):
+        for vm, digest in zip(vms, digests, strict=True):
             assert vm.state is VMState.RUNNING
             assert vm.image.content_digest() == digest
         assert not machine.memory.pinned_frames()

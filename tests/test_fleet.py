@@ -604,44 +604,42 @@ class TestPercentileExactness:
 
 class TestCampaignObservability:
     def run_observed(self, **overrides):
-        from repro.obs import MetricsRegistry, Tracer
+        from repro.obs import MetricsRegistry
 
         defaults = dict(hosts=6, vms_per_host=4, inplace_fraction=0.5,
                         group_size=2, seed=11)
         defaults.update(overrides)
         config = FleetConfig(**defaults)
-        tracer = Tracer()
         registry = MetricsRegistry()
         controller = FleetController(
             config,
             injector=FailureInjector(0.0, seed=config.seed),
-            tracer=tracer, registry=registry,
+            registry=registry,
         )
         metrics = controller.run()
-        return tracer, registry, metrics
+        return controller.timeline(), registry, metrics
 
     def test_one_track_per_host_plus_fleet(self):
-        tracer, _, metrics = self.run_observed()
-        tracks = tracer.trace.tracks()
+        trace, _, metrics = self.run_observed()
+        tracks = trace.tracks()
         host_tracks = [t for t in tracks if t.startswith("node")]
         assert len(host_tracks) == metrics.hosts
         assert "fleet" in tracks
 
     def test_host_spans_nest_inside_wave_envelope(self):
-        tracer, _, _ = self.run_observed()
-        for track in tracer.trace.tracks():
+        trace, _, _ = self.run_observed()
+        for track in trace.tracks():
             if not track.startswith("node"):
                 continue
-            spans = [s for s in tracer.trace.spans if s.track == track]
+            spans = [s for s in trace.spans if s.track == track]
             wave = next(s for s in spans if s.category == "wave")
             for span in spans:
                 assert wave.start_s <= span.start_s
                 assert span.end_s <= wave.end_s
 
     def test_campaign_span_covers_fleet_window(self):
-        tracer, _, metrics = self.run_observed()
-        campaign = next(s for s in tracer.trace.spans
-                        if s.category == "campaign")
+        trace, _, metrics = self.run_observed()
+        campaign = next(s for s in trace.spans if s.category == "campaign")
         assert campaign.duration_s == pytest.approx(
             metrics.completed_at_s - metrics.disclosure_at_s
         )

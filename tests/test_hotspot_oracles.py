@@ -380,7 +380,7 @@ def _fields(record):
     if dataclasses.is_dataclass(record):
         return tuple((f.name, getattr(record, f.name))
                      for f in dataclasses.fields(record))
-    return tuple(zip(record._fields, record))
+    return tuple(zip(record._fields, record, strict=True))
 
 
 def _snapshot(cluster):

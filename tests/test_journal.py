@@ -59,23 +59,20 @@ def campaign_parts(**overrides):
     return config, injector, retry
 
 
-def controller_for(journal=None, tracer=None, **overrides):
+def controller_for(journal=None, **overrides):
     config, injector, retry = campaign_parts(**overrides)
-    kwargs = {"injector": injector, "retry": retry, "journal": journal}
-    if tracer is not None:
-        kwargs["tracer"] = tracer
-    return FleetController(config, **kwargs)
+    return FleetController(config, injector=injector, retry=retry,
+                           journal=journal)
 
 
 def journaled_reference(path):
     """One uninterrupted journaled run: (doc, chrome trace, file bytes)."""
-    from repro.obs import Tracer
-
-    tracer = Tracer()
     journal = CampaignJournal.create(
         str(path), campaign_meta(*campaign_parts()))
-    doc = controller_for(journal=journal, tracer=tracer).run().to_json()
-    return doc, tracer.trace.to_chrome_trace(), path.read_bytes(), journal
+    controller = controller_for(journal=journal)
+    doc = controller.run().to_json()
+    trace = controller.timeline().to_chrome_trace()
+    return doc, trace, path.read_bytes(), journal
 
 
 def record_offsets(data):
@@ -156,8 +153,6 @@ class TestRecordCodecs:
 
 class TestCrashResumeEveryRecord:
     def test_resume_at_every_record_is_byte_identical(self, tmp_path):
-        from repro.obs import Tracer
-
         ref_doc, ref_trace, ref_bytes, ref_journal = journaled_reference(
             tmp_path / "ref.journal")
         total = ref_journal.records_appended
@@ -176,11 +171,10 @@ class TestCrashResumeEveryRecord:
             # the file holds exactly the records the crash let through
             assert len(read_journal(str(path)).records) == crash_at
 
-            tracer = Tracer()
-            controller, resumed = recover(str(path), tracer=tracer)
+            controller, resumed = recover(str(path))
             doc = controller.run().to_json()
             assert doc == ref_doc, f"metrics diverged at crash {crash_at}"
-            assert tracer.trace.to_chrome_trace() == ref_trace, \
+            assert controller.timeline().to_chrome_trace() == ref_trace, \
                 f"trace diverged at crash {crash_at}"
             assert path.read_bytes() == ref_bytes, \
                 f"journal file diverged at crash {crash_at}"
@@ -423,21 +417,6 @@ class TestJournalLifecycle:
         seqs = [r["seq"] for r in records[1:]]
         assert seqs == list(range(1, len(records)))
 
-    def test_recovery_spans_cover_the_replay_window(self, tmp_path):
-        path = tmp_path / "j.journal"
-        with pytest.raises(JournalCrash):
-            journal = CampaignJournal.create(
-                str(path), campaign_meta(*campaign_parts()),
-                crash_after=30)
-            controller_for(journal=journal).run()
-        controller, journal = recover(str(path))
-        assert journal.recovery_spans() == []  # nothing replayed yet
-        controller.run()
-        (span,) = journal.recovery_spans()
-        assert span.track == "journal"
-        assert span.args["records_replayed"] == 29
-        assert span.start_s <= span.end_s
-
     def test_journal_metrics_count_appends_and_replays(self, tmp_path):
         from repro.obs.metrics import MetricsRegistry
 
@@ -451,13 +430,14 @@ class TestJournalLifecycle:
         metrics = registry.snapshot()["metrics"]
         assert metrics["journal_records_total"]["value"] == 30
 
+        # One registry serves the recovered controller and its journal.
         recovered = MetricsRegistry()
-        controller, journal = recover(str(path),
-                                      journal_registry=recovered)
+        controller, journal = recover(str(path), registry=recovered)
         controller.run()
         metrics = recovered.snapshot()["metrics"]
         assert metrics["journal_replayed_records_total"]["value"] == 29
         assert metrics["journal_torn_bytes_total"]["value"] == 0
+        assert metrics["fleet_hosts_done_total"]["value"] > 0
 
 
 # -- CLI surface ---------------------------------------------------------------
@@ -516,6 +496,34 @@ class TestJournalCli:
         err = capsys.readouterr().err
         assert "torn tail — discarded 3 trailing byte(s)" in err
         assert "verifying 19 journaled record(s)" in err
+
+    def test_journaled_metrics_snapshot_counts_the_journal(self, tmp_path,
+                                                          capsys):
+        journal = tmp_path / "c.journal"
+        snapshot = tmp_path / "m.json"
+        assert self.fleet("--journal", str(journal),
+                          "--metrics", str(snapshot)) == 0
+        metrics = json.loads(snapshot.read_text())["metrics"]
+        records = len(read_journal(str(journal)).records)
+        assert metrics["journal_records_total"]["value"] == records
+        assert metrics["journal_bytes_total"]["value"] == \
+            journal.stat().st_size
+        assert "fleet_hosts_done_total" in metrics
+
+    def test_resumed_metrics_snapshot_reports_a_torn_tail(self, tmp_path,
+                                                         capsys):
+        journal = tmp_path / "c.journal"
+        snapshot = tmp_path / "m.json"
+        assert self.fleet("--journal", str(journal),
+                          "--crash-after", "20") == 3
+        data = journal.read_bytes()
+        journal.write_bytes(data[:-5])  # cut the last record mid-frame
+        assert self.fleet("--resume", str(journal),
+                          "--metrics", str(snapshot)) == 0
+        metrics = json.loads(snapshot.read_text())["metrics"]
+        assert metrics["journal_torn_bytes_total"]["value"] > 0
+        # META and the torn 20th record are not replayed
+        assert metrics["journal_replayed_records_total"]["value"] == 18
 
     def test_flag_validation(self, tmp_path, capsys):
         journal = str(tmp_path / "c.journal")

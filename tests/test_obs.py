@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.hw.machine import M1_SPEC
 from repro.hypervisors.base import HypervisorKind
 from repro.obs import (
     DEFAULT_BUCKETS,
@@ -13,141 +12,8 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
     trace_fleet,
-    traced,
 )
-from repro.sim.clock import SimClock
-
-
-class FakeClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def now(self):
-        return self.t
-
-
-# -- live tracer --------------------------------------------------------------
-
-class TestTracer:
-    def test_span_records_clock_window(self):
-        clock = FakeClock()
-        tracer = Tracer(now=clock.now)
-        with tracer.span("phase", "cat", track="h1", args={"k": 2}):
-            clock.t = 3.5
-        (span,) = tracer.trace.spans
-        assert span.name == "phase"
-        assert span.start_s == 0.0 and span.end_s == 3.5
-        assert span.track == "h1" and span.args == {"k": 2}
-
-    def test_span_closes_on_exception(self):
-        clock = FakeClock()
-        tracer = Tracer(now=clock.now)
-        with pytest.raises(ValueError):
-            with tracer.span("phase", "cat"):
-                clock.t = 1.0
-                raise ValueError("boom")
-        assert tracer.open_spans == []
-        assert tracer.trace.spans[0].end_s == 1.0
-
-    def test_span_works_across_generator_yields(self):
-        clock = FakeClock()
-        tracer = Tracer(now=clock.now)
-
-        def phases():
-            with tracer.span("slow", "cat"):
-                yield 2.0
-            yield 1.0
-
-        gen = phases()
-        next(gen)          # span opened at t=0, generator parked
-        clock.t = 2.0      # the "engine" advances time
-        next(gen)          # resume: with block exits, span closes at t=2
-        (span,) = tracer.trace.spans
-        assert span.start_s == 0.0 and span.end_s == 2.0
-
-    def test_bind_clock_switches_time_source(self):
-        tracer = Tracer()
-        clock = SimClock(10.0)
-        tracer.bind_clock(lambda: clock.now)
-        with tracer.span("x", "c"):
-            clock.advance(5.0)
-        (span,) = tracer.trace.spans
-        assert span.start_s == 10.0 and span.end_s == 15.0
-
-    def test_export_refuses_open_spans(self):
-        tracer = Tracer()
-        cm = tracer.span("dangling", "cat", track="h1")
-        cm.__enter__()
-        with pytest.raises(ObservabilityError, match="dangling"):
-            tracer.to_chrome_trace()
-        cm.__exit__(None, None, None)
-        json.loads(tracer.to_chrome_trace())  # now exports fine
-
-    def test_nested_spans(self):
-        clock = FakeClock()
-        tracer = Tracer(now=clock.now)
-        with tracer.span("outer", "c"):
-            clock.t = 1.0
-            with tracer.span("inner", "c"):
-                clock.t = 2.0
-            assert len(tracer.open_spans) == 1
-            clock.t = 3.0
-        names = {s.name: s for s in tracer.trace.spans}
-        assert names["inner"].start_s == 1.0 and names["inner"].end_s == 2.0
-        assert names["outer"].start_s == 0.0 and names["outer"].end_s == 3.0
-
-    def test_add_precomputed_span(self):
-        tracer = Tracer()
-        tracer.add(Span("pre", "c", 1.0, 2.0))
-        tracer.extend([Span("a", "c", 0.0, 1.0), Span("b", "c", 2.0, 3.0)])
-        assert len(tracer.trace) == 3
-
-
-class TestNullTracer:
-    def test_is_disabled_and_free(self):
-        assert NULL_TRACER.enabled is False
-        assert isinstance(NULL_TRACER, NullTracer)
-        # The no-op context manager is shared, not rebuilt per call.
-        assert NULL_TRACER.span("a") is NULL_TRACER.span("b")
-        with NULL_TRACER.span("x", "c", track="t"):
-            pass
-        NULL_TRACER.add(Span("x", "c", 0.0, 1.0))
-        NULL_TRACER.extend([])
-        NULL_TRACER.bind_clock(lambda: 0.0)
-        assert NULL_TRACER.open_spans == []
-
-
-class TestTracedDecorator:
-    def test_wraps_method_in_span(self):
-        clock = FakeClock()
-
-        class Widget:
-            def __init__(self, tracer):
-                self.tracer = tracer
-
-            @traced(category="work")
-            def crunch(self, amount):
-                clock.t += amount
-                return amount * 2
-
-        tracer = Tracer(now=clock.now)
-        widget = Widget(tracer)
-        assert widget.crunch(3.0) == 6.0
-        (span,) = tracer.trace.spans
-        assert span.name == "crunch" and span.duration_s == 3.0
-
-    def test_object_without_tracer_attribute_is_fine(self):
-        class Bare:
-            @traced()
-            def act(self):
-                return "ok"
-
-        assert Bare().act() == "ok"
 
 
 # -- metrics ------------------------------------------------------------------
@@ -305,104 +171,7 @@ class TestTraceFleet:
         assert campaign.args == {"hosts": 2}
 
 
-# -- instrumented components --------------------------------------------------
-
-class TestInPlaceTracing:
-    def run_traced(self):
-        from repro.bench.runner import make_xen_host
-        from repro.core.transplant import HyperTP
-
-        tracer = Tracer()
-        machine = make_xen_host(M1_SPEC, vm_count=2)
-        report = HyperTP(tracer=tracer).inplace(
-            machine, HypervisorKind.KVM, SimClock(),
-        )
-        return tracer, report
-
-    def test_live_spans_match_report(self):
-        tracer, report = self.run_traced()
-        by_name = {s.name: s for s in tracer.trace.spans}
-        assert by_name["PRAM"].duration_s == pytest.approx(report.pram_s)
-        assert by_name["Translation"].duration_s == pytest.approx(
-            report.translation_s
-        )
-        assert by_name["Reboot"].duration_s == pytest.approx(report.reboot_s)
-        assert by_name["Restoration"].duration_s == pytest.approx(
-            report.restoration_s
-        )
-        assert by_name["VMs paused"].duration_s == pytest.approx(
-            report.downtime_s
-        )
-        assert tracer.open_spans == []
-        json.loads(tracer.to_chrome_trace())
-
-    def test_untraced_run_is_identical(self):
-        from repro.bench.runner import make_xen_host
-        from repro.core.transplant import HyperTP
-
-        machine = make_xen_host(M1_SPEC, vm_count=2)
-        plain = HyperTP().inplace(machine, HypervisorKind.KVM, SimClock())
-        _, traced_report = self.run_traced()
-        assert plain.total_s == traced_report.total_s
-        assert plain.downtime_s == traced_report.downtime_s
-
-
-class TestMigrationTracing:
-    def test_spans_match_report(self):
-        from repro.bench.runner import make_host_pair
-        from repro.core.migration import MigrationTP
-
-        tracer = Tracer()
-        source, destination, fabric = make_host_pair(
-            M1_SPEC, HypervisorKind.KVM,
-        )
-        domain = next(iter(source.hypervisor.domains.values()))
-        report = MigrationTP(fabric, source, destination,
-                             tracer=tracer).migrate(
-            domain, dirty_rate_bytes_s=48 << 20,
-        )
-        rounds = [s for s in tracer.trace.spans if s.category == "precopy"]
-        assert len(rounds) == report.round_count
-        stop = next(s for s in tracer.trace.spans
-                    if s.name == "stop-and-copy")
-        assert stop.duration_s == pytest.approx(report.downtime_s)
-        outer = next(s for s in tracer.trace.spans
-                     if s.category == "migration")
-        assert outer.duration_s == pytest.approx(report.total_s)
-        json.loads(tracer.to_chrome_trace())
-
-
-class TestExecutorTracing:
-    def test_group_spans_sum_to_result(self):
-        from repro.cluster.btrplace import BtrPlacePlanner
-        from repro.cluster.executor import PlanExecutor
-        from repro.cluster.model import build_paper_cluster
-
-        cluster = build_paper_cluster(hosts=4, vms_per_host=4, seed=3)
-        plan = BtrPlacePlanner(cluster, group_size=2).plan()
-        tracer = Tracer()
-        result = PlanExecutor(tracer=tracer).execute(plan)
-        groups = [s for s in tracer.trace.spans if s.category == "plan"]
-        assert len(groups) == len(result.per_group_s)
-        for span, expected in zip(groups, result.per_group_s):
-            assert span.duration_s == pytest.approx(expected)
-        assert groups[-1].end_s == pytest.approx(result.total_s)
-        migrations = [s for s in tracer.trace.spans
-                      if s.category == "migration"]
-        assert len(migrations) == result.migration_count
-
-    def test_untraced_result_identical(self):
-        from repro.cluster.btrplace import BtrPlacePlanner
-        from repro.cluster.executor import PlanExecutor
-        from repro.cluster.model import build_paper_cluster
-
-        def run(tracer):
-            cluster = build_paper_cluster(hosts=4, vms_per_host=4, seed=3)
-            plan = BtrPlacePlanner(cluster, group_size=2).plan()
-            kwargs = {} if tracer is None else {"tracer": tracer}
-            return PlanExecutor(**kwargs).execute(plan)
-
-        assert run(None).total_s == run(Tracer()).total_s
+# -- workload metrics ---------------------------------------------------------
 
 
 class TestWorkloadMetrics:
@@ -435,28 +204,3 @@ class TestWorkloadMetrics:
         assert snapshot() == snapshot()
 
 
-class TestOrchestratorTracing:
-    def test_respond_to_cve_spans(self, xen_host_factory):
-        from repro.orchestrator.api import DatacenterAPI
-        from repro.orchestrator.nova import NovaCompute
-        from repro.vulndb import TransplantAdvisor, load_default_database
-
-        tracer = Tracer()
-        nova = NovaCompute()
-        for index in range(2):
-            nova.register_host(xen_host_factory(name=f"host{index}",
-                                                vm_count=1))
-        api = DatacenterAPI(
-            nova, TransplantAdvisor(load_default_database()),
-            tracer=tracer,
-        )
-        report = api.respond_to_cve("CVE-2016-6258")
-        assert report.hosts_upgraded == 2
-        outer = next(s for s in tracer.trace.spans
-                     if s.name.startswith("respond_to_cve"))
-        per_host = [s for s in tracer.trace.spans
-                    if s.name.startswith("host_live_upgrade")]
-        assert len(per_host) == 2
-        assert outer.duration_s == pytest.approx(report.total_s)
-        for span in per_host:
-            assert outer.start_s <= span.start_s <= span.end_s <= outer.end_s

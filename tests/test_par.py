@@ -4,8 +4,8 @@ Three layers of the determinism contract are under test here:
 
 1. the pool's **mechanics** (frame protocol over pipes, submission-order
    results, crash/timeout retry, inline fallback);
-2. the **merge layer** (seed derivation, order-independent snapshot and
-   trace merging);
+2. the **shard layer** (seed derivation, span payloads that rebuild
+   the run's trace);
 3. the **end-to-end contract**: a fleet campaign routed through workers
    is byte-identical to the serial run, even when workers are killed or
    hung mid-task;
@@ -28,7 +28,6 @@ import pytest
 
 from repro.analysis import Project, run_analysis
 from repro.errors import FleetError, ParError
-from repro.obs import MetricsRegistry, Tracer
 from repro.obs.trace import Span, Trace
 from repro.par import (
     ParallelRunner,
@@ -39,14 +38,14 @@ from repro.par import (
     derive_seed,
     fleet_campaign_task,
     func_ref,
-    merge_snapshots,
-    merge_traces,
     resolve_ref,
     run_fleet_campaign,
     span_from_payload,
     spans_to_payload,
+    trace_from_payload,
 )
 from repro.sim.clock import SimClock
+from repro.sim.engine import Engine
 
 
 # -- module-level worker entrypoints ------------------------------------------
@@ -150,9 +149,9 @@ class TestEntrypointReferences:
         with pytest.raises(ParError, match="SimClock"):
             check_payload({"seed": 1, "clock": SimClock()})
 
-    def test_payload_guard_rejects_nested_tracer(self):
-        with pytest.raises(ParError, match="Tracer"):
-            check_payload({"outer": [1, 2, {"t": Tracer()}]})
+    def test_payload_guard_rejects_nested_engine(self):
+        with pytest.raises(ParError, match="Engine"):
+            check_payload({"outer": [1, 2, {"e": Engine()}]})
 
     def test_payload_guard_accepts_plain_data(self):
         check_payload({"seed": 7, "hosts": [1, 2, 3],
@@ -179,116 +178,7 @@ class TestDeriveSeed:
             assert 0 <= derived < 2**63
 
 
-# -- snapshot merging ---------------------------------------------------------
-
-
-def _registry(counter=0.0, gauge=0.0, observations=()):
-    registry = MetricsRegistry()
-    registry.counter("jobs_total").inc(counter)
-    registry.gauge("inflight").set(gauge)
-    histogram = registry.histogram("window_s", buckets=(1.0, 10.0, 100.0))
-    for value in observations:
-        histogram.observe(value)
-    return registry
-
-
-class TestMergeSnapshots:
-    def test_counters_sum_gauges_latest_writer(self):
-        a = _registry(counter=3, gauge=5).snapshot()
-        b = _registry(counter=4, gauge=2).snapshot()
-        merged = merge_snapshots([a, b])
-        assert merged["metrics"]["jobs_total"]["value"] == 7.0
-        # equal seq stamps (one set() each): larger value breaks the tie
-        assert merged["metrics"]["inflight"]["value"] == 5.0
-
-    def test_decreasing_gauge_merges_to_latest_not_peak(self):
-        # Inline, one registry sees the whole history: 10 in flight,
-        # then the campaign drains to 0.
-        inline = MetricsRegistry()
-        gauge = inline.gauge("inflight")
-        gauge.set(10)
-        gauge.set(0)
-        inline_value = inline.snapshot()["metrics"]["inflight"]["value"]
-
-        # The same history split across two shards with disjoint seq
-        # ranges.  A merge-by-max reports the peak (10.0) — the inline
-        # vs 2-worker divergence this regression test pins; the
-        # (seq, value) latest-writer merge must agree with inline.
-        first = MetricsRegistry(seq_start=0)
-        first.gauge("inflight").set(10)
-        second = MetricsRegistry(seq_start=10**9)
-        second.gauge("inflight").set(0)
-        merged = merge_snapshots([first.snapshot(), second.snapshot()])
-        assert inline_value == 0.0
-        assert merged["metrics"]["inflight"]["value"] == inline_value
-
-    def test_decreasing_gauge_merge_is_order_independent(self):
-        first = MetricsRegistry(seq_start=0)
-        first.gauge("inflight").set(10)
-        second = MetricsRegistry(seq_start=10**9)
-        second.gauge("inflight").set(0)
-        snaps = [first.snapshot(), second.snapshot()]
-        forward = merge_snapshots(snaps)["metrics"]["inflight"]
-        backward = merge_snapshots(list(reversed(snaps)))["metrics"]["inflight"]
-        assert forward == backward
-        assert forward["value"] == 0.0
-
-    def test_legacy_snapshots_without_seq_fall_back_to_value_max(self):
-        # v1 snapshots predate the seq stamp; they sort as seq 0, so a
-        # mixed merge degrades to the old max-by-value behaviour instead
-        # of crashing.
-        legacy = _registry(gauge=7).snapshot()
-        del legacy["metrics"]["inflight"]["seq"]
-        current = _registry(gauge=3).snapshot()
-        merged = merge_snapshots([legacy, current])
-        assert merged["metrics"]["inflight"]["value"] == 3.0  # seq 1 > 0
-        tied = _registry(gauge=9).snapshot()
-        del tied["metrics"]["inflight"]["seq"]
-        merged = merge_snapshots([legacy, tied])
-        assert merged["metrics"]["inflight"]["value"] == 9.0
-
-    def test_histograms_merge_bucketwise(self):
-        a = _registry(observations=[0.5, 50.0]).snapshot()
-        b = _registry(observations=[5.0, 500.0]).snapshot()
-        merged = merge_snapshots([a, b])["metrics"]["window_s"]
-        assert merged["count"] == 4
-        assert merged["sum"] == pytest.approx(555.5)
-        assert merged["min"] == 0.5
-        assert merged["max"] == 500.0
-        counts = [bucket["count"] for bucket in merged["buckets"]]
-        assert counts == [1, 1, 1, 1]  # <=1, <=10, <=100, overflow
-
-    def test_merge_is_order_independent(self):
-        snaps = [_registry(counter=i, gauge=i,
-                           observations=[float(i)]).snapshot()
-                 for i in range(1, 5)]
-        forward = merge_snapshots(snaps)
-        backward = merge_snapshots(list(reversed(snaps)))
-        assert json.dumps(forward, sort_keys=True) == \
-            json.dumps(backward, sort_keys=True)
-
-    def test_bucket_bound_mismatch_raises(self):
-        a = MetricsRegistry()
-        a.histogram("h", buckets=(1.0, 2.0)).observe(1.0)
-        b = MetricsRegistry()
-        b.histogram("h", buckets=(1.0, 3.0)).observe(1.0)
-        with pytest.raises(ParError, match="bucket bounds"):
-            merge_snapshots([a.snapshot(), b.snapshot()])
-
-    def test_kind_clash_raises(self):
-        a = MetricsRegistry()
-        a.counter("x").inc()
-        b = MetricsRegistry()
-        b.gauge("x").set(1.0)
-        with pytest.raises(ParError, match="kind"):
-            merge_snapshots([a.snapshot(), b.snapshot()])
-
-    def test_wrong_format_raises(self):
-        with pytest.raises(ParError, match="format"):
-            merge_snapshots([{"format": "something-else", "metrics": {}}])
-
-
-# -- trace merging ------------------------------------------------------------
+# -- span payloads -----------------------------------------------------------
 
 
 def _spans(track, count=2):
@@ -299,30 +189,11 @@ def _spans(track, count=2):
     return trace
 
 
-class TestMergeTraces:
-    def test_prefixed_merge_namespaces_tracks(self):
-        merged = merge_traces([
-            ("cell-a", spans_to_payload(_spans("host0"))),
-            ("cell-b", spans_to_payload(_spans("host0"))),
-        ])
-        assert merged.tracks() == ["cell-a/host0", "cell-b/host0"]
-
-    def test_merge_is_order_independent(self):
-        shards = [("cell-a", spans_to_payload(_spans("h0"))),
-                  ("cell-b", spans_to_payload(_spans("h1", count=3)))]
-        forward = merge_traces(shards).to_chrome_trace()
-        backward = merge_traces(list(reversed(shards))).to_chrome_trace()
-        assert forward == backward
-
-    def test_unprefixed_merge_reproduces_inline_trace(self):
+class TestSpanPayloads:
+    def test_trace_from_payload_reproduces_inline_trace(self):
         trace = _spans("node03/nic", count=4)
-        merged = merge_traces([("x", spans_to_payload(trace))], prefix=False)
-        assert merged.to_chrome_trace() == trace.to_chrome_trace()
-
-    def test_duplicate_labels_rejected(self):
-        shard = ("same", spans_to_payload(_spans("h")))
-        with pytest.raises(ParError, match="duplicate shard label"):
-            merge_traces([shard, shard])
+        rebuilt = trace_from_payload(spans_to_payload(trace))
+        assert rebuilt.to_chrome_trace() == trace.to_chrome_trace()
 
     def test_span_payload_roundtrip(self):
         span = Span(name="s", category="c", start_s=1.0, end_s=2.0,
@@ -480,26 +351,12 @@ class TestParallelRunner:
         pooled = run_fleet_campaign(payload, workers=3)
         assert json.dumps(serial, sort_keys=True) == \
             json.dumps(pooled, sort_keys=True)
-        # and the merged trace exporter output is byte-identical too
-        serial_trace = merge_traces([("fleet", serial["spans"])],
-                                    prefix=False).to_chrome_trace()
-        pooled_trace = merge_traces([("fleet", pooled["spans"])],
-                                    prefix=False).to_chrome_trace()
+        # and the traces rebuilt from the span payloads export to the
+        # same bytes too
+        assert serial["spans"] == pooled["spans"]
+        serial_trace = trace_from_payload(serial["spans"]).to_chrome_trace()
+        pooled_trace = trace_from_payload(pooled["spans"]).to_chrome_trace()
         assert serial_trace == pooled_trace
-
-    def test_sweep_shards_merge_order_independently(self):
-        payloads = [{"config": {"hosts": 4, "seed": seed}, "metrics": True}
-                    for seed in (1, 2, 3)]
-        runner = ParallelRunner(workers=3, task_timeout_s=120)
-        results = runner.map_tasks(fleet_campaign_task, payloads)
-        snapshots = [r["registry"] for r in results]
-        merged = merge_snapshots(snapshots)
-        reversed_merge = merge_snapshots(list(reversed(snapshots)))
-        assert json.dumps(merged, sort_keys=True) == \
-            json.dumps(reversed_merge, sort_keys=True)
-        done = merged["metrics"]["fleet_hosts_done_total"]["value"]
-        assert done == sum(r["document"]["robustness"]["done_hosts"]
-                           for r in results)
 
 
 # -- par-* lint rules ---------------------------------------------------------
@@ -583,18 +440,18 @@ class TestParHygieneRules:
         assert len(findings) == 1
         assert "SimClock" in findings[0].message
 
-    def test_inline_tracer_constructor_flagged(self):
+    def test_inline_engine_constructor_flagged(self):
         findings, _ = analyze({
             "jobs.py": textwrap.dedent("""
-                from repro.obs import Tracer
                 from repro.par import Task
+                from repro.sim.engine import Engine
 
                 def build():
-                    return Task(func="m:f", payload={"t": Tracer()})
+                    return Task(func="m:f", payload={"e": Engine()})
             """),
         }, rules=["par-payload-hygiene"])
         assert len(findings) == 1
-        assert "Tracer" in findings[0].message
+        assert "Engine" in findings[0].message
 
     def test_seed_payload_clean(self):
         findings, _ = analyze({

@@ -207,7 +207,8 @@ class TestFleetParity:
             assert hp.plan.execute_s == reference.execute_s
             assert hp.plan.stage_s(Stage.VERIFY) == reference.verify_s
             for (_, _, plan), expected in zip(hp.evacuations,
-                                              reference.evacuations):
+                                              reference.evacuations,
+                                              strict=True):
                 assert plan.total_s == expected.total_s
             times = transition_times(controller, hp.name)
             start = times["transplanting"]
@@ -252,24 +253,21 @@ def assert_matches_goldens(tmp_path, name, config, fail_rate, max_retries):
     Returns the campaign's metrics."""
     from repro.journal import CampaignJournal, campaign_meta
     from repro.fleet import FailureInjector, RetryPolicy
-    from repro.obs import Tracer
-    from repro.par import merge_traces
-    from repro.par.shard import spans_to_payload
+    from repro.par import spans_to_payload, trace_from_payload
 
     injector = FailureInjector(fail_rate, seed=config.seed)
     retry = RetryPolicy(max_retries=max_retries)
     journal_path = str(tmp_path / "campaign.journal")
     journal = CampaignJournal.create(
         journal_path, campaign_meta(config, injector, retry))
-    tracer = Tracer()
     controller = FleetController(config, injector=injector, retry=retry,
-                                 journal=journal, tracer=tracer)
+                                 journal=journal)
     metrics = controller.run()
 
     document = json.dumps(metrics.to_dict(), indent=2, sort_keys=True)
     assert document.encode() == read_golden(f"{name}.json")
-    trace = merge_traces(
-        [("fleet", spans_to_payload(tracer.trace))], prefix=False)
+    # The CLI path: spans cross the worker pipe as payloads.
+    trace = trace_from_payload(spans_to_payload(controller.timeline()))
     assert (trace.to_chrome_trace().encode()
             == read_golden(f"{name}_trace.json"))
     with open(journal_path, "rb") as handle:

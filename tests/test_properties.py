@@ -110,7 +110,7 @@ def test_allocator_never_double_allocates(ops, rng):
                 continue
     # No two live frames overlap.
     spans = sorted((f.mfn, f.mfn + f.size // PAGE_4K) for f in live)
-    for (_, end), (start, _) in zip(spans, spans[1:]):
+    for (_, end), (start, _) in zip(spans, spans[1:], strict=False):
         assert end <= start
     # Accounting is exact.
     assert memory.allocated_bytes == sum(f.size for f in live)

@@ -453,11 +453,9 @@ class TestResidual:
 
 class TestTraceBuilder:
     def test_trace_sentinel_spans(self):
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-        report = Sentinel(_small_config(), tracer=tracer).run()
-        document = json.loads(tracer.to_chrome_trace())
+        sentinel = Sentinel(_small_config())
+        report = sentinel.run()
+        document = json.loads(sentinel.timeline().to_chrome_trace())
         names = [e for e in document["traceEvents"] if e["ph"] == "X"]
         assert any(e["name"] == "feed replay" for e in names)
         # track "cve/<id>" exports as process "cve", thread "<id>"
