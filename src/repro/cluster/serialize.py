@@ -12,11 +12,10 @@ truncation and concatenated garbage tails all fail loudly as
 """
 
 import json
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import PlanningError, StateFormatError
-from repro.io.frames import FrameReader, FrameWriter, Packer, StreamMeter, Unpacker
-from repro.obs.metrics import MetricsRegistry
+from repro.io.frames import FrameReader, FrameWriter, Packer, Unpacker
 from repro.cluster.model import WorkloadKind
 from repro.cluster.plan import (
     GroupPlan,
@@ -114,8 +113,7 @@ def import_plan(text: str) -> ReconfigurationPlan:
     return plan_from_dict(document)
 
 
-def encode_plan(plan: ReconfigurationPlan,
-                registry: Optional[MetricsRegistry] = None) -> bytes:
+def encode_plan(plan: ReconfigurationPlan) -> bytes:
     """Pack a plan into one framed, CRC-checked, versioned binary blob."""
     text = json.dumps(plan_to_dict(plan), sort_keys=True,
                       separators=(",", ":"))
@@ -123,16 +121,15 @@ def encode_plan(plan: ReconfigurationPlan,
     packer = Packer()
     packer.u32(PLAN_BLOB_VERSION)
     packer.u32(len(data)).raw(data)
-    writer = FrameWriter(StreamMeter("plan", registry))
+    writer = FrameWriter()
     writer.frame(PLAN_DOC_FRAME, packer.bytes())
     return writer.finish()
 
 
-def decode_plan(blob: bytes, registry: Optional[MetricsRegistry] = None
-                ) -> ReconfigurationPlan:
+def decode_plan(blob: bytes) -> ReconfigurationPlan:
     """Parse a plan blob; rejects corrupt, truncated or trailing bytes."""
     try:
-        reader = FrameReader(blob, StreamMeter("plan", registry))
+        reader = FrameReader(blob)
         first = reader.read()
         if first is None:
             raise PlanningError("empty plan blob")

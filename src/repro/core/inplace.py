@@ -51,6 +51,9 @@ class InPlaceReport:
     #: guest notification + device quiescing, before PRAM (pre-pause)
     device_prepare_s: float = 0.0
     pram_s: float = 0.0
+    #: PRAM construction ran inside the pause (prepare-ahead off), so
+    #: ``pram_s`` counts toward the downtime
+    pram_in_pause: bool = False
     translation_s: float = 0.0
     reboot_s: float = 0.0
     restoration_s: float = 0.0
@@ -210,6 +213,7 @@ class InPlaceTP:
             report.pram_s = self.cost.pram_phase_s(
                 self.machine, entry_counts, parallel=self.opts.parallel
             )
+            report.pram_in_pause = not self.opts.prepare_ahead
             if self.opts.prepare_ahead:
                 yield report.pram_s  # guests still running
             self._checkpoint("pram")

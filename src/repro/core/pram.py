@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import PRAMError, StateFormatError
 from repro.hw.memory import PAGE_4K, PhysicalMemory
-from repro.io.frames import FrameReader, FrameWriter, Packer, StreamMeter, Unpacker
+from repro.io.frames import FrameReader, FrameWriter, Packer, Unpacker
 from repro.io.pages import (
     DedupStats,
     PageStreamDecoder,
@@ -34,7 +34,6 @@ from repro.io.pages import (
     pack_entry_record,
     unpack_entry_record,
 )
-from repro.obs.metrics import MetricsRegistry
 
 # Byte budget per metadata page and record sizes.
 _PAGE_BYTES = PAGE_4K
@@ -233,8 +232,7 @@ class PRAMFilesystem:
 
     # -- serialization (what early boot parses) ----------------------------------
 
-    def encode(self, include_contents: bool = False,
-               registry: Optional[MetricsRegistry] = None) -> bytes:
+    def encode(self, include_contents: bool = False) -> bytes:
         """Byte-exact encoding of the metadata pages (what early boot parses).
 
         One ``repro.io`` framed stream: a header frame, one FILE frame per
@@ -244,12 +242,11 @@ class PRAMFilesystem:
         page-batch encoder, so the restored guest can be verified against
         what was sealed (stats land in :attr:`last_encode_stats`).
         """
-        meter = StreamMeter("pram", registry)
-        writer = FrameWriter(meter)
+        writer = FrameWriter()
         header = Packer().u32(len(self.files)).u8(
             1 if include_contents else 0)
         writer.frame(_FRAME_HEADER, header.bytes())
-        pages_encoder = PageStreamEncoder(meter) if include_contents else None
+        pages_encoder = PageStreamEncoder() if include_contents else None
         self.last_encode_stats = None
         for name in sorted(self.files):
             pram_file = self.files[name]
@@ -274,8 +271,7 @@ class PRAMFilesystem:
         return writer.finish()
 
     @staticmethod
-    def decode(blob: bytes, memory: PhysicalMemory,
-               registry: Optional[MetricsRegistry] = None) -> "PRAMFilesystem":
+    def decode(blob: bytes, memory: PhysicalMemory) -> "PRAMFilesystem":
         """Rebuild a PRAM view from its encoding (target's early boot).
 
         When the stream carries CONTENTS frames, every recorded page
@@ -284,16 +280,15 @@ class PRAMFilesystem:
         a silently-wrong guest.
         """
         try:
-            return PRAMFilesystem._decode_frames(blob, memory, registry)
+            return PRAMFilesystem._decode_frames(blob, memory)
         except PRAMError:
             raise
         except StateFormatError as exc:
             raise PRAMError(f"corrupt PRAM encoding: {exc}") from exc
 
     @staticmethod
-    def _decode_frames(blob: bytes, memory: PhysicalMemory,
-                       registry: Optional[MetricsRegistry]) -> "PRAMFilesystem":
-        reader = FrameReader(blob, StreamMeter("pram", registry))
+    def _decode_frames(blob: bytes, memory: PhysicalMemory) -> "PRAMFilesystem":
+        reader = FrameReader(blob)
         first = reader.read()
         if first is None or first[0] != _FRAME_HEADER:
             raise PRAMError("PRAM stream does not start with a header frame")

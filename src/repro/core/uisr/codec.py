@@ -13,7 +13,7 @@ fixed width (XDR-like spirit, LE for consistency with the rest of the
 library).
 """
 
-from typing import List, Optional
+from typing import List
 
 from repro.errors import StateFormatError, UISRError
 from repro.guest.devices import (
@@ -26,8 +26,7 @@ from repro.guest.devices import (
     XSAVEState,
 )
 from repro.guest.vcpu import SegmentDescriptor, VCPUState
-from repro.io.frames import FrameReader, FrameWriter, Packer, StreamMeter, Unpacker
-from repro.obs.metrics import MetricsRegistry
+from repro.io.frames import FrameReader, FrameWriter, Packer, Unpacker
 from repro.core.uisr.format import (
     UISRDeviceState,
     UISRMemoryChunk,
@@ -221,8 +220,7 @@ def _unpack_memory_map(unpacker: Unpacker) -> UISRMemoryMap:
                          chunks=chunks)
 
 
-def encode_uisr(state: UISRVMState,
-                registry: Optional[MetricsRegistry] = None) -> bytes:
+def encode_uisr(state: UISRVMState) -> bytes:
     """Serialize a UISR document to one framed, CRC-checked stream."""
     packer = Packer()
     packer.u32(UISR_MAGIC).u32(state.version)
@@ -241,16 +239,15 @@ def encode_uisr(state: UISRVMState,
         _pack_str(packer, device.device_class)
         _pack_str(packer, device.strategy)
         packer.u32(len(device.payload)).raw(device.payload)
-    writer = FrameWriter(StreamMeter("uisr", registry))
+    writer = FrameWriter()
     writer.frame(UISR_DOC_FRAME, packer.bytes())
     return writer.finish()
 
 
-def _unwrap_envelope(blob: bytes,
-                     registry: Optional[MetricsRegistry]) -> bytes:
+def _unwrap_envelope(blob: bytes) -> bytes:
     """Strip and verify the frame envelope; returns the document body."""
     try:
-        reader = FrameReader(blob, StreamMeter("uisr", registry))
+        reader = FrameReader(blob)
         first = reader.read()
         if first is None:
             raise UISRError("empty UISR stream")
@@ -267,10 +264,9 @@ def _unwrap_envelope(blob: bytes,
     return body
 
 
-def decode_uisr(blob: bytes,
-                registry: Optional[MetricsRegistry] = None) -> UISRVMState:
+def decode_uisr(blob: bytes) -> UISRVMState:
     """Parse a UISR document from its framed encoding."""
-    body = _unwrap_envelope(blob, registry)
+    body = _unwrap_envelope(blob)
     unpacker = Unpacker(body)
     magic = unpacker.u32()
     if magic != UISR_MAGIC:

@@ -25,13 +25,11 @@ from repro.errors import MigrationError, StateFormatError
 from repro.io.frames import (
     END_FRAME,
     Packer,
-    StreamMeter,
     Unpacker,
     decode_frame,
     encode_frame,
 )
 from repro.io.pages import DedupStats, PageStreamDecoder, PageStreamEncoder
-from repro.obs.metrics import MetricsRegistry
 
 WIRE_VERSION = 1
 
@@ -97,9 +95,8 @@ class WireEncoder:
     pages dedup across batches and across pre-copy rounds.
     """
 
-    def __init__(self, meter: Optional[StreamMeter] = None):
-        self._pages = PageStreamEncoder(meter)
-        self._meter = meter
+    def __init__(self):
+        self._pages = PageStreamEncoder()
 
     @property
     def page_stats(self) -> DedupStats:
@@ -139,24 +136,18 @@ class WireEncoder:
         raise MigrationError(f"unknown wire message {type(message).__name__}")
 
     def _frame(self, msg_type: MessageType, payload: bytes) -> bytes:
-        frame = encode_frame(msg_type.value, payload)
-        if self._meter is not None:
-            self._meter.count_out(len(frame))
-        return frame
+        return encode_frame(msg_type.value, payload)
 
 
 class WireDecoder:
     """Stateful message decoder mirroring :class:`WireEncoder`."""
 
-    def __init__(self, meter: Optional[StreamMeter] = None):
+    def __init__(self):
         self._pages = PageStreamDecoder()
-        self._meter = meter
 
     def decode(self, data: bytes, offset: int = 0) -> Tuple[Message, int]:
         """Parse one frame at ``offset``; returns (message, consumed)."""
         frame_type, payload, consumed = decode_frame(data, offset)
-        if self._meter is not None:
-            self._meter.count_in(consumed)
         if frame_type == END_FRAME:
             raise StateFormatError(
                 "unexpected END frame on the migration wire"
@@ -216,13 +207,12 @@ class MigrationStream:
     (and with it the dedup savings) spans every batch the stream carries.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
+    def __init__(self):
         self._buffer = bytearray()
         self.bytes_sent = 0
         self.messages_sent = 0
-        self.meter = StreamMeter("wire", registry)
-        self._encoder = WireEncoder(self.meter)
-        self._decoder = WireDecoder(self.meter)
+        self._encoder = WireEncoder()
+        self._decoder = WireDecoder()
 
     @property
     def page_stats(self) -> DedupStats:

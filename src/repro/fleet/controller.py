@@ -52,7 +52,7 @@ from repro.fleet.metrics import FleetMetrics, collect_metrics
 from repro.fleet.state import FleetTrace, HostRecord, HostState
 from repro.hw.machine import CLUSTER_NODE_SPEC, Machine, MachineSpec
 from repro.hypervisors.base import HypervisorKind
-from repro.obs import MetricsRegistry, Trace, trace_fleet
+from repro.obs import Trace, trace_fleet
 from repro.sim.clock import SimClock
 from repro.sim.engine import (
     Engine,
@@ -197,14 +197,12 @@ class FleetController:
                  retry: Optional[RetryPolicy] = None,
                  node_spec: MachineSpec = CLUSTER_NODE_SPEC,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
-                 registry: Optional[MetricsRegistry] = None,
                  journal=None):
         self.config = config = config if config is not None else FleetConfig()
         self.db = db if db is not None else load_default_database()
         self.injector = injector if injector is not None else FailureInjector()
         self.retry = retry if retry is not None else RetryPolicy()
         self.cost = cost_model
-        self.registry = registry
         # Any object with transition/wave_barrier/checkpoint/commit methods,
         # normally a repro.journal.CampaignJournal.  Duck-typed so the fleet
         # layer never imports repro.journal (which imports fleet lazily).
@@ -439,7 +437,6 @@ class FleetController:
             disclosure_at_s=cfg.disclosure_at_s,
             completed_at_s=completed,
             migrations_executed=self._migrations_executed,
-            registry=self.registry,
             # Only a non-default mechanism annotates the document, so
             # hybrid campaigns stay byte-identical to pre-policy runs.
             mechanism=(cfg.mechanism if cfg.mechanism != "hybrid" else None),

@@ -212,15 +212,10 @@ def collect_metrics(records: Sequence[HostRecord], trace: FleetTrace, *,
                     target_hypervisor: str, waves: int,
                     disclosure_at_s: float, completed_at_s: float,
                     migrations_executed: int,
-                    registry: Optional[MetricsRegistry] = None,
                     mechanism: Optional[str] = None,
                     mechanism_mix: Optional[Dict[str, Dict[str, int]]] = None,
                     ) -> FleetMetrics:
-    """Aggregate host records and the transition trace into fleet metrics.
-
-    When a ``registry`` is given the aggregate is also published into it
-    (see :meth:`FleetMetrics.report_into`).
-    """
+    """Aggregate host records and the transition trace into fleet metrics."""
     outcomes = [HostOutcome.from_record(r) for r in records]
     windows = [h.window_s for h in outcomes if h.window_s is not None]
     percentiles = {
@@ -228,7 +223,7 @@ def collect_metrics(records: Sequence[HostRecord], trace: FleetTrace, *,
         for key, q in (("p50", 50.0), ("p95", 95.0), ("p99", 99.0),
                        ("max", 100.0))
     } if windows else {}
-    metrics = FleetMetrics(
+    return FleetMetrics(
         trigger_cve=trigger_cve,
         source_hypervisor=source_hypervisor,
         target_hypervisor=target_hypervisor,
@@ -252,6 +247,3 @@ def collect_metrics(records: Sequence[HostRecord], trace: FleetTrace, *,
         mechanism=mechanism,
         mechanism_mix=mechanism_mix,
     )
-    if registry is not None:
-        metrics.report_into(registry)
-    return metrics

@@ -5,8 +5,7 @@ encoding, UISR documents, cluster plan blobs) shares this layer:
 
 * :mod:`frames` — self-describing CRC32-checked frames with a streaming
   :class:`FrameWriter`/:class:`FrameReader` API, plus the low-level
-  :class:`Packer`/:class:`Unpacker` pair and the per-channel
-  :class:`StreamMeter` (bytes-in / bytes-out / dedup-hits);
+  :class:`Packer`/:class:`Unpacker` pair;
 * :mod:`pages` — the shared page-record batch encoder with run-length
   coalescing and cross-batch digest dedup.
 
@@ -21,7 +20,6 @@ from repro.io.frames import (
     FrameReader,
     FrameWriter,
     Packer,
-    StreamMeter,
     Unpacker,
     decode_frame,
     encode_frame,
@@ -47,7 +45,6 @@ __all__ = [
     "FrameReader",
     "Packer",
     "Unpacker",
-    "StreamMeter",
     "DedupStats",
     "PageStreamEncoder",
     "PageStreamDecoder",

@@ -27,7 +27,6 @@ import zlib
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import StateFormatError
-from repro.obs.metrics import MetricsRegistry
 
 FRAME_MAGIC = 0x52494F31  # "RIO1"
 FRAME_VERSION = 1
@@ -195,45 +194,6 @@ class Unpacker:
         return value
 
 
-class StreamMeter:
-    """The bytes-in / bytes-out / dedup-hits triple for one channel.
-
-    Counts locally (always) and mirrors into ``io_{channel}_*`` counters
-    of a :class:`~repro.obs.metrics.MetricsRegistry` when one is given.
-    """
-
-    def __init__(self, channel: str,
-                 registry: Optional[MetricsRegistry] = None):
-        self.channel = channel
-        self.bytes_in = 0
-        self.bytes_out = 0
-        self.dedup_hits = 0
-        self._in = self._out = self._dedup = None
-        if registry is not None:
-            self._in = registry.counter(
-                f"io_{channel}_bytes_in", f"bytes decoded from the {channel} stream")
-            self._out = registry.counter(
-                f"io_{channel}_bytes_out", f"bytes encoded onto the {channel} stream")
-            self._dedup = registry.counter(
-                f"io_{channel}_dedup_hits",
-                f"page records elided by digest dedup on the {channel} stream")
-
-    def count_in(self, amount: int) -> None:
-        self.bytes_in += amount
-        if self._in is not None:
-            self._in.inc(amount)
-
-    def count_out(self, amount: int) -> None:
-        self.bytes_out += amount
-        if self._out is not None:
-            self._out.inc(amount)
-
-    def count_dedup(self, amount: int = 1) -> None:
-        self.dedup_hits += amount
-        if self._dedup is not None:
-            self._dedup.inc(amount)
-
-
 def encode_frame(frame_type: int, payload: bytes) -> bytes:
     """One self-contained frame: header, payload, CRC32 trailer."""
     if not 0 <= frame_type <= 0xFF:
@@ -293,9 +253,7 @@ def decode_frame(data: bytes, offset: int = 0, *,
     return frame_type, payload, total
 
 
-def read_stream_frame(stream, offset: int = 0,
-                      meter: Optional[StreamMeter] = None
-                      ) -> Tuple[int, bytes, int]:
+def read_stream_frame(stream, offset: int = 0) -> Tuple[int, bytes, int]:
     """Read exactly one frame from a binary file object (blocking).
 
     Returns ``(type, payload, consumed)``.  The pipe-transport flavour of
@@ -328,11 +286,7 @@ def read_stream_frame(stream, offset: int = 0,
             f"want {_HEADER.size + length + _CRC.size} bytes, have "
             f"{_HEADER.size + len(rest)}"
         )
-    frame_type, payload, consumed = decode_frame(header + rest,
-                                                 base_offset=offset)
-    if meter is not None:
-        meter.count_in(consumed)
-    return frame_type, payload, consumed
+    return decode_frame(header + rest, base_offset=offset)
 
 
 def _read_exact(stream, size: int) -> bytes:
@@ -358,9 +312,8 @@ class FrameWriter:
     there is the receiver state machine's job.
     """
 
-    def __init__(self, meter: Optional[StreamMeter] = None):
+    def __init__(self):
         self._parts: List[bytes] = []
-        self._meter = meter
         self.bytes_written = 0
         self.frames_written = 0
         self._finished = False
@@ -375,8 +328,6 @@ class FrameWriter:
         self._parts.append(encoded)
         self.bytes_written += len(encoded)
         self.frames_written += 1
-        if self._meter is not None:
-            self._meter.count_out(len(encoded))
         return len(encoded)
 
     def finish(self) -> bytes:
@@ -386,8 +337,6 @@ class FrameWriter:
         encoded = encode_frame(END_FRAME, b"")
         self._parts.append(encoded)
         self.bytes_written += len(encoded)
-        if self._meter is not None:
-            self._meter.count_out(len(encoded))
         self._finished = True
         return self.getvalue()
 
@@ -404,10 +353,9 @@ class FrameReader:
     bytes after END — concatenated or garbage tails fail loudly.
     """
 
-    def __init__(self, data: bytes, meter: Optional[StreamMeter] = None):
+    def __init__(self, data: bytes):
         self._data = data
         self._offset = 0
-        self._meter = meter
         self._ended = False
 
     @property
@@ -421,8 +369,6 @@ class FrameReader:
             raise StateFormatError("truncated stream: missing END frame")
         frame_type, payload, consumed = decode_frame(self._data, self._offset)
         self._offset += consumed
-        if self._meter is not None:
-            self._meter.count_in(consumed)
         if frame_type == END_FRAME:
             self._ended = True
             return None

@@ -21,10 +21,10 @@ Two codecs live here:
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import StateFormatError
-from repro.io.frames import Packer, StreamMeter, Unpacker
+from repro.io.frames import Packer, Unpacker
 
 #: bytes one (gfn, digest) record costs un-encoded (two u64s) — the
 #: baseline :attr:`DedupStats.ratio` measures against.
@@ -105,9 +105,8 @@ def _gfn_runs(gfns: List[int]) -> List[Tuple[int, int]]:
 class PageStreamEncoder:
     """Encodes (gfn, digest) batches with a stream-scoped digest table."""
 
-    def __init__(self, meter: Optional[StreamMeter] = None):
+    def __init__(self):
         self._digest_refs: Dict[int, int] = {}
-        self._meter = meter
         self.stats = DedupStats()
 
     def encode_batch(self, pages: Iterable[Tuple[int, int]]) -> bytes:
@@ -126,8 +125,6 @@ class PageStreamEncoder:
             else:
                 packer.u8(_REF).u32(ref)
                 self.stats.dedup_hits += 1
-                if self._meter is not None:
-                    self._meter.count_dedup(1)
         encoded = packer.bytes()
         self.stats.pages += len(pages)
         self.stats.batches += 1

@@ -329,7 +329,6 @@ class CampaignJournal:
                  replay: Optional[List[Tuple[int, bytes]]] = None,
                  complete: bool = False,
                  torn_bytes: int = 0, torn_error: Optional[str] = None,
-                 registry: Optional[MetricsRegistry] = None,
                  crash_after: Optional[int] = None):
         self.path = path
         self._handle = handle
@@ -349,24 +348,11 @@ class CampaignJournal:
         self._packer = Packer()  # reused per record; see encode_transition
         #: transitions queued in append mode, materialized at group commit
         self._pending: List[Tuple] = []
-        self._m_records = self._m_bytes = self._m_replayed = None
-        if registry is not None:
-            self._m_records = registry.counter(
-                "journal_records_total", "journal records appended")
-            self._m_bytes = registry.counter(
-                "journal_bytes_total", "journal bytes appended")
-            self._m_replayed = registry.counter(
-                "journal_replayed_records_total",
-                "journaled records verified during recovery")
-            registry.counter(
-                "journal_torn_bytes_total",
-                "torn-tail bytes discarded on recovery").inc(torn_bytes)
 
     # -- construction --------------------------------------------------------
 
     @classmethod
     def create(cls, path: str, meta: Dict, *,
-               registry: Optional[MetricsRegistry] = None,
                crash_after: Optional[int] = None) -> "CampaignJournal":
         """Start a fresh journal: truncate ``path``, write CAMPAIGN_META."""
         meta = dict(meta)
@@ -374,15 +360,13 @@ class CampaignJournal:
         meta.setdefault("version", JOURNAL_VERSION)
         decode_meta(encode_meta(meta))  # validate before the first write
         handle = open(path, "wb")
-        journal = cls(path, handle, meta, registry=registry,
-                      crash_after=crash_after)
+        journal = cls(path, handle, meta, crash_after=crash_after)
         # META is record 0; appended records claim seqs from 1 (__init__).
         journal._append(CAMPAIGN_META_FRAME, encode_meta(meta))
         return journal
 
     @classmethod
     def resume(cls, path: str, *,
-               registry: Optional[MetricsRegistry] = None,
                crash_after: Optional[int] = None) -> "CampaignJournal":
         """Reopen a crashed (or finished) journal for verified replay.
 
@@ -411,7 +395,7 @@ class CampaignJournal:
         return cls(path, handle, meta, replay=scan.records[1:],
                    complete=scan.complete,
                    torn_bytes=scan.torn_bytes, torn_error=scan.torn_error,
-                   registry=registry, crash_after=crash_after)
+                   crash_after=crash_after)
 
     # -- status --------------------------------------------------------------
 
@@ -435,6 +419,28 @@ class CampaignJournal:
         """Records durable in the file right now (including META)."""
         base = 1 + len(self._replay) if self._resumed else 0
         return base + self.records_appended
+
+    def report_into(self, registry: MetricsRegistry) -> MetricsRegistry:
+        """Publish the journal's operational totals into a metrics registry.
+
+        Counters add up, so journals published into one registry report
+        their sum.
+        """
+        registry.counter(
+            "journal_records_total", "journal records appended",
+        ).inc(self.records_appended)
+        registry.counter(
+            "journal_bytes_total", "journal bytes appended",
+        ).inc(self.bytes_appended)
+        registry.counter(
+            "journal_replayed_records_total",
+            "journaled records verified during recovery",
+        ).inc(self.records_replayed)
+        registry.counter(
+            "journal_torn_bytes_total",
+            "torn-tail bytes discarded on recovery",
+        ).inc(self.torn_bytes)
+        return registry
 
     # -- the write-ahead interface -------------------------------------------
 
@@ -493,8 +499,6 @@ class CampaignJournal:
             self._handle.write(end)
             self._handle.flush()
             self.bytes_appended += len(end)
-            if self._m_bytes is not None:
-                self._m_bytes.inc(len(end))
             self._complete = True
         self.close()
 
@@ -563,8 +567,6 @@ class CampaignJournal:
             )
         self._cursor += 1
         self.records_replayed += 1
-        if self._m_replayed is not None:
-            self._m_replayed.inc()
 
     def _flush(self) -> None:
         """Push buffered appends to the OS (the group-commit point)."""
@@ -598,10 +600,6 @@ class CampaignJournal:
                 total += len(encoded)
             self.records_appended += len(pending)
             self.bytes_appended += total
-            if self._m_records is not None:
-                self._m_records.inc(len(pending))
-            if self._m_bytes is not None:
-                self._m_bytes.inc(total)
             return
         for args in pending:
             self._append(HOST_TRANSITION_FRAME,
@@ -612,10 +610,6 @@ class CampaignJournal:
         self._handle.write(encoded)
         self.records_appended += 1
         self.bytes_appended += len(encoded)
-        if self._m_records is not None:
-            self._m_records.inc()
-        if self._m_bytes is not None:
-            self._m_bytes.inc(len(encoded))
         if self._crash_after is not None \
                 and self.records_appended >= self._crash_after:
             # close() flushes, so the file holds exactly the records
@@ -683,8 +677,7 @@ def campaign_meta(config, injector, retry) -> Dict:
     return meta
 
 
-def recover(path: str, *, registry: Optional[MetricsRegistry] = None,
-            crash_after: Optional[int] = None):
+def recover(path: str, *, crash_after: Optional[int] = None):
     """Rebuild a campaign controller from a journal.
 
     Returns ``(controller, journal)``: the controller is reconstructed
@@ -692,15 +685,11 @@ def recover(path: str, *, registry: Optional[MetricsRegistry] = None,
     seed, retry policy) with the journal attached in replay mode —
     ``controller.run()`` replays the journaled prefix under byte
     verification, then continues the campaign, appending new records.
-    ``registry`` attaches to the controller exactly as on an
-    uninterrupted run, and also receives the journal's ``journal_*``
-    operational metrics (records, bytes, replayed records, torn bytes).
     """
     from repro.fleet.controller import FleetConfig, FleetController
     from repro.fleet.failures import FailureInjector, FailurePhase, RetryPolicy
 
-    journal = CampaignJournal.resume(path, registry=registry,
-                                     crash_after=crash_after)
+    journal = CampaignJournal.resume(path, crash_after=crash_after)
     meta = journal.meta
     try:
         config_kwargs = dict(meta["config"])
@@ -719,7 +708,7 @@ def recover(path: str, *, registry: Optional[MetricsRegistry] = None,
             f"campaign: {exc!r}"
         ) from exc
     controller = FleetController(config, injector=injector, retry=retry,
-                                 registry=registry, journal=journal)
+                                 journal=journal)
     return controller, journal
 
 

@@ -16,8 +16,9 @@ window — so the reproduction gets one first-class observability layer:
   instruments in a :class:`MetricsRegistry` with deterministic sorted-key
   JSON snapshots.
 
-A run never records spans as it goes: it keeps its numbers, and a trace
-is built from them after the run, only when one is asked for.
+A run never records spans or metrics as it goes: it keeps its numbers,
+and a trace or a metrics snapshot is built from them after the run, only
+when one is asked for.
 
 ``repro.obs`` is the only module allowed to format trace timestamps — a
 ``repro lint`` rule (``trace-format-hygiene``) enforces it.

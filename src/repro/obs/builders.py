@@ -19,7 +19,10 @@ def trace_inplace(report, start_s: float = 0.0) -> Trace:
     Matches the run's phase ordering: device prepare and PRAM (pre-pause),
     then the downtime window (Translation -> Reboot -> Restoration), with
     the NIC re-init overlapping restoration on its own track.  The device
-    prepare span appears only when quiescing devices took time.
+    prepare span appears only when quiescing devices took time.  When
+    PRAM ran inside the pause (``report.pram_in_pause``, the
+    no-prepare-ahead ablation), the pause starts before PRAM and PRAM is
+    a downtime span, so ``VMs paused`` lasts ``report.downtime_s``.
     """
     trace = Trace()
     t = start_s
@@ -27,10 +30,12 @@ def trace_inplace(report, start_s: float = 0.0) -> Trace:
         trace.add(Span("Device prepare", "prepare",
                        t, t + report.device_prepare_s, track=report.machine))
         t += report.device_prepare_s
-    trace.add(Span("PRAM", "prepare", t, t + report.pram_s,
-                   track=report.machine))
-    t += report.pram_s
     pause_start = t
+    trace.add(Span("PRAM", "downtime" if report.pram_in_pause else "prepare",
+                   t, t + report.pram_s, track=report.machine))
+    t += report.pram_s
+    if not report.pram_in_pause:
+        pause_start = t
     trace.add(Span("Translation", "downtime", t, t + report.translation_s,
                    track=report.machine))
     t += report.translation_s

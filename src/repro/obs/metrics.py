@@ -1,14 +1,15 @@
 """Metrics registry: counters, gauges, and fixed-bucket histograms.
 
-The registry replaces the ad-hoc dicts the fleet and workload layers used
-to accumulate numbers in.  Three instrument types cover the paper's
-reporting needs:
+A registry is the data model of a ``--metrics`` snapshot: finished runs
+publish their numbers into one (``FleetMetrics``, ``SentinelReport`` and
+``CampaignJournal`` each have ``report_into``).  Three instrument types
+cover the paper's reporting needs:
 
 * :class:`Counter` — monotonically-increasing totals (retries, migrations);
 * :class:`Gauge` — point-in-time values (fleet window, hosts in flight);
 * :class:`Histogram` — distributions over **fixed** bucket bounds, so two
   runs of the same campaign fill the same buckets and snapshots diff
-  cleanly (per-host vulnerability windows, workload samples).
+  cleanly (per-host and per-CVE vulnerability windows).
 
 Snapshots are deterministic by construction: metric names sort, bucket
 bounds are part of the metric's identity, and the JSON export uses sorted

@@ -74,7 +74,8 @@ def fleet_campaign_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     * ``injector_seed`` — injector RNG seed (default: the config seed);
     * ``max_retries`` — per-host retry budget (default: policy default);
     * ``trace`` — return the campaign's timeline as span payloads;
-    * ``metrics`` — publish into a registry and return its snapshot;
+    * ``metrics`` — return the finished campaign's metrics-registry
+      snapshot;
     * ``journal`` — write-ahead journal the campaign to this path;
     * ``resume`` — recover the campaign journaled at this path and run it
       to completion; the journal's CAMPAIGN_META stands in for the four
@@ -82,14 +83,15 @@ def fleet_campaign_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     * ``crash_after`` — fault injection with ``journal``/``resume``: raise
       :class:`~repro.errors.JournalCrash` right after that many records.
 
-    Everything live — clock, engine, registry, journal — is constructed
-    here, inside the executing process; only seeds, paths and plain data
-    cross the pipe.  The registry, when asked for, also receives the
-    journal's ``journal_*`` metrics, and the trace is built from the
-    finished campaign (:meth:`FleetController.timeline`).  The returned
-    ``document`` is exactly ``FleetMetrics.to_dict()``, so serial and
-    parallel runs serialize to identical bytes.  A resumed run also
-    returns ``resumed``: the records it verified, the torn tail it
+    Everything live — clock, engine, journal — is constructed here,
+    inside the executing process; only seeds, paths and plain data cross
+    the pipe.  The trace and the metrics snapshot are built from the
+    finished campaign (:meth:`FleetController.timeline`,
+    :meth:`FleetMetrics.report_into`); a journaled or resumed run's
+    snapshot also carries the journal's ``journal_*`` counters.  The
+    returned ``document`` is exactly ``FleetMetrics.to_dict()``, so
+    serial and parallel runs serialize to identical bytes.  A resumed run
+    also returns ``resumed``: the records it verified, the torn tail it
     discarded, and the journaled ``config`` and ``fail_rate``.
     """
     from repro.fleet import (
@@ -98,15 +100,13 @@ def fleet_campaign_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         FleetController,
         RetryPolicy,
     )
-    from repro.obs import MetricsRegistry
     from repro.par.shard import spans_to_payload
 
-    registry = MetricsRegistry() if payload.get("metrics") else None
     resumed = None
     if payload.get("resume"):
         from repro.journal import recover
 
-        controller, journal = recover(payload["resume"], registry=registry,
+        controller, journal = recover(payload["resume"],
                                       crash_after=payload.get("crash_after"))
         resumed = {
             "replayed": journal.pending_replay,
@@ -132,10 +132,10 @@ def fleet_campaign_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
             journal = CampaignJournal.create(
                 payload["journal"], campaign_meta(config, injector, retry),
-                registry=registry, crash_after=payload.get("crash_after"),
+                crash_after=payload.get("crash_after"),
             )
         controller = FleetController(config, injector=injector, retry=retry,
-                                     registry=registry, journal=journal)
+                                     journal=journal)
     metrics = controller.run()
 
     result: Dict[str, Any] = {"document": metrics.to_dict()}
@@ -143,7 +143,12 @@ def fleet_campaign_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     result["mechanism_mix"] = controller.mechanism_mix()
     if payload.get("trace"):
         result["spans"] = spans_to_payload(controller.timeline())
-    if registry is not None:
+    if payload.get("metrics"):
+        from repro.obs import MetricsRegistry
+
+        registry = metrics.report_into(MetricsRegistry())
+        if journal is not None:
+            journal.report_into(registry)
         result["registry"] = registry.snapshot()
     if resumed is not None:
         result["resumed"] = resumed
@@ -160,35 +165,40 @@ def sentinel_task(payload: Dict[str, Any]) -> Dict[str, Any]:
       dicts, a plain-list pool);
     * ``trace`` — collect response-plane spans and return them as
       payloads;
-    * ``metrics`` — publish into a registry and return its snapshot;
+    * ``metrics`` — return the finished replay's metrics-registry
+      snapshot, with the ``journal_*`` counters summed over every
+      campaign journal under ``journal_dir``;
     * ``journal_dir`` — write-ahead journal every launched campaign into
       this directory (created if missing).
 
-    Same discipline as :func:`fleet_campaign_task`: clock, engine and
-    registry are built here, in the executing process, and the trace
-    from the finished run (:meth:`Sentinel.timeline`); the returned
-    ``document`` is exactly ``SentinelReport.to_dict()``, so serial and
-    parallel runs serialize to identical bytes.
+    Same discipline as :func:`fleet_campaign_task`: clock and engine are
+    built here, in the executing process, and the trace and metrics
+    snapshot from the finished run (:meth:`Sentinel.timeline`,
+    :meth:`SentinelReport.report_into`); the returned ``document`` is
+    exactly ``SentinelReport.to_dict()``, so serial and parallel runs
+    serialize to identical bytes.
     """
-    from repro.obs import MetricsRegistry
     from repro.par.shard import spans_to_payload
     from repro.sentinel import Sentinel, SentinelConfig
 
     config = SentinelConfig.from_payload(payload.get("config", {}))
-    registry = MetricsRegistry() if payload.get("metrics") else None
     journal_dir = payload.get("journal_dir")
     if journal_dir:
         import os
 
         os.makedirs(journal_dir, exist_ok=True)
-    sentinel = Sentinel(config, registry=registry,
-                        journal_dir=journal_dir or None)
+    sentinel = Sentinel(config, journal_dir=journal_dir or None)
     report = sentinel.run()
 
     result: Dict[str, Any] = {"document": report.to_dict()}
     if payload.get("trace"):
         result["spans"] = spans_to_payload(sentinel.timeline())
-    if registry is not None:
+    if payload.get("metrics"):
+        from repro.obs import MetricsRegistry
+
+        registry = report.report_into(MetricsRegistry())
+        for journal in sentinel.journals:
+            journal.report_into(registry)
         result["registry"] = registry.snapshot()
     return result
 

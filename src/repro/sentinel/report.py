@@ -17,7 +17,7 @@ CLI's rerun/``--workers`` byte-identity contract rests on.
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.fleet.metrics import WINDOW_BUCKETS, percentile
 from repro.obs.metrics import MetricsRegistry
@@ -100,7 +100,6 @@ class SentinelReport:
 def build_report(*, config, feed_stats: Dict[str, object], states,
                  campaigns, inventory, counters: Dict[str, int],
                  db: VulnerabilityDatabase, completed_at_s: float,
-                 registry: Optional[MetricsRegistry] = None,
                  ) -> SentinelReport:
     """Aggregate a finished sentinel run into the report document."""
     cves = []
@@ -175,7 +174,7 @@ def build_report(*, config, feed_stats: Dict[str, object], states,
         },
     }
 
-    report = SentinelReport(
+    return SentinelReport(
         config=config.to_payload(),
         feed=dict(sorted(feed_stats.items())),
         cves=cves,
@@ -185,6 +184,3 @@ def build_report(*, config, feed_stats: Dict[str, object], states,
         counters=counters,
         completed_at_s=completed_at_s,
     )
-    if registry is not None:
-        report.report_into(registry)
-    return report

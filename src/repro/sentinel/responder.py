@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.model import NODE_CAPACITY_VMS
 from repro.errors import SentinelError
-from repro.obs import MetricsRegistry, Trace, trace_sentinel
+from repro.obs import Trace, trace_sentinel
 from repro.sentinel.feedstream import (
     DisclosureEvent,
     FeedSchedule,
@@ -176,12 +176,13 @@ class Sentinel:
 
     def __init__(self, config: Optional[SentinelConfig] = None,
                  db: Optional[VulnerabilityDatabase] = None,
-                 registry: Optional[MetricsRegistry] = None,
                  journal_dir: Optional[str] = None):
         self.config = config if config is not None else SentinelConfig()
         self.db = db if db is not None else load_default_database()
-        self.registry = registry
         self.journal_dir = journal_dir
+        #: the campaign journals opened under ``journal_dir``, in launch
+        #: order
+        self.journals: List = []
         self.policy = ResponsePolicy(self.config.policy, self.db,
                                      self.config.pool)
         self.inventory = FleetInventory({
@@ -229,7 +230,7 @@ class Sentinel:
             raise SentinelError(
                 f"feed drained with flaws still open: {open_left}"
             )
-        report = build_report(
+        return build_report(
             config=self.config,
             feed_stats=feed_statistics(self._events, self.db),
             states=[self.states[c] for c in sorted(self.states)],
@@ -238,9 +239,7 @@ class Sentinel:
             counters=dict(self.counters),
             db=self.db,
             completed_at_s=engine.now,
-            registry=self.registry,
         )
-        return report
 
     def timeline(self) -> Trace:
         """The response-plane span timeline of the replay :meth:`run`
@@ -519,6 +518,7 @@ class Sentinel:
         """Run one FleetController campaign eagerly; map its node names
         (``node00``...) back onto the sentinel's host names."""
         from repro.fleet.controller import FleetConfig, FleetController
+        from repro.fleet.failures import FailureInjector, RetryPolicy
 
         config = self.config
         sub_seed = self._campaign_seed(active.record.index)
@@ -543,20 +543,21 @@ class Sentinel:
             pool=config.pool,
             target_override=target,
         )
+        injector = FailureInjector(0.0, seed=sub_seed)
+        retry = RetryPolicy()
         journal = None
         if self.journal_dir is not None:
-            from repro.fleet.failures import FailureInjector, RetryPolicy
             from repro.journal import CampaignJournal, campaign_meta
 
             path = os.path.join(
                 self.journal_dir,
                 f"campaign-{active.record.index:03d}.journal",
             )
-            journal = CampaignJournal.create(path, campaign_meta(
-                fleet_config, FailureInjector(0.0, seed=sub_seed),
-                RetryPolicy(),
-            ))
+            journal = CampaignJournal.create(
+                path, campaign_meta(fleet_config, injector, retry))
+            self.journals.append(journal)
         controller = FleetController(fleet_config, db=self.db,
+                                     injector=injector, retry=retry,
                                      journal=journal)
         metrics = controller.run()
         outcomes = sorted(metrics.per_host, key=lambda h: h.name)

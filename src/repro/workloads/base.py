@@ -6,15 +6,6 @@ from typing import List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.hypervisors.base import HypervisorKind
-from repro.obs.metrics import MetricsRegistry
-
-#: fixed histogram bounds for workload sample values (qps / iops / Mbit/s):
-#: roughly logarithmic from 1 to 1M, shared by every workload so snapshots
-#: from different runs are structurally comparable.
-SAMPLE_BUCKETS: Tuple[float, ...] = (
-    1.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 5000.0, 10000.0,
-    50000.0, 100000.0, 500000.0, 1000000.0,
-)
 
 
 @dataclass
@@ -110,31 +101,6 @@ class MetricSeries:
             return (None, None)
         return (zeros[0], zeros[-1])
 
-    def report_into(self, registry: MetricsRegistry,
-                    prefix: str = "workload") -> MetricsRegistry:
-        """Publish the series into a metrics registry.
-
-        A sample-count counter, a mean gauge, and a fixed-bucket histogram
-        of the sample values (``SAMPLE_BUCKETS``) — observed in time order,
-        so the snapshot is deterministic per seed.
-        """
-        slug = "".join(c if c.isalnum() else "_" for c in self.name.lower())
-        base = f"{prefix}_{slug}"
-        registry.counter(
-            f"{base}_samples_total", f"samples taken of {self.name}",
-        ).inc(len(self.values))
-        if self.values:
-            registry.gauge(
-                f"{base}_mean", f"mean {self.name} ({self.unit})",
-            ).set(self.mean())
-        histogram = registry.histogram(
-            base, f"{self.name} sample values ({self.unit})",
-            buckets=SAMPLE_BUCKETS,
-        )
-        for value in self.values:
-            histogram.observe(value)
-        return registry
-
 
 class Workload:
     """Base class: sample a metric over a timeline at 1 Hz."""
@@ -164,13 +130,10 @@ class Workload:
         return max(0.0, base * jitter)
 
     def run(self, duration_s: float, timeline: HostTimeline,
-            sample_interval_s: float = 1.0,
-            registry: Optional[MetricsRegistry] = None) -> MetricSeries:
+            sample_interval_s: float = 1.0) -> MetricSeries:
         series = MetricSeries(name=self.metric_name, unit=self.metric_unit)
         t = 0.0
         while t < duration_s:
             series.append(t, self.sample(t, timeline))
             t += sample_interval_s
-        if registry is not None:
-            series.report_into(registry)
         return series

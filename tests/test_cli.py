@@ -241,6 +241,26 @@ class TestSentinelCommand:
         assert main([*self.ARGS, "--journal-dir", str(journal_dir)]) == 0
         assert any(p.suffix == ".journal" for p in journal_dir.iterdir())
 
+    def test_journal_dir_metrics_count_every_journal(self, tmp_path,
+                                                     capsys):
+        import json
+
+        from repro.journal import read_journal
+
+        journal_dir = tmp_path / "journals"
+        metrics_path = tmp_path / "metrics.json"
+        assert main([*self.ARGS, "--journal-dir", str(journal_dir),
+                     "--metrics", str(metrics_path)]) == 0
+        metrics = json.loads(metrics_path.read_text())["metrics"]
+        journals = sorted(journal_dir.iterdir())
+        assert len(journals) >= 2
+        assert metrics["journal_records_total"]["value"] == sum(
+            len(read_journal(str(path)).records) for path in journals)
+        assert metrics["journal_bytes_total"]["value"] == sum(
+            path.stat().st_size for path in journals)
+        assert metrics["journal_replayed_records_total"]["value"] == 0
+        assert "sentinel_disclosures_total" in metrics
+
     def test_journal_dir_rejects_workers(self, tmp_path, capsys):
         assert main([*self.ARGS, "--journal-dir", str(tmp_path / "j"),
                      "--workers", "2"]) == 2

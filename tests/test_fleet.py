@@ -610,13 +610,12 @@ class TestCampaignObservability:
                         group_size=2, seed=11)
         defaults.update(overrides)
         config = FleetConfig(**defaults)
-        registry = MetricsRegistry()
         controller = FleetController(
             config,
             injector=FailureInjector(0.0, seed=config.seed),
-            registry=registry,
         )
         metrics = controller.run()
+        registry = metrics.report_into(MetricsRegistry())
         return controller.timeline(), registry, metrics
 
     def test_one_track_per_host_plus_fleet(self):

@@ -15,14 +15,12 @@ from repro.io import (
     Packer,
     PageStreamDecoder,
     PageStreamEncoder,
-    StreamMeter,
     Unpacker,
     decode_entry_records,
     decode_frame,
     encode_entry_records,
     encode_frame,
 )
-from repro.obs.metrics import MetricsRegistry
 
 MIB = 1024 * 1024
 
@@ -259,30 +257,6 @@ class TestCrossPathDedup:
         assert wire_stats.as_dict() == pram_stats.as_dict()
 
 
-class TestStreamMeter:
-    def test_local_counters(self):
-        meter = StreamMeter("test")
-        writer = FrameWriter(meter)
-        writer.frame(1, b"abcd")
-        stream = writer.finish()
-        assert meter.bytes_out == len(stream)
-        reader = FrameReader(stream, meter)
-        list(reader.frames())
-        assert meter.bytes_in == len(stream)
-
-    def test_registry_mirroring(self):
-        registry = MetricsRegistry()
-        stream = wire.MigrationStream(registry=registry)
-        pages = tuple((gfn, 1) for gfn in range(8))
-        stream.send(wire.PageBatch(pages=pages))
-        sent = registry.counter("io_wire_bytes_out").value
-        assert sent == stream.bytes_sent > 0
-        assert registry.counter("io_wire_dedup_hits").value == 7
-        for message in stream.receive_all():
-            assert isinstance(message, wire.PageBatch)
-        assert registry.counter("io_wire_bytes_in").value == sent
-
-
 class TestFrameErrorDiagnostics:
     """Truncation and CRC errors must carry the absolute byte offset and
     the frame's type tag, so a fault in a long multi-frame stream (or on
@@ -383,14 +357,3 @@ class TestReadStreamFrame:
         message = str(excinfo.value)
         assert "truncated" in message
         assert "(type 6)" in message
-
-    def test_meter_counts_bytes_in(self):
-        import io as stdio
-
-        from repro.io import read_stream_frame
-
-        meter = StreamMeter("pipe")
-        frame = encode_frame(1, b"counted")
-        _, _, consumed = read_stream_frame(stdio.BytesIO(frame), 0, meter)
-        assert consumed == len(frame)
-        assert meter.bytes_in == len(frame)

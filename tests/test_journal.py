@@ -421,20 +421,19 @@ class TestJournalLifecycle:
         from repro.obs.metrics import MetricsRegistry
 
         path = tmp_path / "j.journal"
-        registry = MetricsRegistry()
         with pytest.raises(JournalCrash):
             journal = CampaignJournal.create(
-                str(path), campaign_meta(*campaign_parts()),
-                crash_after=30, registry=registry)
+                str(path), campaign_meta(*campaign_parts()), crash_after=30)
             controller_for(journal=journal).run()
-        metrics = registry.snapshot()["metrics"]
+        metrics = journal.report_into(MetricsRegistry()).snapshot()["metrics"]
         assert metrics["journal_records_total"]["value"] == 30
+        assert metrics["journal_bytes_total"]["value"] == path.stat().st_size
 
-        # One registry serves the recovered controller and its journal.
-        recovered = MetricsRegistry()
-        controller, journal = recover(str(path), registry=recovered)
-        controller.run()
-        metrics = recovered.snapshot()["metrics"]
+        # One registry, built after the run, holds the recovered
+        # campaign's metrics and its journal's counters.
+        controller, journal = recover(str(path))
+        registry = controller.run().report_into(MetricsRegistry())
+        metrics = journal.report_into(registry).snapshot()["metrics"]
         assert metrics["journal_replayed_records_total"]["value"] == 29
         assert metrics["journal_torn_bytes_total"]["value"] == 0
         assert metrics["fleet_hosts_done_total"]["value"] > 0

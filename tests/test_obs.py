@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.hypervisors.base import HypervisorKind
 from repro.obs import (
     DEFAULT_BUCKETS,
     Counter,
@@ -169,38 +168,3 @@ class TestTraceFleet:
         assert campaign.name == "campaign CVE-X"
         assert campaign.start_s == 0.0 and campaign.end_s == 6.0
         assert campaign.args == {"hosts": 2}
-
-
-# -- workload metrics ---------------------------------------------------------
-
-
-class TestWorkloadMetrics:
-    def test_series_reports_into_registry(self):
-        from repro.workloads.base import HostTimeline
-        from repro.workloads.redis import RedisWorkload
-
-        timeline = HostTimeline(switches=[(0.0, HypervisorKind.XEN)],
-                                paused=[(10.0, 12.0)])
-        registry = MetricsRegistry()
-        series = RedisWorkload(seed=1).run(30.0, timeline, registry=registry)
-        counter = registry.get("workload_redis_qps_samples_total")
-        assert counter.value == len(series.values)
-        histogram = registry.get("workload_redis_qps")
-        assert histogram.count == len(series.values)
-        assert registry.get("workload_redis_qps_mean").value == (
-            pytest.approx(series.mean())
-        )
-
-    def test_snapshot_deterministic_per_seed(self):
-        from repro.workloads.base import HostTimeline
-        from repro.workloads.mysql import MySQLWorkload
-
-        def snapshot():
-            timeline = HostTimeline(switches=[(0.0, HypervisorKind.XEN)])
-            registry = MetricsRegistry()
-            MySQLWorkload(seed=7).run(20.0, timeline, registry=registry)
-            return registry.to_json()
-
-        assert snapshot() == snapshot()
-
-

@@ -249,10 +249,11 @@ class TestFleetParity:
 
 def assert_matches_goldens(tmp_path, name, config, fail_rate, max_retries):
     """Run one journaled, traced campaign and compare its metrics JSON,
-    Perfetto trace and journal byte for byte with ``goldens/<name>*``.
-    Returns the campaign's metrics."""
+    Perfetto trace, journal and metrics-registry snapshot byte for byte
+    with ``goldens/<name>*``.  Returns the campaign's metrics."""
     from repro.journal import CampaignJournal, campaign_meta
     from repro.fleet import FailureInjector, RetryPolicy
+    from repro.obs import MetricsRegistry
     from repro.par import spans_to_payload, trace_from_payload
 
     injector = FailureInjector(fail_rate, seed=config.seed)
@@ -272,6 +273,11 @@ def assert_matches_goldens(tmp_path, name, config, fail_rate, max_retries):
             == read_golden(f"{name}_trace.json"))
     with open(journal_path, "rb") as handle:
         assert handle.read() == read_golden(f"{name}.journal")
+    # The --metrics snapshot, built after the run as fleet_campaign_task
+    # builds it: the campaign's metrics, then the journal's counters.
+    registry = journal.report_into(metrics.report_into(MetricsRegistry()))
+    assert (registry.to_json().encode()
+            == read_golden(f"{name}_metrics.json"))
     return metrics
 
 

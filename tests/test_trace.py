@@ -142,6 +142,32 @@ class TestReportTraces:
         assert nic.track.endswith("/nic")
         assert nic.start_s == pytest.approx(by_name["Reboot"].end_s)
 
+    @pytest.mark.parametrize("prepare_ahead", [True, False])
+    def test_paused_span_lasts_the_downtime(self, prepare_ahead):
+        # Without prepare-ahead, PRAM is built inside the pause (the
+        # ablation charges it to the downtime), so the pause starts
+        # before PRAM instead of after it.
+        from repro.core.optimizations import OptimizationConfig
+
+        machine = make_xen_host(M1_SPEC, vm_count=2)
+        report = InPlaceTP(
+            machine, HypervisorKind.KVM,
+            optimizations=OptimizationConfig(prepare_ahead=prepare_ahead),
+        ).run(SimClock())
+        by_name = {s.name: s for s in trace_inplace(report).spans}
+        paused, pram = by_name["VMs paused"], by_name["PRAM"]
+        assert paused.duration_s == pytest.approx(report.downtime_s)
+        for downtime_s in report.per_vm_downtime.values():
+            assert paused.duration_s == pytest.approx(downtime_s)
+        if prepare_ahead:
+            assert pram.category == "prepare"
+            assert paused.start_s == pytest.approx(pram.end_s)
+        else:
+            assert pram.category == "downtime"
+            assert paused.start_s == pytest.approx(pram.start_s)
+        assert paused.end_s == pytest.approx(by_name["Restoration"].end_s)
+        assert report.pram_in_pause is not prepare_ahead
+
     def test_migration_trace_rounds(self):
         source, destination, fabric = make_host_pair(
             M1_SPEC, HypervisorKind.KVM,
