@@ -138,14 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "trace JSON")
     fleet.add_argument("--metrics", dest="metrics_path", metavar="FILE",
                        help="also write the metrics-registry snapshot JSON")
-    fleet.add_argument("--workers", type=int, default=1,
-                       help="route the campaign through the repro.par "
-                            "worker pool (output is byte-identical to "
-                            "--workers 1)")
     fleet.add_argument("--journal", metavar="FILE",
                        help="write-ahead journal every transition and wave "
-                            "boundary to FILE for crash recovery (runs "
-                            "inline; incompatible with --workers > 1)")
+                            "boundary to FILE for crash recovery")
     fleet.add_argument("--resume", metavar="FILE",
                        help="recover a crashed campaign from its journal "
                             "and run it to completion; the campaign shape "
@@ -202,14 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "Chrome trace JSON")
     sentinel.add_argument("--metrics", dest="metrics_path", metavar="FILE",
                           help="also write the metrics-registry snapshot")
-    sentinel.add_argument("--workers", type=int, default=1,
-                          help="route the replay through the repro.par "
-                               "worker pool (output is byte-identical to "
-                               "--workers 1)")
     sentinel.add_argument("--journal-dir", metavar="DIR",
                           help="write-ahead journal every launched campaign "
-                               "into DIR (runs inline; incompatible with "
-                               "--workers > 1)")
+                               "into DIR")
 
     sub.add_parser("tcb", help="print the §4.4 TCB accounting")
 
@@ -242,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_inplace(args) -> int:
     from repro.core.optimizations import OptimizationConfig
     from repro.core.transplant import HyperTP
+    from repro.errors import VMLifecycleError
     from repro.sim.clock import SimClock
     from repro.hypervisors import make_hypervisor
     from repro.hw.machine import Machine
@@ -262,13 +253,17 @@ def cmd_inplace(args) -> int:
     machine = Machine(args.machine)
     hypervisor = make_hypervisor(args.source)
     hypervisor.boot(machine)
-    for i in range(args.vms):
-        domain = hypervisor.create_vm(VMConfig(
-            f"vm{i}", vcpus=args.vcpus,
-            memory_bytes=int(args.memory_gib * (1 << 30)), seed=i,
-        ))
-        domain.vm.platform = make_default_platform(args.vcpus,
-                                                   ioapic_pins=pins, seed=i)
+    try:
+        for i in range(args.vms):
+            domain = hypervisor.create_vm(VMConfig(
+                f"vm{i}", vcpus=args.vcpus,
+                memory_bytes=int(args.memory_gib * (1 << 30)), seed=i,
+            ))
+            domain.vm.platform = make_default_platform(
+                args.vcpus, ioapic_pins=pins, seed=i)
+    except VMLifecycleError as error:
+        print(f"inplace: {error}", file=sys.stderr)
+        return 2
 
     opts = OptimizationConfig(
         prepare_ahead=not args.no_prepare_ahead,
@@ -300,21 +295,26 @@ def cmd_inplace(args) -> int:
 def cmd_migrate(args) -> int:
     from repro.bench.runner import make_host_pair
     from repro.core.migration import LiveMigration, MigrationTP
+    from repro.errors import MigrationError, VMLifecycleError
 
-    source, destination, fabric = make_host_pair(
-        args.machine, args.dest, vcpus=args.vcpus,
-        memory_gib=args.memory_gib,
-    )
-    domain = next(iter(source.hypervisor.domains.values()))
-    if args.dest is HypervisorKind.XEN:
-        migrator = LiveMigration(fabric, source, destination)
-        flavor = "Xen->Xen baseline"
-    else:
-        migrator = MigrationTP(fabric, source, destination)
-        flavor = f"MigrationTP xen->{args.dest.value}"
-    report = migrator.migrate(
-        domain, dirty_rate_bytes_s=args.dirty_mb_s * (1 << 20),
-    )
+    try:
+        source, destination, fabric = make_host_pair(
+            args.machine, args.dest, vcpus=args.vcpus,
+            memory_gib=args.memory_gib,
+        )
+        domain = next(iter(source.hypervisor.domains.values()))
+        if args.dest is HypervisorKind.XEN:
+            migrator = LiveMigration(fabric, source, destination)
+            flavor = "Xen->Xen baseline"
+        else:
+            migrator = MigrationTP(fabric, source, destination)
+            flavor = f"MigrationTP xen->{args.dest.value}"
+        report = migrator.migrate(
+            domain, dirty_rate_bytes_s=args.dirty_mb_s * (1 << 20),
+        )
+    except (MigrationError, VMLifecycleError) as error:
+        print(f"migrate: {error}", file=sys.stderr)
+        return 2
     print(f"{flavor}: {args.memory_gib:g} GiB VM, "
           f"{args.dirty_mb_s:g} MB/s dirty rate")
     print(f"  pre-copy rounds : {report.round_count}")
@@ -423,10 +423,9 @@ def cmd_fleet(args) -> int:
         FleetError,
         JournalCrash,
         JournalError,
-        ParError,
         VulnDBError,
     )
-    from repro.par import run_fleet_campaign, trace_from_payload
+    from repro.par import run_fleet_campaign
     from repro.vulndb.data import load_default_database
 
     journaling = bool(args.journal or args.resume)
@@ -440,10 +439,6 @@ def cmd_fleet(args) -> int:
         return 2
     if args.crash_after is not None and args.crash_after < 1:
         print(f"fleet: --crash-after must be >= 1, got {args.crash_after}",
-              file=sys.stderr)
-        return 2
-    if journaling and args.workers > 1:
-        print("fleet: a journaled campaign runs inline; drop --workers",
               file=sys.stderr)
         return 2
     pool = tuple(p.strip() for p in args.pool.split(",") if p.strip())
@@ -472,12 +467,11 @@ def cmd_fleet(args) -> int:
         "crash_after": args.crash_after,
     }
     try:
-        result = run_fleet_campaign(payload, workers=args.workers)
+        result = run_fleet_campaign(payload)
     except JournalCrash as crash:
         print(f"fleet: {crash}", file=sys.stderr)
         return 3
-    except (ClusterError, FleetError, JournalError, ParError,
-            VulnDBError) as error:
+    except (ClusterError, FleetError, JournalError, VulnDBError) as error:
         print(f"fleet: {error}", file=sys.stderr)
         return 2
 
@@ -504,8 +498,7 @@ def cmd_fleet(args) -> int:
           f"{campaign['waves']} waves, "
           f"concurrency {config['concurrency'] or 'unbounded'}"
           f"{', sequential groups' if config['sequential_groups'] else ''}"
-          f"{f', fail rate {fail_rate:.0%}' if fail_rate else ''}"
-          f"{f', {args.workers} workers' if args.workers > 1 else ''}")
+          f"{f', fail rate {fail_rate:.0%}' if fail_rate else ''}")
     print(f"  remediated : {robustness['done_hosts']}/{campaign['hosts']} "
           f"hosts ({robustness['rolled_back_hosts']} rolled back)")
     print(f"  migrations : {robustness['migrations_executed']} executed, "
@@ -536,9 +529,8 @@ def cmd_fleet(args) -> int:
             handle.write(json.dumps(document, indent=2, sort_keys=True))
         print(f"  metrics JSON written to {args.json_path}")
     if args.trace_path:
-        trace = trace_from_payload(result["spans"])
         with open(args.trace_path, "w") as handle:
-            handle.write(trace.to_chrome_trace())
+            handle.write(result["trace"])
         print(f"  trace JSON written to {args.trace_path}")
     if args.metrics_path:
         with open(args.metrics_path, "w") as handle:
@@ -556,8 +548,8 @@ def cmd_fleet(args) -> int:
 def cmd_sentinel(args) -> int:
     import json
 
-    from repro.errors import ParError, SentinelError, VulnDBError
-    from repro.par import run_sentinel, trace_from_payload
+    from repro.errors import SentinelError, VulnDBError
+    from repro.par import run_sentinel
     from repro.sentinel import (
         DAY_S,
         FeedSchedule,
@@ -595,18 +587,14 @@ def cmd_sentinel(args) -> int:
     except SentinelError as error:
         print(f"sentinel: {error}", file=sys.stderr)
         return 2
-    if args.journal_dir and args.workers > 1:
-        print("sentinel: journaled campaigns run inline; drop --workers",
-              file=sys.stderr)
-        return 2
     try:
         result = run_sentinel({
             "config": config.to_payload(),
             "trace": bool(args.trace_path),
             "metrics": bool(args.metrics_path),
             "journal_dir": args.journal_dir,
-        }, workers=args.workers)
-    except (SentinelError, VulnDBError, ParError) as error:
+        })
+    except (SentinelError, VulnDBError) as error:
         print(f"sentinel: {error}", file=sys.stderr)
         return 2
 
@@ -616,8 +604,7 @@ def cmd_sentinel(args) -> int:
     print(f"Sentinel replay: {counters['disclosures']} deliveries "
           f"({counters['duplicates_ignored']} duplicates) over "
           f"{years:.1f} simulated years, fleet of {args.hosts} hosts "
-          f"on {args.current.value}, pool {list(pool)}"
-          f"{f', {args.workers} workers' if args.workers > 1 else ''}")
+          f"on {args.current.value}, pool {list(pool)}")
     print(f"  responses  : {counters['campaigns_launched']} campaigns, "
           f"{counters['returns_launched']} returns, "
           f"{counters['preemptions']} preempted, "
@@ -642,9 +629,8 @@ def cmd_sentinel(args) -> int:
             handle.write(json.dumps(document, indent=2, sort_keys=True))
         print(f"  report JSON written to {args.json_path}")
     if args.trace_path:
-        trace = trace_from_payload(result["spans"])
         with open(args.trace_path, "w") as handle:
-            handle.write(trace.to_chrome_trace())
+            handle.write(result["trace"])
         print(f"  trace JSON written to {args.trace_path}")
     if args.metrics_path:
         with open(args.metrics_path, "w") as handle:

@@ -83,6 +83,9 @@ def plan_precopy(memory_bytes: int, rate_bytes_s: float,
     """
     if rate_bytes_s <= 0:
         raise MigrationError("migration needs positive link rate")
+    if dirty_rate_bytes_s < 0:
+        raise MigrationError(
+            f"dirty rate must be >= 0 bytes/s, got {dirty_rate_bytes_s:g}")
     rounds: List[PreCopyRound] = []
     to_send = memory_bytes
     threshold = max(1, int(memory_bytes * cost.stop_threshold_fraction))

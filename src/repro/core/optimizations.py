@@ -1,8 +1,9 @@
 """The four InPlaceTP optimisations (§4.2.5) as explicit toggles.
 
-* **prepare_ahead** — PRAM construction and device quiescing run before the
-  VMs are paused (akin to live migration's pre-copy), keeping them out of
-  the downtime.
+* **prepare_ahead** — PRAM construction runs before the VMs are paused
+  (akin to live migration's pre-copy), keeping it out of the downtime.
+  Device quiescing runs before the pause either way; only PRAM moves
+  into the downtime when this is off.
 * **parallel** — per-VM translations/restorations each get a thread,
   bounded by the machine's cores.
 * **huge_pages** — PRAM entries cover 2 MB chunks instead of 4 KB pages,

@@ -1,18 +1,18 @@
 """``repro.par`` — deterministic multi-process execution.
 
-Fleet campaigns and benchmark sweeps are embarrassingly parallel (every
-cell is an independent seeded simulation), but parallelism is only
-admissible here if it is *invisible in the output*: the artifact must
-be byte-identical for any worker count and any completion order, and
-``workers=1`` must be exactly the serial path.  The subsystem:
+Benchmark sweeps are embarrassingly parallel (every cell is an
+independent seeded simulation), but parallelism is only admissible here
+if it is *invisible in the output*: the artifact must be byte-identical
+for any worker count and any completion order, and ``workers=1`` must be
+exactly the serial path.  The subsystem:
 
 * :mod:`pool` — spawn-based :class:`WorkerPool` whose task/result
   protocol rides the :mod:`repro.io` frame codec over pipes, with
   per-task timeouts, crash detection, bounded retry and inline fallback;
-* :mod:`shard` — :func:`derive_seed` (stable per-shard seeds) and the
-  plain-dict span payloads a run's trace crosses the pipe as;
+* :mod:`shard` — :func:`derive_seed` (stable per-shard seeds);
 * :mod:`runner` — :class:`ParallelRunner` (order-preserving map) and the
-  fleet-campaign worker entrypoint;
+  one-campaign / one-replay entrypoints that ``hypertp fleet`` and
+  ``hypertp sentinel`` run in-process;
 * :mod:`realtime` — the subsystem's one audited wall-clock boundary.
 
 See ``docs/parallelism.md`` for the protocol and the determinism
@@ -24,8 +24,8 @@ import importlib
 
 # Lazy re-exports (PEP 562): the worker boot command imports
 # ``repro.par.pool`` through this package; pulling :mod:`runner` and
-# :mod:`shard` (and their repro.obs dependencies) eagerly would tax
-# every worker spawn.  Attributes resolve on first access.
+# :mod:`shard` eagerly would tax every worker spawn.  Attributes resolve
+# on first access.
 _EXPORTS = {
     "TASK_FRAME": "repro.par.pool",
     "RESULT_FRAME": "repro.par.pool",
@@ -43,10 +43,6 @@ _EXPORTS = {
     "sentinel_task": "repro.par.runner",
     "run_sentinel": "repro.par.runner",
     "derive_seed": "repro.par.shard",
-    "span_to_payload": "repro.par.shard",
-    "span_from_payload": "repro.par.shard",
-    "spans_to_payload": "repro.par.shard",
-    "trace_from_payload": "repro.par.shard",
 }
 
 
@@ -81,8 +77,4 @@ __all__ = [
     "sentinel_task",
     "run_sentinel",
     "derive_seed",
-    "span_to_payload",
-    "span_from_payload",
-    "spans_to_payload",
-    "trace_from_payload",
 ]

@@ -70,8 +70,6 @@ class Task:
     func: str
     payload: Any = None
     label: str = ""
-    #: per-task deadline override (None = the pool's default)
-    timeout_s: Optional[float] = None
 
 
 def func_ref(fn: Union[str, Callable]) -> str:
@@ -416,9 +414,7 @@ class WorkerPool:
                 continue
             worker.sent_offset += len(frame)
             worker.task_index = index
-            timeout = task.timeout_s if task.timeout_s is not None \
-                else self.task_timeout_s
-            worker.deadline = realtime.monotonic() + timeout
+            worker.deadline = realtime.monotonic() + self.task_timeout_s
 
     def _wait_one(self, busy: List[_Worker], tasks: List[Task],
                   results: Dict[int, Any], pending: List[int],
@@ -441,8 +437,7 @@ class WorkerPool:
                 self.stats.timeouts += 1
                 self._task_failed(
                     worker, tasks, results, pending, attempts,
-                    reason=f"timed out after "
-                           f"{tasks[worker.task_index].timeout_s or self.task_timeout_s:g}s",
+                    reason=f"timed out after {self.task_timeout_s:g}s",
                 )
 
     def _receive(self, worker: _Worker, tasks: List[Task],

@@ -1,40 +1,41 @@
-"""High-level parallel runner and the fleet-campaign worker entrypoint.
+"""High-level parallel runner and the one-run entrypoints.
 
-:class:`ParallelRunner` is the convenience layer the benchmarks and the
-CLI use: map a module-level function over payloads, get results back in
+:class:`ParallelRunner` is the convenience layer the benchmark sweeps
+use: map a module-level function over payloads, get results back in
 submission order, keep the pool's operational stats for the artifact's
 ``meta`` block.
 
-:func:`fleet_campaign_task` is the canonical worker entrypoint — one
-complete fleet campaign per task, built *inside* the worker from a plain
-config payload (never shipped live objects), returning plain dicts: the
-metrics document, span payloads and a registry snapshot.  Because the
-campaign is seeded and the document serialization is deterministic, the
-same payload produces the same dicts inline, in a worker, or in a worker
-that crashed twice and was retried.  It is the only code that turns a
+:func:`fleet_campaign_task` runs one complete fleet campaign, built
+*inside* the executing process from a plain config payload (never
+shipped live objects), and returns plain data: the metrics document,
+the Chrome-trace text and a registry snapshot.  Because the campaign is
+seeded and every serialization is deterministic, the same payload
+produces the same results inline, in a worker, or in a worker that
+crashed twice and was retried.  It is the only code that turns a
 payload into a ``FleetController`` — plain, traced, metered, journaled
 or resumed — as :func:`sentinel_task` is for a ``Sentinel``.
+``hypertp fleet`` and ``hypertp sentinel`` call them in-process through
+:func:`run_fleet_campaign` and :func:`run_sentinel`.
 """
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.par.pool import PoolStats, Task, WorkerPool, func_ref
 
+#: Pool deadline of a single campaign or replay routed through a worker.
+_RUN_TIMEOUT_S = 600.0
+
 
 class ParallelRunner:
     """Order-preserving parallel map over module-level task functions."""
 
-    def __init__(self, workers: int = 1, task_timeout_s: float = 300.0,
-                 max_retries: int = 1, backoff_base_s: float = 0.05):
+    def __init__(self, workers: int = 1, task_timeout_s: float = 300.0):
         self.workers = workers
         self.task_timeout_s = task_timeout_s
-        self.max_retries = max_retries
-        self.backoff_base_s = backoff_base_s
         self.stats = PoolStats()
 
     def map_tasks(self, fn: Union[str, Callable], payloads: Sequence[Any],
-                  labels: Optional[Sequence[str]] = None,
-                  timeout_s: Optional[float] = None) -> List[Any]:
+                  labels: Optional[Sequence[str]] = None) -> List[Any]:
         """Run ``fn(payload)`` for every payload; results keep input order."""
         ref = func_ref(fn)
         if labels is not None and len(labels) != len(payloads):
@@ -45,23 +46,18 @@ class ParallelRunner:
             )
         tasks = [
             Task(func=ref, payload=payload,
-                 label=labels[index] if labels else f"{ref}#{index}",
-                 timeout_s=timeout_s)
+                 label=labels[index] if labels else f"{ref}#{index}")
             for index, payload in enumerate(payloads)
         ]
-        pool = WorkerPool(
-            workers=self.workers,
-            task_timeout_s=self.task_timeout_s,
-            max_retries=self.max_retries,
-            backoff_base_s=self.backoff_base_s,
-        )
+        pool = WorkerPool(workers=self.workers,
+                          task_timeout_s=self.task_timeout_s)
         try:
             return pool.run(tasks)
         finally:
             self.stats = pool.stats
 
 
-# -- the fleet campaign as a worker entrypoint --------------------------------
+# -- one campaign, one replay -------------------------------------------------
 
 
 def fleet_campaign_task(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -73,7 +69,7 @@ def fleet_campaign_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     * ``fail_rate`` — failure-injection probability (default 0.0);
     * ``injector_seed`` — injector RNG seed (default: the config seed);
     * ``max_retries`` — per-host retry budget (default: policy default);
-    * ``trace`` — return the campaign's timeline as span payloads;
+    * ``trace`` — return the campaign's Chrome-trace JSON text;
     * ``metrics`` — return the finished campaign's metrics-registry
       snapshot;
     * ``journal`` — write-ahead journal the campaign to this path;
@@ -100,7 +96,6 @@ def fleet_campaign_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         FleetController,
         RetryPolicy,
     )
-    from repro.par.shard import spans_to_payload
 
     resumed = None
     if payload.get("resume"):
@@ -142,7 +137,7 @@ def fleet_campaign_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     # Sorted plain dicts: serializes identically from any worker.
     result["mechanism_mix"] = controller.mechanism_mix()
     if payload.get("trace"):
-        result["spans"] = spans_to_payload(controller.timeline())
+        result["trace"] = controller.timeline().to_chrome_trace()
     if payload.get("metrics"):
         from repro.obs import MetricsRegistry
 
@@ -163,8 +158,7 @@ def sentinel_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     * ``config`` — :class:`~repro.sentinel.responder.SentinelConfig`
       payload (the ``to_payload`` shape: nested ``feed``/``policy``
       dicts, a plain-list pool);
-    * ``trace`` — collect response-plane spans and return them as
-      payloads;
+    * ``trace`` — return the response-plane Chrome-trace JSON text;
     * ``metrics`` — return the finished replay's metrics-registry
       snapshot, with the ``journal_*`` counters summed over every
       campaign journal under ``journal_dir``;
@@ -178,7 +172,6 @@ def sentinel_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     exactly ``SentinelReport.to_dict()``, so serial and parallel runs
     serialize to identical bytes.
     """
-    from repro.par.shard import spans_to_payload
     from repro.sentinel import Sentinel, SentinelConfig
 
     config = SentinelConfig.from_payload(payload.get("config", {}))
@@ -192,7 +185,7 @@ def sentinel_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     result: Dict[str, Any] = {"document": report.to_dict()}
     if payload.get("trace"):
-        result["spans"] = spans_to_payload(sentinel.timeline())
+        result["trace"] = sentinel.timeline().to_chrome_trace()
     if payload.get("metrics"):
         from repro.obs import MetricsRegistry
 
@@ -203,29 +196,27 @@ def sentinel_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     return result
 
 
-def run_sentinel(payload: Dict[str, Any], workers: int = 1,
-                 task_timeout_s: float = 600.0) -> Dict[str, Any]:
-    """One sentinel replay, optionally routed through the worker pool.
+def run_sentinel(payload: Dict[str, Any], workers: int = 1) -> Dict[str, Any]:
+    """One sentinel replay: :func:`sentinel_task` through the pool.
 
-    Mirrors :func:`run_fleet_campaign`: ``workers <= 1`` runs inline;
-    more routes the single task through a subprocess, and the output
-    must be byte-identical either way.
+    Mirrors :func:`run_fleet_campaign`; ``hypertp sentinel`` calls it at
+    ``workers=1``.
     """
-    runner = ParallelRunner(workers=workers, task_timeout_s=task_timeout_s)
+    runner = ParallelRunner(workers=workers, task_timeout_s=_RUN_TIMEOUT_S)
     return runner.map_tasks(sentinel_task, [payload],
                             labels=["sentinel"])[0]
 
 
-def run_fleet_campaign(payload: Dict[str, Any], workers: int = 1,
-                       task_timeout_s: float = 600.0) -> Dict[str, Any]:
-    """One campaign, optionally routed through the worker pool.
+def run_fleet_campaign(payload: Dict[str, Any],
+                       workers: int = 1) -> Dict[str, Any]:
+    """One campaign: :func:`fleet_campaign_task` through the pool.
 
-    With ``workers <= 1`` the campaign runs inline — the serial path.
-    With more, the single task takes the full subprocess round trip
-    (frames out, campaign in a fresh interpreter, frames back), which is
-    the determinism contract the CLI's ``--workers`` flag exposes: the
-    output must be byte-identical either way.
+    ``hypertp fleet`` calls it at ``workers=1``, which runs the campaign
+    in the calling process.  With more, the single task takes the full
+    subprocess round trip (frames out, campaign in a fresh interpreter,
+    frames back) and must return byte-identical results: the contract
+    the parallel sweeps rely on.
     """
-    runner = ParallelRunner(workers=workers, task_timeout_s=task_timeout_s)
+    runner = ParallelRunner(workers=workers, task_timeout_s=_RUN_TIMEOUT_S)
     return runner.map_tasks(fleet_campaign_task, [payload],
                             labels=["fleet-campaign"])[0]

@@ -12,7 +12,7 @@ piecewise-constant accounting).
 
 The document is a deterministic function of ``(config, database)``:
 sorted keys, sorted iteration, no wall-clock anywhere — the property the
-CLI's rerun/``--workers`` byte-identity contract rests on.
+byte-identity contract across reruns and worker counts rests on.
 """
 
 import json

@@ -1,8 +1,13 @@
 """Tests for the hypertp CLI."""
 
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestParser:
@@ -17,6 +22,15 @@ class TestParser:
     def test_unknown_machine_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["inplace", "--machine", "M9"])
+
+    @pytest.mark.parametrize("command", ["fleet", "sentinel"])
+    def test_single_run_commands_take_no_workers(self, command, capsys):
+        # One campaign or replay always runs in the calling process.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers 2" in \
+            capsys.readouterr().err
 
 
 class TestInplaceCommand:
@@ -204,16 +218,6 @@ class TestSentinelCommand:
         assert main(self.ARGS) == 0
         assert capsys.readouterr().out == first
 
-    def test_workers_output_identical(self, tmp_path, capsys):
-        import filecmp
-
-        serial = tmp_path / "serial.json"
-        pooled = tmp_path / "pooled.json"
-        assert main([*self.ARGS, "--json", str(serial)]) == 0
-        assert main([*self.ARGS, "--workers", "2",
-                     "--json", str(pooled)]) == 0
-        assert filecmp.cmp(serial, pooled, shallow=False)
-
     def test_json_report_written(self, tmp_path, capsys):
         import json
 
@@ -261,10 +265,6 @@ class TestSentinelCommand:
         assert metrics["journal_replayed_records_total"]["value"] == 0
         assert "sentinel_disclosures_total" in metrics
 
-    def test_journal_dir_rejects_workers(self, tmp_path, capsys):
-        assert main([*self.ARGS, "--journal-dir", str(tmp_path / "j"),
-                     "--workers", "2"]) == 2
-
     def test_bad_pool_rejected(self, capsys):
         assert main(["sentinel", "--pool", "kvm", "--current", "xen"]) == 2
 
@@ -276,21 +276,18 @@ class TestSentinelCommand:
                  id="fleet-inplace-fraction"),
     pytest.param(["fleet", "--concurrency", "-4"],
                  id="fleet-negative-concurrency"),
-    # The same errors raised inside a worker process.
-    pytest.param(["fleet", "--hosts", "4", "--concurrency", "-4",
-                  "--workers", "2"], id="fleet-negative-concurrency-workers"),
-    pytest.param(["fleet", "--hosts", "4", "--cve", "CVE-0000-0000",
-                  "--workers", "2"], id="fleet-unknown-cve-workers"),
-    pytest.param(["fleet", "--hosts", "4", "--inplace-fraction", "2",
-                  "--workers", "2"], id="fleet-inplace-fraction-workers"),
-    pytest.param(["fleet", "--hosts", "4", "--pool", "", "--workers", "2"],
-                 id="fleet-empty-pool-workers"),
     pytest.param(["fleet", "--hosts", "4", "--vms-per-host", "-3"],
                  id="fleet-negative-vms-per-host"),
     pytest.param(["fleet", "--journal", "c.journal", "--crash-after", "0"],
                  id="fleet-crash-after-zero"),
     pytest.param(["fleet", "--journal", "c.journal", "--crash-after", "-5"],
                  id="fleet-crash-after-negative"),
+    pytest.param(["inplace", "--vcpus", "0"], id="inplace-no-vcpus"),
+    pytest.param(["inplace", "--memory-gib", "0"], id="inplace-no-memory"),
+    pytest.param(["migrate", "--vcpus", "0"], id="migrate-no-vcpus"),
+    pytest.param(["migrate", "--memory-gib", "0"], id="migrate-no-memory"),
+    pytest.param(["migrate", "--dirty-mb-s", "-5"],
+                 id="migrate-negative-dirty-rate"),
     pytest.param(["advise", "CVE-0000-0000"], id="advise-unknown-cve"),
     pytest.param(["cluster", "--fractions", "0,abc"],
                  id="cluster-bad-fraction"),
@@ -314,3 +311,59 @@ def test_input_error_is_one_line_and_exit_2(argv, tmp_path, monkeypatch,
     assert captured.out == ""
     # Rejected before any work: no journal was started.
     assert not (tmp_path / "c.journal").exists()
+
+
+# -- documented command lines -------------------------------------------------
+
+_SHELL_FENCES = {"", "bash", "console", "sh", "shell"}
+
+
+def documented_commands():
+    """Every ``hypertp``/``repro`` command in a shell code block of
+    README.md and docs/*.md, as ``pytest.param(argv, id="file:line")``.
+
+    ``\\`` continuations are joined, a ``$ `` prompt and ``#`` comments
+    are stripped, and ``;``-chained commands are split.
+    """
+    params = []
+    for path in [REPO_ROOT / "README.md",
+                 *sorted((REPO_ROOT / "docs").glob("*.md"))]:
+        fence = None
+        text, start = "", 0
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            stripped = line.strip()
+            if stripped.startswith("```"):
+                fence = None if fence is not None else stripped[3:].strip()
+                continue
+            if fence not in _SHELL_FENCES:
+                continue
+            if not text:
+                start = number
+                stripped = stripped.removeprefix("$ ")
+            if stripped.endswith("\\"):
+                text += stripped[:-1] + " "
+                continue
+            text += stripped
+            if text.split(maxsplit=1)[:1] in (["hypertp"], ["repro"]):
+                lexer = shlex.shlex(text, posix=True, punctuation_chars=";")
+                lexer.whitespace_split = True
+                command: list = []
+                for token in [*lexer, ";"]:
+                    if token != ";":
+                        command.append(token)
+                        continue
+                    if command and command[0] in ("hypertp", "repro"):
+                        params.append(pytest.param(
+                            command[1:], id=f"{path.name}:{start}"))
+                    command = []
+            text = ""
+    return params
+
+
+@pytest.mark.parametrize("argv", documented_commands())
+def test_documented_command_parses(argv, capsys):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"documented command does not parse: {argv}\n"
+                    f"{capsys.readouterr().err}")

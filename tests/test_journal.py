@@ -528,7 +528,6 @@ class TestJournalCli:
         journal = str(tmp_path / "c.journal")
         assert self.fleet("--journal", journal, "--resume", journal) == 2
         assert self.fleet("--crash-after", "5") == 2
-        assert self.fleet("--journal", journal, "--workers", "2") == 2
 
     def test_resume_missing_journal_fails_cleanly(self, tmp_path, capsys):
         assert self.fleet("--resume", str(tmp_path / "nope.journal")) == 2

@@ -4,8 +4,7 @@ Three layers of the determinism contract are under test here:
 
 1. the pool's **mechanics** (frame protocol over pipes, submission-order
    results, crash/timeout retry, inline fallback);
-2. the **shard layer** (seed derivation, span payloads that rebuild
-   the run's trace);
+2. the **shard layer** (seed derivation);
 3. the **end-to-end contract**: a fleet campaign routed through workers
    is byte-identical to the serial run, even when workers are killed or
    hung mid-task;
@@ -28,7 +27,6 @@ import pytest
 
 from repro.analysis import Project, run_analysis
 from repro.errors import FleetError, ParError
-from repro.obs.trace import Span, Trace
 from repro.par import (
     ParallelRunner,
     PoolStats,
@@ -40,9 +38,6 @@ from repro.par import (
     func_ref,
     resolve_ref,
     run_fleet_campaign,
-    span_from_payload,
-    spans_to_payload,
-    trace_from_payload,
 )
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
@@ -176,29 +171,6 @@ class TestDeriveSeed:
         for seed in (0, 1, 2**31, 12345):
             derived = derive_seed(seed, "x")
             assert 0 <= derived < 2**63
-
-
-# -- span payloads -----------------------------------------------------------
-
-
-def _spans(track, count=2):
-    trace = Trace()
-    for i in range(count):
-        trace.add(Span(name=f"op{i}", category="test",
-                       start_s=float(i), end_s=float(i) + 0.5, track=track))
-    return trace
-
-
-class TestSpanPayloads:
-    def test_trace_from_payload_reproduces_inline_trace(self):
-        trace = _spans("node03/nic", count=4)
-        rebuilt = trace_from_payload(spans_to_payload(trace))
-        assert rebuilt.to_chrome_trace() == trace.to_chrome_trace()
-
-    def test_span_payload_roundtrip(self):
-        span = Span(name="s", category="c", start_s=1.0, end_s=2.0,
-                    track="h/t", args={"k": 1})
-        assert span_from_payload(spans_to_payload([span])[0]) == span
 
 
 # -- pool mechanics -----------------------------------------------------------
@@ -351,12 +323,9 @@ class TestParallelRunner:
         pooled = run_fleet_campaign(payload, workers=3)
         assert json.dumps(serial, sort_keys=True) == \
             json.dumps(pooled, sort_keys=True)
-        # and the traces rebuilt from the span payloads export to the
-        # same bytes too
-        assert serial["spans"] == pooled["spans"]
-        serial_trace = trace_from_payload(serial["spans"]).to_chrome_trace()
-        pooled_trace = trace_from_payload(pooled["spans"]).to_chrome_trace()
-        assert serial_trace == pooled_trace
+        # the trace crosses the pipe as the Chrome-trace text the CLI writes
+        assert json.loads(serial["trace"])["traceEvents"]
+        assert serial["trace"] == pooled["trace"]
 
 
 # -- par-* lint rules ---------------------------------------------------------

@@ -254,7 +254,6 @@ def assert_matches_goldens(tmp_path, name, config, fail_rate, max_retries):
     from repro.journal import CampaignJournal, campaign_meta
     from repro.fleet import FailureInjector, RetryPolicy
     from repro.obs import MetricsRegistry
-    from repro.par import spans_to_payload, trace_from_payload
 
     injector = FailureInjector(fail_rate, seed=config.seed)
     retry = RetryPolicy(max_retries=max_retries)
@@ -267,9 +266,7 @@ def assert_matches_goldens(tmp_path, name, config, fail_rate, max_retries):
 
     document = json.dumps(metrics.to_dict(), indent=2, sort_keys=True)
     assert document.encode() == read_golden(f"{name}.json")
-    # The CLI path: spans cross the worker pipe as payloads.
-    trace = trace_from_payload(spans_to_payload(controller.timeline()))
-    assert (trace.to_chrome_trace().encode()
+    assert (controller.timeline().to_chrome_trace().encode()
             == read_golden(f"{name}_trace.json"))
     with open(journal_path, "rb") as handle:
         assert handle.read() == read_golden(f"{name}.journal")

@@ -349,9 +349,11 @@ class TestSentinelWorkers:
     def test_worker_pool_output_byte_identical(self):
         from repro.par import run_sentinel
 
-        payload = {"config": _small_config().to_payload()}
+        payload = {"config": _small_config().to_payload(), "trace": True,
+                   "metrics": True}
         serial = run_sentinel(payload, workers=1)
         parallel = run_sentinel(payload, workers=2)
+        assert json.loads(serial["trace"])["traceEvents"]
         assert json.dumps(serial, sort_keys=True) == \
             json.dumps(parallel, sort_keys=True)
         inline = Sentinel(_small_config()).run()
