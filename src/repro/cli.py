@@ -244,6 +244,9 @@ def cmd_inplace(args) -> int:
     if args.source is args.target:
         print("source and target must differ", file=sys.stderr)
         return 2
+    if args.vms < 1:
+        print(f"inplace: need >= 1 VM, got {args.vms}", file=sys.stderr)
+        return 2
 
     pins = {
         HypervisorKind.XEN: XEN_IOAPIC_PINS,

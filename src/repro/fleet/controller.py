@@ -65,8 +65,6 @@ from repro.sim.engine import (
 from repro.vulndb.advisor import TransplantAdvisor
 from repro.vulndb.data import VulnerabilityDatabase, load_default_database
 
-#: a host record's state value, read without the enum's ``value`` property
-_STATE_VALUE = attrgetter("state._value_")
 _VM_NODE = attrgetter("node")
 
 
@@ -331,7 +329,11 @@ class FleetController:
 
         engine = Engine(SimClock(cfg.disclosure_at_s))
         self._engine = engine
-        self.trace = FleetTrace(journal=self.journal)
+        # host_plans is sorted by name, so the trace's state text, the
+        # fault streams and their draw text, and the host records below
+        # list hosts in the order the state digest needs.
+        hosts = [hp.name for hp in host_plans]
+        self.trace = FleetTrace(journal=self.journal, hosts=hosts)
         self._ledger = _SlotLedger(engine, initial_free)
         self._link = FifoSemaphore(engine, cfg.migration_streams)
         self._admission = FifoSemaphore(engine, cfg.concurrency)
@@ -343,11 +345,14 @@ class FleetController:
             for vm, count in sorted(self._chain_counts.items())
         }
         self._aborted: Set[str] = set()
-        # host_plans is sorted by name, so the fault streams here and the
-        # host records below list hosts in the order the state digest
-        # needs.
-        self._streams = {hp.name: self.injector.stream_for(hp.name)
-                         for hp in host_plans}
+        self._streams = {name: self.injector.stream_for(name)
+                         for name in hosts}
+        # A journaled campaign keeps the rest of its checkpoint digest's
+        # text rendered as it runs too (see _state_digest).
+        self._aborted_text = repr([])
+        self._draw_text: Optional[Dict[str, str]] = (
+            dict.fromkeys(hosts, str(0)) if self.journal is not None
+            else None)
         self._migrations_executed = 0
         # Rolling placement signature for checkpoint digests: a crc32
         # chained over every committed move, in execution order.  The
@@ -450,8 +455,7 @@ class FleetController:
             # closed on the replay byte-compare.  The metrics document is
             # a deterministic function of that state, so it is bound too
             # (and CI additionally cmp-checks the artifacts byte-for-byte).
-            self.journal.commit(completed,
-                                self._state_digest(self._host_states()))
+            self.journal.commit(completed, self._state_digest())
         return metrics
 
     def timeline(self) -> Trace:
@@ -499,44 +503,39 @@ class FleetController:
         byte-for-byte, so a recovered controller proves its placement map,
         host records and fault-stream RNG positions match the crashed run.
         """
-        states = self._host_states()
         self.journal.checkpoint(
             self._engine.now,
-            self._state_digest(states),
-            done_hosts=states.count(HostState.DONE.value),
+            self._state_digest(),
+            done_hosts=self.trace.done_hosts,
             migrations_executed=self._migrations_executed,
         )
 
-    def _host_states(self) -> List[str]:
-        """Every host's state value, in sorted host order.
-
-        ``records`` is filled in sorted host order, and the attrgetter
-        reads the enum's raw ``_value_`` field, so the whole walk runs in
-        C with no Python call per host (``.value`` is a property).
-        """
-        return list(map(_STATE_VALUE, self.records.values()))
-
-    def _state_digest(self, states: List[str]) -> bytes:
+    def _state_digest(self) -> bytes:
         """SHA-256 over a canonical rendering of the recoverable state.
 
-        Rendered as the ``repr`` of plain sorted tuples rather than JSON:
-        the digest only has to be deterministic (replay byte-compares it
-        against the journaled checkpoint).  The digest is deliberately
-        slim: host names are implied by sorted order (naming is a
-        deterministic function of the journaled config), and per-host
+        The text is the ``repr`` of the tuple ``(sorted aborted VM names,
+        host state values, migrations executed, placement signature,
+        fault-stream draw counts)``, hosts in sorted order.  The journal
+        format fixes it: replay byte-compares the digest against the
+        journaled checkpoint.  The digest is deliberately slim: host
+        names are implied by sorted order (naming is a deterministic
+        function of the journaled config), and per-host
         retry/rollback/skip counters are transitively bound already —
         every retry and rollback emits transitions that replay
         byte-compares one by one.
 
-        ``states`` comes from :meth:`_host_states`.  Hosts are read in
-        sorted order without re-sorting, and sorting the aborted VM names
-        runs in C, so a checkpoint makes no Python call per host: the
-        per-host work is C-level list building, ``repr`` and ``sha256``.
+        A journaled campaign keeps the per-host parts rendered as it
+        runs: the trace re-renders a host's state on each transition,
+        :meth:`_strikes` a stream's draw count on each draw, and
+        :meth:`_abort_vm` the aborted names when one is added.  So a
+        checkpoint is two C-level joins and one SHA-256, with no ``repr``
+        and no Python call per host.
         """
-        state = (sorted(self._aborted), states, self._migrations_executed,
-                 self._placement_sig,
-                 list(map(attrgetter("draws"), self._streams.values())))
-        return hashlib.sha256(repr(state).encode("utf-8")).digest()
+        text = (f"({self._aborted_text}, "
+                f"[{', '.join(self.trace.state_text.values())}], "
+                f"{self._migrations_executed}, {self._placement_sig}, "
+                f"[{', '.join(self._draw_text.values())}])")
+        return hashlib.sha256(text.encode("utf-8")).digest()
 
     # -- host state machine --------------------------------------------------
 
@@ -592,14 +591,14 @@ class FleetController:
                             plan: StagePlan):
         """One evacuation with bounded retry.  Caller holds the VM lock."""
         cfg = self.config
-        stream = self._streams[record.name]
         gates = self._vm_gates[action.vm_name]
         attempt = 0
         while True:
             yield self._ledger.reserve(action.destination)
             with self._link.held() as link:
                 yield link
-                stalled = stream.strikes(FailurePhase.EVACUATION)
+                stalled = self._strikes(record.name,
+                                        FailurePhase.EVACUATION)
                 if stalled:
                     # The transfer stalls; the watchdog kills it after the
                     # timeout, the fabric and the reserved slot free up.
@@ -631,11 +630,10 @@ class FleetController:
 
     def _transplant(self, record: HostRecord, hp: _HostPlan):
         cfg = self.config
-        stream = self._streams[record.name]
         record.transition(HostState.TRANSPLANTING, self._engine.now,
                           self.trace)
         attempt = 0
-        while stream.strikes(FailurePhase.KEXEC):
+        while self._strikes(record.name, FailurePhase.KEXEC):
             yield cfg.kexec_watchdog_s  # hang; watchdog fires, host recovers
             record.transition(HostState.FAILED, self._engine.now, self.trace,
                               reason=FailurePhase.KEXEC.value)
@@ -655,13 +653,12 @@ class FleetController:
         return True
 
     def _verify(self, record: HostRecord, hp: _HostPlan):
-        stream = self._streams[record.name]
         record.transition(HostState.VERIFYING, self._engine.now, self.trace)
         verify_s = hp.plan.stage_s(Stage.VERIFY)
         attempt = 0
         while True:
             yield verify_s
-            if not stream.strikes(FailurePhase.VERIFY):
+            if not self._strikes(record.name, FailurePhase.VERIFY):
                 return True
             record.transition(HostState.FAILED, self._engine.now, self.trace,
                               reason=FailurePhase.VERIFY.value)
@@ -730,9 +727,20 @@ class FleetController:
 
     # -- shared bookkeeping ---------------------------------------------------
 
+    def _strikes(self, host: str, phase: FailurePhase) -> bool:
+        """Draw whether ``phase`` faults on ``host``'s next attempt, and
+        keep a journaled campaign's draw text at the stream's position."""
+        stream = self._streams[host]
+        struck = stream.strikes(phase)
+        if self._draw_text is not None:
+            self._draw_text[host] = str(stream.draws)
+        return struck
+
     def _abort_vm(self, vm: str) -> None:
-        if vm in self._chain_counts:
+        if vm in self._chain_counts and vm not in self._aborted:
             self._aborted.add(vm)
+            if self.journal is not None:
+                self._aborted_text = repr(sorted(self._aborted))
 
     def _commit_move(self, vm: str, source: str, destination: str) -> None:
         self.placement[vm] = destination

@@ -18,7 +18,7 @@ shared :class:`FleetTrace`, which is what the metrics layer and the tests
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from repro.errors import FleetError
 
@@ -51,6 +51,11 @@ RETRYABLE_STATES = frozenset({
     HostState.TRANSPLANTING,
     HostState.VERIFYING,
 })
+
+#: each state's value as a checkpoint digest renders it (its ``repr``),
+#: keyed by the value string: an enum key would hash through a Python call
+_STATE_TEXT: Dict[str, str] = {state.value: repr(state.value)
+                               for state in HostState}
 
 LEGAL_TRANSITIONS: Dict[HostState, FrozenSet[HostState]] = {
     HostState.PENDING: frozenset({
@@ -97,19 +102,32 @@ class FleetTrace:
     durable *before* it lands in the in-memory trace — and therefore before
     :meth:`HostRecord.transition` mutates ``state`` — which is the
     write-ahead ordering crash recovery depends on.
+
+    A journaled trace also keeps the host-state part of the campaign's
+    checkpoint digest rendered: ``state_text`` maps each of ``hosts``, in
+    the order given, to the ``repr`` of its state value (``'pending'`` at
+    first), and ``done_hosts`` counts the hosts that reached DONE.  A
+    checkpoint then joins the kept text instead of re-reading every host.
     """
 
-    def __init__(self, journal=None):
+    def __init__(self, journal=None, hosts: Iterable[str] = ()):
         self.journal = journal
         self.transitions: List[Transition] = []
+        self.state_text: Dict[str, str] = (
+            dict.fromkeys(hosts, _STATE_TEXT[HostState.PENDING.value])
+            if journal is not None else {})
+        self.done_hosts = 0
 
     def append(self, transition: Transition) -> None:
         if self.journal is not None:
+            target = transition.target.value
             self.journal.transition(
                 transition.time_s, transition.host,
-                transition.source.value, transition.target.value,
-                transition.reason,
+                transition.source.value, target, transition.reason,
             )
+            self.state_text[transition.host] = _STATE_TEXT[target]
+            if transition.target is HostState.DONE:
+                self.done_hosts += 1
         self.transitions.append(transition)
 
     def max_in_flight(self) -> int:

@@ -36,7 +36,7 @@ import select
 import subprocess
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ParError, ReproError, StateFormatError
@@ -249,8 +249,11 @@ class PoolStats:
     timeouts: int = 0
     inline_fallbacks: int = 0
     respawns: int = 0
+    #: ``"<task label or func>: <reason>"`` per failed task attempt, in
+    #: the order they failed
+    failures: List[str] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, int]:
+    def to_dict(self) -> Dict[str, Any]:
         return {
             "workers": self.workers,
             "tasks": self.tasks,
@@ -260,6 +263,7 @@ class PoolStats:
             "timeouts": self.timeouts,
             "inline_fallbacks": self.inline_fallbacks,
             "respawns": self.respawns,
+            "failures": list(self.failures),
         }
 
 
@@ -488,6 +492,7 @@ class WorkerPool:
         self._respawn(worker)
         attempts[index] += 1
         task = tasks[index]
+        self.stats.failures.append(f"{task.label or task.func}: {reason}")
         if attempts[index] > self.max_retries:
             # Retries exhausted: degrade to the serial path rather than
             # lose the campaign — the merged output stays complete and

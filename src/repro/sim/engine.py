@@ -20,6 +20,13 @@ timestamp of the signal.
 Events at equal timestamps run in scheduling order (FIFO), which keeps runs
 deterministic.  Times must be finite: a NaN compares false against
 everything, so it would slip past every ordering check.
+
+Inside :meth:`Engine.run`, a process whose wake-up would be the next event
+the loop runs anyway resumes in place instead of scheduling it: a fired
+gate with no other event due at the current instant, or a sleep that ends
+strictly before the earliest pending event and not after the run's
+``until``.  Every other event keeps its order, so runs stay identical;
+only fewer events are scheduled.
 """
 
 import itertools
@@ -52,8 +59,12 @@ class Process:
     :meth:`Engine.spawn`.
 
     The generator yields a finite delay >= 0 (sleep, in simulated seconds)
-    or a :class:`Gate` (park until it fires).  When it returns, ``done``
-    becomes true and ``result`` holds its return value.
+    or a :class:`Gate` of its own engine (park until it fires).  When it
+    returns, ``done`` becomes true and ``result`` holds its return value.
+
+    A yield whose wake-up event would be the engine's next one resumes
+    the generator at once (see the module docstring); every other yield
+    schedules its wake-up through :meth:`Engine.call_at`.
     """
 
     def __init__(self, engine: "Engine", gen: Generator, name: str = ""):
@@ -77,23 +88,41 @@ class Process:
     def _step(self) -> None:
         if self.done:
             return
-        try:
-            item = next(self._gen)
-        except StopIteration as stop:
-            self.done = True
-            self.result = stop.value
-            return
-        except BaseException:  # surfaced when the engine runs
-            self.done = True
-            raise
-        # bool is an int subclass: without the explicit rejection a buggy
-        # ``yield done_flag`` becomes a silent 1-second sleep.
-        if (isinstance(item, (int, float)) and not isinstance(item, bool)
-                and 0 <= item < inf):
-            self._engine.call_after(float(item), self._step)
-        elif isinstance(item, Gate):
-            item.subscribe(self._step)
-        else:
+        engine = self._engine
+        clock, queue = engine.clock, engine._queue
+        while True:
+            try:
+                item = next(self._gen)
+            except StopIteration as stop:
+                self.done = True
+                self.result = stop.value
+                return
+            except BaseException:  # surfaced when the engine runs
+                self.done = True
+                raise
+            now = clock._now
+            if isinstance(item, Gate):
+                # A fired gate would wake the process at ``now``; with no
+                # other event due then, that wake-up is the next event.
+                if (item._waiters is None and now <= engine._horizon
+                        and (not queue or queue[0][0] > now)):
+                    continue
+                item.subscribe(self._step)
+                return
+            # bool is an int subclass: without the explicit rejection a
+            # buggy ``yield done_flag`` becomes a silent 1-second sleep.
+            if (isinstance(item, (int, float)) and not isinstance(item, bool)
+                    and 0 <= item < inf):
+                wake = now + float(item)
+                # A wake-up strictly before the queue head is the next
+                # event, and run() pops it only up to its until.
+                if wake <= engine._horizon and wake < (queue[0][0] if queue
+                                                       else inf):
+                    if wake != now:
+                        clock.advance_to(wake)
+                    continue
+                engine.call_at(wake, self._step)
+                return
             raise SimulationError(
                 f"process {self.name!r} yielded {item!r}; expected a "
                 f"finite delay >= 0 or a Gate"
@@ -114,6 +143,9 @@ class Engine:
         self.clock = clock if clock is not None else SimClock()
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
+        #: the latest time a process may resume in place: the ``until``
+        #: of the run() in progress (inf without one), -inf outside run()
+        self._horizon = -inf
 
     @property
     def now(self) -> float:
@@ -156,17 +188,21 @@ class Engine:
         if until is not None and not isfinite(until):
             raise SimulationError(f"cannot run until non-finite time {until}")
         queue, clock = self._queue, self.clock
-        while queue:
-            time, _, event = queue[0]
-            if event.cancelled:
+        self._horizon = inf if until is None else until
+        try:
+            while queue:
+                time, _, event = queue[0]
+                if event.cancelled:
+                    heappop(queue)
+                    continue
+                if until is not None and time > until:
+                    break
                 heappop(queue)
-                continue
-            if until is not None and time > until:
-                break
-            heappop(queue)
-            if time != clock._now:
-                clock.advance_to(time)
-            event.fn()
+                if time != clock._now:
+                    clock.advance_to(time)
+                event.fn()
+        finally:
+            self._horizon = -inf
         if until is not None and clock.now < until:
             clock.advance_to(until)
         return clock.now

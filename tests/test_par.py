@@ -248,13 +248,16 @@ class TestWorkerFaults:
                           backoff_base_s=0.01)
         marker = str(tmp_path / "crash-marker")
         tasks = [Task(func=func_ref(crash_once),
-                      payload={"marker": marker, "value": 21}),
+                      payload={"marker": marker, "value": 21},
+                      label="crash-once"),
                  Task(func=func_ref(double), payload=5)]
         assert pool.run(tasks) == [42, 10]
         assert pool.stats.worker_crashes == 1
         assert pool.stats.retries == 1
         assert pool.stats.respawns == 1
         assert pool.stats.inline_fallbacks == 0
+        assert pool.stats.failures == ["crash-once: worker died mid-task"]
+        assert pool.stats.to_dict()["failures"] == pool.stats.failures
 
     def test_hung_worker_times_out_and_task_retried(self, tmp_path):
         pool = WorkerPool(workers=2, task_timeout_s=1.0, max_retries=1,
@@ -265,6 +268,9 @@ class TestWorkerFaults:
         assert pool.run(tasks) == [10]
         assert pool.stats.timeouts == 1
         assert pool.stats.retries == 1
+        # an unlabelled task is named by its entry point
+        assert pool.stats.failures == [
+            f"{func_ref(hang_once)}: timed out after 1s"]
 
     def test_exhausted_retries_fall_back_inline(self):
         # The task kills every worker it runs in; only the parent's
