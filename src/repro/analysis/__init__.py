@@ -12,43 +12,29 @@ checks: ``repro lint`` parses the tree with :mod:`ast`, runs every
 registered rule and reports findings (see ``docs/static-analysis.md``).
 """
 
-from repro.analysis.baseline import (
-    BaselineError,
-    load_baseline,
-    partition,
-    render_baseline,
-    write_baseline,
-)
 from repro.analysis.cfg import CFG, CFGNode, build_cfg
 from repro.analysis.dataflow import Solution, solve_forward
 from repro.analysis.engine import Rule, all_rules, register_rule, run_analysis
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.analysis.project import Project, SourceModule
-from repro.analysis.report import render_json, render_sarif, render_text
+from repro.analysis.report import render_json, render_text
 
 # Importing the rules package registers the built-in rules.
 from repro.analysis import rules as _rules  # noqa: F401
 
 __all__ = [
-    "BaselineError",
     "CFG",
     "CFGNode",
     "Finding",
     "Project",
     "Rule",
-    "Severity",
     "Solution",
     "SourceModule",
     "all_rules",
     "build_cfg",
-    "load_baseline",
-    "partition",
     "register_rule",
-    "render_baseline",
     "render_json",
-    "render_sarif",
     "render_text",
     "run_analysis",
     "solve_forward",
-    "write_baseline",
 ]

@@ -1,10 +1,10 @@
 """Per-function control-flow graphs for the protocol verifier.
 
 The shallow AST rules in ``repro.analysis.rules`` see one statement at a
-time; the protocol rules (sync-primitive balance, state-machine
-conformance) need to reason about *paths* — does every path from an
-``acquire`` reach a ``release``, which states can flow into a
-``transition`` call.  This module lowers one ``ast.FunctionDef`` into a
+time; the protocol rules (lock order, state-machine conformance, journal
+write-ahead ordering) need to reason about *paths* — which resources may
+be held at an ``acquire``, which states can flow into a ``transition``
+call.  This module lowers one ``ast.FunctionDef`` into a
 statement-level CFG suitable for the forward dataflow solver in
 :mod:`repro.analysis.dataflow`.
 
@@ -24,26 +24,22 @@ Shape of the graph
   fall-through, abrupt jumps (``return``/``break``/``continue``) and
   exception unwinds all route, because ``__exit__`` runs on every one of
   those paths.  The same routing applies to ``finally`` suites.
-* Generator suspension points are not control transfers; nodes containing
-  ``yield``/``yield from`` are flagged (``has_yield``) so rules can treat
-  suspension as an event.
+* Generator suspension points (``yield``/``yield from``) are not control
+  transfers; a rule that cares reads them off the node payload.
 
 May-raise model
 ---------------
 
-By default a node may raise iff its runtime payload contains an
-``ast.Call``, ``ast.Raise`` or ``ast.Assert`` — attribute access,
-subscripts and arithmetic are assumed total, otherwise every statement
-would sprout an exception edge and no explicit acquire/release pairing
-could ever verify.  Rules can narrow this further by passing a
-``may_raise`` predicate to :func:`build_cfg` (e.g. the sync rule trusts
-the semaphore primitives themselves not to raise).
+A node may raise iff its runtime payload contains an ``ast.Call``,
+``ast.Raise`` or ``ast.Assert`` — attribute access, subscripts and
+arithmetic are assumed total, otherwise every statement would sprout an
+exception edge.
 """
 
 import ast
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-__all__ = ["CFGNode", "CFG", "build_cfg", "payload_exprs", "default_may_raise"]
+__all__ = ["CFGNode", "CFG", "build_cfg", "payload_exprs"]
 
 #: node kinds a builder produces (documented for rule authors).
 NODE_KINDS = (
@@ -56,8 +52,7 @@ NODE_KINDS = (
 class CFGNode:
     """One CFG node: a payload AST plus normal/exception successor sets."""
 
-    __slots__ = ("index", "kind", "payload", "line", "succ", "exc_succ",
-                 "has_yield")
+    __slots__ = ("index", "kind", "payload", "line", "succ", "exc_succ")
 
     def __init__(self, index: int, kind: str, payload, line: int):
         self.index = index
@@ -66,7 +61,6 @@ class CFGNode:
         self.line = line
         self.succ: List[int] = []
         self.exc_succ: List[int] = []
-        self.has_yield = False
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"CFGNode({self.index}, {self.kind!r}, line={self.line}, "
@@ -118,18 +112,10 @@ def walk_runtime(node: ast.AST):
             stack.append(child)
 
 
-def default_may_raise(payload) -> bool:
+def _may_raise(payload) -> bool:
     for expr in payload_exprs(payload):
         for sub in walk_runtime(expr):
             if isinstance(sub, (ast.Call, ast.Raise, ast.Assert)):
-                return True
-    return False
-
-
-def _contains_yield(payload) -> bool:
-    for expr in payload_exprs(payload):
-        for sub in walk_runtime(expr):
-            if isinstance(sub, (ast.Yield, ast.YieldFrom)):
                 return True
     return False
 
@@ -147,9 +133,8 @@ class _Cleanup:
 
 
 class _Builder:
-    def __init__(self, func, may_raise: Callable[[object], bool]):
+    def __init__(self, func):
         self.func = func
-        self.may_raise = may_raise
         self.nodes: List[CFGNode] = []
         self.entry = self._new("entry", None, getattr(func, "lineno", 0))
         self.exit = self._new("exit", None, getattr(func, "lineno", 0))
@@ -170,8 +155,7 @@ class _Builder:
 
     def _stmt_node(self, kind: str, payload, line: int) -> CFGNode:
         node = self._new(kind, payload, line)
-        node.has_yield = _contains_yield(payload)
-        if self.may_raise(payload):
+        if _may_raise(payload):
             for target in self.exc_targets[-1]:
                 if target not in node.exc_succ:
                     node.exc_succ.append(target)
@@ -401,6 +385,6 @@ class _Builder:
                    self.raise_exit.index)
 
 
-def build_cfg(func, may_raise: Optional[Callable[[object], bool]] = None) -> CFG:
+def build_cfg(func) -> CFG:
     """Lower one ``ast.FunctionDef``/``AsyncFunctionDef`` to a CFG."""
-    return _Builder(func, may_raise or default_may_raise).build()
+    return _Builder(func).build()

@@ -10,7 +10,7 @@ import abc
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from repro.errors import ReproError
-from repro.analysis.findings import Finding, Severity, is_suppressed
+from repro.analysis.findings import Finding, is_suppressed
 from repro.analysis.project import Project
 
 
@@ -28,18 +28,15 @@ class Rule(abc.ABC):
 
     name: str = ""
     description: str = ""
-    default_severity: Severity = Severity.ERROR
 
     @abc.abstractmethod
     def check(self, project: Project) -> Iterable[Finding]:
         """Yield findings for ``project``."""
 
     def finding(self, path: str, line: int, message: str,
-                symbol: str = "",
-                severity: Optional[Severity] = None) -> Finding:
+                symbol: str = "") -> Finding:
         return Finding(
             rule=self.name,
-            severity=severity or self.default_severity,
             path=path,
             line=line,
             message=message,

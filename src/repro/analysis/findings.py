@@ -1,4 +1,4 @@
-"""Finding and severity model, plus the inline suppression directive.
+"""Finding model, plus the inline suppression directive.
 
 A finding pins one rule violation to a file and line.  Findings are plain
 data so reporters (text, JSON) and tests can consume them without touching
@@ -10,10 +10,8 @@ line or on the line directly above it.  Trailing prose after the rule list
 is encouraged — a suppression without a reason is a smell.
 """
 
-import hashlib
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, FrozenSet, List, Optional
 
 _DIRECTIVE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\-]+)")
@@ -21,40 +19,20 @@ _DIRECTIVE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\-]+)")
 SUPPRESS_ALL = "all"
 
 
-class Severity(Enum):
-    """How bad a finding is; strict mode fails on any of them."""
-
-    ERROR = "error"
-    WARNING = "warning"
-    INFO = "info"
-
-
 @dataclass(frozen=True)
 class Finding:
     """One rule violation anchored to a source location."""
 
     rule: str
-    severity: Severity
     path: str
     line: int
     message: str
     #: the enclosing function/class name, when the rule knows it
     symbol: str = ""
 
-    def fingerprint(self) -> str:
-        """A stable finding ID for baselines and SARIF.
-
-        Hashes rule, path, symbol and message — but *not* the line
-        number, so unrelated edits that shift code do not churn IDs.
-        """
-        blob = "\x1f".join((self.rule, self.path, self.symbol, self.message))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
     def to_dict(self) -> Dict[str, object]:
         return {
-            "id": self.fingerprint(),
             "rule": self.rule,
-            "severity": self.severity.value,
             "path": self.path,
             "line": self.line,
             "symbol": self.symbol,
@@ -64,8 +42,7 @@ class Finding:
     def format(self) -> str:
         where = f"{self.path}:{self.line}"
         symbol = f" [{self.symbol}]" if self.symbol else ""
-        return (f"{where}: {self.severity.value}: {self.rule}{symbol}: "
-                f"{self.message}")
+        return f"{where}: {self.rule}{symbol}: {self.message}"
 
 
 def suppressed_rules(line_text: str) -> Optional[FrozenSet[str]]:

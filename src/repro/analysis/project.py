@@ -34,10 +34,9 @@ class SourceModule:
 
 
 class Project:
-    """A set of modules under one scan root."""
+    """A set of parsed modules, keyed by their scan-root-relative path."""
 
-    def __init__(self, modules: Sequence[SourceModule], root: str = ""):
-        self.root = root
+    def __init__(self, modules: Sequence[SourceModule]):
         self.modules: List[SourceModule] = list(modules)
         self._by_path: Dict[str, SourceModule] = {
             module.path: module for module in self.modules
@@ -55,7 +54,7 @@ class Project:
                 full = os.path.join(dirpath, filename)
                 rel = os.path.relpath(full, root).replace(os.sep, "/")
                 modules.append(_load_cached(full, rel))
-        return cls(modules, root=root)
+        return cls(modules)
 
     @classmethod
     def from_sources(cls, sources: Dict[str, str]) -> "Project":
@@ -76,8 +75,8 @@ class Project:
 
 # -- parse cache --------------------------------------------------------------
 #
-# Every rule shares one Project, but the CLI (multi-root scans) and the
-# test-suite's live-tree checks build several Projects over the same files;
+# Every rule shares one Project, but the test-suite's live-tree checks
+# build several Projects over the same files;
 # parsing dominates a lint run, so directory loads go through a process-wide
 # cache keyed by (absolute path, project-relative path) and invalidated by
 # mtime/size.  In-memory fixtures (``from_sources``) never touch the cache.

@@ -1,108 +1,33 @@
-"""Finding reporters: human text, machine JSON, and SARIF 2.1.0.
+"""Finding reporters: human text and machine JSON.
 
 The JSON shape is stable for CI consumption: ``{"findings": [...],
-"suppressed": N, "baselined": M, "clean": bool}`` with one object per
-finding as produced by :meth:`Finding.to_dict` (including the stable
-``id`` fingerprint).  SARIF output carries the same fingerprints in
-``partialFingerprints`` so code-scanning UIs track findings across line
-shifts.  Both machine formats are byte-deterministic for identical
-findings.
+"suppressed": N, "clean": bool}`` with one ``{rule, path, line, symbol,
+message}`` object per finding, as produced by :meth:`Finding.to_dict`.
+It is byte-deterministic for identical findings.
 """
 
 import json
 from typing import List
 
-from repro.analysis.findings import Finding, Severity
-
-#: SARIF result levels by severity.
-_SARIF_LEVELS = {
-    Severity.ERROR: "error",
-    Severity.WARNING: "warning",
-    Severity.INFO: "note",
-}
-
-SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-                "master/Schemata/sarif-schema-2.1.0.json")
+from repro.analysis.findings import Finding
 
 
-def render_text(findings: List[Finding], suppressed: int = 0,
-                baselined: int = 0) -> str:
+def render_text(findings: List[Finding], suppressed: int = 0) -> str:
     lines = [finding.format() for finding in findings]
     summary = (f"{len(findings)} finding(s)"
                if findings else "no findings")
     if suppressed:
         summary += f" ({suppressed} suppressed in source)"
-    if baselined:
-        summary += f" ({baselined} baselined)"
     lines.append(summary)
     return "\n".join(lines)
 
 
-def render_json(findings: List[Finding], suppressed: int = 0,
-                baselined: int = 0) -> str:
+def render_json(findings: List[Finding], suppressed: int = 0) -> str:
     return json.dumps(
         {
             "findings": [finding.to_dict() for finding in findings],
             "suppressed": suppressed,
-            "baselined": baselined,
             "clean": not findings,
         },
         indent=2,
     )
-
-
-def render_sarif(findings: List[Finding], suppressed: int = 0,
-                 baselined: int = 0) -> str:
-    # Imported here: report is imported by the package __init__ before
-    # the rule modules have registered themselves.
-    from repro.analysis.engine import all_rules
-
-    rules = [
-        {
-            "id": rule.name,
-            "shortDescription": {"text": rule.description},
-            "defaultConfiguration": {
-                "level": _SARIF_LEVELS[rule.default_severity],
-            },
-        }
-        for rule in all_rules()
-    ]
-    results = []
-    for finding in findings:
-        location = {
-            "physicalLocation": {
-                "artifactLocation": {"uri": finding.path},
-                "region": {"startLine": max(finding.line, 1)},
-            },
-        }
-        if finding.symbol:
-            location["logicalLocations"] = [{"name": finding.symbol}]
-        results.append({
-            "ruleId": finding.rule,
-            "level": _SARIF_LEVELS[finding.severity],
-            "message": {"text": finding.message},
-            "partialFingerprints": {"reproLint/v1": finding.fingerprint()},
-            "locations": [location],
-        })
-    document = {
-        "$schema": SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "informationUri":
-                            "https://example.invalid/repro/lint",
-                        "rules": rules,
-                    },
-                },
-                "results": results,
-                "properties": {
-                    "suppressed": suppressed,
-                    "baselined": baselined,
-                },
-            },
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)

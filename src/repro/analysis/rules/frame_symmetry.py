@@ -26,8 +26,8 @@ Model, per module in scope:
   constructor raises on unknown tags and therefore discriminates all of
   them.
 
-``repro/io`` itself is exempt: it is the codec layer, whose only tag is
-the END marker.
+The scope is the layers that own frame channels; ``repro/io`` itself is
+the codec layer, whose only tag is the END marker, and stays out.
 """
 
 import ast
@@ -38,10 +38,9 @@ from repro.analysis.engine import Rule, register_rule
 from repro.analysis.findings import Finding
 from repro.analysis.project import Project, SourceModule
 
-#: channels that speak the frame protocol (the codec layer itself is out).
-FRAME_SCOPE = ("core/", "cluster/", "hypervisors/", "fleet/", "obs/",
-               "par/")
-FRAME_EXEMPT_PREFIXES = ("io/",)
+#: layers that own frame channels: the wire, PRAM and UISR documents
+#: (core/), plan blobs (cluster/) and the worker pipe (par/).
+FRAME_SCOPE = ("core/", "cluster/", "par/")
 
 WRITER_METHODS = frozenset({"frame", "_frame"})
 WRITER_FUNCTIONS = frozenset({"encode_frame"})
@@ -193,8 +192,6 @@ class FrameProtocolSymmetryRule(Rule):
     def check(self, project: Project) -> Iterable[Finding]:
         for module in project.modules:
             if not module.path.startswith(FRAME_SCOPE):
-                continue
-            if module.path.startswith(FRAME_EXEMPT_PREFIXES):
                 continue
             protocol = _ModuleProtocol(module)
             if not protocol.emitted and not protocol.consumed:

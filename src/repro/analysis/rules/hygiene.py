@@ -71,7 +71,7 @@ def _import_aliases(tree: ast.Module) -> Dict[str, str]:
 class SimClockHygieneRule(Rule):
     name = "sim-clock-hygiene"
     description = (
-        "sim/, core/, hypervisors/ and fleet/ must use SimClock, never "
+        "the simulated layers must use SimClock, never "
         "time.time()/time.sleep()/datetime.now()"
     )
 

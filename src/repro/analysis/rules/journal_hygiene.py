@@ -31,8 +31,9 @@ from repro.analysis.engine import Rule, register_rule
 from repro.analysis.findings import Finding
 from repro.analysis.project import Project, SourceModule
 
-#: modules held to write-ahead ordering (path prefixes under the package)
-JOURNAL_SCOPE = ("fleet/", "journal.py")
+#: modules held to write-ahead ordering (path prefixes under the package);
+#: the live composite is ``HostRecord.transition`` in ``fleet/state.py``
+JOURNAL_SCOPE = ("fleet/",)
 
 #: durable-append verbs on a trace/journal receiver
 APPEND_ATTRS = frozenset({

@@ -23,10 +23,6 @@ EVENT_KEYS = frozenset({"ph", "ts"})
 ENVELOPE_KEYS = frozenset({"traceEvents"})
 
 
-def _in_obs(module: SourceModule) -> bool:
-    return module.path.startswith(OBS_SCOPE)
-
-
 @register_rule
 class TraceFormatHygieneRule(Rule):
     name = "trace-format-hygiene"
@@ -37,19 +33,22 @@ class TraceFormatHygieneRule(Rule):
 
     def check(self, project: Project) -> Iterable[Finding]:
         for module in project.modules:
-            if _in_obs(module):
+            if module.path.startswith(OBS_SCOPE):
                 continue
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Dict):
-                    continue
-                keys = {
-                    key.value for key in node.keys
-                    if isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)
-                }
-                if EVENT_KEYS <= keys or keys & ENVELOPE_KEYS:
-                    yield self.finding(
-                        module.path, node.lineno,
-                        "hand-built Chrome trace event; only repro.obs may "
-                        "format trace timestamps (use Trace.to_chrome_trace)",
-                    )
+            yield from self._check_module(module)
+
+    def _check_module(self, module: SourceModule) -> Iterable[Finding]:
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Dict):
+                continue
+            keys = {
+                key.value for key in node.keys
+                if isinstance(key, ast.Constant)
+                and isinstance(key.value, str)
+            }
+            if EVENT_KEYS <= keys or keys & ENVELOPE_KEYS:
+                yield self.finding(
+                    module.path, node.lineno,
+                    "hand-built Chrome trace event; only repro.obs may "
+                    "format trace timestamps (use Trace.to_chrome_trace)",
+                )

@@ -10,7 +10,7 @@ initial state (the ``HostRecord.state`` default) and proves:
   vice-versa, every state is reachable from the initial state, and every
   non-terminal state can reach a terminal one (no livelock pockets);
 * **conformance** — every ``record.transition(HostState.X, ...)``
-  performed in the controller/failure modules is legal from at least one
+  performed in the controller module is legal from at least one
   state that may flow into that call site.  The may-in set is computed
   with the forward dataflow solver over per-method CFGs, propagated
   through ``self._helper()`` calls, so a transition that *no* path can
@@ -33,7 +33,7 @@ from repro.analysis.project import Project, SourceModule
 
 #: where the relation is declared and where transitions are performed.
 DECLARATION_PATH = "fleet/state.py"
-CONFORMANCE_PATHS = ("fleet/controller.py", "fleet/failures.py")
+CONFORMANCE_PATHS = ("fleet/controller.py",)
 
 ENUM_NAME = "HostState"
 RELATION_NAME = "LEGAL_TRANSITIONS"

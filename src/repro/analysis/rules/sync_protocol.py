@@ -1,44 +1,41 @@
-"""Protocol rules over the fleet's users of the :mod:`repro.sim.engine`
+"""The lock-order rule over the fleet's users of the :mod:`repro.sim.engine`
 sync primitives.
-
-``sync-protocol`` proves, per function, that every explicit
-``FifoSemaphore.acquire()`` reaches a ``release()`` on *all* paths —
-including exception edges — that nothing releases a permit it cannot
-hold, that ``held()`` scopes are actually ``with`` scopes, and that no
-path suspends (``yield``) inside a region the source marks yield-unsafe
-with a ``# repro-sync: no-yield`` directive on the acquire line.
 
 ``sync-lock-order`` builds the static lock-order graph over each fleet
 controller class: an edge ``A -> B`` whenever some path acquires ``B``
-(directly or via a ``self._helper()`` call) while holding ``A``.  A cycle
-in that graph is a deadlock candidate under the FIFO semantics — two
-hosts can each hold one leg and queue on the other forever.
+(directly or via a ``self._helper()`` call) while holding ``A``.  It
+reports three things:
 
-Both rules run the forward may-analysis from
-:mod:`repro.analysis.dataflow` over per-function CFGs.  Semaphore
-primitives themselves (``acquire``/``release``/``held``/``reserve``) are
-trusted not to raise, so the acquire statement itself does not sprout a
-spurious exception edge; everything else follows the default may-raise
-model.
+* a cycle in that graph, a deadlock candidate under the FIFO semantics:
+  two hosts can each hold one leg and queue on the other forever;
+* a self-edge outside any cycle, a resource re-acquired while it may
+  already be held (in the same method or through a helper): a
+  single-permit FIFO semaphore deadlocks on itself.  Per-key lock maps
+  are widened (``self._vm_locks[name]`` -> ``self._vm_locks[*]``) and
+  exempt, since two entries are two locks; so is the slot ledger's
+  ``reserve(node)``, whose argument picks a per-node slot pool the same
+  way;
+* ``held()`` used anywhere but as the context manager of a ``with``
+  block, where it would acquire on ``__enter__`` only.
+
+The rule runs the forward may-analysis from
+:mod:`repro.analysis.dataflow` over per-method CFGs.  It sees lock
+orders, not capacity: a host that waits forever in the slot ledger for
+a slot that a rolled-back host's returning VMs now fill holds no lock
+cycle, and this rule cannot see that wedge.
 """
 
 import ast
-import re
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.cfg import (
-    CFGNode, build_cfg, default_may_raise, payload_exprs, walk_runtime,
-)
+from repro.analysis.cfg import CFGNode, build_cfg, payload_exprs, walk_runtime
 from repro.analysis.dataflow import solve_forward
 from repro.analysis.engine import Rule, register_rule
 from repro.analysis.findings import Finding
 from repro.analysis.project import Project, SourceModule
 
-#: modules whose functions are held to the sync protocol (path prefixes)
+#: modules whose classes are held to the lock order (path prefixes)
 SYNC_SCOPE = ("fleet/",)
-
-#: marks the acquire line of a region that must not suspend.
-NO_YIELD_DIRECTIVE = re.compile(r"#\s*repro-sync:\s*no-yield\b")
 
 #: method names that start/end a tracked hold.  ``reserve`` is the slot
 #: ledger's acquire verb; its release takes the node argument back.
@@ -69,29 +66,17 @@ def resource_key(expr: ast.expr) -> Optional[str]:
 # -- event extraction ---------------------------------------------------------
 #
 # Events are (kind, resource, line) tuples in evaluation order:
-#   ("acquire", key, line)    explicit 0-arg FifoSemaphore.acquire()
-#   ("reserve", key, line)    slot-ledger reserve(node) — its release is
-#                             cross-function (the commit path frees it),
-#                             so only the lock-order rule tracks it
-#   ("cm-acquire", key, line) held() evaluated as a with-item
-#   ("release0", key, line)   explicit 0-arg release() (semaphore)
-#   ("releaseN", key, line)   release(args...) (ledger-style)
-#   ("cm-release", key, line) synthetic, from the with-exit node
-#   ("yield", None, line)     generator suspension point
-#   ("held-misuse", key, line) held() anywhere except a with-item
+#   ("acquire", key, line)  a 0-arg FifoSemaphore.acquire(), a slot-ledger
+#                           reserve(node), or held() as a with-item
+#   ("release", key, line)  release(...), or the with-exit of a held() item
 
 
-def _expr_events(expr: ast.AST, with_item_calls: Set[int]) -> List[Tuple]:
+def _expr_events(expr: ast.AST) -> List[Tuple]:
     events: List[Tuple] = []
 
     def emit(node: ast.AST) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.Lambda, ast.ClassDef)):
-            return
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            if node.value is not None:
-                emit(node.value)
-            events.append(("yield", None, node.lineno))
             return
         for child in ast.iter_child_nodes(node):
             emit(child)
@@ -101,16 +86,11 @@ def _expr_events(expr: ast.AST, with_item_calls: Set[int]) -> List[Tuple]:
             if key is None:
                 return
             attr = node.func.attr
-            if attr == HOLD_METHOD:
-                if id(node) not in with_item_calls:
-                    events.append(("held-misuse", key, node.lineno))
-            elif attr == "acquire" and not node.args and not node.keywords:
+            if attr == "reserve" or (attr == "acquire" and not node.args
+                                     and not node.keywords):
                 events.append(("acquire", key, node.lineno))
-            elif attr == "reserve":
-                events.append(("reserve", key, node.lineno))
             elif attr in RELEASE_METHODS and not node.keywords:
-                kind = "release0" if not node.args else "releaseN"
-                events.append((kind, key, node.lineno))
+                events.append(("release", key, node.lineno))
 
     emit(expr)
     return events
@@ -119,29 +99,23 @@ def _expr_events(expr: ast.AST, with_item_calls: Set[int]) -> List[Tuple]:
 def node_events(node: CFGNode) -> List[Tuple]:
     """The sync events a CFG node performs, in evaluation order."""
     if node.kind == "with-exit":
-        events: List[Tuple] = []
-        for item in reversed(node.payload or []):
-            key = _held_item_key(item)
-            if key is not None:
-                events.append(("cm-release", key, node.line))
-        return events
+        return [("release", key, node.line)
+                for key in map(_held_item_key, reversed(node.payload or []))
+                if key is not None]
     if node.kind == "with-enter":
-        events = []
-        held_calls = {id(item.context_expr) for item in (node.payload or [])
-                      if _held_item_key(item) is not None}
+        events: List[Tuple] = []
         for item in node.payload or []:
             key = _held_item_key(item)
             if key is not None:
                 # The receiver expression may itself contain events.
-                events.extend(
-                    _expr_events(item.context_expr.func.value, held_calls))
-                events.append(("cm-acquire", key, item.context_expr.lineno))
+                events.extend(_expr_events(item.context_expr.func.value))
+                events.append(("acquire", key, item.context_expr.lineno))
             else:
-                events.extend(_expr_events(item.context_expr, held_calls))
+                events.extend(_expr_events(item.context_expr))
         return events
     events = []
     for expr in payload_exprs(node.payload):
-        events.extend(_expr_events(expr, set()))
+        events.extend(_expr_events(expr))
     return events
 
 
@@ -153,172 +127,6 @@ def _held_item_key(item: ast.withitem) -> Optional[str]:
     return None
 
 
-def _is_pure_sync_payload(payload) -> bool:
-    """True when every call in the payload is a trusted sync primitive."""
-    saw_call = False
-    for expr in payload_exprs(payload):
-        for sub in walk_runtime(expr):
-            if isinstance(sub, (ast.Raise, ast.Assert)):
-                return False
-            if isinstance(sub, ast.Call):
-                saw_call = True
-                if not (isinstance(sub.func, ast.Attribute)
-                        and sub.func.attr in (ACQUIRE_METHODS
-                                              | RELEASE_METHODS
-                                              | {HOLD_METHOD})
-                        and resource_key(sub.func.value) is not None):
-                    return False
-    return saw_call
-
-
-def _sync_may_raise(payload) -> bool:
-    if _is_pure_sync_payload(payload):
-        return False
-    return default_may_raise(payload)
-
-
-def _functions(module: SourceModule) -> Iterable[Tuple[str, ast.FunctionDef]]:
-    """Every (qualified name, def) in the module, methods included."""
-
-    def walk(node, prefix: str):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield f"{prefix}{child.name}", child
-                yield from walk(child, f"{prefix}{child.name}.")
-            elif isinstance(child, ast.ClassDef):
-                yield from walk(child, f"{prefix}{child.name}.")
-
-    yield from walk(module.tree, "")
-
-
-def _no_yield_lines(module: SourceModule) -> Set[int]:
-    return {
-        index + 1 for index, text in enumerate(module.lines)
-        if NO_YIELD_DIRECTIVE.search(text)
-    }
-
-
-# Held fact entries: (resource, acquire_line, no_yield, via_cm)
-_Hold = Tuple[str, int, bool, bool]
-
-
-@register_rule
-class SyncProtocolRule(Rule):
-    name = "sync-protocol"
-    description = (
-        "every FifoSemaphore acquire reaches a release on all paths "
-        "(exception edges included), no release without a hold, no yield "
-        "inside a '# repro-sync: no-yield' region"
-    )
-
-    def check(self, project: Project) -> Iterable[Finding]:
-        for module in project.modules:
-            if not module.path.startswith(SYNC_SCOPE):
-                continue
-            no_yield = _no_yield_lines(module)
-            for symbol, func in _functions(module):
-                yield from self._check_function(module, symbol, func,
-                                                no_yield)
-
-    def _check_function(self, module: SourceModule, symbol: str,
-                        func, no_yield: Set[int]) -> Iterable[Finding]:
-        if not _mentions_sync(func):
-            return
-        cfg = build_cfg(func, may_raise=_sync_may_raise)
-        events = {node.index: node_events(node) for node in cfg.nodes}
-        reported: Set[Tuple] = set()
-        findings: List[Finding] = []
-
-        def transfer(node: CFGNode, fact: FrozenSet[_Hold]) -> FrozenSet:
-            held = set(fact)
-            for kind, key, line in events[node.index]:
-                if kind in ("acquire", "cm-acquire"):
-                    held.add((key, line, line in no_yield,
-                              kind == "cm-acquire"))
-                elif kind in ("release0", "cm-release"):
-                    held = {h for h in held if h[0] != key}
-            return frozenset(held)
-
-        solution = solve_forward(cfg, frozenset(), transfer)
-
-        def report(key: Tuple, finding: Finding) -> None:
-            if key not in reported:
-                reported.add(key)
-                findings.append(finding)
-
-        # One reporting pass with the fixpoint facts.
-        for node in cfg.nodes:
-            if not solution.reachable(node.index):
-                continue
-            held = set(solution.in_fact(node.index))
-            for kind, key, line in events[node.index]:
-                if kind in ("acquire", "cm-acquire"):
-                    if ("[" not in key
-                            and any(h[0] == key for h in held)):
-                        report(
-                            ("double-acquire", key, line),
-                            self.finding(
-                                module.path, line,
-                                f"'{key}' may already be held when it is "
-                                f"acquired again; a second acquire while "
-                                f"holding deadlocks a single-permit "
-                                f"semaphore", symbol=symbol))
-                    held.add((key, line, line in no_yield,
-                              kind == "cm-acquire"))
-                elif kind == "release0":
-                    if not any(h[0] == key for h in held):
-                        report(
-                            ("double-release", key, line),
-                            self.finding(
-                                module.path, line,
-                                f"'{key}' is released here but no path "
-                                f"holds it — double release or release "
-                                f"without acquire", symbol=symbol))
-                    held = {h for h in held if h[0] != key}
-                elif kind == "cm-release":
-                    held = {h for h in held if h[0] != key}
-                elif kind == "held-misuse":
-                    report(
-                        ("held-misuse", key, line),
-                        self.finding(
-                            module.path, line,
-                            f"'{key}.held()' must be the context manager "
-                            f"of a 'with' block; calling it anywhere else "
-                            f"acquires on __enter__ only", symbol=symbol))
-                elif kind == "yield":
-                    for res, acq_line, unsafe, _ in sorted(held):
-                        if unsafe:
-                            report(
-                                ("yield-unsafe", res, line),
-                                self.finding(
-                                    module.path, line,
-                                    f"yield while holding '{res}' "
-                                    f"(acquired line {acq_line}, marked "
-                                    f"no-yield); the region must complete "
-                                    f"within one engine event",
-                                    symbol=symbol))
-
-        for exit_index, how in ((cfg.exit, "returns"),
-                                (cfg.raise_exit, "unwinds on an exception")):
-            if not solution.reachable(exit_index):
-                continue
-            for res, acq_line, _, via_cm in sorted(
-                    solution.in_fact(exit_index)):
-                if via_cm:
-                    continue  # structurally released by the with scope
-                report(
-                    ("leak", res, acq_line, how),
-                    self.finding(
-                        module.path, acq_line,
-                        f"'{res}' acquired here may still be held when "
-                        f"the function {how}; release it on every path "
-                        f"or use 'with {res}.held()'", symbol=symbol))
-
-        for finding in sorted(findings,
-                              key=lambda f: (f.line, f.message)):
-            yield finding
-
-
 def _mentions_sync(func) -> bool:
     for sub in ast.walk(func):
         if isinstance(sub, ast.Attribute) and sub.attr in (
@@ -327,7 +135,91 @@ def _mentions_sync(func) -> bool:
     return False
 
 
+def _methods(cls: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
+    return {
+        stmt.name: stmt for stmt in cls.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
 # -- lock-order graph ---------------------------------------------------------
+
+
+def lock_order_edges(cls: ast.ClassDef) -> Dict[Tuple[str, str], int]:
+    """The class's lock-order graph: ``(held, acquired)`` -> first line.
+
+    Self-edges are kept for resources that can deadlock on themselves
+    (not widened, not a slot-ledger reservation).
+    """
+    methods = _methods(cls)
+    acquires = _transitive(methods, _local_acquires)
+    releases = _transitive(methods, _local_releases)
+    reserved = {
+        resource_key(sub.func.value) for func in methods.values()
+        for sub in walk_runtime(func)
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+        and sub.func.attr == "reserve"
+    }
+    edges: Dict[Tuple[str, str], int] = {}
+
+    def add_edges(held: Set[str], acquired: str, line: int) -> None:
+        for prior in held:
+            if prior == acquired and ("[" in acquired
+                                      or acquired in reserved):
+                continue  # two map entries or node slots: two resources
+            edges.setdefault((prior, acquired), line)
+
+    for name in sorted(methods):
+        cfg = build_cfg(methods[name])
+        events = {n.index: node_events(n) for n in cfg.nodes}
+        calls = {n.index: _self_calls(n, methods) for n in cfg.nodes}
+
+        def transfer(node: CFGNode, fact: FrozenSet[str]) -> FrozenSet:
+            held = set(fact)
+            for kind, key, _line in events[node.index]:
+                if kind == "acquire":
+                    held.add(key)
+                else:
+                    held.discard(key)
+            # A callee may free resources the caller reserved (the
+            # commit path returns the slot ledger's reservation).
+            for callee, _line in calls[node.index]:
+                held -= releases.get(callee, frozenset())
+            return frozenset(held)
+
+        solution = solve_forward(cfg, frozenset(), transfer)
+        for node in cfg.nodes:
+            if not solution.reachable(node.index):
+                continue
+            held = set(solution.in_fact(node.index))
+            for kind, key, line in events[node.index]:
+                if kind == "acquire":
+                    add_edges(held, key, line)
+                    held.add(key)
+                else:
+                    held.discard(key)
+            for callee, line in calls[node.index]:
+                for acquired in acquires.get(callee, frozenset()):
+                    add_edges(held, acquired, line)
+    return edges
+
+
+def _held_misuses(func) -> List[Tuple[str, int]]:
+    """``(resource, line)`` of every ``held()`` call that is not a
+    ``with`` item."""
+    with_items = {
+        id(item.context_expr) for sub in walk_runtime(func)
+        if isinstance(sub, (ast.With, ast.AsyncWith)) for item in sub.items
+    }
+    misuses = []
+    for sub in walk_runtime(func):
+        if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                and sub.func.attr == HOLD_METHOD
+                and id(sub) not in with_items):
+            key = resource_key(sub.func.value)
+            if key is not None:
+                misuses.append((key, sub.lineno))
+    return misuses
 
 
 @register_rule
@@ -335,8 +227,8 @@ class SyncLockOrderRule(Rule):
     name = "sync-lock-order"
     description = (
         "the static lock-order graph over each fleet controller class "
-        "must be acyclic; a cycle is a deadlock candidate under FIFO "
-        "semaphore semantics"
+        "must be acyclic, no semaphore is re-acquired while held, and "
+        "held() is only a with-item"
     )
 
     def check(self, project: Project) -> Iterable[Finding]:
@@ -349,79 +241,37 @@ class SyncLockOrderRule(Rule):
 
     def _check_class(self, module: SourceModule,
                      cls: ast.ClassDef) -> Iterable[Finding]:
-        methods: Dict[str, ast.FunctionDef] = {
-            stmt.name: stmt for stmt in cls.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
+        methods = _methods(cls)
         if not any(_mentions_sync(func) for func in methods.values()):
             return
-
-        acquires = _transitive(methods, _local_acquires)
-        releases = _transitive(methods, _local_releases)
-        # edge (held, acquired) -> first line where the pair occurs
-        edges: Dict[Tuple[str, str], int] = {}
-
         for name in sorted(methods):
-            cfg = build_cfg(methods[name], may_raise=_sync_may_raise)
-            events = {n.index: node_events(n) for n in cfg.nodes}
-            calls = {n.index: _self_calls(n, methods) for n in cfg.nodes}
-
-            def transfer(node: CFGNode, fact: FrozenSet[str]) -> FrozenSet:
-                held = set(fact)
-                for kind, key, _line in events[node.index]:
-                    if kind in ("acquire", "reserve", "cm-acquire"):
-                        held.add(key)
-                    elif kind in ("release0", "releaseN", "cm-release"):
-                        held.discard(key)
-                # A callee may free resources the caller reserved (the
-                # commit path returns the slot ledger's reservation).
-                for callee, _line in calls[node.index]:
-                    held -= releases.get(callee, frozenset())
-                return frozenset(held)
-
-            solution = solve_forward(cfg, frozenset(), transfer)
-            for node in cfg.nodes:
-                if not solution.reachable(node.index):
-                    continue
-                held = set(solution.in_fact(node.index))
-                for kind, key, line in events[node.index]:
-                    if kind in ("acquire", "reserve", "cm-acquire"):
-                        for prior in held:
-                            if prior != key:
-                                edges.setdefault((prior, key), line)
-                        held.add(key)
-                    elif kind in ("release0", "releaseN", "cm-release"):
-                        held.discard(key)
-                for callee, line in calls[node.index]:
-                    for acquired in acquires.get(callee, frozenset()):
-                        for prior in held:
-                            if prior != acquired:
-                                edges.setdefault((prior, acquired), line)
-
-        yield from self._report_cycles(module, cls, edges)
-
-    def _report_cycles(self, module: SourceModule, cls: ast.ClassDef,
-                       edges: Dict[Tuple[str, str], int]
-                       ) -> Iterable[Finding]:
+            for key, line in _held_misuses(methods[name]):
+                yield self.finding(
+                    module.path, line,
+                    f"'{key}.held()' must be the context manager of a "
+                    f"'with' block; calling it anywhere else acquires on "
+                    f"__enter__ only", symbol=f"{cls.name}.{name}")
+        edges = lock_order_edges(cls)
         graph: Dict[str, Set[str]] = {}
         for held, acquired in edges:
             graph.setdefault(held, set()).add(acquired)
             graph.setdefault(acquired, set())
         for scc in _strongly_connected(graph):
-            cyclic = len(scc) > 1 or (len(scc) == 1
-                                      and next(iter(scc)) in
-                                      graph[next(iter(scc))])
-            if not cyclic:
-                continue
             members = sorted(scc)
+            if len(members) == 1 and members[0] not in graph[members[0]]:
+                continue
             line = min(line for (held, acquired), line in edges.items()
                        if held in scc and acquired in scc)
-            yield self.finding(
-                module.path, line,
-                f"lock-order cycle between {{{', '.join(members)}}}: "
-                f"some path acquires each while holding another — a "
-                f"deadlock candidate under FIFO grant order",
-                symbol=cls.name)
+            if len(members) > 1:
+                message = (f"lock-order cycle between "
+                           f"{{{', '.join(members)}}}: some path acquires "
+                           f"each while holding another — a deadlock "
+                           f"candidate under FIFO grant order")
+            else:
+                message = (f"'{members[0]}' may already be held when it is "
+                           f"acquired again; a second acquire while holding "
+                           f"deadlocks a single-permit FIFO semaphore")
+            yield self.finding(module.path, line, message, symbol=cls.name)
 
 
 def _self_calls(node: CFGNode,

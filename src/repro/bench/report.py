@@ -9,14 +9,16 @@ deterministic **payload** (same seed, same bytes, no matter how the run
 was executed) is separated from the volatile **meta** block (wall-clock
 timings, worker count, host environment).  CI compares parallel and
 serial runs with ``python -m repro.bench.report cmp a.json b.json``,
-which byte-compares only the payload and merely reports the meta.
+which byte-compares only the payload and merely reports the meta; when
+the payloads differ it lists each differing field's JSON path and both
+values.
 """
 
 import json
 import os
 import platform
 import sys
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 BENCH_ARTIFACT_FORMAT = "hypertp-bench-artifact"
 BENCH_ARTIFACT_VERSION = 1
@@ -117,6 +119,42 @@ def payloads_equal(a: Dict, b: Dict) -> bool:
     return payload_json(a) == payload_json(b)
 
 
+#: stands in for the side of a diff that lacks a dict key or list element
+_MISSING = object()
+
+
+def _payload_diffs(a, b, path: str = "payload"
+                   ) -> List[Tuple[str, object, object]]:
+    """``(json path, value in a, value in b)`` for every differing leaf,
+    dict keys in sorted order and list elements in index order.  A side
+    that lacks the path holds ``_MISSING``."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [diff for key in sorted(set(a) | set(b))
+                for diff in _payload_diffs(a.get(key, _MISSING),
+                                           b.get(key, _MISSING),
+                                           _child_path(path, key))]
+    if isinstance(a, list) and isinstance(b, list):
+        return [diff for index in range(max(len(a), len(b)))
+                for diff in _payload_diffs(
+                    a[index] if index < len(a) else _MISSING,
+                    b[index] if index < len(b) else _MISSING,
+                    f"{path}[{index}]")]
+    if _render_leaf(a) == _render_leaf(b):
+        return []
+    return [(path, a, b)]
+
+
+def _child_path(path: str, key: str) -> str:
+    return f"{path}.{key}" if key.isidentifier() \
+        else f"{path}[{json.dumps(key)}]"
+
+
+def _render_leaf(value) -> str:
+    if value is _MISSING:
+        return "(missing)"
+    return json.dumps(value, sort_keys=True)
+
+
 def write_bench_json(path: str, payload: Dict,
                      meta: Optional[Dict] = None) -> Dict:
     """Write a wrapped artifact; returns the document written."""
@@ -155,6 +193,9 @@ def _cmd_cmp(args) -> int:
         return 0
     print(f"cmp: payloads differ between {args.a} and {args.b}",
           file=sys.stderr)
+    for path, left, right in _payload_diffs(a["payload"], b["payload"]):
+        print(f"  {path}: {_render_leaf(left)} vs {_render_leaf(right)}",
+              file=sys.stderr)
     return 1
 
 

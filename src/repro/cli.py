@@ -208,20 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="package directories to analyze (default: the "
                            "installed repro package)")
     lint.add_argument("--strict", action="store_true",
-                      help="exit non-zero when any non-baselined finding "
-                           "is reported")
-    lint.add_argument("--format", dest="format",
-                      choices=("text", "json", "sarif"), default=None,
+                      help="exit non-zero when any finding is reported")
+    lint.add_argument("--format", choices=("text", "json"), default="text",
                       help="output format (default: text)")
-    lint.add_argument("--json", dest="as_json", action="store_true",
-                      help="shorthand for --format json")
-    lint.add_argument("--baseline", metavar="FILE",
-                      help="accepted-findings file; findings whose stable "
-                           "id appears there are reported but never fail "
-                           "--strict")
-    lint.add_argument("--write-baseline", metavar="FILE",
-                      help="write the current findings as a baseline file "
-                           "and exit 0")
     lint.add_argument("--rule", action="append", metavar="NAME",
                       help="run only this rule (repeatable)")
     lint.add_argument("--list-rules", action="store_true",
@@ -242,7 +231,7 @@ def cmd_inplace(args) -> int:
     from repro.guest.devices import KVM_IOAPIC_PINS, XEN_IOAPIC_PINS
 
     if args.source is args.target:
-        print("source and target must differ", file=sys.stderr)
+        print("inplace: source and target must differ", file=sys.stderr)
         return 2
     if args.vms < 1:
         print(f"inplace: need >= 1 VM, got {args.vms}", file=sys.stderr)
@@ -664,16 +653,11 @@ def cmd_lint(args) -> int:
     import os
 
     from repro.analysis import (
-        BaselineError,
         Project,
         all_rules,
-        load_baseline,
-        partition,
         render_json,
-        render_sarif,
         render_text,
         run_analysis,
-        write_baseline,
     )
     from repro.analysis.engine import AnalysisError
 
@@ -693,10 +677,10 @@ def cmd_lint(args) -> int:
 
         roots = [os.path.dirname(os.path.abspath(repro.__file__))]
 
-    project = Project.from_directory(roots[0])
-    for root in roots[1:]:
-        extra = Project.from_directory(root)
-        project.modules.extend(extra.modules)
+    # One project over every root, so each module's in-source
+    # suppressions are found whichever root it came from.
+    project = Project([module for root in roots
+                       for module in Project.from_directory(root).modules])
     if not project.modules:
         print(f"lint: no python files under {', '.join(roots)}",
               file=sys.stderr)
@@ -708,28 +692,8 @@ def cmd_lint(args) -> int:
         print(f"lint: {error}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        write_baseline(args.write_baseline, findings)
-        print(f"lint: baseline with {len(findings)} finding(s) written "
-              f"to {args.write_baseline}", file=sys.stderr)
-        return 0
-
-    baselined = []
-    if args.baseline:
-        try:
-            baseline_ids = load_baseline(args.baseline)
-        except BaselineError as error:
-            print(f"lint: {error}", file=sys.stderr)
-            return 2
-        findings, baselined = partition(findings, baseline_ids)
-
-    fmt = args.format or ("json" if args.as_json else "text")
-    if fmt == "json":
-        print(render_json(findings, suppressed, len(baselined)))
-    elif fmt == "sarif":
-        print(render_sarif(findings, suppressed, len(baselined)))
-    else:
-        print(render_text(findings, suppressed, len(baselined)))
+    render = render_json if args.format == "json" else render_text
+    print(render(findings, suppressed))
     if findings and args.strict:
         return 1
     return 0

@@ -20,15 +20,19 @@ import pytest
 import repro
 from repro.analysis import (
     Project,
-    Severity,
     all_rules,
+    build_cfg,
     render_json,
     render_text,
     run_analysis,
 )
 from repro.analysis.engine import AnalysisError
+from repro.analysis.findings import is_suppressed
 from repro.analysis.project import top_level_classes, top_level_functions
-from repro.analysis.rules import par_hygiene, registry_complete, uisr_coverage
+from repro.analysis.rules import codec_symmetry, frame_symmetry, hygiene
+from repro.analysis.rules import io_hygiene, journal_hygiene, mechanism_hygiene
+from repro.analysis.rules import obs_hygiene, par_hygiene, registry_complete
+from repro.analysis.rules import state_machine, sync_protocol, uisr_coverage
 from repro.cli import main as cli_main
 
 UISR_CLASSES = textwrap.dedent(
@@ -494,6 +498,19 @@ class TestSuppression:
         assert findings == []
         assert suppressed == 1
 
+    def test_directive_in_a_second_lint_root(self, tmp_path, capsys):
+        # All roots form one project, so a module's suppressions count
+        # whichever root it came from.
+        for root, text in (("a", "X = 1\n"), ("b", self.BAD_SLEEP.format(
+                directive="  # repro-lint: disable=sim-clock-hygiene"))):
+            (tmp_path / root / "core").mkdir(parents=True)
+            (tmp_path / root / "core" / f"{root}.py").write_text(text)
+        for roots in (["b"], ["a", "b"], ["b", "a"]):
+            assert cli_main(["lint", "--strict", *(
+                str(tmp_path / root) for root in roots)]) == 0
+            assert capsys.readouterr().out == \
+                "no findings (1 suppressed in source)\n"
+
 
 # -- engine and reporters -----------------------------------------------------
 
@@ -517,7 +534,6 @@ class TestEngineAndReporters:
             "sim-clock-hygiene",
             "state-machine-conformance",
             "sync-lock-order",
-            "sync-protocol",
             "trace-format-hygiene",
             "uisr-field-coverage",
         }
@@ -528,7 +544,8 @@ class TestEngineAndReporters:
             rules=["sim-clock-hygiene"],
         )
         text = render_text(findings, suppressed)
-        assert "core/x.py:2: error: sim-clock-hygiene:" in text
+        assert text.startswith("core/x.py:2: sim-clock-hygiene: "
+                               "time.sleep() bypasses")
         assert text.endswith("1 finding(s)")
 
     def test_json_reporter(self):
@@ -537,13 +554,14 @@ class TestEngineAndReporters:
             rules=["sim-clock-hygiene"],
         )
         payload = json.loads(render_json(findings, suppressed))
+        assert set(payload) == {"findings", "suppressed", "clean"}
         assert payload["clean"] is False
         assert payload["suppressed"] == 0
         (record,) = payload["findings"]
+        assert set(record) == {"rule", "path", "line", "symbol", "message"}
         assert record["rule"] == "sim-clock-hygiene"
         assert record["path"] == "core/x.py"
         assert record["line"] == 2
-        assert record["severity"] == Severity.ERROR.value
 
     def test_findings_sorted_by_location(self):
         findings, _ = analyze(
@@ -578,9 +596,9 @@ class TestLiveTree:
         assert "no findings" in capsys.readouterr().out
 
     def test_cli_lint_json(self, capsys):
-        assert cli_main(["lint", "--json"]) == 0
+        assert cli_main(["lint", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["clean"] is True
+        assert payload == {"findings": [], "suppressed": 4, "clean": True}
 
     def test_cli_lint_strict_fails_on_findings(self, tmp_path, capsys):
         bad = tmp_path / "core"
@@ -596,44 +614,85 @@ class TestLiveTree:
         assert "uisr-field-coverage" in out
 
 
-#: module-level rule constants that name project paths (prefixes, exact
-#: paths or fnmatch patterns)
-SCOPE_CONSTANT = re.compile(r"(SCOPE|_PATHS?|_EXEMPT(_PREFIXES)?)$")
-
-
 @pytest.fixture(scope="module")
 def live_project():
     return Project.from_directory(REPRO_ROOT)
 
 
-@pytest.fixture(scope="module")
-def live_paths(live_project):
-    return [module.path for module in live_project.modules]
+# -- every scope entry and every rule has a live site ------------------------
+#
+# A rule left guarding deleted code passes silently; counting its sites in
+# src/repro with its own matcher makes it fail in the deleting change.
 
 
-def _names_live_code(entry, paths):
-    return any(path.startswith(entry) or fnmatch.fnmatch(path, entry)
-               for path in paths)
+def _codec_pairs(module):
+    # encode_*/decode_* pairs with both sides present
+    sides = {}
+    for name in top_level_functions(module.tree):
+        paired = codec_symmetry._pair_name(name)
+        if paired is not None:
+            sides.setdefault(paired[0], set()).add(paired[1])
+    return [key for key, found in sides.items() if found == {"pack", "unpack"}]
+
+
+def _journal_composites(module):
+    # functions that both append to the journal and assign .state
+    return [symbol for symbol, func in journal_hygiene._functions(module)
+            if all(any(map(match, build_cfg(func).nodes))
+                   for match in (journal_hygiene._append_calls,
+                                 journal_hygiene._state_mutations))]
+
+
+def _transition_targets(module):
+    return [state_machine._transition_target(node)
+            for node in ast.walk(module.tree) if isinstance(node, ast.Call)
+            and state_machine._transition_target(node) is not None]
+
+
+def _flagged_by(rule_cls):
+    # what the rule would flag in a module its exemption leaves out
+    return lambda module: list(rule_cls()._check_module(module))
+
+
+#: every path constant of a rule module (a name ending in SCOPE, _PATH or
+#: _PATHS) and its site counter.  An allow-list entry must hold a site the
+#: rule inspects; an exemption must name a module the rule would flag
+#: without it; CLOCK_SCOPE marks the layers where any site is a finding,
+#: so its entries only have to name live code.
+SCOPE_SITES = {
+    "SCOPE": _codec_pairs,  # codec-symmetry
+    "FRAME_SCOPE": lambda module: frame_symmetry._ModuleProtocol(
+        module).emitted,
+    "JOURNAL_SCOPE": _journal_composites,
+    "DECLARATION_PATH": state_machine._extract_declaration,
+    "CONFORMANCE_PATHS": _transition_targets,
+    "SYNC_SCOPE": lambda module: any(map(
+        sync_protocol.lock_order_edges,
+        top_level_classes(module.tree).values())),
+    "IO_SCOPE": _flagged_by(io_hygiene.IOFormatHygieneRule),
+    "OBS_SCOPE": _flagged_by(obs_hygiene.TraceFormatHygieneRule),
+    "MECHANISM_SCOPE": _flagged_by(mechanism_hygiene.MechanismHygieneRule),
+    "CLOCK_SCOPE": lambda module: True,
+}
+
+
+def _in_entry(path, entry):
+    return path.startswith(entry) or fnmatch.fnmatch(path, entry)
 
 
 @pytest.mark.parametrize("rule", all_rules(), ids=lambda rule: rule.name)
-def test_rule_scopes_match_live_modules(rule, live_paths):
-    """Every scope entry of every rule names code that exists, so a rule
-    left guarding deleted code fails in the change that deletes it."""
+def test_rule_scopes_match_live_modules(rule, live_project):
+    """Every scope entry of every rule holds a live site."""
     module = sys.modules[rule.__module__]
     for name, value in sorted(vars(module).items()):
-        if not SCOPE_CONSTANT.search(name):
+        if not re.search(r"(SCOPE|_PATHS?)$", name):
             continue
         for entry in (value,) if isinstance(value, str) else value:
-            assert _names_live_code(entry, live_paths), (
-                f"{rule.name}: {name} entry {entry!r} matches no module "
-                f"under src/repro")
-
-
-# Rules with no scope constant scan every module for the sites they
-# inspect; a rename that leaves them with no site makes them silently
-# pass.  Each test counts those sites in src/repro with the rule's own
-# matcher.
+            assert any(SCOPE_SITES[name](source)
+                       for source in live_project.modules
+                       if _in_entry(source.path, entry)), (
+                f"{rule.name}: {name} entry {entry!r} holds no site under "
+                f"src/repro")
 
 
 def _live_calls(project):
@@ -673,6 +732,84 @@ def test_uisr_coverage_rule_sees_live_converters(live_project):
              for name in top_level_functions(module.tree)]
     assert any(name.startswith(uisr_coverage.TO_PREFIX) for name in names)
     assert any(name.startswith(uisr_coverage.FROM_PREFIX) for name in names)
+
+
+def test_codec_rule_sees_live_pairs(live_project):
+    modules = live_project.matching(*codec_symmetry.SCOPE)
+    assert len(modules) == 4 and all(map(_codec_pairs, modules))
+
+
+def test_frame_rule_sees_live_channels(live_project):
+    channels = {module.path for module in live_project.modules
+                if module.path.startswith(frame_symmetry.FRAME_SCOPE)
+                and SCOPE_SITES["FRAME_SCOPE"](module)}
+    assert channels == {"core/pram.py", "core/wire.py", "core/uisr/codec.py",
+                        "cluster/serialize.py", "par/pool.py"}
+
+
+def test_journal_rule_sees_the_live_composite(live_project):
+    assert [(module.path, _journal_composites(module))
+            for module in live_project.modules
+            if module.path.startswith(journal_hygiene.JOURNAL_SCOPE)
+            and _journal_composites(module)] == [
+        ("fleet/state.py", ["HostRecord.transition"])]
+
+
+def test_conformance_rule_sees_live_transitions(live_project):
+    # The controller performs a transition into every non-initial state.
+    declaration = state_machine._extract_declaration(
+        live_project.get(state_machine.DECLARATION_PATH))
+    targets = {member for path in state_machine.CONFORMANCE_PATHS
+               for member, _ in _transition_targets(live_project.get(path))}
+    assert targets == set(declaration.members) - {declaration.initial}
+
+
+def test_sync_rule_sees_the_live_lock_order(live_project):
+    controller = top_level_classes(
+        live_project.get("fleet/controller.py").tree)["FleetController"]
+    assert set(sync_protocol.lock_order_edges(controller)) == {
+        ("self._admission", "self._vm_locks[*]"),
+        ("self._admission", "self._ledger"),
+        ("self._admission", "self._link"),
+        ("self._vm_locks[*]", "self._ledger"),
+        ("self._vm_locks[*]", "self._link"),
+        ("self._ledger", "self._link"),
+    }
+
+
+def test_sim_clock_rule_sees_the_realtime_boundary(live_project):
+    # repro.par's audited wall-clock calls, both suppressed in source
+    module = live_project.get("par/realtime.py")
+    findings = list(hygiene.SimClockHygieneRule()._check_module(module))
+    assert len(findings) == 2
+    assert all(is_suppressed(finding, module.lines) for finding in findings)
+
+
+def test_exception_rule_sees_live_handlers(live_project):
+    # handlers of a broad or state-format exception: flagged if pass-only
+    watched = hygiene.BROAD_EXCEPTIONS | hygiene.STATE_EXCEPTIONS
+    assert any(isinstance(node, ast.ExceptHandler) and node.type
+               and hygiene.ExceptionHygieneRule._caught_names(node.type)
+               & watched
+               for module in live_project.modules
+               for node in ast.walk(module.tree))
+
+
+@pytest.mark.parametrize("rules, name", [
+    pytest.param(io_hygiene, "IO_SCOPE", id="io-format-hygiene"),
+    pytest.param(obs_hygiene, "OBS_SCOPE", id="trace-format-hygiene"),
+    pytest.param(mechanism_hygiene, "MECHANISM_SCOPE",
+                 id="mechanism-hygiene"),
+])
+def test_layer_rule_sees_live_sites_only_in_its_layer(rules, name,
+                                                      live_project):
+    # struct calls, hand-built trace events and cost-helper calls exist,
+    # and each sits in the layer the rule exempts
+    flagged = [module.path for module in live_project.modules
+               if SCOPE_SITES[name](module)]
+    assert flagged and all(any(_in_entry(path, entry)
+                               for entry in getattr(rules, name))
+                           for path in flagged), flagged
 
 
 # -- trace-format-hygiene ------------------------------------------------------

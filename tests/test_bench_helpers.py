@@ -1,7 +1,13 @@
 """Tests for the bench harness helpers and report formatting."""
 
 
-from repro.bench.report import format_series, format_table, print_experiment
+from repro.bench.report import (
+    format_series,
+    format_table,
+    main as report_main,
+    print_experiment,
+    write_bench_json,
+)
 from repro.bench.runner import (
     inplace_breakdown,
     inplace_sweep,
@@ -34,6 +40,23 @@ class TestReport:
         print_experiment("Fig. 0", "nothing", "body")
         out = capsys.readouterr().out
         assert "Fig. 0" in out and "body" in out
+
+    def test_cmp_names_every_differing_field(self, tmp_path, capsys):
+        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        write_bench_json(a, {"cells": {"fleet-5k": {"events": 7}},
+                             "digests": ["x", "y", "z"], "seed": 7})
+        write_bench_json(b, {"cells": {"fleet-5k": {"events": 5}, "new": 1},
+                             "digests": ["x", "q"], "seed": 7})
+        assert report_main(["cmp", a, b]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"cmp: payloads differ between {a} and {b}",
+            '  payload.cells["fleet-5k"].events: 7 vs 5',
+            "  payload.cells.new: (missing) vs 1",
+            '  payload.digests[1]: "y" vs "q"',
+            '  payload.digests[2]: "z" vs (missing)',
+        ]
+        assert report_main(["cmp", a, a]) == 0
+        assert capsys.readouterr().out.startswith("payloads identical")
 
 
 class TestRunner:

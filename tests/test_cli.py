@@ -282,6 +282,8 @@ class TestSentinelCommand:
                  id="fleet-crash-after-zero"),
     pytest.param(["fleet", "--journal", "c.journal", "--crash-after", "-5"],
                  id="fleet-crash-after-negative"),
+    pytest.param(["inplace", "--source", "xen", "--target", "xen"],
+                 id="inplace-same-hypervisor"),
     pytest.param(["inplace", "--vms", "0"], id="inplace-no-vms"),
     pytest.param(["inplace", "--vms", "-2"], id="inplace-negative-vms"),
     pytest.param(["inplace", "--vcpus", "0"], id="inplace-no-vcpus"),
