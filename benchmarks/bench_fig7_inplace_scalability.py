@@ -4,19 +4,12 @@ Three sweeps per machine: vCPU count {1..10} (flat), guest memory
 {2..12 GB} (PRAM/Reboot grow), VM count {2..12} (M1's 4 cores parallelize
 PRAM worse than M2's 28).  Downtime stays within the paper's ranges
 (M1: 1.7-3.6 s, M2: 2.94-4.28 s).
-
-Run directly with ``--workers N`` to spread the six (machine, axis) cells
-over worker processes; every cell is an independent simulation, so the
-rows are identical for any worker count.
 """
 
-import argparse
-
 from repro.bench.report import format_table, print_experiment
-from repro.bench.runner import inplace_axis_cell, inplace_sweep
+from repro.bench.runner import inplace_sweep
 from repro.hw.machine import M1_SPEC, M2_SPEC
 from repro.hypervisors.base import HypervisorKind
-from repro.par import ParallelRunner
 
 VCPUS = [1, 2, 4, 6, 8, 10]
 MEMORY = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
@@ -52,38 +45,8 @@ def test_fig7_m2(benchmark):
                      format_table(HEADERS, rows))
 
 
-def run_parallel(workers=1):
-    """The same rows as ``run(M1) + run(M2)``, one worker cell per axis."""
-    cells = [
-        {"spec": spec_name, "target": HypervisorKind.KVM.value,
-         "axis": axis, "points": points}
-        for spec_name in ("M1", "M2")
-        for axis, points in (("vcpus", VCPUS), ("memory_gib", MEMORY),
-                             ("vm_count", VM_COUNTS))
-    ]
-    runner = ParallelRunner(workers=workers, task_timeout_s=600.0)
-    per_cell = runner.map_tasks(
-        inplace_axis_cell, cells,
-        labels=[f"{c['spec']}-{c['axis']}" for c in cells],
-    )
-    by_spec = {"M1": [], "M2": []}
-    for cell, rows in zip(cells, per_cell):
-        by_spec[cell["spec"]].extend(rows)
-    return by_spec
-
-
-def test_fig7_parallel_matches_serial():
-    by_spec = run_parallel(workers=1)
-    assert by_spec["M1"] == run(M1_SPEC)
-    assert by_spec["M2"] == run(M2_SPEC)
-
-
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=1)
-    args = parser.parse_args()
-    by_spec = run_parallel(workers=args.workers)
-    for spec_name in ("M1", "M2"):
-        print_experiment(f"Fig. 7 ({spec_name})",
+    for spec in (M1_SPEC, M2_SPEC):
+        print_experiment(f"Fig. 7 ({spec.name})",
                          "InPlaceTP Xen->KVM scalability",
-                         format_table(HEADERS, by_spec[spec_name]))
+                         format_table(HEADERS, run(spec)))

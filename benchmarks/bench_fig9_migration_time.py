@@ -3,20 +3,14 @@
 Shapes to hold: vCPU count has no effect; memory size scales time linearly
 (link-bound); with many VMs MigrationTP shares the link evenly (tight
 spread) while Xen's serialized receive smears per-VM times widely.
-
-Run directly with ``--workers N`` to spread the three sweep axes over
-worker processes; each axis cell simulates both destinations, and the
-rows are identical for any worker count.
 """
 
-import argparse
 import statistics
 
 from repro.bench.report import format_table, print_experiment
-from repro.bench.runner import migration_axis_cell, migration_sweep
+from repro.bench.runner import migration_sweep
 from repro.hw.machine import M1_SPEC
 from repro.hypervisors.base import HypervisorKind
-from repro.par import ParallelRunner
 
 VCPUS = [1, 2, 4, 6, 8, 10]
 MEMORY = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
@@ -53,38 +47,6 @@ def test_fig9_migration_time(benchmark):
                      format_table(HEADERS, rows))
 
 
-def run_parallel(workers=1):
-    """The same rows as :func:`run`, one worker cell per sweep axis."""
-    axes = (("vcpus", VCPUS), ("memory_gib", MEMORY),
-            ("vm_count", VM_COUNTS))
-    cells = [
-        {"spec": "M1", "axis": axis, "points": points,
-         "dests": [HypervisorKind.XEN.value, HypervisorKind.KVM.value]}
-        for axis, points in axes
-    ]
-    runner = ParallelRunner(workers=workers, task_timeout_s=600.0)
-    per_cell = runner.map_tasks(migration_axis_cell, cells,
-                                labels=[c["axis"] for c in cells])
-    rows = []
-    for entries in per_cell:
-        for entry in entries:
-            xen_s = entry[HypervisorKind.XEN.value]
-            tp_s = entry[HypervisorKind.KVM.value]
-            rows.append([
-                entry["axis"], entry["point"],
-                statistics.median(xen_s), max(xen_s) - min(xen_s),
-                statistics.median(tp_s), max(tp_s) - min(tp_s),
-            ])
-    return rows
-
-
-def test_fig9_parallel_matches_serial():
-    assert run_parallel(workers=1) == run()
-
-
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=1)
-    args = parser.parse_args()
     print_experiment("Fig. 9", "total migration time: Xen vs MigrationTP",
-                     format_table(HEADERS, run_parallel(args.workers)))
+                     format_table(HEADERS, run()))

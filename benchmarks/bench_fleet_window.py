@@ -12,8 +12,9 @@ Every cell of the sweep is an independent seeded campaign, so the sweep
 runs through :class:`repro.par.ParallelRunner` (``--workers N``); the
 deterministic payload of the emitted artifact is byte-identical for any
 worker count — wall-clock numbers live in the volatile ``meta`` block
-(see :mod:`repro.bench.report`).  ``--compare-serial`` runs the sweep
-both ways, asserts payload equality and records the speedup in ``meta``.
+(see :mod:`repro.bench.report`), where ``elapsed_s`` records the run's
+wall time; compare a serial and a ``--workers N`` artifact with
+``python -m repro.bench.report cmp``.
 
 Emits ``BENCH_fleet_window.json`` next to this file (override with
 ``--json PATH``); ``--smoke`` restricts to the 10-host column for CI.
@@ -23,7 +24,6 @@ than 10000x the wall time.
 """
 
 import argparse
-import os
 import time
 from pathlib import Path
 
@@ -115,7 +115,7 @@ def cell_label(cell):
 def run(smoke=False, workers=1):
     """The sweep; returns per-cell dicts in cell order plus pool stats."""
     cells = sweep_cells(smoke)
-    runner = ParallelRunner(workers=workers, task_timeout_s=600.0)
+    runner = ParallelRunner(workers=workers)
     results = runner.map_tasks(measure_cell, cells,
                                labels=[cell_label(c) for c in cells])
     return results, runner.stats
@@ -202,51 +202,22 @@ def test_parallel_payload_identical():
     assert [r["entry"] for r in parallel] == [r["entry"] for r in serial]
 
 
-def _wall_total(results):
-    return sum(r["wall_s"] for r in results)
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="10-host column only (CI)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for the sweep (1 = serial)")
-    parser.add_argument("--compare-serial", action="store_true",
-                        help="also run serially, assert byte-identical "
-                             "payloads, and record the speedup in meta")
     parser.add_argument("--json", dest="json_path", metavar="PATH",
                         default=str(DEFAULT_JSON_PATH))
     args = parser.parse_args()
 
-    extra_meta = {}
     started = time.perf_counter()
     results, stats = run(smoke=args.smoke, workers=args.workers)
-    elapsed = time.perf_counter() - started
-    extra_meta["elapsed_s"] = round(elapsed, 4)
-
-    if args.compare_serial and args.workers > 1:
-        serial_started = time.perf_counter()
-        serial_results, _ = run(smoke=args.smoke, workers=1)
-        serial_elapsed = time.perf_counter() - serial_started
-        if [r["entry"] for r in serial_results] != \
-                [r["entry"] for r in results]:
-            raise SystemExit(
-                "parallel sweep payload differs from the serial sweep"
-            )
-        extra_meta["serial_elapsed_s"] = round(serial_elapsed, 4)
-        extra_meta["speedup"] = round(serial_elapsed / max(elapsed, 1e-9), 2)
-        print(f"serial {serial_elapsed:.2f} s vs {args.workers} workers "
-              f"{elapsed:.2f} s -> speedup {extra_meta['speedup']:.2f}x "
-              f"(payloads identical)")
-        cores = os.cpu_count() or 1
-        if cores < args.workers:
-            print(f"note: only {cores} CPU core(s) visible; the sweep is "
-                  f"CPU-bound, so {args.workers} workers cannot beat "
-                  f"serial wall-clock on this host (see meta.host_env)")
+    elapsed_s = round(time.perf_counter() - started, 4)
 
     path = write_json(results, args.json_path, workers=args.workers,
-                      stats=stats, extra_meta=extra_meta)
+                      stats=stats, extra_meta={"elapsed_s": elapsed_s})
     print_experiment("fleet window", "percentiles vs size and failure rate",
                      format_table(HEADERS, to_rows(results)))
     print(f"JSON written to {path}")

@@ -17,15 +17,11 @@ _EXPORTS = {
     "print_experiment": "repro.bench.report",
     "read_bench_json": "repro.bench.report",
     "write_bench_json": "repro.bench.report",
-    "SPEC_BY_NAME": "repro.bench.runner",
-    "cluster_fraction_cell": "repro.bench.runner",
-    "inplace_axis_cell": "repro.bench.runner",
     "inplace_breakdown": "repro.bench.runner",
     "inplace_sweep": "repro.bench.runner",
     "make_host_pair": "repro.bench.runner",
     "make_kvm_host": "repro.bench.runner",
     "make_xen_host": "repro.bench.runner",
-    "migration_axis_cell": "repro.bench.runner",
     "migration_sweep": "repro.bench.runner",
 }
 

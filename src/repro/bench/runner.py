@@ -3,20 +3,16 @@
 The per-figure benchmark files all need the same moves: build a host with N
 VMs on a given machine spec, run an InPlaceTP or a migration, sweep a
 parameter.  Centralizing them keeps each bench file a readable description
-of its experiment.
+of its experiment.  Every sweep here runs serially in the calling process;
+only the fleet-window and sentinel-window sweeps map their cells over
+:class:`repro.par.ParallelRunner`.
 """
 
 from typing import Dict, List, Optional, Tuple
 
 from repro.guest.devices import KVM_IOAPIC_PINS, make_default_platform
 from repro.guest.vm import VMConfig
-from repro.hw.machine import (
-    CLUSTER_NODE_SPEC,
-    M1_SPEC,
-    M2_SPEC,
-    Machine,
-    MachineSpec,
-)
+from repro.hw.machine import Machine, MachineSpec
 from repro.hw.network import Fabric
 from repro.hypervisors import KVMHypervisor, XenHypervisor
 from repro.hypervisors.base import HypervisorKind
@@ -157,98 +153,3 @@ def _migrate_once(spec: MachineSpec, dest_kind: HypervisorKind,
         migrator = LiveMigration(fabric, source, destination)
     return migrate_group(migrator, domains,
                          dirty_rate_bytes_s=dirty_rate_bytes_s)
-
-
-# -- worker-pool cell entrypoints ---------------------------------------------
-#
-# Module-level, plain-data-in / plain-data-out functions that the figure
-# benchmarks map over :class:`repro.par.ParallelRunner`.  Each cell is one
-# independent sweep axis (or sweep point) built entirely from its payload —
-# a worker constructs its own machines, clocks and hypervisors from the
-# named spec, and returns rows of plain numbers, never report objects.
-
-SPEC_BY_NAME = {"M1": M1_SPEC, "M2": M2_SPEC, "cluster": CLUSTER_NODE_SPEC}
-
-
-def _named_spec(name: str) -> MachineSpec:
-    try:
-        return SPEC_BY_NAME[name]
-    except KeyError:
-        raise ValueError(f"unknown machine spec {name!r}; "
-                         f"pick from {sorted(SPEC_BY_NAME)}") from None
-
-
-def inplace_axis_cell(payload: Dict) -> List[List]:
-    """One Fig. 7/10 sweep axis on one machine.
-
-    Payload: ``{"spec": "M1", "target": "kvm", "axis": "vcpus",
-    "points": [...]}``.  Returns table rows
-    ``[axis, point, pram_s, translation_s, reboot_s, restoration_s,
-    downtime_s]``.
-    """
-    spec = _named_spec(payload["spec"])
-    target = HypervisorKind(payload["target"])
-    axis = payload["axis"]
-    kwargs_of = {"vcpus": "vcpus", "memory_gib": "memory_gib",
-                 "vm_count": "vm_count"}
-    if axis not in kwargs_of:
-        raise ValueError(f"unknown inplace sweep axis {axis!r}")
-    rows = []
-    for point in payload["points"]:
-        report = inplace_breakdown(spec, target, **{kwargs_of[axis]: point})
-        rows.append([axis, point, report.pram_s, report.translation_s,
-                     report.reboot_s, report.restoration_s,
-                     report.downtime_s])
-    return rows
-
-
-def migration_axis_cell(payload: Dict) -> List[Dict]:
-    """One Fig. 8/9 sweep axis, both destinations per point.
-
-    Payload: ``{"spec": "M1", "axis": "memory_gib", "points": [...],
-    "dests": ["xen", "kvm"], "dirty_rate_bytes_s": ...}``.  Returns one
-    dict per point mapping each destination to its group's total times.
-    """
-    spec = _named_spec(payload["spec"])
-    axis = payload["axis"]
-    dests = [HypervisorKind(d) for d in payload.get("dests", ["xen", "kvm"])]
-    dirty = payload.get("dirty_rate_bytes_s", 1 << 20)
-    shapes = {
-        "vcpus": lambda p: (1, p, 1.0),
-        "memory_gib": lambda p: (1, 1, p),
-        "vm_count": lambda p: (p, 1, 1.0),
-    }
-    if axis not in shapes:
-        raise ValueError(f"unknown migration sweep axis {axis!r}")
-    results = []
-    for point in payload["points"]:
-        vm_count, vcpus, memory_gib = shapes[axis](point)
-        entry: Dict[str, object] = {"axis": axis, "point": point}
-        for dest in dests:
-            reports = _migrate_once(spec, dest, vm_count, vcpus,
-                                    memory_gib, dirty)
-            entry[dest.value] = [r.total_s for r in reports]
-        results.append(entry)
-    return results
-
-
-def cluster_fraction_cell(payload: Dict) -> Dict:
-    """One Fig. 13 sweep point: a cluster upgrade at one InPlaceTP share.
-
-    Payload: ``{"fraction": 0.2, "hosts": 10, "vms_per_host": 10}``.
-    Time *gains* are relative to the all-migration baseline, so the
-    parent recomputes them across cells; the cell returns absolutes only.
-    """
-    from repro.cluster.upgrade import UpgradeCampaign
-
-    campaign = UpgradeCampaign(
-        hosts=payload.get("hosts", 10),
-        vms_per_host=payload.get("vms_per_host", 10),
-    )
-    result = campaign.sweep([payload["fraction"]])[0]
-    return {
-        "fraction": result.inplace_fraction,
-        "migration_count": result.migration_count,
-        "total_s": result.total_s,
-        "total_minutes": result.total_minutes,
-    }

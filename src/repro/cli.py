@@ -678,9 +678,19 @@ def cmd_lint(args) -> int:
         roots = [os.path.dirname(os.path.abspath(repro.__file__))]
 
     # One project over every root, so each module's in-source
-    # suppressions are found whichever root it came from.
-    project = Project([module for root in roots
-                       for module in Project.from_directory(root).modules])
+    # suppressions are found whichever root it came from.  Modules are
+    # keyed by their root-relative path, so two roots may not share one.
+    modules, root_of = [], {}
+    for root in roots:
+        for module in Project.from_directory(root).modules:
+            if module.path in root_of:
+                print(f"lint: {module.path} is under both "
+                      f"{root_of[module.path]} and {root}; lint those roots "
+                      f"in separate runs", file=sys.stderr)
+                return 2
+            root_of[module.path] = root
+            modules.append(module)
+    project = Project(modules)
     if not project.modules:
         print(f"lint: no python files under {', '.join(roots)}",
               file=sys.stderr)

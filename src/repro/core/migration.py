@@ -1,8 +1,8 @@
 """MigrationTP and the homogeneous live-migration baseline (§3.3, §4.3).
 
-Both follow the classic pre-copy algorithm: iterative memory-copy rounds
-while the VM runs, then a stop-and-copy of the residual dirty set.  The two
-differences MigrationTP introduces are:
+Both run one pre-copy workflow, ``_MigrationBase.migrate``: iterative
+memory-copy rounds while the VM runs, then a stop-and-copy of the residual
+dirty set.  The two differences MigrationTP introduces are:
 
 * **proxies** on each side translate the VM_i State through UISR on the wire
   (guest pages are never translated — they are hypervisor-independent);
@@ -13,6 +13,8 @@ differences MigrationTP introduces are:
 The Xen baseline also models Xen's *sequential receive side* (the paper's
 explanation for the downtime variance when migrating many VMs at once,
 Fig. 8/9): concurrent incoming migrations queue for the final activation.
+Each subclass supplies only these differences: how VM_i State is captured,
+decoded and restored, and the downtime term it adds.
 """
 
 import random
@@ -29,7 +31,8 @@ from repro.hypervisors.base import Domain, Hypervisor
 from repro.sim.clock import SimClock
 from repro.core import wire
 from repro.core.timings import DEFAULT_COST_MODEL, CostModel
-from repro.core.uisr.codec import encode_uisr
+from repro.core.uisr.codec import decode_uisr, encode_uisr
+from repro.core.uisr.format import UISRVMState
 from repro.core.uisr.registry import ConverterRegistry, default_registry
 
 
@@ -107,7 +110,19 @@ def plan_precopy(memory_bytes: int, rate_bytes_s: float,
 
 
 class _MigrationBase:
-    """Shared mechanics: plan rounds, move guest pages, account time."""
+    """The pre-copy workflow both migrators run.
+
+    A subclass sets ``heterogeneous`` (the report flag) and ``label`` (its
+    name in the guest-corruption error), and supplies what truly differs:
+    how VM_i State leaves the source (``_capture_state``), how it is
+    decoded at the destination (``_decode_state``, inside the
+    abort-and-resume ``try``) and restored into the adopted domain
+    (``_restore_state``), and the downtime term charged after the final
+    copy and the activation (``_downtime_tail_s``).
+    """
+
+    heterogeneous: bool
+    label: str
 
     def __init__(self, fabric: Fabric, source: Machine, destination: Machine,
                  cost_model: CostModel = DEFAULT_COST_MODEL):
@@ -120,6 +135,109 @@ class _MigrationBase:
         self.destination = destination
         self.cost = cost_model
         self.link = fabric.link_between(source, destination)
+
+    def migrate(self, domain: Domain, clock: Optional[SimClock] = None,
+                dirty_rate_bytes_s: float = 1 << 20,
+                concurrent: int = 1,
+                receive_queue_position: int = 0,
+                guest_writes_rng: Optional[random.Random] = None
+                ) -> MigrationReport:
+        """Migrate one domain while ``concurrent`` flows share the link.
+
+        ``receive_queue_position`` is the domain's place in Xen's
+        serialized receive side (0 = first in the queue); only
+        :class:`LiveMigration` charges it.  Pass ``guest_writes_rng`` to
+        actually mutate guest pages during pre-copy (the dirtied pages are
+        re-sent and the destination must still match the source's state
+        at pause time).
+        """
+        clock = clock or SimClock()
+        src_hv: Hypervisor = self.source.hypervisor
+        dst_hv: Hypervisor = self.destination.hypervisor
+        vm = domain.vm
+        self._check_migratable(vm)
+        start = clock.now
+
+        report = MigrationReport(
+            vm_name=vm.name,
+            source=f"{self.source.name}/{src_hv.kind.value}",
+            destination=f"{self.destination.name}/{dst_hv.kind.value}",
+            heterogeneous=self.heterogeneous,
+        )
+
+        rate = self._flow_rate(concurrent)
+        rounds = plan_precopy(vm.image.size_bytes, rate, dirty_rate_bytes_s,
+                              self.cost)
+        report.rounds = rounds
+        report.precopy_s = (self.cost.migration_setup_s
+                            + sum(r.duration_s for r in rounds))
+        report.bytes_transferred = sum(r.bytes_sent for r in rounds)
+
+        # The pre-copy rounds travel the wire protocol; guest pages are
+        # hypervisor-independent and never translated (§3.3).
+        stream = wire.MigrationStream()
+        residual_gfns = self._stream_precopy(vm, rounds, stream,
+                                             guest_writes_rng)
+        clock.advance(report.precopy_s)
+
+        # Stop-and-copy: pause, ship the residual dirty set and VM_i State,
+        # activate at the destination.
+        pause_time = clock.now
+        vm.pause(pause_time)
+        residual = rounds[-1].dirty_after_bytes
+        final_copy_s = residual / rate
+        activation_s = self.cost.stopcopy_overhead_s(
+            dst_hv.kind, vm.config.vcpus
+        )
+        report.downtime_s = (final_copy_s + activation_s
+                             + self._downtime_tail_s(receive_queue_position,
+                                                     activation_s))
+        report.bytes_transferred += residual
+        clock.advance(report.downtime_s)
+
+        self._stream_stopcopy(vm, residual_gfns,
+                              self._capture_state(src_hv, domain), stream)
+        final_digest = vm.image.content_digest()
+        report.wire_messages = stream.messages_sent
+        report.wire_bytes = stream.bytes_sent
+        stats = stream.page_stats
+        report.wire_unique_pages = stats.unique_digests
+        report.wire_dedup_hits = stats.dedup_hits
+        report.wire_dedup_ratio = stats.ratio
+        report.pages_resent = sum(
+            min(vm.image.page_count, r.dirty_after_bytes // vm.image.page_size)
+            for r in rounds[:-1]
+        ) + len(residual_gfns)
+
+        # Destination proxy: rebuild the image from the stream and decode
+        # the state that arrived on the wire.  A destination-side failure
+        # (e.g. out of memory) aborts the migration; the source still owns
+        # the VM and simply resumes it.
+        try:
+            dst_image = self._receive_guest(vm, stream)
+            arrived_state = self._decode_state(self._received_state_blob)
+        except Exception as exc:
+            vm.resume(clock.now)
+            raise MigrationError(
+                f"VM {vm.name}: destination failed during stop-and-copy; "
+                f"resumed on the source: {exc}"
+            ) from exc
+        src_hv.detach_domain(domain.domid)
+        vm.image.release()
+        vm.image = dst_image
+        new_domain = dst_hv.adopt_vm(vm)
+        self._restore_state(dst_hv, new_domain, arrived_state)
+        vm.resume(clock.now)
+
+        report.total_s = clock.now - start
+        report.guest_digest_preserved = (
+            vm.image.content_digest() == final_digest
+        )
+        if not report.guest_digest_preserved:
+            raise MigrationError(
+                f"VM {vm.name}: guest memory corrupted during {self.label}"
+            )
+        return report
 
     def _check_migratable(self, vm: VirtualMachine) -> None:
         for driver in vm.devices:
@@ -222,7 +340,15 @@ class _MigrationBase:
 
 
 class LiveMigration(_MigrationBase):
-    """Homogeneous live migration (the Xen->Xen baseline of Table 4)."""
+    """Homogeneous live migration (the Xen->Xen baseline of Table 4).
+
+    VM_i State crosses the wire in the hypervisor's own save format, and
+    the destination's receive side serializes activations: a domain at
+    ``receive_queue_position`` *k* waits *k* activations (Fig. 8/9).
+    """
+
+    heterogeneous = False
+    label = "migration"
 
     def __init__(self, fabric: Fabric, source: Machine, destination: Machine,
                  cost_model: CostModel = DEFAULT_COST_MODEL):
@@ -233,107 +359,32 @@ class LiveMigration(_MigrationBase):
                 "use MigrationTP for heterogeneous ones"
             )
 
-    def migrate(self, domain: Domain, clock: Optional[SimClock] = None,
-                dirty_rate_bytes_s: float = 1 << 20,
-                concurrent: int = 1,
-                receive_queue_position: int = 0,
-                guest_writes_rng: Optional[random.Random] = None
-                ) -> MigrationReport:
-        """Migrate one domain; ``receive_queue_position`` models Xen's
-        serialized receive side (position 0 = first in the queue).
+    def _capture_state(self, src_hv: Hypervisor, domain: Domain) -> bytes:
+        return src_hv.save_platform_state(domain)
 
-        Pass ``guest_writes_rng`` to actually mutate guest pages during
-        pre-copy (the dirtied pages are re-sent and the destination must
-        still match the source's state at pause time).
-        """
-        clock = clock or SimClock()
-        src_hv: Hypervisor = self.source.hypervisor
-        dst_hv: Hypervisor = self.destination.hypervisor
-        vm = domain.vm
-        self._check_migratable(vm)
-        start = clock.now
+    def _decode_state(self, blob: bytes) -> bytes:
+        return blob
 
-        report = MigrationReport(
-            vm_name=vm.name,
-            source=f"{self.source.name}/{src_hv.kind.value}",
-            destination=f"{self.destination.name}/{dst_hv.kind.value}",
-            heterogeneous=False,
-        )
+    def _restore_state(self, dst_hv: Hypervisor, domain: Domain,
+                       state: bytes) -> None:
+        dst_hv.load_platform_state(domain, state)
 
-        rate = self._flow_rate(concurrent)
-        rounds = plan_precopy(vm.image.size_bytes, rate, dirty_rate_bytes_s,
-                              self.cost)
-        report.rounds = rounds
-        report.precopy_s = (self.cost.migration_setup_s
-                            + sum(r.duration_s for r in rounds))
-        report.bytes_transferred = sum(r.bytes_sent for r in rounds)
-
-        # The pre-copy rounds travel the wire protocol.
-        stream = wire.MigrationStream()
-        residual_gfns = self._stream_precopy(vm, rounds, stream,
-                                             guest_writes_rng)
-        clock.advance(report.precopy_s)
-
-        # Stop-and-copy: pause, ship the residual dirty set + platform
-        # state, activate at the destination.  Xen's receive side
-        # serializes activations.
-        pause_time = clock.now
-        vm.pause(pause_time)
-        residual = rounds[-1].dirty_after_bytes
-        final_copy_s = residual / rate
-        activation_s = self.cost.stopcopy_overhead_s(
-            dst_hv.kind, vm.config.vcpus
-        )
-        queue_wait_s = receive_queue_position * activation_s
-        report.downtime_s = final_copy_s + activation_s + queue_wait_s
-        report.bytes_transferred += residual
-        clock.advance(report.downtime_s)
-
-        state_blob = src_hv.save_platform_state(domain)
-        self._stream_stopcopy(vm, residual_gfns, state_blob, stream)
-        final_digest = vm.image.content_digest()
-        report.wire_messages = stream.messages_sent
-        report.wire_bytes = stream.bytes_sent
-        stats = stream.page_stats
-        report.wire_unique_pages = stats.unique_digests
-        report.wire_dedup_hits = stats.dedup_hits
-        report.wire_dedup_ratio = stats.ratio
-        report.pages_resent = sum(
-            min(vm.image.page_count, r.dirty_after_bytes // vm.image.page_size)
-            for r in rounds[:-1]
-        ) + len(residual_gfns)
-
-        # Destination proxy: rebuild the image, load the native state.  A
-        # destination-side failure (e.g. out of memory) aborts the
-        # migration; the source still owns the VM and simply resumes it.
-        try:
-            dst_image = self._receive_guest(vm, stream)
-        except Exception as exc:
-            vm.resume(clock.now)
-            raise MigrationError(
-                f"VM {vm.name}: destination failed during stop-and-copy; "
-                f"resumed on the source: {exc}"
-            ) from exc
-        src_hv.detach_domain(domain.domid)
-        vm.image.release()
-        vm.image = dst_image
-        new_domain = dst_hv.adopt_vm(vm)
-        dst_hv.load_platform_state(new_domain, self._received_state_blob)
-        vm.resume(clock.now)
-
-        report.total_s = clock.now - start
-        report.guest_digest_preserved = (
-            vm.image.content_digest() == final_digest
-        )
-        if not report.guest_digest_preserved:
-            raise MigrationError(
-                f"VM {vm.name}: guest memory corrupted during migration"
-            )
-        return report
+    def _downtime_tail_s(self, receive_queue_position: int,
+                         activation_s: float) -> float:
+        return receive_queue_position * activation_s
 
 
 class MigrationTP(_MigrationBase):
-    """Heterogeneous live migration through UISR proxies (§3.3)."""
+    """Heterogeneous live migration through UISR proxies (§3.3).
+
+    The source proxy translates VM_i State to UISR for the wire and the
+    destination proxy restores it into the target's format; the proxy
+    pair costs ``2 * proxy_translate_s`` of downtime.  No queueing:
+    kvmtool (and our Xen restore path) activate in parallel.
+    """
+
+    heterogeneous = True
+    label = "MigrationTP"
 
     def __init__(self, fabric: Fabric, source: Machine, destination: Machine,
                  registry: Optional[ConverterRegistry] = None,
@@ -368,108 +419,24 @@ class MigrationTP(_MigrationBase):
         return pipeline.plan_vm(vm.image.size_bytes, dirty_rate_bytes_s,
                                 vm.config.vcpus)
 
-    def migrate(self, domain: Domain, clock: Optional[SimClock] = None,
-                dirty_rate_bytes_s: float = 1 << 20,
-                concurrent: int = 1,
-                guest_writes_rng: Optional[random.Random] = None
-                ) -> MigrationReport:
-        """Migrate one domain across hypervisors."""
-        clock = clock or SimClock()
-        src_hv: Hypervisor = self.source.hypervisor
-        dst_hv: Hypervisor = self.destination.hypervisor
-        vm = domain.vm
-        self._check_migratable(vm)
-        start = clock.now
-
-        report = MigrationReport(
-            vm_name=vm.name,
-            source=f"{self.source.name}/{src_hv.kind.value}",
-            destination=f"{self.destination.name}/{dst_hv.kind.value}",
-            heterogeneous=True,
-        )
-
-        rate = self._flow_rate(concurrent)
-        rounds = plan_precopy(vm.image.size_bytes, rate, dirty_rate_bytes_s,
-                              self.cost)
-        report.rounds = rounds
-        report.precopy_s = (self.cost.migration_setup_s
-                            + sum(r.duration_s for r in rounds))
-        report.bytes_transferred = sum(r.bytes_sent for r in rounds)
-
-        # The pre-copy rounds travel the wire protocol; guest pages are
-        # hypervisor-independent and never translated (§3.3).
-        stream = wire.MigrationStream()
-        residual_gfns = self._stream_precopy(vm, rounds, stream,
-                                             guest_writes_rng)
-        clock.advance(report.precopy_s)
-
-        # Stop-and-copy with proxy translation.  The source proxy builds the
-        # UISR; the destination proxy restores into the target's format.  No
-        # queueing: kvmtool (and our Xen restore path) activate in parallel.
-        pause_time = clock.now
-        vm.pause(pause_time)
-        residual = rounds[-1].dirty_after_bytes
-        final_copy_s = residual / rate
-        activation_s = self.cost.stopcopy_overhead_s(
-            dst_hv.kind, vm.config.vcpus
-        )
-        report.downtime_s = (final_copy_s + activation_s
-                             + 2 * self.cost.proxy_translate_s)
-        report.bytes_transferred += residual
-        clock.advance(report.downtime_s)
-
-        # Source proxy: VM_i State -> UISR, encoded onto the wire.
+    def _capture_state(self, src_hv: Hypervisor, domain: Domain) -> bytes:
         to_uisr = self.registry.to_uisr(src_hv.kind)
-        uisr_state = to_uisr(src_hv, domain, pram_file=None)
-        self._stream_stopcopy(vm, residual_gfns, encode_uisr(uisr_state),
-                              stream)
-        final_digest = vm.image.content_digest()
-        report.wire_messages = stream.messages_sent
-        report.wire_bytes = stream.bytes_sent
-        stats = stream.page_stats
-        report.wire_unique_pages = stats.unique_digests
-        report.wire_dedup_hits = stats.dedup_hits
-        report.wire_dedup_ratio = stats.ratio
-        report.pages_resent = sum(
-            min(vm.image.page_count, r.dirty_after_bytes // vm.image.page_size)
-            for r in rounds[:-1]
-        ) + len(residual_gfns)
+        return encode_uisr(to_uisr(src_hv, domain, pram_file=None))
 
-        # Destination proxy: rebuild the image from the stream, decode the
-        # UISR that arrived on the wire, restore into the target's format.
-        # Destination-side failures abort: the source resumes the VM.
-        from repro.core.uisr.codec import decode_uisr
+    def _decode_state(self, blob: bytes) -> UISRVMState:
+        return decode_uisr(blob)
 
-        try:
-            dst_image = self._receive_guest(vm, stream)
-            arrived_state = decode_uisr(self._received_state_blob)
-        except Exception as exc:
-            vm.resume(clock.now)
-            raise MigrationError(
-                f"VM {vm.name}: destination failed during stop-and-copy; "
-                f"resumed on the source: {exc}"
-            ) from exc
-        src_hv.detach_domain(domain.domid)
-        vm.image.release()
-        vm.image = dst_image
-
+    def _restore_state(self, dst_hv: Hypervisor, domain: Domain,
+                       state: UISRVMState) -> None:
         from_uisr = self.registry.from_uisr(dst_hv.kind)
-        new_domain = dst_hv.adopt_vm(vm)
-        from_uisr(dst_hv, new_domain, arrived_state, pram_fs=None)
-        vm.resume(clock.now)
+        from_uisr(dst_hv, domain, state, pram_fs=None)
 
-        report.total_s = clock.now - start
-        report.guest_digest_preserved = (
-            vm.image.content_digest() == final_digest
-        )
-        if not report.guest_digest_preserved:
-            raise MigrationError(
-                f"VM {vm.name}: guest memory corrupted during MigrationTP"
-            )
-        return report
+    def _downtime_tail_s(self, receive_queue_position: int,
+                         activation_s: float) -> float:
+        return 2 * self.cost.proxy_translate_s
 
 
-def migrate_group(migrator, domains: List[Domain],
+def migrate_group(migrator: _MigrationBase, domains: List[Domain],
                   clock: Optional[SimClock] = None,
                   dirty_rate_bytes_s: float = 1 << 20) -> List[MigrationReport]:
     """Migrate several VMs concurrently over one link.
@@ -483,18 +450,10 @@ def migrate_group(migrator, domains: List[Domain],
     reports = []
     concurrent = len(domains)
     for position, domain in enumerate(domains):
-        vm_clock = SimClock(clock.now)
-        if isinstance(migrator, LiveMigration):
-            report = migrator.migrate(
-                domain, vm_clock, dirty_rate_bytes_s=dirty_rate_bytes_s,
-                concurrent=concurrent, receive_queue_position=position,
-            )
-        else:
-            report = migrator.migrate(
-                domain, vm_clock, dirty_rate_bytes_s=dirty_rate_bytes_s,
-                concurrent=concurrent,
-            )
-        reports.append(report)
+        reports.append(migrator.migrate(
+            domain, SimClock(clock.now), dirty_rate_bytes_s=dirty_rate_bytes_s,
+            concurrent=concurrent, receive_queue_position=position,
+        ))
     if reports:
         clock.advance(max(r.total_s for r in reports))
     return reports

@@ -8,8 +8,9 @@ suspend/resume/live_migration verbs:
 * ``hypertp_load_kernel`` — stage the target hypervisor for kexec;
 * ``hypertp_restore_guest_state`` — akin to resume, from UISR.
 
-``LibvirtComputeDriver`` implements them on top of the HyperTP core; a
-deployment with another virt driver would implement the same interface.
+``LibvirtComputeDriver`` implements them through the ``HyperTP`` façade it
+holds; a deployment with another virt driver would implement the same
+interface.
 """
 
 import abc
@@ -20,8 +21,8 @@ from repro.hw.machine import Machine
 from repro.hw.network import Fabric
 from repro.hypervisors.base import HypervisorKind
 from repro.sim.clock import SimClock
-from repro.core.inplace import InPlaceReport, InPlaceTP
-from repro.core.migration import MigrationReport, MigrationTP
+from repro.core.inplace import InPlaceReport
+from repro.core.migration import MigrationReport
 from repro.core.transplant import HyperTP
 from repro.orchestrator.libvirt import LibvirtConnection
 
@@ -90,11 +91,8 @@ class LibvirtComputeDriver(ComputeDriver):
                 f"{self.machine.name}: no fabric configured for migration"
             )
         domain = self.connection._domain_by_name(instance)
-        migrator = MigrationTP(
-            self.fabric, self.machine, dest_driver.machine,
-            registry=self.hypertp.registry, cost_model=self.hypertp.cost,
-        )
-        return migrator.migrate(domain, clock)
+        return self.hypertp.migrate(self.fabric, self.machine,
+                                    dest_driver.machine, domain, clock)
 
     def hypertp_load_kernel(self, target: HypervisorKind) -> None:
         from repro.core.kexec import load_kexec_image
@@ -103,12 +101,9 @@ class LibvirtComputeDriver(ComputeDriver):
 
     def hypertp_host_upgrade(self, target: HypervisorKind,
                              clock: SimClock) -> InPlaceReport:
-        """Save guest state, kexec, restore — the new driver operation."""
-        transplant = InPlaceTP(
-            self.machine, target, registry=self.hypertp.registry,
-            cost_model=self.hypertp.cost, optimizations=self.hypertp.opts,
-        )
-        report = transplant.run(clock)
-        # The connection keeps working: libvirt now speaks to the new
-        # hypervisor and the URI changes under the hood.
-        return report
+        """Save guest state, kexec, restore — the new driver operation.
+
+        The connection keeps working: libvirt now speaks to the new
+        hypervisor and the URI changes under the hood.
+        """
+        return self.hypertp.inplace(self.machine, target, clock)

@@ -22,16 +22,15 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.par.pool import PoolStats, Task, WorkerPool, func_ref
 
-#: Pool deadline of a single campaign or replay routed through a worker.
+#: Pool deadline of one task: a sweep cell, a campaign or a replay.
 _RUN_TIMEOUT_S = 600.0
 
 
 class ParallelRunner:
     """Order-preserving parallel map over module-level task functions."""
 
-    def __init__(self, workers: int = 1, task_timeout_s: float = 300.0):
+    def __init__(self, workers: int = 1):
         self.workers = workers
-        self.task_timeout_s = task_timeout_s
         self.stats = PoolStats()
 
     def map_tasks(self, fn: Union[str, Callable], payloads: Sequence[Any],
@@ -49,8 +48,7 @@ class ParallelRunner:
                  label=labels[index] if labels else f"{ref}#{index}")
             for index, payload in enumerate(payloads)
         ]
-        pool = WorkerPool(workers=self.workers,
-                          task_timeout_s=self.task_timeout_s)
+        pool = WorkerPool(workers=self.workers, task_timeout_s=_RUN_TIMEOUT_S)
         try:
             return pool.run(tasks)
         finally:
@@ -202,7 +200,7 @@ def run_sentinel(payload: Dict[str, Any], workers: int = 1) -> Dict[str, Any]:
     Mirrors :func:`run_fleet_campaign`; ``hypertp sentinel`` calls it at
     ``workers=1``.
     """
-    runner = ParallelRunner(workers=workers, task_timeout_s=_RUN_TIMEOUT_S)
+    runner = ParallelRunner(workers=workers)
     return runner.map_tasks(sentinel_task, [payload],
                             labels=["sentinel"])[0]
 
@@ -217,6 +215,6 @@ def run_fleet_campaign(payload: Dict[str, Any],
     frames back) and must return byte-identical results: the contract
     the parallel sweeps rely on.
     """
-    runner = ParallelRunner(workers=workers, task_timeout_s=_RUN_TIMEOUT_S)
+    runner = ParallelRunner(workers=workers)
     return runner.map_tasks(fleet_campaign_task, [payload],
                             labels=["fleet-campaign"])[0]

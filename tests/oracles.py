@@ -26,7 +26,11 @@ agree with, kept verbatim for differential tests:
   :func:`build_host_plans_per_vm` — campaign setup one validated object
   at a time: the cluster built through ``Cluster.add_vm``, one frozen
   dataclass per profile and plan record, and each VM's workload facts
-  looked up again for every VM.
+  looked up again for every VM;
+* :class:`FormerLiveMigration`, :class:`FormerMigrationTP` and
+  :func:`migrate_group_former` — the two migrators with their own copies
+  of the pre-copy workflow, and the group driver that passed the receive
+  queue position to ``LiveMigration`` alone.
 
 Test-only: nothing outside ``tests/`` imports this module.
 """
@@ -34,6 +38,7 @@ Test-only: nothing outside ``tests/`` imports this module.
 import hashlib
 import heapq
 import itertools
+import random
 from collections import deque
 from dataclasses import dataclass
 from typing import (
@@ -60,7 +65,13 @@ from repro.core.mechanisms import (
     VMProfile,
     decide_fleet,
 )
-from repro.core.migration import plan_precopy
+from repro.core import wire
+from repro.core.migration import (
+    LiveMigration,
+    MigrationReport,
+    MigrationTP,
+    plan_precopy,
+)
 from repro.core.pipeline import (
     InPlacePipeline,
     MigrationPipeline,
@@ -69,9 +80,11 @@ from repro.core.pipeline import (
     StagePlan,
     _fold,
 )
+from repro.core.uisr.codec import encode_uisr
 from repro.errors import (
     ClusterError,
     FleetError,
+    MigrationError,
     PlanningError,
     SentinelError,
     SimulationError,
@@ -79,6 +92,7 @@ from repro.errors import (
 from repro.fleet.controller import _HostPlan
 from repro.fleet.state import HostState
 from repro.hw.memory import PAGE_2M
+from repro.hypervisors.base import Domain, Hypervisor
 from repro.sentinel.inventory import FleetInventory
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
@@ -806,3 +820,242 @@ def build_host_plans_per_vm(self, cluster: Cluster,
             ))
     self._chain_counts = chain_counts
     return [host_plans[name] for name in sorted(host_plans)]
+
+
+class FormerLiveMigration(LiveMigration):
+    """``LiveMigration`` with its own pre-copy body, as it was before the
+    two migrators shared ``_MigrationBase.migrate``."""
+
+    def migrate(self, domain: Domain, clock: Optional[SimClock] = None,
+                dirty_rate_bytes_s: float = 1 << 20,
+                concurrent: int = 1,
+                receive_queue_position: int = 0,
+                guest_writes_rng: Optional[random.Random] = None
+                ) -> MigrationReport:
+        """Migrate one domain; ``receive_queue_position`` models Xen's
+        serialized receive side (position 0 = first in the queue).
+
+        Pass ``guest_writes_rng`` to actually mutate guest pages during
+        pre-copy (the dirtied pages are re-sent and the destination must
+        still match the source's state at pause time).
+        """
+        clock = clock or SimClock()
+        src_hv: Hypervisor = self.source.hypervisor
+        dst_hv: Hypervisor = self.destination.hypervisor
+        vm = domain.vm
+        self._check_migratable(vm)
+        start = clock.now
+
+        report = MigrationReport(
+            vm_name=vm.name,
+            source=f"{self.source.name}/{src_hv.kind.value}",
+            destination=f"{self.destination.name}/{dst_hv.kind.value}",
+            heterogeneous=False,
+        )
+
+        rate = self._flow_rate(concurrent)
+        rounds = plan_precopy(vm.image.size_bytes, rate, dirty_rate_bytes_s,
+                              self.cost)
+        report.rounds = rounds
+        report.precopy_s = (self.cost.migration_setup_s
+                            + sum(r.duration_s for r in rounds))
+        report.bytes_transferred = sum(r.bytes_sent for r in rounds)
+
+        # The pre-copy rounds travel the wire protocol.
+        stream = wire.MigrationStream()
+        residual_gfns = self._stream_precopy(vm, rounds, stream,
+                                             guest_writes_rng)
+        clock.advance(report.precopy_s)
+
+        # Stop-and-copy: pause, ship the residual dirty set + platform
+        # state, activate at the destination.  Xen's receive side
+        # serializes activations.
+        pause_time = clock.now
+        vm.pause(pause_time)
+        residual = rounds[-1].dirty_after_bytes
+        final_copy_s = residual / rate
+        activation_s = self.cost.stopcopy_overhead_s(
+            dst_hv.kind, vm.config.vcpus
+        )
+        queue_wait_s = receive_queue_position * activation_s
+        report.downtime_s = final_copy_s + activation_s + queue_wait_s
+        report.bytes_transferred += residual
+        clock.advance(report.downtime_s)
+
+        state_blob = src_hv.save_platform_state(domain)
+        self._stream_stopcopy(vm, residual_gfns, state_blob, stream)
+        final_digest = vm.image.content_digest()
+        report.wire_messages = stream.messages_sent
+        report.wire_bytes = stream.bytes_sent
+        stats = stream.page_stats
+        report.wire_unique_pages = stats.unique_digests
+        report.wire_dedup_hits = stats.dedup_hits
+        report.wire_dedup_ratio = stats.ratio
+        report.pages_resent = sum(
+            min(vm.image.page_count, r.dirty_after_bytes // vm.image.page_size)
+            for r in rounds[:-1]
+        ) + len(residual_gfns)
+
+        # Destination proxy: rebuild the image, load the native state.  A
+        # destination-side failure (e.g. out of memory) aborts the
+        # migration; the source still owns the VM and simply resumes it.
+        try:
+            dst_image = self._receive_guest(vm, stream)
+        except Exception as exc:
+            vm.resume(clock.now)
+            raise MigrationError(
+                f"VM {vm.name}: destination failed during stop-and-copy; "
+                f"resumed on the source: {exc}"
+            ) from exc
+        src_hv.detach_domain(domain.domid)
+        vm.image.release()
+        vm.image = dst_image
+        new_domain = dst_hv.adopt_vm(vm)
+        dst_hv.load_platform_state(new_domain, self._received_state_blob)
+        vm.resume(clock.now)
+
+        report.total_s = clock.now - start
+        report.guest_digest_preserved = (
+            vm.image.content_digest() == final_digest
+        )
+        if not report.guest_digest_preserved:
+            raise MigrationError(
+                f"VM {vm.name}: guest memory corrupted during migration"
+            )
+        return report
+
+
+class FormerMigrationTP(MigrationTP):
+    """``MigrationTP`` with its own pre-copy body, as it was before the
+    two migrators shared ``_MigrationBase.migrate``."""
+
+    def migrate(self, domain: Domain, clock: Optional[SimClock] = None,
+                dirty_rate_bytes_s: float = 1 << 20,
+                concurrent: int = 1,
+                guest_writes_rng: Optional[random.Random] = None
+                ) -> MigrationReport:
+        """Migrate one domain across hypervisors."""
+        clock = clock or SimClock()
+        src_hv: Hypervisor = self.source.hypervisor
+        dst_hv: Hypervisor = self.destination.hypervisor
+        vm = domain.vm
+        self._check_migratable(vm)
+        start = clock.now
+
+        report = MigrationReport(
+            vm_name=vm.name,
+            source=f"{self.source.name}/{src_hv.kind.value}",
+            destination=f"{self.destination.name}/{dst_hv.kind.value}",
+            heterogeneous=True,
+        )
+
+        rate = self._flow_rate(concurrent)
+        rounds = plan_precopy(vm.image.size_bytes, rate, dirty_rate_bytes_s,
+                              self.cost)
+        report.rounds = rounds
+        report.precopy_s = (self.cost.migration_setup_s
+                            + sum(r.duration_s for r in rounds))
+        report.bytes_transferred = sum(r.bytes_sent for r in rounds)
+
+        # The pre-copy rounds travel the wire protocol; guest pages are
+        # hypervisor-independent and never translated (§3.3).
+        stream = wire.MigrationStream()
+        residual_gfns = self._stream_precopy(vm, rounds, stream,
+                                             guest_writes_rng)
+        clock.advance(report.precopy_s)
+
+        # Stop-and-copy with proxy translation.  The source proxy builds the
+        # UISR; the destination proxy restores into the target's format.  No
+        # queueing: kvmtool (and our Xen restore path) activate in parallel.
+        pause_time = clock.now
+        vm.pause(pause_time)
+        residual = rounds[-1].dirty_after_bytes
+        final_copy_s = residual / rate
+        activation_s = self.cost.stopcopy_overhead_s(
+            dst_hv.kind, vm.config.vcpus
+        )
+        report.downtime_s = (final_copy_s + activation_s
+                             + 2 * self.cost.proxy_translate_s)
+        report.bytes_transferred += residual
+        clock.advance(report.downtime_s)
+
+        # Source proxy: VM_i State -> UISR, encoded onto the wire.
+        to_uisr = self.registry.to_uisr(src_hv.kind)
+        uisr_state = to_uisr(src_hv, domain, pram_file=None)
+        self._stream_stopcopy(vm, residual_gfns, encode_uisr(uisr_state),
+                              stream)
+        final_digest = vm.image.content_digest()
+        report.wire_messages = stream.messages_sent
+        report.wire_bytes = stream.bytes_sent
+        stats = stream.page_stats
+        report.wire_unique_pages = stats.unique_digests
+        report.wire_dedup_hits = stats.dedup_hits
+        report.wire_dedup_ratio = stats.ratio
+        report.pages_resent = sum(
+            min(vm.image.page_count, r.dirty_after_bytes // vm.image.page_size)
+            for r in rounds[:-1]
+        ) + len(residual_gfns)
+
+        # Destination proxy: rebuild the image from the stream, decode the
+        # UISR that arrived on the wire, restore into the target's format.
+        # Destination-side failures abort: the source resumes the VM.
+        from repro.core.uisr.codec import decode_uisr
+
+        try:
+            dst_image = self._receive_guest(vm, stream)
+            arrived_state = decode_uisr(self._received_state_blob)
+        except Exception as exc:
+            vm.resume(clock.now)
+            raise MigrationError(
+                f"VM {vm.name}: destination failed during stop-and-copy; "
+                f"resumed on the source: {exc}"
+            ) from exc
+        src_hv.detach_domain(domain.domid)
+        vm.image.release()
+        vm.image = dst_image
+
+        from_uisr = self.registry.from_uisr(dst_hv.kind)
+        new_domain = dst_hv.adopt_vm(vm)
+        from_uisr(dst_hv, new_domain, arrived_state, pram_fs=None)
+        vm.resume(clock.now)
+
+        report.total_s = clock.now - start
+        report.guest_digest_preserved = (
+            vm.image.content_digest() == final_digest
+        )
+        if not report.guest_digest_preserved:
+            raise MigrationError(
+                f"VM {vm.name}: guest memory corrupted during MigrationTP"
+            )
+        return report
+
+
+def migrate_group_former(migrator, domains: List[Domain],
+                  clock: Optional[SimClock] = None,
+                  dirty_rate_bytes_s: float = 1 << 20) -> List[MigrationReport]:
+    """Migrate several VMs concurrently over one link.
+
+    All flows share the link fairly (pre-copy slows down N-fold).  For the
+    Xen baseline, stop-and-copy activations additionally queue at the
+    receiver, reproducing Fig. 8's growing downtime variance; MigrationTP
+    activates in parallel and keeps downtime flat.
+    """
+    clock = clock or SimClock()
+    reports = []
+    concurrent = len(domains)
+    for position, domain in enumerate(domains):
+        vm_clock = SimClock(clock.now)
+        if isinstance(migrator, LiveMigration):
+            report = migrator.migrate(
+                domain, vm_clock, dirty_rate_bytes_s=dirty_rate_bytes_s,
+                concurrent=concurrent, receive_queue_position=position,
+            )
+        else:
+            report = migrator.migrate(
+                domain, vm_clock, dirty_rate_bytes_s=dirty_rate_bytes_s,
+                concurrent=concurrent,
+            )
+        reports.append(report)
+    if reports:
+        clock.advance(max(r.total_s for r in reports))
+    return reports

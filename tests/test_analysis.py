@@ -511,6 +511,24 @@ class TestSuppression:
             assert capsys.readouterr().out == \
                 "no findings (1 suppressed in source)\n"
 
+    def test_roots_sharing_a_relative_path_rejected(self, tmp_path, capsys):
+        # Modules are keyed by root-relative path: a/core/x.py and
+        # b/core/x.py would share one entry, and b's suppression would
+        # silence a's finding in one root order only.
+        for root, directive in (("a", ""), ("b", (
+                "  # repro-lint: disable=sim-clock-hygiene"))):
+            (tmp_path / root / "core").mkdir(parents=True)
+            (tmp_path / root / "core" / "x.py").write_text(
+                self.BAD_SLEEP.format(directive=directive))
+        for first, second in (("a", "b"), ("b", "a")):
+            assert cli_main(["lint", "--strict", str(tmp_path / first),
+                             str(tmp_path / second)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"lint: core/x.py is under both {tmp_path / first} and "
+                f"{tmp_path / second}; lint those roots in separate runs\n")
+
 
 # -- engine and reporters -----------------------------------------------------
 

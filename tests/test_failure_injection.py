@@ -6,11 +6,11 @@ from repro.errors import TransplantError, MigrationError
 from repro.guest.drivers import NetworkDriver, PassthroughDriver
 from repro.guest.vm import VMState
 from repro.hw.machine import Machine, MachineSpec
-from repro.hypervisors import KVMHypervisor
+from repro.hypervisors import KVMHypervisor, XenHypervisor
 from repro.hypervisors.base import HypervisorKind
 from repro.sim.clock import SimClock
 from repro.core.inplace import InPlaceTP
-from repro.core.migration import MigrationTP
+from repro.core.migration import LiveMigration, MigrationTP
 
 GIB = 1024 ** 3
 
@@ -109,7 +109,12 @@ class TestInPlaceRollback:
 
 
 class TestMigrationAbort:
-    def test_destination_oom_resumes_source(self, xen_host_factory, fabric):
+    @pytest.mark.parametrize("migrator_cls, hypervisor_cls", [
+        (MigrationTP, KVMHypervisor),
+        (LiveMigration, XenHypervisor),
+    ], ids=["MigrationTP", "LiveMigration"])
+    def test_destination_oom_resumes_source(self, xen_host_factory, fabric,
+                                            migrator_cls, hypervisor_cls):
         # Destination machine too small to hold the incoming guest.
         tiny_spec = MachineSpec(
             name="tiny", cores=2, threads=4, frequency_ghz=2.0,
@@ -117,13 +122,13 @@ class TestMigrationAbort:
         )
         source = xen_host_factory(name="oom-src", memory_gib=1.0)
         destination = Machine(tiny_spec, name="oom-dst")
-        KVMHypervisor().boot(destination)
+        hypervisor_cls().boot(destination)
         fabric.connect(source, destination)
         domain = next(iter(source.hypervisor.domains.values()))
         vm = domain.vm
         digest = vm.image.content_digest()
         with pytest.raises(MigrationError, match="resumed on the source"):
-            MigrationTP(fabric, source, destination).migrate(domain)
+            migrator_cls(fabric, source, destination).migrate(domain)
         # Source still owns and runs the VM, bit-identical.
         assert vm.state is VMState.RUNNING
         assert domain.domid in source.hypervisor.domains

@@ -1,9 +1,19 @@
 """Tests for MigrationTP and the homogeneous live-migration baseline."""
 
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MigrationError
+from repro.guest.devices import (
+    KVM_IOAPIC_PINS,
+    XEN_IOAPIC_PINS,
+    make_default_platform,
+)
 from repro.guest.drivers import PassthroughDriver
+from repro.guest.vm import VMConfig
 from repro.core.migration import (
     LiveMigration,
     MigrationTP,
@@ -11,6 +21,17 @@ from repro.core.migration import (
     plan_precopy,
 )
 from repro.core.timings import DEFAULT_COST_MODEL
+from repro.hw.machine import M1_SPEC, Machine
+from repro.hw.network import Fabric
+from repro.hypervisors import make_hypervisor
+from repro.hypervisors.base import HypervisorKind
+from repro.hypervisors.nova.formats import NOVA_IOAPIC_PINS
+from repro.sim.clock import SimClock
+from tests.oracles import (
+    FormerLiveMigration,
+    FormerMigrationTP,
+    migrate_group_former,
+)
 
 GIB = 1024 ** 3
 MB = 1 << 20
@@ -207,3 +228,110 @@ class TestGroupMigration:
         )
         # Four flows share the 1 Gbps link: ~4x a solo 1 GB migration.
         assert reports[0].precopy_s > 30.0
+
+
+# -- the shared pre-copy workflow against the former per-class bodies ---------
+
+IOAPIC_PINS = {
+    HypervisorKind.XEN: XEN_IOAPIC_PINS,
+    HypervisorKind.KVM: KVM_IOAPIC_PINS,
+    HypervisorKind.NOVA: NOVA_IOAPIC_PINS,
+}
+KIND_PAIRS = st.tuples(st.sampled_from(list(HypervisorKind)),
+                       st.sampled_from(list(HypervisorKind)))
+#: 16-128 MiB guests, whole 2 MiB pages
+MEMORY_MIB = st.integers(8, 64).map(lambda pages: 2 * pages)
+
+
+def _host(kind, name, vm_count=0, vcpus=1, memory_mib=16):
+    machine = Machine(M1_SPEC, name=name)
+    hypervisor = make_hypervisor(kind)
+    hypervisor.boot(machine)
+    for i in range(vm_count):
+        domain = hypervisor.create_vm(VMConfig(
+            f"{name}-vm{i}", vcpus=vcpus, memory_bytes=memory_mib * MB,
+            seed=i,
+        ))
+        domain.vm.platform = make_default_platform(
+            vcpus, ioapic_pins=IOAPIC_PINS[kind], seed=i)
+    return machine
+
+
+def _fresh_pair(kinds, **vms):
+    """A fresh source/destination pair; every call builds the same one."""
+    source = _host(kinds[0], "src", **vms)
+    destination = _host(kinds[1], "dst")
+    fabric = Fabric()
+    fabric.connect(source, destination)
+    domains = sorted(source.hypervisor.domains.values(),
+                     key=lambda d: d.domid)
+    return fabric, source, destination, domains
+
+
+def _former_and_current(kinds):
+    if kinds[0] is kinds[1]:
+        return FormerLiveMigration, LiveMigration
+    return FormerMigrationTP, MigrationTP
+
+
+def _landed(reports, clock, destination):
+    """Everything a migration leaves behind: the reports, the clock, and
+    each arrived guest's image digest and native platform state."""
+    hypervisor = destination.hypervisor
+    domains = sorted(hypervisor.domains.values(), key=lambda d: d.domid)
+    return ([repr(report) for report in reports], clock.now,
+            [domain.vm.image.content_digest() for domain in domains],
+            [hypervisor.save_platform_state(domain) for domain in domains])
+
+
+@given(kinds=KIND_PAIRS, vcpus=st.integers(1, 4), memory_mib=MEMORY_MIB,
+       dirty_mib_s=st.integers(0, 64), concurrent=st.integers(1, 4),
+       position=st.integers(0, 3),
+       writes_seed=st.none() | st.integers(0, 2 ** 32 - 1))
+@example(kinds=(HypervisorKind.XEN, HypervisorKind.XEN), vcpus=1,
+         memory_mib=16, dirty_mib_s=1, concurrent=1, position=2,
+         writes_seed=None)
+@example(kinds=(HypervisorKind.XEN, HypervisorKind.KVM), vcpus=2,
+         memory_mib=128, dirty_mib_s=64, concurrent=4, position=3,
+         writes_seed=7)
+@settings(max_examples=150, deadline=None)
+def test_migrate_matches_former_bodies(kinds, vcpus, memory_mib, dirty_mib_s,
+                                       concurrent, position, writes_seed):
+    landed = []
+    for migrator_cls in _former_and_current(kinds):
+        fabric, source, destination, (domain,) = _fresh_pair(
+            kinds, vm_count=1, vcpus=vcpus, memory_mib=memory_mib)
+        kwargs = {
+            "dirty_rate_bytes_s": dirty_mib_s * MB,
+            "concurrent": concurrent,
+            "guest_writes_rng": (None if writes_seed is None
+                                 else random.Random(writes_seed)),
+        }
+        # The former MigrationTP body took no queue position; the shared
+        # workflow takes one and MigrationTP must ignore it.
+        if migrator_cls is not FormerMigrationTP:
+            kwargs["receive_queue_position"] = position
+        clock = SimClock(5.0)
+        report = migrator_cls(fabric, source, destination).migrate(
+            domain, clock, **kwargs)
+        landed.append(_landed([report], clock, destination))
+    assert landed[0] == landed[1]
+
+
+@given(kinds=KIND_PAIRS, vm_count=st.integers(1, 4), vcpus=st.integers(1, 4),
+       memory_mib=MEMORY_MIB, dirty_mib_s=st.integers(0, 64))
+@example(kinds=(HypervisorKind.XEN, HypervisorKind.XEN), vm_count=3,
+         vcpus=1, memory_mib=16, dirty_mib_s=1)
+@settings(max_examples=60, deadline=None)
+def test_migrate_group_matches_former_driver(kinds, vm_count, vcpus,
+                                             memory_mib, dirty_mib_s):
+    landed = []
+    for migrator_cls, group in zip(_former_and_current(kinds),
+                                   (migrate_group_former, migrate_group)):
+        fabric, source, destination, domains = _fresh_pair(
+            kinds, vm_count=vm_count, vcpus=vcpus, memory_mib=memory_mib)
+        clock = SimClock()
+        reports = group(migrator_cls(fabric, source, destination), domains,
+                        clock, dirty_rate_bytes_s=dirty_mib_s * MB)
+        landed.append(_landed(reports, clock, destination))
+    assert landed[0] == landed[1]

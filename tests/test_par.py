@@ -310,7 +310,7 @@ class TestWorkerFaults:
 
 class TestParallelRunner:
     def test_map_tasks_preserves_order(self):
-        runner = ParallelRunner(workers=3, task_timeout_s=30)
+        runner = ParallelRunner(workers=3)
         results = runner.map_tasks(double, list(range(6)))
         assert results == [0, 2, 4, 6, 8, 10]
         assert isinstance(runner.stats, PoolStats)
