@@ -7,8 +7,7 @@ negligible pause.
 """
 
 from repro.bench.report import format_table, print_experiment
-from repro.bench.runner import make_host_pair, make_xen_host
-from repro.core.migration import MigrationTP
+from repro.bench.runner import make_host, migrate_once
 from repro.core.transplant import HyperTP
 from repro.hw.machine import M1_SPEC
 from repro.hypervisors.base import HypervisorKind
@@ -24,7 +23,8 @@ REDIS_DIRTY_RATE = 12 << 20  # an in-memory store keeps pages warm
 
 
 def run_inplace():
-    machine = make_xen_host(M1_SPEC, vm_count=1, vcpus=2, memory_gib=8.0)
+    machine = make_host(M1_SPEC, HypervisorKind.XEN, vm_count=1, vcpus=2,
+                        memory_gib=8.0)
     report = HyperTP().inplace(machine, HypervisorKind.KVM, SimClock())
     timeline = timeline_for_inplace(report, TRIGGER_T, HypervisorKind.XEN,
                                     HypervisorKind.KVM)
@@ -34,13 +34,9 @@ def run_inplace():
 
 
 def run_migration():
-    source, destination, fabric = make_host_pair(
-        M1_SPEC, HypervisorKind.KVM, vcpus=2, memory_gib=8.0,
-    )
-    domain = next(iter(source.hypervisor.domains.values()))
-    report = MigrationTP(fabric, source, destination).migrate(
-        domain, dirty_rate_bytes_s=REDIS_DIRTY_RATE,
-    )
+    [report] = migrate_once(M1_SPEC, HypervisorKind.KVM, vcpus=2,
+                            memory_gib=8.0,
+                            dirty_rate_bytes_s=REDIS_DIRTY_RATE)
     timeline = timeline_for_migration(report, TRIGGER_T, HypervisorKind.XEN,
                                       HypervisorKind.KVM,
                                       precopy_throughput_factor=0.6)

@@ -6,8 +6,7 @@ fully after the switch.
 """
 
 from repro.bench.report import format_table, print_experiment
-from repro.bench.runner import make_host_pair, make_xen_host
-from repro.core.migration import MigrationTP
+from repro.bench.runner import make_host, migrate_once
 from repro.core.transplant import HyperTP
 from repro.hw.machine import M1_SPEC
 from repro.hypervisors.base import HypervisorKind
@@ -25,7 +24,8 @@ MYSQL_DIRTY_RATE = 10 << 20
 
 def summarize():
     # InPlaceTP panel.
-    machine = make_xen_host(M1_SPEC, vm_count=1, vcpus=2, memory_gib=8.0)
+    machine = make_host(M1_SPEC, HypervisorKind.XEN, vm_count=1, vcpus=2,
+                        memory_gib=8.0)
     inplace_report = HyperTP().inplace(machine, HypervisorKind.KVM,
                                        SimClock())
     inplace_timeline = timeline_for_inplace(
@@ -36,13 +36,9 @@ def summarize():
     z0, z1 = inplace_qps.zero_span()
 
     # MigrationTP panel.
-    source, destination, fabric = make_host_pair(
-        M1_SPEC, HypervisorKind.KVM, vcpus=2, memory_gib=8.0,
-    )
-    domain = next(iter(source.hypervisor.domains.values()))
-    migration_report = MigrationTP(fabric, source, destination).migrate(
-        domain, dirty_rate_bytes_s=MYSQL_DIRTY_RATE,
-    )
+    [migration_report] = migrate_once(M1_SPEC, HypervisorKind.KVM, vcpus=2,
+                                      memory_gib=8.0,
+                                      dirty_rate_bytes_s=MYSQL_DIRTY_RATE)
     migration_timeline = timeline_for_migration(
         migration_report, TRIGGER_T, HypervisorKind.XEN, HypervisorKind.KVM,
         precopy_throughput_factor=MIGRATION_QPS_FACTOR,

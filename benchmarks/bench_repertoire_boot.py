@@ -10,39 +10,17 @@ boot path, and reserve the expensive direction for the transplant back.
 import itertools
 
 from repro.bench.report import format_table, print_experiment
-from repro.guest.devices import make_default_platform
-from repro.guest.vm import VMConfig
-from repro.hw.machine import M1_SPEC, Machine
-from repro.hypervisors import make_hypervisor
+from repro.bench.runner import make_host
+from repro.hw.machine import M1_SPEC
 from repro.hypervisors.base import HypervisorKind
-from repro.hypervisors.kvm.formats import KVM_IOAPIC_PINS
-from repro.hypervisors.nova.formats import NOVA_IOAPIC_PINS
-from repro.guest.devices import XEN_IOAPIC_PINS
 from repro.sim.clock import SimClock
 from repro.core.transplant import HyperTP
-
-GIB = 1024 ** 3
-PINS = {
-    HypervisorKind.XEN: XEN_IOAPIC_PINS,
-    HypervisorKind.KVM: KVM_IOAPIC_PINS,
-    HypervisorKind.NOVA: NOVA_IOAPIC_PINS,
-}
-
-
-def host_running(kind):
-    machine = Machine(M1_SPEC)
-    hypervisor = make_hypervisor(kind)
-    hypervisor.boot(machine)
-    domain = hypervisor.create_vm(VMConfig("vm0", vcpus=1,
-                                           memory_bytes=GIB))
-    domain.vm.platform = make_default_platform(1, ioapic_pins=PINS[kind])
-    return machine
 
 
 def run():
     rows = []
     for source, target in itertools.permutations(HypervisorKind, 2):
-        machine = host_running(source)
+        machine = make_host(M1_SPEC, source, vm_count=1)
         report = HyperTP().inplace(machine, target, SimClock())
         rows.append([
             f"{source.value} -> {target.value}",

@@ -10,8 +10,7 @@ the fast-booting hypervisor.
 """
 
 from repro.bench.report import format_table, print_experiment
-from repro.bench.runner import make_host_pair, make_kvm_host, make_xen_host
-from repro.core.migration import MigrationTP
+from repro.bench.runner import make_host, migrate_once
 from repro.core.transplant import HyperTP
 from repro.hw.machine import M1_SPEC
 from repro.hypervisors.base import HypervisorKind
@@ -25,23 +24,17 @@ DURATION = 150.0
 
 def scenario_inplace(direction):
     if direction == "xen->kvm":
-        machine = make_xen_host(M1_SPEC, vm_count=1, vcpus=2, memory_gib=4.0)
         source, target = HypervisorKind.XEN, HypervisorKind.KVM
     else:
-        machine = make_kvm_host(M1_SPEC, vm_count=1, vcpus=2, memory_gib=4.0)
         source, target = HypervisorKind.KVM, HypervisorKind.XEN
+    machine = make_host(M1_SPEC, source, vm_count=1, vcpus=2, memory_gib=4.0)
     report = HyperTP().inplace(machine, target, SimClock())
     return timeline_for_inplace(report, TRIGGER_T, source, target)
 
 
 def scenario_migration():
-    source, destination, fabric = make_host_pair(
-        M1_SPEC, HypervisorKind.KVM, vcpus=2, memory_gib=4.0,
-    )
-    domain = next(iter(source.hypervisor.domains.values()))
-    report = MigrationTP(fabric, source, destination).migrate(
-        domain, dirty_rate_bytes_s=64 << 20,
-    )
+    [report] = migrate_once(M1_SPEC, HypervisorKind.KVM, vcpus=2,
+                            memory_gib=4.0, dirty_rate_bytes_s=64 << 20)
     return timeline_for_migration(report, TRIGGER_T, HypervisorKind.XEN,
                                   HypervisorKind.KVM,
                                   precopy_throughput_factor=0.8)

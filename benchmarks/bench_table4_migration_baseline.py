@@ -5,20 +5,14 @@ total migration time 9.564 s vs 9.63 s for a 1 GB / 1 vCPU VM over 1 Gbps.
 """
 
 from repro.bench.report import format_table, print_experiment
-from repro.bench.runner import make_host_pair
-from repro.core.migration import LiveMigration, MigrationTP
+from repro.bench.runner import migrate_once
 from repro.hw.machine import M1_SPEC
 from repro.hypervisors.base import HypervisorKind
 
 
 def run():
-    source, destination, fabric = make_host_pair(M1_SPEC, HypervisorKind.XEN)
-    domain = next(iter(source.hypervisor.domains.values()))
-    xen_report = LiveMigration(fabric, source, destination).migrate(domain)
-
-    source, destination, fabric = make_host_pair(M1_SPEC, HypervisorKind.KVM)
-    domain = next(iter(source.hypervisor.domains.values()))
-    tp_report = MigrationTP(fabric, source, destination).migrate(domain)
+    [xen_report] = migrate_once(M1_SPEC, HypervisorKind.XEN)
+    [tp_report] = migrate_once(M1_SPEC, HypervisorKind.KVM)
 
     return [
         ["Downtime (ms)", xen_report.downtime_s * 1000, 133.59,

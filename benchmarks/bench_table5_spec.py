@@ -7,7 +7,7 @@ constant that vanishes for long jobs.
 """
 
 from repro.bench.report import format_table, print_experiment
-from repro.bench.runner import make_xen_host
+from repro.bench.runner import make_host
 from repro.core.transplant import HyperTP
 from repro.hw.machine import M1_SPEC
 from repro.hypervisors.base import HypervisorKind
@@ -18,7 +18,8 @@ PAPER_MAX = {"inplace": 0.0419, "migration": 0.0481}
 
 
 def measure_downtime():
-    machine = make_xen_host(M1_SPEC, vm_count=1, vcpus=2, memory_gib=8.0)
+    machine = make_host(M1_SPEC, HypervisorKind.XEN, vm_count=1, vcpus=2,
+                        memory_gib=8.0)
     return HyperTP().inplace(machine, HypervisorKind.KVM,
                              SimClock()).downtime_s
 

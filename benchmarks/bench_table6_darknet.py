@@ -6,8 +6,7 @@ MigrationTP to 2.244 s.
 """
 
 from repro.bench.report import format_table, print_experiment
-from repro.bench.runner import make_host_pair, make_xen_host
-from repro.core.migration import LiveMigration, MigrationTP
+from repro.bench.runner import make_host, migrate_once
 from repro.core.transplant import HyperTP
 from repro.hw.machine import M1_SPEC
 from repro.hypervisors.base import HypervisorKind
@@ -29,7 +28,8 @@ def run():
     xen_only = HostTimeline(switches=[(0.0, HypervisorKind.XEN)])
     default = workload.train(ITERATIONS, xen_only, step_s=0.02)
 
-    machine = make_xen_host(M1_SPEC, vm_count=1, vcpus=2, memory_gib=8.0)
+    machine = make_host(M1_SPEC, HypervisorKind.XEN, vm_count=1, vcpus=2,
+                        memory_gib=8.0)
     inplace_report = HyperTP().inplace(machine, HypervisorKind.KVM,
                                        SimClock())
     inplace = workload.train(
@@ -39,12 +39,9 @@ def run():
         step_s=0.02,
     )
 
-    source, destination, fabric = make_host_pair(
+    [xen_migration_report] = migrate_once(
         M1_SPEC, HypervisorKind.XEN, vcpus=2, memory_gib=8.0,
-    )
-    domain = next(iter(source.hypervisor.domains.values()))
-    xen_migration_report = LiveMigration(fabric, source, destination).migrate(
-        domain, dirty_rate_bytes_s=TRAINING_DIRTY_RATE,
+        dirty_rate_bytes_s=TRAINING_DIRTY_RATE,
     )
     xen_migration = workload.train(
         ITERATIONS,
@@ -54,12 +51,9 @@ def run():
         step_s=0.02,
     )
 
-    source, destination, fabric = make_host_pair(
+    [tp_report] = migrate_once(
         M1_SPEC, HypervisorKind.KVM, vcpus=2, memory_gib=8.0,
-    )
-    domain = next(iter(source.hypervisor.domains.values()))
-    tp_report = MigrationTP(fabric, source, destination).migrate(
-        domain, dirty_rate_bytes_s=TRAINING_DIRTY_RATE,
+        dirty_rate_bytes_s=TRAINING_DIRTY_RATE,
     )
     migration_tp = workload.train(
         ITERATIONS,

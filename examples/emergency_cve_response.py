@@ -17,7 +17,7 @@ from repro import (
     VMConfig,
     load_default_database,
 )
-from repro.bench import make_kvm_host, make_xen_host
+from repro.bench import make_host
 from repro.hw.network import Fabric
 from repro.vulndb.timeline import window_statistics
 
@@ -39,14 +39,14 @@ def main():
     fabric = Fabric()
     nova = NovaCompute(fabric=fabric)
     for i in range(3):
-        nova.register_host(make_xen_host(M1_SPEC, vm_count=3,
-                                         name=f"compute-{i}"))
+        nova.register_host(make_host(M1_SPEC, HypervisorKind.XEN, vm_count=3,
+                                     name=f"compute-{i}"))
     fragile_driver = nova.driver_for("compute-0")
     fragile_driver.connection.hypervisor.create_vm(VMConfig(
         "latency-critical", vcpus=1, memory_bytes=GIB,
         inplace_compatible=False,
     ))
-    spare = make_kvm_host(M1_SPEC, name="spare-0")
+    spare = make_host(M1_SPEC, HypervisorKind.KVM, name="spare-0")
     nova.register_host(spare)
     for i in range(3):
         fabric.connect(nova.driver_for(f"compute-{i}").machine, spare)

@@ -14,7 +14,7 @@ the transplant executes accordingly.
 import dataclasses
 
 from repro import HyperTP, HypervisorKind, M1_SPEC, SimClock, VMConfig
-from repro.bench import make_kvm_host, make_xen_host
+from repro.bench import make_host
 from repro.core.mechanisms import MechanismPolicy, VMProfile
 from repro.core.pipeline import TransplantPipelines
 from repro.guest.drivers import PassthroughDriver
@@ -32,7 +32,8 @@ DIRTY_RATE = 1 << 20
 
 def main():
     # The host and its mixed population.
-    machine = make_xen_host(M1_SPEC, vm_count=3, name="prod-host")
+    machine = make_host(M1_SPEC, HypervisorKind.XEN, vm_count=3,
+                        name="prod-host")
     xen = machine.hypervisor
     xen.create_vm(VMConfig("latency-critical", vcpus=1, memory_bytes=GIB))
     dpdk = xen.create_vm(VMConfig("dpdk-router", vcpus=2,
@@ -100,7 +101,7 @@ def main():
 
     # Execute: migrations away first, then the micro-reboot.
     fabric = Fabric()
-    spare = make_kvm_host(M1_SPEC, name="spare")
+    spare = make_host(M1_SPEC, HypervisorKind.KVM, name="spare")
     fabric.connect(machine, spare)
     report = HyperTP().transplant_host(
         machine, HypervisorKind.KVM, fabric=fabric, spare=spare,

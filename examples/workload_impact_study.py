@@ -7,7 +7,7 @@ InPlaceTP shows a short total blackout, MigrationTP a long shallow dip.
 """
 
 from repro import HyperTP, HypervisorKind, M1_SPEC, MigrationTP, SimClock
-from repro.bench import make_host_pair, make_xen_host
+from repro.bench import make_host, make_host_pair
 from repro.workloads import (
     MySQLWorkload,
     RedisWorkload,
@@ -35,7 +35,8 @@ def sparkline(series, t0, t1, step=5, width_scale=30):
 
 
 def redis_through_inplace():
-    machine = make_xen_host(M1_SPEC, vm_count=1, vcpus=2, memory_gib=8.0)
+    machine = make_host(M1_SPEC, HypervisorKind.XEN, vm_count=1, vcpus=2,
+                        memory_gib=8.0)
     report = HyperTP().inplace(machine, HypervisorKind.KVM, SimClock())
     timeline = timeline_for_inplace(report, TRIGGER_T, HypervisorKind.XEN,
                                     HypervisorKind.KVM)

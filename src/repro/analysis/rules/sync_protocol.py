@@ -13,8 +13,8 @@ reports three things:
   single-permit FIFO semaphore deadlocks on itself.  Per-key lock maps
   are widened (``self._vm_locks[name]`` -> ``self._vm_locks[*]``) and
   exempt, since two entries are two locks; so is the slot ledger's
-  ``reserve(node)``, whose argument picks a per-node slot pool the same
-  way;
+  ``reserve(node, host)``, whose node argument picks a per-node slot pool
+  the same way;
 * ``held()`` used anywhere but as the context manager of a ``with``
   block, where it would acquire on ``__enter__`` only.
 
@@ -22,7 +22,8 @@ The rule runs the forward may-analysis from
 :mod:`repro.analysis.dataflow` over per-method CFGs.  It sees lock
 orders, not capacity: a host that waits forever in the slot ledger for
 a slot that a rolled-back host's returning VMs now fill holds no lock
-cycle, and this rule cannot see that wedge.
+cycle, and this rule cannot see that wedge; the controller names it at
+run time, in the ``FleetError`` of a campaign that never terminates.
 """
 
 import ast
@@ -67,7 +68,7 @@ def resource_key(expr: ast.expr) -> Optional[str]:
 #
 # Events are (kind, resource, line) tuples in evaluation order:
 #   ("acquire", key, line)  a 0-arg FifoSemaphore.acquire(), a slot-ledger
-#                           reserve(node), or held() as a with-item
+#                           reserve(node, host), or held() as a with-item
 #   ("release", key, line)  release(...), or the with-exit of a held() item
 
 

@@ -19,9 +19,9 @@ _EXPORTS = {
     "write_bench_json": "repro.bench.report",
     "inplace_breakdown": "repro.bench.runner",
     "inplace_sweep": "repro.bench.runner",
+    "make_host": "repro.bench.runner",
     "make_host_pair": "repro.bench.runner",
-    "make_kvm_host": "repro.bench.runner",
-    "make_xen_host": "repro.bench.runner",
+    "migrate_once": "repro.bench.runner",
     "migration_sweep": "repro.bench.runner",
 }
 

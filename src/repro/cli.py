@@ -226,9 +226,6 @@ def cmd_inplace(args) -> int:
     from repro.hypervisors import make_hypervisor
     from repro.hw.machine import Machine
     from repro.guest.vm import VMConfig
-    from repro.guest.devices import make_default_platform
-    from repro.hypervisors.nova.formats import NOVA_IOAPIC_PINS
-    from repro.guest.devices import KVM_IOAPIC_PINS, XEN_IOAPIC_PINS
 
     if args.source is args.target:
         print("inplace: source and target must differ", file=sys.stderr)
@@ -237,22 +234,15 @@ def cmd_inplace(args) -> int:
         print(f"inplace: need >= 1 VM, got {args.vms}", file=sys.stderr)
         return 2
 
-    pins = {
-        HypervisorKind.XEN: XEN_IOAPIC_PINS,
-        HypervisorKind.KVM: KVM_IOAPIC_PINS,
-        HypervisorKind.NOVA: NOVA_IOAPIC_PINS,
-    }[args.source]
     machine = Machine(args.machine)
     hypervisor = make_hypervisor(args.source)
     hypervisor.boot(machine)
     try:
         for i in range(args.vms):
-            domain = hypervisor.create_vm(VMConfig(
+            hypervisor.create_vm(VMConfig(
                 f"vm{i}", vcpus=args.vcpus,
                 memory_bytes=int(args.memory_gib * (1 << 30)), seed=i,
             ))
-            domain.vm.platform = make_default_platform(
-                args.vcpus, ioapic_pins=pins, seed=i)
     except VMLifecycleError as error:
         print(f"inplace: {error}", file=sys.stderr)
         return 2
@@ -285,28 +275,20 @@ def cmd_inplace(args) -> int:
 
 
 def cmd_migrate(args) -> int:
-    from repro.bench.runner import make_host_pair
-    from repro.core.migration import LiveMigration, MigrationTP
+    from repro.bench.runner import migrate_once
     from repro.errors import MigrationError, VMLifecycleError
 
     try:
-        source, destination, fabric = make_host_pair(
+        [report] = migrate_once(
             args.machine, args.dest, vcpus=args.vcpus,
             memory_gib=args.memory_gib,
-        )
-        domain = next(iter(source.hypervisor.domains.values()))
-        if args.dest is HypervisorKind.XEN:
-            migrator = LiveMigration(fabric, source, destination)
-            flavor = "Xen->Xen baseline"
-        else:
-            migrator = MigrationTP(fabric, source, destination)
-            flavor = f"MigrationTP xen->{args.dest.value}"
-        report = migrator.migrate(
-            domain, dirty_rate_bytes_s=args.dirty_mb_s * (1 << 20),
+            dirty_rate_bytes_s=args.dirty_mb_s * (1 << 20),
         )
     except (MigrationError, VMLifecycleError) as error:
         print(f"migrate: {error}", file=sys.stderr)
         return 2
+    flavor = (f"MigrationTP xen->{args.dest.value}" if report.heterogeneous
+              else "Xen->Xen baseline")
     print(f"{flavor}: {args.memory_gib:g} GiB VM, "
           f"{args.dirty_mb_s:g} MB/s dirty rate")
     print(f"  pre-copy rounds : {report.round_count}")

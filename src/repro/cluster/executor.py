@@ -13,8 +13,8 @@ Per-action costs come from the staged transplant pipeline
 (:mod:`repro.core.pipeline`): the executor holds one
 :class:`~repro.core.pipeline.TransplantPipelines` bundle and asks it for
 a :class:`~repro.core.pipeline.StagePlan` per action, so the Fig. 13
-campaign, the fleet control plane and ``HyperTP.upgrade_host`` all time
-the exact same actions with the exact same floats.
+campaign and the fleet control plane time the exact same actions with
+the exact same floats.
 """
 
 from dataclasses import dataclass, field

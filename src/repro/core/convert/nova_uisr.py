@@ -66,8 +66,7 @@ def from_uisr_nova(hypervisor: NOVAHypervisor, domain: Domain,
         domain.vm.image.adopt_mapping(gfn_to_mfn)
 
     platform = apply_platform_fixups(
-        state.platform.platform,
-        target_ioapic_pins=formats.NOVA_IOAPIC_PINS,
+        state.platform.platform, target_ioapic_pins=hypervisor.ioapic_pins
     )
     blob = formats.encode_snapshot(
         [record.vcpu for record in state.vcpus], platform

@@ -13,7 +13,6 @@ for verification only.
 """
 
 from repro.errors import UISRError
-from repro.guest.devices import KVM_IOAPIC_PINS
 from repro.hypervisors.base import Domain, HypervisorKind
 from repro.hypervisors.kvm import formats
 from repro.hypervisors.kvm.hypervisor import KVMHypervisor
@@ -49,7 +48,7 @@ def from_uisr_kvm(hypervisor: KVMHypervisor, domain: Domain,
         vmm.mmap_guest_memory(gfn_to_mfn)
 
     platform = apply_platform_fixups(
-        state.platform.platform, target_ioapic_pins=KVM_IOAPIC_PINS
+        state.platform.platform, target_ioapic_pins=hypervisor.ioapic_pins
     )
     bundle = formats.encode_bundle(
         [record.vcpu for record in state.vcpus], platform

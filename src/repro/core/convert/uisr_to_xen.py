@@ -8,7 +8,6 @@ through the PRAM filesystem API the paper added to Xen (§4.2.2).
 """
 
 from repro.errors import UISRError
-from repro.guest.devices import XEN_IOAPIC_PINS
 from repro.hypervisors.base import Domain, HypervisorKind
 from repro.hypervisors.xen import formats
 from repro.hypervisors.xen.hypervisor import XenHypervisor
@@ -41,7 +40,7 @@ def from_uisr_xen(hypervisor: XenHypervisor, domain: Domain,
         domain.vm.image.adopt_mapping(gfn_to_mfn)
 
     platform = apply_platform_fixups(
-        state.platform.platform, target_ioapic_pins=XEN_IOAPIC_PINS
+        state.platform.platform, target_ioapic_pins=hypervisor.ioapic_pins
     )
     blob = formats.encode_hvm_context(
         [record.vcpu for record in state.vcpus], platform

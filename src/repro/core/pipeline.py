@@ -17,12 +17,13 @@ Every transplant mechanism decomposes into the same six stages::
   translate + transfer + restore — the stop-and-copy.
 
 The planners (:mod:`repro.cluster.executor`), the fleet control plane
-(:mod:`repro.fleet.controller`) and the mechanism policy
-(:mod:`repro.core.mechanisms`) all derive their per-action durations
-from these plans, so fleet-scale numbers are
-*the same floats* `HyperTP.upgrade_host` predicts — there is no second,
-silently drifting cost path (the pre-refactor drift this module removed:
-three consumers each re-summed the phase helpers in their own order).
+(:mod:`repro.fleet.controller`), the mechanism policy
+(:mod:`repro.core.mechanisms`) and the mechanisms' own ``stage_plan``
+methods all derive their per-action durations from these plans, so
+fleet-scale numbers are *the same floats* a :class:`TransplantPipelines`
+composes for the host — there is no second, silently drifting cost path
+(the pre-refactor drift this module removed: three consumers each
+re-summed the phase helpers in their own order).
 
 Float discipline: a :class:`StagePlan`'s ``total_s`` is composed in the
 mechanism's calibrated association — InPlaceTP folds the stages left to
@@ -35,13 +36,12 @@ exactly and every committed artifact stays byte-identical.
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import TransplantError
 from repro.hw.machine import CLUSTER_NODE_SPEC, Machine, MachineSpec
 from repro.hw.memory import PAGE_2M
 from repro.hypervisors.base import HypervisorKind
-from repro.obs import Span
 from repro.sim.resources import effective_tcp_rate, gigabits
 from repro.core.migration import plan_precopy
 from repro.core.timings import DEFAULT_COST_MODEL, CostModel
@@ -127,21 +127,6 @@ class StagePlan:
             if cost.stage is stage:
                 return cost.duration_s
         return 0.0
-
-    def spans(self, start_s: float, track: str) -> List[Span]:
-        """Render the plan as obs spans, one per non-empty stage."""
-        spans: List[Span] = []
-        now = start_s
-        for cost in self.stages:
-            if cost.duration_s <= 0.0:
-                continue
-            spans.append(Span(
-                cost.stage.value, "downtime" if cost.downtime else "stage",
-                now, now + cost.duration_s, track=track,
-                args={"mechanism": self.mechanism, "detail": cost.detail},
-            ))
-            now += cost.duration_s
-        return spans
 
 
 def _fold(durations: Sequence[float]) -> float:
@@ -352,51 +337,3 @@ class TransplantPipelines:
             self._migration[target_kind] = MigrationPipeline(
                 self.link_rate, self.cost, target_kind)
         return self._migration[target_kind]
-
-
-@dataclass(frozen=True)
-class EvacuationSpec:
-    """One VM to move off a host via MigrationTP before its reboot."""
-
-    vm_name: str
-    memory_bytes: int
-    dirty_rate_bytes_s: float
-    vcpus: int = 1
-
-
-@dataclass(frozen=True)
-class HostUpgradePlan:
-    """The staged plan for upgrading one whole host (§4.5.2).
-
-    ``evacuations`` are the MigrationTP stage plans for the VMs that
-    cannot ride; ``inplace`` is the InPlaceTP stage plan for the host
-    with its remaining riders.
-    """
-
-    host: str
-    target: str
-    evacuations: Tuple[StagePlan, ...]
-    inplace: StagePlan
-
-    @property
-    def execute_s(self) -> float:
-        """The host's transplant busy time (quiesce through restore)."""
-        return self.inplace.execute_s
-
-    @property
-    def verify_s(self) -> float:
-        return self.inplace.stage_s(Stage.VERIFY)
-
-    @property
-    def evacuation_s(self) -> float:
-        return sum(plan.total_s for plan in self.evacuations)
-
-    @property
-    def total_s(self) -> float:
-        return self.evacuation_s + self.inplace.total_s
-
-    @property
-    def worst_downtime_s(self) -> float:
-        downtimes = [plan.downtime_s for plan in self.evacuations]
-        downtimes.append(self.inplace.downtime_s)
-        return max(downtimes)

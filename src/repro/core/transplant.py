@@ -6,31 +6,24 @@ not tolerate InPlaceTP's downtime are live-migrated away through UISR
 proxies first, then the host micro-reboots into the target hypervisor with
 the remaining VMs carried through PRAM.
 
-Since the staged-pipeline refactor, HyperTP is a thin composer: the
-mechanism objects (:class:`InPlaceTP`, :class:`MigrationTP`) simulate
-execution, and :meth:`HyperTP.upgrade_host` composes their shared stage
-protocol (:mod:`repro.core.pipeline`) into a per-host plan — the same
-:class:`~repro.core.pipeline.StagePlan` floats the cluster executor and
-fleet control plane run on.
+HyperTP is a thin composer: the mechanism objects (:class:`InPlaceTP`,
+:class:`MigrationTP`) simulate execution, and their ``stage_plan`` methods
+price a run on the shared stage protocol (:mod:`repro.core.pipeline`) —
+the same :class:`~repro.core.pipeline.StagePlan` builders the cluster
+executor and the fleet control plane charge.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.errors import TransplantError
-from repro.hw.machine import CLUSTER_NODE_SPEC, Machine, MachineSpec
+from repro.hw.machine import Machine
 from repro.hw.network import Fabric
 from repro.hypervisors.base import HypervisorKind
 from repro.sim.clock import SimClock
 from repro.core.inplace import InPlaceReport, InPlaceTP
 from repro.core.migration import MigrationReport, MigrationTP
 from repro.core.optimizations import DEFAULT_OPTIMIZATIONS, OptimizationConfig
-from repro.core.pipeline import (
-    EvacuationSpec,
-    HostUpgradePlan,
-    TransplantPipelines,
-    VerifySpec,
-)
 from repro.core.timings import DEFAULT_COST_MODEL, CostModel
 from repro.core.uisr.registry import ConverterRegistry, default_registry
 
@@ -141,39 +134,3 @@ class HyperTP:
         report.inplace = self.inplace(machine, target_kind, clock)
         report.total_s = clock.now - start
         return report
-
-    # -- staged planning -----------------------------------------------------
-
-    def upgrade_host(self, host: str, target_kind: HypervisorKind, *,
-                     vm_count: int, total_memory_bytes: int,
-                     evacuations: Sequence[EvacuationSpec] = (),
-                     machine: Optional[Machine] = None,
-                     node_spec: MachineSpec = CLUSTER_NODE_SPEC,
-                     link_rate: Optional[float] = None,
-                     verify: Optional[VerifySpec] = None) -> HostUpgradePlan:
-        """Compose the staged plan for upgrading one whole host (§4.5.2).
-
-        ``evacuations`` are the VMs that cannot ride the micro-reboot;
-        ``vm_count``/``total_memory_bytes`` describe the riders.  The
-        returned :class:`HostUpgradePlan` carries one MigrationTP
-        :class:`~repro.core.pipeline.StagePlan` per evacuee plus the
-        host's InPlaceTP plan — the exact floats the cluster executor
-        and the fleet control plane charge for the same actions, which
-        is what the fleet/core parity test pins.
-        """
-        pipelines = TransplantPipelines(
-            machine=machine, node_spec=node_spec, link_rate=link_rate,
-            cost=self.cost, verify=verify,
-        )
-        migration = pipelines.migration(target_kind)
-        evacuation_plans = tuple(
-            migration.plan_vm(spec.memory_bytes, spec.dirty_rate_bytes_s,
-                              spec.vcpus)
-            for spec in evacuations
-        )
-        inplace_plan = pipelines.inplace(target_kind).plan_host(
-            vm_count, total_memory_bytes)
-        return HostUpgradePlan(
-            host=host, target=target_kind.value,
-            evacuations=evacuation_plans, inplace=inplace_plan,
-        )

@@ -19,7 +19,8 @@ per-host polling.  The degenerate configuration — no failures,
 :class:`repro.cluster.upgrade.UpgradeCampaign` (Fig. 13) total because it
 times the identical plan with the identical staged pipeline
 (:mod:`repro.core.pipeline`) — fleet per-host durations are the same
-floats ``HyperTP.upgrade_host`` composes, stage by stage.
+floats a :class:`~repro.core.pipeline.TransplantPipelines` composes for
+the host, stage by stage.
 """
 
 import gc
@@ -159,31 +160,39 @@ class _SlotLedger:
     frees a source slot once the VM has left; reservations wait FIFO per
     node, so overlapping waves can never overcommit a host even though the
     planner validated capacity only for sequential execution.  An
-    immediate grant returns the ledger's one pre-fired gate.
+    immediate grant returns the ledger's one pre-fired gate; a blocked
+    reservation queues its gate with the waiting host's name, so a
+    campaign that never drains can say who waits on which node.
     """
 
     def __init__(self, engine: Engine, free: Dict[str, int]):
         self._engine = engine
         self._free = dict(free)
-        self._waiters: Dict[str, Deque[Gate]] = {
+        self._waiters: Dict[str, Deque[Tuple[str, Gate]]] = {
             name: deque() for name in free
         }
         self._granted = fired_gate(engine)
 
-    def reserve(self, node: str) -> Gate:
+    def reserve(self, node: str, host: str) -> Gate:
+        """A gate that fires once ``host`` holds a slot on ``node``."""
         if self._free[node] > 0:
             self._free[node] -= 1
             return self._granted
         gate = Gate(self._engine)
-        self._waiters[node].append(gate)
+        self._waiters[node].append((host, gate))
         return gate
 
     def release(self, node: str) -> None:
         waiters = self._waiters[node]
         if waiters:
-            waiters.popleft().fire()
+            waiters.popleft()[1].fire()
         else:
             self._free[node] += 1
+
+    def parked(self) -> List[Tuple[str, str]]:
+        """``(host, node)`` for every reservation still waiting, sorted."""
+        return sorted((host, node) for node, waiters in self._waiters.items()
+                      for host, _ in waiters)
 
 
 class FleetController:
@@ -225,8 +234,8 @@ class FleetController:
                 )
             self.target_kind = HypervisorKind(self.advice.recommended_target)
         self._machine = Machine(node_spec, name="fleet-reference")
-        # The one cost path: per-host durations come from the same staged
-        # pipeline HyperTP.upgrade_host composes, verify stage included.
+        # The one cost path: per-host durations come from the staged
+        # pipeline the cluster executor also charges, verify stage included.
         self._pipelines = TransplantPipelines(
             machine=self._machine, node_spec=node_spec, cost=cost_model,
             verify=VerifySpec(config.verify_fixed_s, config.verify_per_vm_s),
@@ -426,7 +435,13 @@ class FleetController:
         stuck += [r.name for r in self.records.values()
                   if not r.state.terminal]
         if stuck:
-            raise FleetError(f"campaign never terminated for: {sorted(set(stuck))}")
+            # Name the wedge: each host parked on a slot reservation, the
+            # node whose slot it waits for and that node's state.
+            raise FleetError("; ".join(
+                [f"campaign never terminated for: {sorted(set(stuck))}"]
+                + [f"{host} waits for a slot on {node} "
+                   f"({self.records[node].state.value})"
+                   for host, node in self._ledger.parked()]))
         completed = max(
             (t.time_s for t in self.trace.transitions if t.target.terminal),
             default=cfg.disclosure_at_s,
@@ -594,7 +609,7 @@ class FleetController:
         gates = self._vm_gates[action.vm_name]
         attempt = 0
         while True:
-            yield self._ledger.reserve(action.destination)
+            yield self._ledger.reserve(action.destination, record.name)
             with self._link.held() as link:
                 yield link
                 stalled = self._strikes(record.name,
@@ -711,7 +726,7 @@ class FleetController:
                         memory_bytes=cluster_vm.memory_bytes,
                         workload=cluster_vm.workload,
                     )
-                    yield self._ledger.reserve(hp.name)
+                    yield self._ledger.reserve(hp.name, record.name)
                     with self._link.held() as link:
                         yield link
                         yield self._pipelines.migration(

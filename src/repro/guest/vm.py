@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import VMLifecycleError
-from repro.guest.devices import PlatformState, make_default_platform
+from repro.guest.devices import PlatformState
 from repro.guest.drivers import GuestDriver
 from repro.guest.image import GuestImage
 from repro.guest.vcpu import VCPUState, make_boot_vcpu
@@ -68,13 +68,13 @@ class VirtualMachine:
     """A running guest: image + vCPUs + platform + devices + lifecycle."""
 
     def __init__(self, config: VMConfig, image: GuestImage,
-                 platform: Optional[PlatformState] = None,
+                 platform: PlatformState,
                  vcpu_states: Optional[List[VCPUState]] = None):
         self.config = config
         self.image = image
-        self.platform = platform or make_default_platform(
-            config.vcpus, seed=config.seed
-        )
+        # The owning hypervisor's platform: its IOAPIC size is part of
+        # VM_i State, so the hypervisor that creates the VM supplies it.
+        self.platform = platform
         self.vcpus = vcpu_states or [
             make_boot_vcpu(i, seed=config.seed) for i in range(config.vcpus)
         ]

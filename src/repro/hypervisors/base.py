@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import HypervisorError
+from repro.guest.devices import make_default_platform
 from repro.guest.vm import VirtualMachine, VMConfig
 from repro.hw.machine import Machine
 
@@ -106,6 +107,9 @@ class Hypervisor(abc.ABC):
 
     kind: HypervisorKind
     hv_type: HypervisorType
+    #: IOAPIC size of this hypervisor's virtual platform: every VM it
+    #: creates gets one, and a UISR restore fixes the table up to it
+    ioapic_pins: int
     #: bytes of hypervisor heap/text (HV State), reinitialised on micro-reboot
     hv_state_bytes: int = 64 << 20
 
@@ -143,7 +147,8 @@ class Hypervisor(abc.ABC):
     # -- domains ---------------------------------------------------------------
 
     def create_vm(self, config: VMConfig) -> Domain:
-        """Create and start a fresh VM from ``config``."""
+        """Create and start a fresh VM from ``config`` on this
+        hypervisor's own platform (``ioapic_pins``-pin IOAPIC)."""
         self._require_booted()
         from repro.guest.image import GuestImage  # local: avoids cycle at import
 
@@ -151,8 +156,10 @@ class Hypervisor(abc.ABC):
             self.machine.memory, config.memory_bytes,
             page_size=config.page_size, seed=config.seed,
         )
-        vm = VirtualMachine(config, image)
-        return self.adopt_vm(vm)
+        platform = make_default_platform(
+            config.vcpus, ioapic_pins=self.ioapic_pins, seed=config.seed,
+        )
+        return self.adopt_vm(VirtualMachine(config, image, platform))
 
     def adopt_vm(self, vm: VirtualMachine) -> Domain:
         """Wrap an existing VM (used by restoration paths) in a new domain."""

@@ -28,6 +28,7 @@ class KVMHypervisor(Hypervisor):
 
     kind = HypervisorKind.KVM
     hv_type = HypervisorType.TYPE_2
+    ioapic_pins = formats.KVM_IOAPIC_PINS
     # Host Linux working set + kvm module (HV State).
     hv_state_bytes = 80 << 20
 

@@ -95,6 +95,7 @@ class NOVAHypervisor(Hypervisor):
 
     kind = HypervisorKind.NOVA
     hv_type = HypervisorType.TYPE_1
+    ioapic_pins = formats.NOVA_IOAPIC_PINS
     # A microhypervisor kernel is tiny; most state lives in per-guest VMMs
     # (accounted as VM_i overhead), so HV State is the smallest of the three.
     hv_state_bytes = 24 << 20

@@ -9,6 +9,7 @@ structure and state.
 
 from typing import Dict
 
+from repro.guest.devices import XEN_IOAPIC_PINS
 from repro.guest.vm import VirtualMachine
 from repro.hypervisors.base import (
     Domain,
@@ -33,6 +34,7 @@ class XenHypervisor(Hypervisor):
 
     kind = HypervisorKind.XEN
     hv_type = HypervisorType.TYPE_1
+    ioapic_pins = XEN_IOAPIC_PINS
     # Xen hypervisor heap + dom0 kernel working set (HV State).
     hv_state_bytes = 96 << 20
 

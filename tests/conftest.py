@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.guest.devices import KVM_IOAPIC_PINS, make_default_platform
 from repro.guest.vm import VMConfig
 from repro.hw.machine import M1_SPEC, M2_SPEC, Machine
 from repro.hw.network import Fabric
@@ -56,15 +55,12 @@ def kvm_host_factory():
         kvm = KVMHypervisor()
         kvm.boot(machine)
         for i in range(vm_count):
-            domain = kvm.create_vm(VMConfig(
+            kvm.create_vm(VMConfig(
                 name=f"{machine.name}-vm{i}",
                 vcpus=vcpus,
                 memory_bytes=int(memory_gib * GIB),
                 seed=i,
             ))
-            domain.vm.platform = make_default_platform(
-                vcpus, ioapic_pins=KVM_IOAPIC_PINS, seed=i,
-            )
         return machine
     return build
 

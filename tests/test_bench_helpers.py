@@ -11,9 +11,8 @@ from repro.bench.report import (
 from repro.bench.runner import (
     inplace_breakdown,
     inplace_sweep,
+    make_host,
     make_host_pair,
-    make_kvm_host,
-    make_xen_host,
     migration_sweep,
 )
 from repro.hw.machine import M1_SPEC
@@ -61,12 +60,12 @@ class TestReport:
 
 class TestRunner:
     def test_make_xen_host(self):
-        machine = make_xen_host(M1_SPEC, vm_count=2, vcpus=2)
+        machine = make_host(M1_SPEC, HypervisorKind.XEN, vm_count=2, vcpus=2)
         assert machine.hypervisor.kind is HypervisorKind.XEN
         assert len(machine.hypervisor.domains) == 2
 
     def test_make_kvm_host_has_24_pin_guests(self):
-        machine = make_kvm_host(M1_SPEC, vm_count=1)
+        machine = make_host(M1_SPEC, HypervisorKind.KVM, vm_count=1)
         domain = next(iter(machine.hypervisor.domains.values()))
         assert domain.vm.platform.ioapic.pin_count == 24
 
@@ -91,6 +90,12 @@ class TestRunner:
         assert len(sweep["vcpus"]) == 2
         assert len(sweep["memory_gib"]) == 1
         assert sweep["vm_count"][1].vm_count == 2
+
+    def test_migration_sweep_reaches_nova(self):
+        sweep = migration_sweep(M1_SPEC, HypervisorKind.NOVA, [1], [], [])
+        [[report]] = sweep["vcpus"]
+        assert report.destination == "bench-dst/nova"
+        assert report.heterogeneous
 
     def test_migration_sweep_shapes(self):
         sweep = migration_sweep(M1_SPEC, HypervisorKind.KVM,

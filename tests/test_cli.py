@@ -73,6 +73,11 @@ class TestMigrateCommand:
         out = capsys.readouterr().out
         assert "pre-copy rounds" in out
 
+    @pytest.mark.parametrize("dest", ["xen", "kvm", "nova"])
+    def test_every_destination_keeps_the_guest(self, capsys, dest):
+        assert main(["migrate", "--dest", dest]) == 0
+        assert "guest intact    : True" in capsys.readouterr().out
+
 
 class TestAdviseCommand:
     def test_safe_target_found(self, capsys):

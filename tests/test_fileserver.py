@@ -6,7 +6,7 @@ from repro.errors import ReproError
 from repro.hw.machine import M1_SPEC
 from repro.hypervisors.base import HypervisorKind
 from repro.sim.clock import SimClock
-from repro.bench.runner import make_xen_host
+from repro.bench.runner import make_host
 from repro.core.transplant import HyperTP
 from repro.storage import RemoteBlockStore, StorageManager
 from repro.workloads.base import HostTimeline
@@ -22,7 +22,8 @@ KVM = HypervisorKind.KVM
 def served_vm():
     store = RemoteBlockStore()
     store.create_volume("data", 64 * MIB)
-    machine = make_xen_host(M1_SPEC, vm_count=1, vcpus=2, memory_gib=2.0)
+    machine = make_host(M1_SPEC, HypervisorKind.XEN, vm_count=1, vcpus=2,
+                        memory_gib=2.0)
     vm = next(iter(machine.hypervisor.domains.values())).vm
     driver = StorageManager(store).attach(vm, "data")
     return machine, vm, driver

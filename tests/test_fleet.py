@@ -1,6 +1,7 @@
 """Tests for the repro.fleet emergency-response control plane."""
 
 import json
+import re
 
 import pytest
 
@@ -423,6 +424,18 @@ class TestRollback:
             mechanism="migration", seed=3,
         )
         assert metrics.all_terminal
+
+    def test_wedge_names_each_parked_host(self):
+        # The same campaign as above: the error says who waits on whom.
+        with pytest.raises(FleetError, match="^" + re.escape(
+                "campaign never terminated for: ['node04', 'node05']; "
+                "node04 waits for a slot on node02 (rolled-back); "
+                "node05 waits for a slot on node02 (rolled-back)") + "$"):
+            run_campaign(
+                fail_rate=0.2, retry=RetryPolicy(max_retries=2),
+                hosts=6, vms_per_host=10, inplace_fraction=0.8,
+                mechanism="migration", seed=3,
+            )
 
 
 class TestConcurrencyCap:

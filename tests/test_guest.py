@@ -145,7 +145,8 @@ class TestVMLifecycle:
     def _vm(self, **kwargs):
         memory = PhysicalMemory(2 * GIB)
         config = VMConfig("t", vcpus=1, memory_bytes=GIB, **kwargs)
-        return VirtualMachine(config, GuestImage(memory, GIB))
+        return VirtualMachine(config, GuestImage(memory, GIB),
+                              make_default_platform(1))
 
     def test_starts_running(self):
         assert self._vm().state is VMState.RUNNING
@@ -195,6 +196,7 @@ class TestVMLifecycle:
         config = VMConfig("t", vcpus=2, memory_bytes=GIB)
         with pytest.raises(VMLifecycleError):
             VirtualMachine(config, GuestImage(memory, GIB),
+                           make_default_platform(2),
                            vcpu_states=[make_boot_vcpu(0)])
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import HypervisorError
 from repro.guest.vm import VMConfig
+from repro.hw.machine import M1_SPEC, Machine
 from repro.hypervisors import (
     HYPERVISOR_CLASSES,
     KVMHypervisor,
@@ -71,6 +72,24 @@ class TestLifecycleContracts:
         xen.destroy_domain(domain.domid, release_vm=False)
         assert m1.memory.allocated_bytes == GIB
         assert domain.vm.state.value == "running"
+
+
+@pytest.mark.parametrize("kind", list(HypervisorKind),
+                         ids=lambda kind: kind.value)
+def test_fresh_vm_round_trips_its_own_platform_format(kind):
+    # A VM gets the platform of the hypervisor that creates it, so its
+    # native state blob saves and loads back without a fixup.
+    hypervisor = make_hypervisor(kind)
+    hypervisor.boot(Machine(M1_SPEC))
+    domain = hypervisor.create_vm(VMConfig("g", vcpus=2, memory_bytes=GIB,
+                                           seed=5))
+    platform = domain.vm.platform.architectural_view()
+    vcpus = [vcpu.architectural_view() for vcpu in domain.vm.vcpus]
+    hypervisor.load_platform_state(domain,
+                                   hypervisor.save_platform_state(domain))
+    assert domain.vm.platform.ioapic.pin_count == hypervisor.ioapic_pins
+    assert domain.vm.platform.architectural_view() == platform
+    assert [vcpu.architectural_view() for vcpu in domain.vm.vcpus] == vcpus
 
 
 class TestRegistryCompleteness:

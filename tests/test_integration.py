@@ -20,7 +20,7 @@ from repro import (
     XenHypervisor,
     load_default_database,
 )
-from repro.bench import make_kvm_host, make_xen_host
+from repro.bench import make_host
 from repro.guest.drivers import NetworkDriver
 from repro.hw.network import Fabric
 from repro.sim.engine import Engine
@@ -35,7 +35,8 @@ class TestEmergencyResponseScenario:
     def test_full_cycle(self):
         fabric = Fabric()
         nova = NovaCompute(fabric=fabric)
-        hosts = [make_xen_host(M1_SPEC, vm_count=3, name=f"rack1-{i}")
+        hosts = [make_host(M1_SPEC, HypervisorKind.XEN, vm_count=3,
+                           name=f"rack1-{i}")
                  for i in range(3)]
         for host in hosts:
             nova.register_host(host)
@@ -85,8 +86,9 @@ class TestRepeatedTransplants:
             assert len(vm.pause_intervals) == 10
 
     def test_migrate_then_inplace(self, fabric):
-        source = make_xen_host(M1_SPEC, vm_count=2, name="mi-src")
-        destination = make_kvm_host(M1_SPEC, name="mi-dst")
+        source = make_host(M1_SPEC, HypervisorKind.XEN, vm_count=2,
+                           name="mi-src")
+        destination = make_host(M1_SPEC, HypervisorKind.KVM, name="mi-dst")
         fabric.connect(source, destination)
         domains = sorted(source.hypervisor.domains.values(),
                          key=lambda d: d.domid)
@@ -129,8 +131,9 @@ class TestHeterogeneousFleet:
     def test_mixed_machine_types(self):
         # M1 and M2 hosts in one fleet, upgraded in one sweep.
         nova = NovaCompute()
-        nova.register_host(make_xen_host(M1_SPEC, vm_count=1, name="small"))
-        nova.register_host(make_xen_host(M2_SPEC, vm_count=1, name="big"))
+        for spec, name in ((M1_SPEC, "small"), (M2_SPEC, "big")):
+            nova.register_host(make_host(spec, HypervisorKind.XEN,
+                                         vm_count=1, name=name))
         api = DatacenterAPI(nova, TransplantAdvisor(load_default_database()))
         report = api.respond_to_cve("CVE-2016-6258")
         assert report.hosts_upgraded == 2
@@ -141,7 +144,7 @@ class TestHeterogeneousFleet:
 
     def test_baseline_migration_unaffected_by_hypertp_changes(self, fabric):
         # Xen->Xen still works as a baseline next to the transplant paths.
-        a = make_xen_host(M1_SPEC, vm_count=1, name="base-a")
+        a = make_host(M1_SPEC, HypervisorKind.XEN, vm_count=1, name="base-a")
         b = Machine(M1_SPEC, name="base-b")
         XenHypervisor().boot(b)
         fabric.connect(a, b)

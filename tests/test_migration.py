@@ -7,11 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MigrationError
-from repro.guest.devices import (
-    KVM_IOAPIC_PINS,
-    XEN_IOAPIC_PINS,
-    make_default_platform,
-)
 from repro.guest.drivers import PassthroughDriver
 from repro.guest.vm import VMConfig
 from repro.core.migration import (
@@ -25,7 +20,6 @@ from repro.hw.machine import M1_SPEC, Machine
 from repro.hw.network import Fabric
 from repro.hypervisors import make_hypervisor
 from repro.hypervisors.base import HypervisorKind
-from repro.hypervisors.nova.formats import NOVA_IOAPIC_PINS
 from repro.sim.clock import SimClock
 from tests.oracles import (
     FormerLiveMigration,
@@ -232,11 +226,6 @@ class TestGroupMigration:
 
 # -- the shared pre-copy workflow against the former per-class bodies ---------
 
-IOAPIC_PINS = {
-    HypervisorKind.XEN: XEN_IOAPIC_PINS,
-    HypervisorKind.KVM: KVM_IOAPIC_PINS,
-    HypervisorKind.NOVA: NOVA_IOAPIC_PINS,
-}
 KIND_PAIRS = st.tuples(st.sampled_from(list(HypervisorKind)),
                        st.sampled_from(list(HypervisorKind)))
 #: 16-128 MiB guests, whole 2 MiB pages
@@ -248,12 +237,10 @@ def _host(kind, name, vm_count=0, vcpus=1, memory_mib=16):
     hypervisor = make_hypervisor(kind)
     hypervisor.boot(machine)
     for i in range(vm_count):
-        domain = hypervisor.create_vm(VMConfig(
+        hypervisor.create_vm(VMConfig(
             f"{name}-vm{i}", vcpus=vcpus, memory_bytes=memory_mib * MB,
             seed=i,
         ))
-        domain.vm.platform = make_default_platform(
-            vcpus, ioapic_pins=IOAPIC_PINS[kind], seed=i)
     return machine
 
 

@@ -23,13 +23,10 @@ def _nova_host(vm_count=1, vcpus=1, memory_gib=1.0):
     nova = NOVAHypervisor()
     nova.boot(machine)
     for i in range(vm_count):
-        domain = nova.create_vm(VMConfig(
+        nova.create_vm(VMConfig(
             f"nvm{i}", vcpus=vcpus, memory_bytes=int(memory_gib * GIB),
             seed=i,
         ))
-        domain.vm.platform = make_default_platform(
-            vcpus, ioapic_pins=formats.NOVA_IOAPIC_PINS, seed=i,
-        )
     return machine
 
 

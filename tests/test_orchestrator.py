@@ -47,6 +47,16 @@ class TestLibvirt:
         conn.destroy("new-vm")
         assert "new-vm" not in conn.list_domains()
 
+    def test_vm_defined_on_kvm_transplants_to_xen(self, kvm_host_factory):
+        from repro.core.transplant import HyperTP
+
+        machine = kvm_host_factory()
+        LibvirtConnection(machine).define_and_start(
+            VMConfig("new-vm", vcpus=2, memory_bytes=GIB))
+        report = HyperTP().inplace(machine, HypervisorKind.XEN, SimClock())
+        assert report.vm_count == 1
+        assert report.guest_digests_preserved
+
     def test_lookup_missing_raises(self, xen_host):
         with pytest.raises(OrchestratorError):
             LibvirtConnection(xen_host).lookup("ghost")

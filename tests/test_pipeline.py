@@ -24,7 +24,6 @@ from repro.core.mechanisms import (
 )
 from repro.core.pipeline import (
     STAGE_ORDER,
-    EvacuationSpec,
     MigrationPipeline,
     Stage,
     StagePlan,
@@ -33,7 +32,6 @@ from repro.core.pipeline import (
     fabric_link_rate,
 )
 from repro.core.timings import DEFAULT_COST_MODEL
-from repro.core.transplant import HyperTP
 from repro.errors import FleetError, TransplantError
 from repro.fleet import FleetConfig, FleetController
 from repro.hypervisors.base import HypervisorKind
@@ -113,48 +111,32 @@ class TestStagePlan:
         assert plan.total_s == pytest.approx(
             plan.execute_s + plan.stage_s(Stage.VERIFY))
 
-    def test_spans_cover_stage_durations(self):
-        plan = TransplantPipelines().migration(
-            HypervisorKind.KVM).plan_vm(4 * GIB, 48 << 20)
-        spans = plan.spans(100.0, track="t")
-        assert spans  # non-empty stages rendered
-        assert all(s.start_s >= 100.0 for s in spans)
-        total = sum(s.end_s - s.start_s for s in spans)
-        assert total == pytest.approx(plan.total_s, rel=1e-9)
-        assert {s.category for s in spans} <= {"stage", "downtime"}
-
 
 # -- executor parity -----------------------------------------------------------
 
 
 class TestExecutorParity:
     def test_executor_times_equal_hypertp_upgrade_host(self):
-        """Cluster per-action times are HyperTP.upgrade_host's floats."""
+        """Cluster per-action times are the floats an independently built
+        :class:`TransplantPipelines` composes for the same actions."""
         executor = PlanExecutor()
-        hypertp = HyperTP()
+        pipelines = TransplantPipelines()
+        inplace = pipelines.inplace(executor.target_kind)
+        migration = pipelines.migration(executor.target_kind)
         cluster = build_paper_cluster(hosts=10, vms_per_host=10,
                                       inplace_fraction=0.8, seed=42)
         plan = BtrPlacePlanner(cluster, group_size=2).plan(apply=True)
         for group in plan.groups:
             for action in group.upgrades:
-                host_plan = hypertp.upgrade_host(
-                    action.node_name, executor.target_kind,
-                    vm_count=action.vm_count,
-                    total_memory_bytes=action.total_memory_bytes,
-                )
                 assert (executor.upgrade_time_s(action)
-                        == host_plan.inplace.total_s)
+                        == inplace.plan_host(
+                            action.vm_count,
+                            action.total_memory_bytes).total_s)
             for action in group.migrations:
-                host_plan = hypertp.upgrade_host(
-                    action.source, executor.target_kind,
-                    vm_count=0, total_memory_bytes=0,
-                    evacuations=[EvacuationSpec(
-                        action.vm_name, action.memory_bytes,
-                        action.workload.dirty_rate_bytes_s,
-                    )],
-                )
                 assert (executor.migration_time_s(action)
-                        == host_plan.evacuations[0].total_s)
+                        == migration.plan_vm(
+                            action.memory_bytes,
+                            action.workload.dirty_rate_bytes_s).total_s)
 
 
 # -- fleet/core parity (acceptance criterion) ----------------------------------
@@ -178,47 +160,41 @@ class TestFleetParity:
              mechanism="auto"),
     ])
     def test_fleet_durations_equal_hypertp_upgrade_host(self, config_kwargs):
-        """Per-host fleet durations ARE HyperTP.upgrade_host's floats.
+        """Per-host fleet durations ARE the pipelines' floats.
 
         Proved two ways: the stage plans the campaign charged are
-        float-equal to independently composed ``upgrade_host`` plans,
-        and the simulated TRANSPLANTING->VERIFYING->DONE timestamps
-        advanced by exactly those floats.
+        float-equal to plans an independently built
+        :class:`TransplantPipelines` composes for the same host, and the
+        simulated TRANSPLANTING->VERIFYING->DONE timestamps advanced by
+        exactly those floats.
         """
         config = FleetConfig(**config_kwargs)
         controller = FleetController(config)
         controller.run()
-        hypertp = HyperTP()
-        verify = VerifySpec(config.verify_fixed_s, config.verify_per_vm_s)
+        pipelines = TransplantPipelines(verify=VerifySpec(
+            config.verify_fixed_s, config.verify_per_vm_s))
+        inplace = pipelines.inplace(controller.target_kind)
+        migration = pipelines.migration(controller.target_kind)
         for hp in controller.host_plans:
-            reference = hypertp.upgrade_host(
-                hp.name, controller.target_kind,
-                vm_count=hp.upgrade.vm_count,
-                total_memory_bytes=hp.upgrade.total_memory_bytes,
-                evacuations=[
-                    EvacuationSpec(action.vm_name, action.memory_bytes,
-                                   action.workload.dirty_rate_bytes_s)
-                    for action, _, _ in hp.evacuations
-                ],
-                verify=verify,
-            )
+            reference = inplace.plan_host(hp.upgrade.vm_count,
+                                          hp.upgrade.total_memory_bytes)
+            verify_s = reference.stage_s(Stage.VERIFY)
             # Exact float equality, not approx: one cost path.
-            assert hp.plan.total_s == reference.inplace.total_s
+            assert hp.plan.total_s == reference.total_s
             assert hp.plan.execute_s == reference.execute_s
-            assert hp.plan.stage_s(Stage.VERIFY) == reference.verify_s
-            for (_, _, plan), expected in zip(hp.evacuations,
-                                              reference.evacuations,
-                                              strict=True):
-                assert plan.total_s == expected.total_s
+            assert hp.plan.stage_s(Stage.VERIFY) == verify_s
+            for action, _, plan in hp.evacuations:
+                assert plan.total_s == migration.plan_vm(
+                    action.memory_bytes,
+                    action.workload.dirty_rate_bytes_s).total_s
             times = transition_times(controller, hp.name)
             start = times["transplanting"]
             assert times["verifying"] == start + reference.execute_s
-            assert times["done"] == (times["verifying"]
-                                     + reference.verify_s)
+            assert times["done"] == times["verifying"] + verify_s
 
     def test_degenerate_fleet_pinned_against_both_references(self):
-        """Satellite: the sequential fleet matches UpgradeCampaign within
-        1% AND HyperTP.upgrade_host exactly (the reconciled drift)."""
+        """The sequential fleet matches UpgradeCampaign within 1% AND the
+        executor's per-action floats exactly (the reconciled drift)."""
         from repro.cluster.upgrade import UpgradeCampaign
 
         reference = UpgradeCampaign(hosts=10, vms_per_host=10,
@@ -234,8 +210,8 @@ class TestFleetParity:
                                                        rel=0.01)
         # Pinned: the exact drift between the fleet and Fig. 13 is the
         # per-host verify stage, nothing else.  Every per-host duration
-        # matches HyperTP exactly (asserted via the executor, which the
-        # parity test above ties to upgrade_host).
+        # matches the executor's exactly (the parity tests above tie both
+        # to the pipelines).
         executor = PlanExecutor()
         for hp in controller.host_plans:
             assert hp.plan.execute_s == executor.upgrade_plan(

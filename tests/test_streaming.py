@@ -7,7 +7,7 @@ from repro.hw.machine import M1_SPEC
 from repro.hypervisors.base import HypervisorKind
 from repro.sim.clock import SimClock
 from repro.core.transplant import HyperTP
-from repro.bench.runner import make_xen_host
+from repro.bench.runner import make_host
 from repro.workloads.base import HostTimeline
 from repro.workloads.generator import timeline_for_inplace
 from repro.workloads.streaming import StreamingWorkload
@@ -69,16 +69,14 @@ class TestPlayback:
     def test_inplace_transplant_does_not_rebuffer(self):
         """The headline streaming claim: InPlaceTP's ~9 s interruption
         (downtime + NIC) fits inside a normal client buffer."""
-        machine = make_xen_host(M1_SPEC, vm_count=1, vcpus=2,
-                                memory_gib=8.0)
+        machine = make_host(M1_SPEC, XEN, vm_count=1, vcpus=2, memory_gib=8.0)
         report = HyperTP().inplace(machine, KVM, SimClock())
         timeline = timeline_for_inplace(report, 30.0, XEN, KVM)
         stats = StreamingWorkload(buffer_s=12.0).playback(120.0, timeline)
         assert stats.rebuffer_events == 0
 
     def test_tiny_buffer_does_rebuffer_through_transplant(self):
-        machine = make_xen_host(M1_SPEC, vm_count=1, vcpus=2,
-                                memory_gib=8.0)
+        machine = make_host(M1_SPEC, XEN, vm_count=1, vcpus=2, memory_gib=8.0)
         report = HyperTP().inplace(machine, KVM, SimClock())
         timeline = timeline_for_inplace(report, 30.0, XEN, KVM)
         stats = StreamingWorkload(buffer_s=2.0).playback(120.0, timeline)

@@ -9,7 +9,7 @@ from repro.hw.machine import M1_SPEC
 from repro.hypervisors.base import HypervisorKind
 from repro.sim.clock import SimClock
 from repro.obs import Span, Trace, trace_inplace, trace_migration
-from repro.bench.runner import make_host_pair, make_xen_host
+from repro.bench.runner import make_host, make_host_pair
 from repro.core.inplace import InPlaceTP
 from repro.core.migration import LiveMigration, MigrationTP
 from repro.core.transplant import HyperTP
@@ -104,7 +104,7 @@ class TestTrace:
 
 class TestReportTraces:
     def test_inplace_trace_matches_report(self):
-        machine = make_xen_host(M1_SPEC, vm_count=1)
+        machine = make_host(M1_SPEC, HypervisorKind.XEN, vm_count=1)
         report = HyperTP().inplace(machine, HypervisorKind.KVM, SimClock())
         trace = trace_inplace(report)
         by_name = {s.name: s for s in trace.spans}
@@ -123,7 +123,7 @@ class TestReportTraces:
     def test_inplace_trace_fig6_phase_ordering(self):
         # Fig. 6: PRAM runs pre-pause, then Translation -> Reboot ->
         # Restoration back-to-back inside the downtime window.
-        machine = make_xen_host(M1_SPEC, vm_count=2)
+        machine = make_host(M1_SPEC, HypervisorKind.XEN, vm_count=2)
         report = HyperTP().inplace(machine, HypervisorKind.KVM, SimClock())
         trace = trace_inplace(report)
         by_name = {s.name: s for s in trace.spans}
@@ -149,7 +149,7 @@ class TestReportTraces:
         # before PRAM instead of after it.
         from repro.core.optimizations import OptimizationConfig
 
-        machine = make_xen_host(M1_SPEC, vm_count=2)
+        machine = make_host(M1_SPEC, HypervisorKind.XEN, vm_count=2)
         report = InPlaceTP(
             machine, HypervisorKind.KVM,
             optimizations=OptimizationConfig(prepare_ahead=prepare_ahead),
@@ -261,7 +261,8 @@ def _assert_same_spans(trace, expected):
 
 class TestBuildersMatchFormerLiveSpans:
     def test_inplace_with_passthrough_devices(self):
-        machine = make_xen_host(M1_SPEC, vm_count=2, name="m1")
+        machine = make_host(M1_SPEC, HypervisorKind.XEN, vm_count=2,
+                            name="m1")
         domains = sorted(machine.hypervisor.domains.values(),
                          key=lambda d: d.domid)
         for index, domain in enumerate(domains):
@@ -292,7 +293,7 @@ class TestBuildersMatchFormerLiveSpans:
                            LIVE_MIGRATION_SPANS)
 
     def test_no_device_prepare_span_without_devices(self):
-        machine = make_xen_host(M1_SPEC, vm_count=2)
+        machine = make_host(M1_SPEC, HypervisorKind.XEN, vm_count=2)
         report = InPlaceTP(machine, HypervisorKind.KVM).run(SimClock())
         assert report.device_prepare_s == 0.0
         names = [s.name for s in trace_inplace(report).spans]

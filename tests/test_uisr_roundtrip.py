@@ -14,28 +14,15 @@ import dataclasses
 import pytest
 
 from repro.errors import UISRError
-from repro.guest.devices import (
-    KVM_IOAPIC_PINS,
-    XEN_IOAPIC_PINS,
-    make_default_platform,
-)
 from repro.guest.drivers import NetworkDriver
 from repro.guest.vm import VMConfig
 from repro.hw.machine import M1_SPEC, Machine
-from repro.hypervisors import make_hypervisor
+from repro.hypervisors import HYPERVISOR_CLASSES, make_hypervisor
 from repro.hypervisors.base import HypervisorKind
-from repro.hypervisors.nova.formats import NOVA_IOAPIC_PINS
 from repro.core.uisr.format import UISR_VERSION, UISRDeviceState
 from repro.core.uisr.registry import default_registry
 
 GIB = 1024 ** 3
-
-IOAPIC_PINS = {
-    HypervisorKind.XEN: XEN_IOAPIC_PINS,
-    HypervisorKind.KVM: KVM_IOAPIC_PINS,
-    HypervisorKind.NOVA: NOVA_IOAPIC_PINS,
-}
-
 
 def make_host(kind, name, vcpus=2, memory_gib=1.0, seed=7):
     """One booted hypervisor of ``kind`` with a single seeded guest."""
@@ -46,9 +33,6 @@ def make_host(kind, name, vcpus=2, memory_gib=1.0, seed=7):
         name=f"{name}-vm0", vcpus=vcpus,
         memory_bytes=int(memory_gib * GIB), seed=seed,
     ))
-    domain.vm.platform = make_default_platform(
-        vcpus, ioapic_pins=IOAPIC_PINS[kind], seed=seed,
-    )
     return hypervisor, domain
 
 
@@ -90,7 +74,8 @@ class TestEveryPairRoundTrips:
         registry.from_uisr(source_kind)(dest, dest_domain, uisr_back)
 
         assert vm_view(dest_domain) == original
-        surviving = min(IOAPIC_PINS[source_kind], IOAPIC_PINS[via_kind])
+        surviving = min(HYPERVISOR_CLASSES[source_kind].ioapic_pins,
+                        HYPERVISOR_CLASSES[via_kind].ioapic_pins)
         final_pins = dest_domain.vm.platform.ioapic.redirection_view()
         assert final_pins[:surviving] == original_pins[:surviving]
 
