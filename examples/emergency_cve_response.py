@@ -65,14 +65,14 @@ def main():
     print(f"Hosts upgraded: {report.hosts_upgraded} "
           f"in {report.total_s:.1f} simulated seconds")
     for host, result in report.per_host.items():
-        evacuated = [r.vm_name for r in result.migrated_away]
+        evacuated = [r.vm_name for r in result.migrated]
         print(f"  {host}: inplace VMs={result.inplace.vm_count}, "
               f"evacuated={evacuated or '-'}, "
-              f"worst disruption {result.vm_disruption_s * 1000:.0f} ms"
-              if result.vm_disruption_s < 1 else
+              f"worst disruption {result.worst_downtime_s * 1000:.0f} ms"
+              if result.worst_downtime_s < 1 else
               f"  {host}: inplace VMs={result.inplace.vm_count}, "
               f"evacuated={evacuated or '-'}, "
-              f"worst disruption {result.vm_disruption_s:.2f} s")
+              f"worst disruption {result.worst_downtime_s:.2f} s")
     print(f"Worst VM disruption fleet-wide: "
           f"{report.worst_vm_disruption_s:.2f} s "
           f"(Azure's maintenance bound: 30 s)")

@@ -1,12 +1,11 @@
 """Static-analysis pass for UISR translation safety and sim-layer hygiene.
 
 HyperTP's correctness rests on invariants the type system cannot express:
-every UISR field a ``to_uisr_*`` converter emits must be consumed by the
-matching ``from_uisr_*`` converter, every byte a :class:`Packer` writes must
-be read back by the mirror :class:`Unpacker` at the same width (§3.1 of the
-paper — translation must be lossless), every ``HypervisorKind`` needs a
-registered converter pair, simulated components must never read the wall
-clock, and nothing on the transplant path may silently swallow
+every UISR field ``to_uisr`` emits must be consumed by ``from_uisr``,
+every byte a :class:`Packer` writes must be read back by the mirror
+:class:`Unpacker` at the same width (§3.1 of the paper — translation must
+be lossless), simulated components must never read the wall clock, and
+nothing on the transplant path may silently swallow
 ``StateFormatError``.  This package turns those invariants into lint-time
 checks: ``repro lint`` parses the tree with :mod:`ast`, runs every
 registered rule and reports findings (see ``docs/static-analysis.md``).

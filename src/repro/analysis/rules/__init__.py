@@ -14,7 +14,6 @@ from repro.analysis.rules import (  # noqa: F401
     mechanism_hygiene,
     obs_hygiene,
     par_hygiene,
-    registry_complete,
     state_machine,
     sync_protocol,
     uisr_coverage,

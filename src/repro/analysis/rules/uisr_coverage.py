@@ -1,17 +1,16 @@
 """UISR field coverage: translation must be lossless in both directions.
 
-The ``to_uisr_*`` side must populate *every* field of ``UISRVMState``
-explicitly (a field left to its dataclass default is state silently
-dropped on the way into UISR), and the paired ``from_uisr_*`` side must
-consume every field (a field never read on restore is state silently
-dropped on the way out).  Both halves of §3.1's lossless-translation
-invariant, checked on the AST.
+``to_uisr`` must populate *every* field of ``UISRVMState`` explicitly
+(a field left to its dataclass default is state silently dropped on the
+way into UISR), and ``from_uisr`` must consume every field (a field never
+read on restore is state silently dropped on the way out).  Both halves
+of §3.1's lossless-translation invariant, checked on the AST.
 
 The write side is checked at ``UISRVMState(...)`` construction sites
-inside ``to_uisr_*`` functions; the read side by collecting ``state.X``
-attribute reads inside ``from_uisr_*`` functions (passing a field to a
-helper — ``verify_restore_target(..., devices=state.devices)`` — counts,
-because the call site reads the attribute).  The wrapper records
+inside ``to_uisr``; the read side by collecting ``state.X`` attribute
+reads inside ``from_uisr`` (passing a field to a helper —
+``verify_restore_target(..., devices=state.devices)`` — counts, because
+the call site reads the attribute).  The wrapper records
 ``UISRVCpu``/``UISRPlatform`` are additionally required to be unwrapped
 (their ``.vcpu``/``.platform`` payload read) on the restore side.
 """
@@ -32,15 +31,15 @@ from repro.analysis.project import (
 )
 
 STATE_CLASS = "UISRVMState"
-#: wrapper record -> the payload field from_uisr_* must unwrap
+#: wrapper record -> the payload field from_uisr must unwrap
 WRAPPER_FIELDS = {"UISRVCpu": "vcpu", "UISRPlatform": "platform"}
 
-TO_PREFIX = "to_uisr_"
-FROM_PREFIX = "from_uisr_"
+TO_NAME = "to_uisr"
+FROM_NAME = "from_uisr"
 
 
 def _state_param(func: ast.FunctionDef) -> Optional[str]:
-    """The parameter holding the UISR document in a from_uisr_* function."""
+    """The parameter holding the UISR document in ``from_uisr``."""
     for arg in func.args.args + func.args.kwonlyargs:
         annotation = arg.annotation
         if isinstance(annotation, ast.Name) and annotation.id == STATE_CLASS:
@@ -66,8 +65,8 @@ def _find_dataclasses(project: Project) -> Dict[str, List[str]]:
 class UISRFieldCoverageRule(Rule):
     name = "uisr-field-coverage"
     description = (
-        "every UISRVMState field must be written by each to_uisr_* "
-        "converter and read by each from_uisr_* converter"
+        "every UISRVMState field must be written by to_uisr and read by "
+        "from_uisr"
     )
 
     def check(self, project: Project) -> Iterable[Finding]:
@@ -77,9 +76,9 @@ class UISRFieldCoverageRule(Rule):
             return  # nothing to check against (fixture without the class)
         for module in project.modules:
             for name, func in top_level_functions(module.tree).items():
-                if name.startswith(TO_PREFIX):
+                if name == TO_NAME:
                     yield from self._check_writer(module, func, state_fields)
-                elif name.startswith(FROM_PREFIX):
+                elif name == FROM_NAME:
                     yield from self._check_reader(module, func, state_fields,
                                                   classes)
 
@@ -96,7 +95,7 @@ class UISRFieldCoverageRule(Rule):
         if not calls:
             yield self.finding(
                 module.path, func.lineno,
-                f"{func.name!r} never constructs {STATE_CLASS}; a to_uisr_* "
+                f"{func.name!r} never constructs {STATE_CLASS}; the "
                 f"converter must produce the full UISR document",
                 symbol=func.name,
             )
@@ -145,7 +144,7 @@ class UISRFieldCoverageRule(Rule):
                 yield self.finding(
                     module.path, func.lineno,
                     f"{func.name!r} never reads {STATE_CLASS}.{field}; state "
-                    f"written by the to_uisr_* side is dropped on restore "
+                    f"written by {TO_NAME} is dropped on restore "
                     f"(lossy translation)",
                     symbol=func.name,
                 )

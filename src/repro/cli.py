@@ -221,7 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_inplace(args) -> int:
     from repro.core.optimizations import OptimizationConfig
     from repro.core.transplant import HyperTP
-    from repro.errors import VMLifecycleError
+    from repro.errors import (
+        FrameAllocationError,
+        TransplantError,
+        VMLifecycleError,
+    )
     from repro.sim.clock import SimClock
     from repro.hypervisors import make_hypervisor
     from repro.hw.machine import Machine
@@ -237,23 +241,24 @@ def cmd_inplace(args) -> int:
     machine = Machine(args.machine)
     hypervisor = make_hypervisor(args.source)
     hypervisor.boot(machine)
+    opts = OptimizationConfig(
+        prepare_ahead=not args.no_prepare_ahead,
+        parallel=not args.no_parallel,
+        huge_pages=not args.no_huge_pages,
+    )
+    # Guests that do not fit the machine fail to be created, or leave no
+    # room for the UISR frames and abort the transplant before the reboot.
     try:
         for i in range(args.vms):
             hypervisor.create_vm(VMConfig(
                 f"vm{i}", vcpus=args.vcpus,
                 memory_bytes=int(args.memory_gib * (1 << 30)), seed=i,
             ))
-    except VMLifecycleError as error:
+        report = HyperTP(optimizations=opts).inplace(machine, args.target,
+                                                     SimClock())
+    except (FrameAllocationError, TransplantError, VMLifecycleError) as error:
         print(f"inplace: {error}", file=sys.stderr)
         return 2
-
-    opts = OptimizationConfig(
-        prepare_ahead=not args.no_prepare_ahead,
-        parallel=not args.no_parallel,
-        huge_pages=not args.no_huge_pages,
-    )
-    report = HyperTP(optimizations=opts).inplace(machine, args.target,
-                                                 SimClock())
     print(f"InPlaceTP {report.source}->{report.target} on "
           f"{args.machine.name}: {report.vm_count} VMs x {args.vcpus} vCPU "
           f"x {args.memory_gib:g} GiB")
@@ -276,7 +281,11 @@ def cmd_inplace(args) -> int:
 
 def cmd_migrate(args) -> int:
     from repro.bench.runner import migrate_once
-    from repro.errors import MigrationError, VMLifecycleError
+    from repro.errors import (
+        FrameAllocationError,
+        MigrationError,
+        VMLifecycleError,
+    )
 
     try:
         [report] = migrate_once(
@@ -284,7 +293,7 @@ def cmd_migrate(args) -> int:
             memory_gib=args.memory_gib,
             dirty_rate_bytes_s=args.dirty_mb_s * (1 << 20),
         )
-    except (MigrationError, VMLifecycleError) as error:
+    except (FrameAllocationError, MigrationError, VMLifecycleError) as error:
         print(f"migrate: {error}", file=sys.stderr)
         return 2
     flavor = (f"MigrationTP xen->{args.dest.value}" if report.heterogeneous

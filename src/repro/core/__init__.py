@@ -2,9 +2,11 @@
 
 Submodules:
 
-* :mod:`uisr` — Unified Intermediate State Representation (format, binary
-  codec, converter registry).
-* :mod:`convert` — Xen <-> UISR <-> KVM converters and compatibility fixups.
+* :mod:`uisr` — Unified Intermediate State Representation (format and
+  binary codec).
+* :mod:`convert` — the one ``to_uisr``/``from_uisr`` pair, which goes
+  through each hypervisor's own state methods, and the compatibility
+  fixups.
 * :mod:`memsep` — memory-separation classifier (Fig. 2).
 * :mod:`pram` — the PRAM over-kexec memory file system (Fig. 4).
 * :mod:`kexec` — simulated micro-reboot with PRAM hand-over.

@@ -1,4 +1,4 @@
-"""Restore-side validation shared by every ``from_uisr_*`` converter.
+"""Restore-side validation run by ``from_uisr``.
 
 Before any state lands in the target hypervisor, the UISR document is
 checked against the domain it is about to restore into: vCPU count and
@@ -6,7 +6,7 @@ guest-memory size must match the domain, and every device record must
 carry a known transplant strategy and name a driver actually attached to
 the target VM.  A mismatch means the document and the domain disagree
 about what VM this is — restoring anyway would corrupt the guest, so the
-converters fail loudly with :class:`UISRError` instead (§3.1: translation
+restore fails loudly with :class:`UISRError` instead (§3.1: translation
 is lossless *and* lands in the right place).
 """
 
@@ -33,8 +33,8 @@ def verify_restore_target(domain: Domain, *, vm_name: str, vcpu_count: int,
                           devices: List[UISRDeviceState]) -> None:
     """Check a UISR document's sizing and device records against ``domain``.
 
-    The caller passes the document's fields explicitly, which keeps each
-    ``from_uisr_*`` converter's consumption of them visible to the
+    The caller passes the document's fields explicitly, which keeps
+    ``from_uisr``'s consumption of them visible to the
     ``uisr-field-coverage`` analysis rule at the call site.
     """
     if vcpu_count != domain.vm.config.vcpus:

@@ -36,7 +36,6 @@ from repro.core.pipeline import InPlacePipeline, StagePlan, VerifySpec
 from repro.core.pram import PRAMFilesystem
 from repro.core.timings import DEFAULT_COST_MODEL, CostModel
 from repro.core.uisr.codec import encode_uisr
-from repro.core.uisr.registry import ConverterRegistry, default_registry
 from repro.devices.model import plan_device_transplant, restore_devices
 
 
@@ -89,7 +88,6 @@ class InPlaceTP:
     _LAST_ABORTABLE = "store-uisr"
 
     def __init__(self, machine: Machine, target_kind: HypervisorKind,
-                 registry: Optional[ConverterRegistry] = None,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
                  optimizations: OptimizationConfig = DEFAULT_OPTIMIZATIONS,
                  failure_hook: Optional[Callable[[str], None]] = None):
@@ -103,7 +101,6 @@ class InPlaceTP:
         self.machine = machine
         self.source: Hypervisor = machine.hypervisor
         self.target_kind = target_kind
-        self.registry = registry or default_registry()
         self.cost = cost_model
         self.opts = optimizations
         # Test/chaos hook, invoked at each phase boundary with the phase
@@ -229,7 +226,10 @@ class InPlaceTP:
             self._checkpoint("pause")
 
             # ❸ translate VM_i State -> UISR, store encoded docs in RAM.
-            to_uisr = self.registry.to_uisr(self.source.kind)
+            # (The pair is imported here, not at the top: the fleet and
+            # sentinel planners import this module but never translate.)
+            from repro.core.convert import to_uisr
+
             uisr_docs = []
             vm_shapes = []
             for domain in domains:
@@ -272,7 +272,8 @@ class InPlaceTP:
         self._checkpoint("reboot")
 
         # ❺+❻ restore VM_i States from UISR and re-link to new domains.
-        from_uisr = self.registry.from_uisr(self.target_kind)
+        from repro.core.convert import from_uisr
+
         for vm, state in zip(vms, uisr_docs):
             domain = target.adopt_vm(vm)
             from_uisr(target, domain, state, pram_fs=pram)

@@ -33,7 +33,6 @@ from repro.core import wire
 from repro.core.timings import DEFAULT_COST_MODEL, CostModel
 from repro.core.uisr.codec import decode_uisr, encode_uisr
 from repro.core.uisr.format import UISRVMState
-from repro.core.uisr.registry import ConverterRegistry, default_registry
 
 
 @dataclass
@@ -387,7 +386,6 @@ class MigrationTP(_MigrationBase):
     label = "MigrationTP"
 
     def __init__(self, fabric: Fabric, source: Machine, destination: Machine,
-                 registry: Optional[ConverterRegistry] = None,
                  cost_model: CostModel = DEFAULT_COST_MODEL):
         super().__init__(fabric, source, destination, cost_model)
         if source.hypervisor.kind is destination.hypervisor.kind:
@@ -395,7 +393,6 @@ class MigrationTP(_MigrationBase):
                 "MigrationTP expects heterogeneous hypervisors; "
                 "use LiveMigration for the homogeneous case"
             )
-        self.registry = registry or default_registry()
 
     def stage_plan(self, domain: Domain,
                    dirty_rate_bytes_s: float = 1 << 20,
@@ -420,7 +417,10 @@ class MigrationTP(_MigrationBase):
                                 vm.config.vcpus)
 
     def _capture_state(self, src_hv: Hypervisor, domain: Domain) -> bytes:
-        to_uisr = self.registry.to_uisr(src_hv.kind)
+        # Deferred: the fleet and sentinel planners import this module but
+        # never translate state.
+        from repro.core.convert import to_uisr
+
         return encode_uisr(to_uisr(src_hv, domain, pram_file=None))
 
     def _decode_state(self, blob: bytes) -> UISRVMState:
@@ -428,7 +428,8 @@ class MigrationTP(_MigrationBase):
 
     def _restore_state(self, dst_hv: Hypervisor, domain: Domain,
                        state: UISRVMState) -> None:
-        from_uisr = self.registry.from_uisr(dst_hv.kind)
+        from repro.core.convert import from_uisr
+
         from_uisr(dst_hv, domain, state, pram_fs=None)
 
     def _downtime_tail_s(self, receive_queue_position: int,

@@ -19,13 +19,12 @@ from typing import List, Optional
 from repro.errors import TransplantError
 from repro.hw.machine import Machine
 from repro.hw.network import Fabric
-from repro.hypervisors.base import HypervisorKind
+from repro.hypervisors.base import Domain, Hypervisor, HypervisorKind
 from repro.sim.clock import SimClock
 from repro.core.inplace import InPlaceReport, InPlaceTP
 from repro.core.migration import MigrationReport, MigrationTP
 from repro.core.optimizations import DEFAULT_OPTIMIZATIONS, OptimizationConfig
 from repro.core.timings import DEFAULT_COST_MODEL, CostModel
-from repro.core.uisr.registry import ConverterRegistry, default_registry
 
 
 @dataclass
@@ -55,13 +54,20 @@ class TransplantReport:
         return max(downtimes, default=0.0)
 
 
+def evacuees(hypervisor: Hypervisor) -> List[Domain]:
+    """The domains whose config rejects InPlaceTP's downtime, by domid:
+    a host upgrade migrates them to a spare host first."""
+    return [
+        d for d in sorted(hypervisor.domains.values(), key=lambda d: d.domid)
+        if not d.vm.config.inplace_compatible
+    ]
+
+
 class HyperTP:
     """Framework entry point: per-VM migration, per-host in-place, or both."""
 
-    def __init__(self, registry: Optional[ConverterRegistry] = None,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
+    def __init__(self, cost_model: CostModel = DEFAULT_COST_MODEL,
                  optimizations: OptimizationConfig = DEFAULT_OPTIMIZATIONS):
-        self.registry = registry or default_registry()
         self.cost = cost_model
         self.opts = optimizations
 
@@ -71,7 +77,7 @@ class HyperTP:
                 clock: Optional[SimClock] = None) -> InPlaceReport:
         """InPlaceTP: micro-reboot ``machine`` into ``target_kind``."""
         transplant = InPlaceTP(
-            machine, target_kind, registry=self.registry,
+            machine, target_kind,
             cost_model=self.cost, optimizations=self.opts,
         )
         return transplant.run(clock or SimClock())
@@ -80,10 +86,8 @@ class HyperTP:
                 domain, clock: Optional[SimClock] = None,
                 dirty_rate_bytes_s: float = 1 << 20) -> MigrationReport:
         """MigrationTP: move one VM to a host running a different hypervisor."""
-        migrator = MigrationTP(
-            fabric, source, destination, registry=self.registry,
-            cost_model=self.cost,
-        )
+        migrator = MigrationTP(fabric, source, destination,
+                               cost_model=self.cost)
         return migrator.migrate(domain, clock or SimClock(),
                                 dirty_rate_bytes_s=dirty_rate_bytes_s)
 
@@ -111,10 +115,7 @@ class HyperTP:
         )
         start = clock.now
 
-        incompatible = [
-            d for d in sorted(source.domains.values(), key=lambda d: d.domid)
-            if not d.vm.config.inplace_compatible
-        ]
+        incompatible = evacuees(source)
         if incompatible:
             if fabric is None or spare is None:
                 raise TransplantError(
@@ -126,7 +127,6 @@ class HyperTP:
                     f"spare host {spare.name} must run {target_kind.value}"
                 )
             migrator = MigrationTP(fabric, machine, spare,
-                                   registry=self.registry,
                                    cost_model=self.cost)
             for domain in incompatible:
                 report.migrated.append(migrator.migrate(domain, clock))

@@ -2,8 +2,10 @@
 
 UISR is the hypervisor-neutral format through which VM_i State travels
 during a transplant (§3.1).  Like XDR for network data, it exists so that a
-hypervisor developer only has to implement ``to_uisr_*`` / ``from_uisr_*``
-against one format, not against every other hypervisor's internals.
+hypervisor developer only has to read and write their own state format:
+the one converter pair, :func:`repro.core.convert.to_uisr` /
+:func:`~repro.core.convert.from_uisr`, translates it for every other
+hypervisor.
 """
 
 from repro.core.uisr.format import (
@@ -15,7 +17,6 @@ from repro.core.uisr.format import (
     UISRVMState,
 )
 from repro.core.uisr.codec import decode_uisr, encode_uisr, uisr_size
-from repro.core.uisr.registry import ConverterRegistry, default_registry
 
 __all__ = [
     "UISRDeviceState",
@@ -27,6 +28,4 @@ __all__ = [
     "encode_uisr",
     "decode_uisr",
     "uisr_size",
-    "ConverterRegistry",
-    "default_registry",
 ]

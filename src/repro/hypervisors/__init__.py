@@ -10,7 +10,7 @@ Two heterogeneous hypervisors, mirroring the paper's testbed:
   CFS runqueues.
 
 Their VM-state byte formats are intentionally different so that the UISR
-converters in :mod:`repro.core` do real translation work.
+converter pair in :mod:`repro.core.convert` does real translation work.
 """
 
 from repro.hypervisors.base import Domain, Hypervisor, HypervisorKind

@@ -14,10 +14,11 @@ core uses to decide what to translate, rebuild, or leave in place.
 import abc
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import HypervisorError
-from repro.guest.devices import make_default_platform
+from repro.guest.devices import PlatformState, make_default_platform
+from repro.guest.vcpu import VCPUState
 from repro.guest.vm import VirtualMachine, VMConfig
 from repro.hw.machine import Machine
 
@@ -27,7 +28,8 @@ class HypervisorKind(enum.Enum):
 
     XEN and KVM are the paper's pair; NOVA is a third, microhypervisor-style
     member of the repertoire demonstrating that UISR makes adding
-    hypervisors cheap (§3.1): one converter pair, no changes elsewhere.
+    hypervisors cheap (§3.1): it implements its own state methods and
+    needs no converter and no changes elsewhere.
     """
 
     XEN = "xen"
@@ -217,6 +219,23 @@ class Hypervisor(abc.ABC):
     @abc.abstractmethod
     def load_platform_state(self, domain: Domain, blob: bytes) -> None:
         """Deserialize native-format platform state into ``domain``'s VM."""
+
+    @abc.abstractmethod
+    def read_vm_state(self, domain: Domain
+                      ) -> Tuple[List[VCPUState], PlatformState]:
+        """Read ``domain``'s vCPUs and platform through this hypervisor's
+        native save path, decoded into the shared model (UISR export)."""
+
+    @abc.abstractmethod
+    def write_vm_state(self, domain: Domain, vcpus: List[VCPUState],
+                       platform: PlatformState) -> None:
+        """Load vCPUs and a platform already fixed up to ``ioapic_pins``
+        into ``domain`` through this hypervisor's native restore path."""
+
+    def map_guest_memory(self, domain: Domain,
+                         gfn_to_mfn: Dict[int, int]) -> None:
+        """Point ``domain``'s guest memory at preserved frames (PRAM)."""
+        domain.vm.image.adopt_mapping(gfn_to_mfn)
 
     @abc.abstractmethod
     def scheduler_report(self) -> Dict[str, object]:

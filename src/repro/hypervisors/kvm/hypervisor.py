@@ -6,9 +6,11 @@ which is the structural reason InPlaceTP *into* KVM is the fast direction
 ioctl traffic.
 """
 
-from typing import Dict
+from typing import Dict, List, Tuple
 
 from repro.errors import HypervisorError
+from repro.guest.devices import PlatformState
+from repro.guest.vcpu import VCPUState
 from repro.guest.vm import VirtualMachine
 from repro.hypervisors.base import (
     Domain,
@@ -68,6 +70,22 @@ class KVMHypervisor(Hypervisor):
     def load_platform_state(self, domain: Domain, blob: bytes) -> None:
         bundle = formats.unpack_bundle(blob)
         self.vmm_for(domain.domid).apply_state_bundle(bundle)
+
+    # UISR goes through kvmtool's GET/SET ioctls (§4.2.1).
+    def read_vm_state(self, domain: Domain
+                      ) -> Tuple[List[VCPUState], PlatformState]:
+        bundle = self.vmm_for(domain.domid).read_state_bundle()
+        return formats.decode_bundle(bundle)
+
+    def write_vm_state(self, domain: Domain, vcpus: List[VCPUState],
+                       platform: PlatformState) -> None:
+        bundle = formats.encode_bundle(vcpus, platform)
+        self.vmm_for(domain.domid).apply_state_bundle(bundle)
+
+    def map_guest_memory(self, domain: Domain,
+                         gfn_to_mfn: Dict[int, int]) -> None:
+        # kvmtool mmaps the PRAM-described memory and hands it to KVM.
+        self.vmm_for(domain.domid).mmap_guest_memory(gfn_to_mfn)
 
     # -- VM management state ----------------------------------------------------
 

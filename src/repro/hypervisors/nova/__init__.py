@@ -12,9 +12,10 @@ microhypervisor architectures (NOVA [48] in the paper's related work):
   *both* directions need the compat fixups;
 * a priority round-robin scheduler and a lean NPT policy.
 
-Its existence validates the UISR design claim: registering one converter
-pair (:mod:`repro.core.convert.nova_uisr`) makes every transplant
-direction involving NOVA work with no changes to the other hypervisors.
+Its existence validates the UISR design claim: implementing its own state
+methods (``read_vm_state``/``write_vm_state``) makes every transplant
+direction involving NOVA work, with no converter of its own and no
+changes to the other hypervisors.
 """
 
 from repro.hypervisors.nova.hypervisor import NOVAHypervisor

@@ -8,8 +8,10 @@ extra policy metadata beyond the hardware entries.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
+from repro.guest.devices import PlatformState
+from repro.guest.vcpu import VCPUState
 from repro.guest.vm import VirtualMachine
 from repro.hw.memory import PAGE_4K
 from repro.hypervisors.base import (
@@ -124,6 +126,16 @@ class NOVAHypervisor(Hypervisor):
         domain.vm.vcpus = vcpus
         domain.vm.platform = platform
         domain.native_state_blob = blob
+
+    # UISR goes through the VMM's snapshot blob.
+    def read_vm_state(self, domain: Domain
+                      ) -> Tuple[List[VCPUState], PlatformState]:
+        return formats.decode_snapshot(self.save_platform_state(domain))
+
+    def write_vm_state(self, domain: Domain, vcpus: List[VCPUState],
+                       platform: PlatformState) -> None:
+        self.load_platform_state(domain,
+                                 formats.encode_snapshot(vcpus, platform))
 
     def _on_domain_added(self, domain: Domain) -> None:
         self.scheduler.add_domain(domain.domid, domain.vm.config.vcpus)

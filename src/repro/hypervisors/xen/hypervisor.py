@@ -7,9 +7,10 @@ timing lives in the cost model (:mod:`repro.core.timings`); this class models
 structure and state.
 """
 
-from typing import Dict
+from typing import Dict, List, Tuple
 
-from repro.guest.devices import XEN_IOAPIC_PINS
+from repro.guest.devices import XEN_IOAPIC_PINS, PlatformState
+from repro.guest.vcpu import VCPUState
 from repro.guest.vm import VirtualMachine
 from repro.hypervisors.base import (
     Domain,
@@ -80,6 +81,18 @@ class XenHypervisor(Hypervisor):
         domain.vm.vcpus = vcpus
         domain.vm.platform = platform
         domain.native_state_blob = blob
+
+    # UISR goes through the toolstack's HVM-context entry points, exactly
+    # what the paper's prototype reuses (§4.2.1).
+    def read_vm_state(self, domain: Domain
+                      ) -> Tuple[List[VCPUState], PlatformState]:
+        blob = self.toolstack.xc_domain_hvm_getcontext(domain.domid)
+        return self.toolstack.decode_context(blob)
+
+    def write_vm_state(self, domain: Domain, vcpus: List[VCPUState],
+                       platform: PlatformState) -> None:
+        blob = formats.encode_hvm_context(vcpus, platform)
+        self.toolstack.xc_domain_hvm_setcontext(domain.domid, blob)
 
     # -- VM management state -----------------------------------------------------
 

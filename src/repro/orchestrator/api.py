@@ -11,8 +11,9 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.hypervisors.base import HypervisorKind
 from repro.sim.clock import SimClock
+from repro.core.transplant import TransplantReport
 from repro.vulndb.advisor import TransplantAdvice, TransplantAdvisor
-from repro.orchestrator.nova import HostUpgradeResult, NovaCompute
+from repro.orchestrator.nova import NovaCompute
 
 
 @dataclass
@@ -21,7 +22,7 @@ class FleetUpgradeReport:
 
     trigger_cve: str
     advice: TransplantAdvice
-    per_host: Dict[str, HostUpgradeResult] = field(default_factory=dict)
+    per_host: Dict[str, TransplantReport] = field(default_factory=dict)
     total_s: float = 0.0
 
     @property
@@ -31,7 +32,7 @@ class FleetUpgradeReport:
     @property
     def worst_vm_disruption_s(self) -> float:
         return max(
-            (r.vm_disruption_s for r in self.per_host.values()), default=0.0
+            (r.worst_downtime_s for r in self.per_host.values()), default=0.0
         )
 
 
@@ -89,7 +90,7 @@ class DatacenterAPI:
     def revert_after_patch(self, original: HypervisorKind,
                            hosts: Optional[List[str]] = None,
                            clock: Optional[SimClock] = None
-                           ) -> Dict[str, HostUpgradeResult]:
+                           ) -> Dict[str, TransplantReport]:
         """Transplant hosts back once the original hypervisor is patched.
 
         The paper's Fig. 1(b): the replacement is temporary; after the

@@ -1,16 +1,18 @@
-"""Nova ComputeDriver interface, extended with HyperTP operations (§4.5.2).
+"""Nova ComputeDriver interface, extended with HyperTP (§4.5.2).
 
-The paper adds three driver-level operations alongside the classic
-suspend/resume/live_migration verbs:
+The paper extends the driver alongside the classic suspend/resume verbs:
+save guest state as UISR (akin to suspend), load the target kernel for
+kexec, and restore guest state from UISR (akin to resume).  InPlaceTP
+runs those steps as one workflow and stages the kexec image itself, so
+the driver exposes them as one operation:
 
-* ``hypertp_save_guest_state`` — akin to suspend, but externalizes VM_i
-  State as UISR;
-* ``hypertp_load_kernel`` — stage the target hypervisor for kexec;
-* ``hypertp_restore_guest_state`` — akin to resume, from UISR.
+* ``hypertp_host_upgrade`` — transplant the host to another hypervisor,
+  first live-migrating the VMs that cannot ride the micro-reboot to an
+  evacuation host through UISR.
 
-``LibvirtComputeDriver`` implements them through the ``HyperTP`` façade it
-holds; a deployment with another virt driver would implement the same
-interface.
+``LibvirtComputeDriver`` implements it through the ``HyperTP`` façade it
+holds (``HyperTP.transplant_host``); a deployment with another virt
+driver would implement the same interface.
 """
 
 import abc
@@ -21,9 +23,7 @@ from repro.hw.machine import Machine
 from repro.hw.network import Fabric
 from repro.hypervisors.base import HypervisorKind
 from repro.sim.clock import SimClock
-from repro.core.inplace import InPlaceReport
-from repro.core.migration import MigrationReport
-from repro.core.transplant import HyperTP
+from repro.core.transplant import HyperTP, TransplantReport
 from repro.orchestrator.libvirt import LibvirtConnection
 
 
@@ -42,20 +42,12 @@ class ComputeDriver(abc.ABC):
     def resume(self, instance: str, now: float) -> None:
         ...
 
-    @abc.abstractmethod
-    def live_migration(self, instance: str, dest_driver: "ComputeDriver",
-                       clock: SimClock) -> MigrationReport:
-        ...
-
-    # -- HyperTP extensions --
+    # -- HyperTP extension --
 
     @abc.abstractmethod
-    def hypertp_load_kernel(self, target: HypervisorKind) -> None:
-        ...
-
-    @abc.abstractmethod
-    def hypertp_host_upgrade(self, target: HypervisorKind,
-                             clock: SimClock) -> InPlaceReport:
+    def hypertp_host_upgrade(self, target: HypervisorKind, clock: SimClock,
+                             evacuation: Optional["ComputeDriver"] = None
+                             ) -> TransplantReport:
         ...
 
 
@@ -82,28 +74,27 @@ class LibvirtComputeDriver(ComputeDriver):
     def resume(self, instance: str, now: float) -> None:
         self.connection.lookup(instance).resume(now)
 
-    def live_migration(self, instance: str, dest_driver: "ComputeDriver",
-                       clock: SimClock) -> MigrationReport:
-        if not isinstance(dest_driver, LibvirtComputeDriver):
-            raise OrchestratorError("destination driver is not libvirt-backed")
-        if self.fabric is None:
-            raise OrchestratorError(
-                f"{self.machine.name}: no fabric configured for migration"
-            )
-        domain = self.connection._domain_by_name(instance)
-        return self.hypertp.migrate(self.fabric, self.machine,
-                                    dest_driver.machine, domain, clock)
+    def hypertp_host_upgrade(self, target: HypervisorKind, clock: SimClock,
+                             evacuation: Optional["ComputeDriver"] = None
+                             ) -> TransplantReport:
+        """Evacuate, save guest state, kexec, restore — the new driver
+        operation.
 
-    def hypertp_load_kernel(self, target: HypervisorKind) -> None:
-        from repro.core.kexec import load_kexec_image
-
-        load_kexec_image(self.machine, target)
-
-    def hypertp_host_upgrade(self, target: HypervisorKind,
-                             clock: SimClock) -> InPlaceReport:
-        """Save guest state, kexec, restore — the new driver operation.
-
-        The connection keeps working: libvirt now speaks to the new
-        hypervisor and the URI changes under the hood.
+        VMs that do not tolerate InPlaceTP's downtime migrate to
+        ``evacuation`` first.  The connection keeps working: libvirt now
+        speaks to the new hypervisor and the URI changes under the hood.
         """
-        return self.hypertp.inplace(self.machine, target, clock)
+        spare = None
+        if evacuation is not None:
+            if not isinstance(evacuation, LibvirtComputeDriver):
+                raise OrchestratorError(
+                    "evacuation driver is not libvirt-backed")
+            if self.fabric is None:
+                raise OrchestratorError(
+                    f"{self.machine.name}: no fabric configured for migration"
+                )
+            spare = evacuation.machine
+        return self.hypertp.transplant_host(
+            self.machine, target, fabric=self.fabric, spare=spare,
+            clock=clock,
+        )

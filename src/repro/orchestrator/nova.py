@@ -6,7 +6,7 @@ reproduces the paper's workflow: migrate away VMs that do not support
 HyperTP, save the rest, trigger the upgrade, update the database, restore.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import OrchestratorError
@@ -14,8 +14,7 @@ from repro.hw.machine import Machine
 from repro.hw.network import Fabric
 from repro.hypervisors.base import HypervisorKind
 from repro.sim.clock import SimClock
-from repro.core.inplace import InPlaceReport
-from repro.core.migration import MigrationReport
+from repro.core.transplant import TransplantReport, evacuees
 from repro.orchestrator.compute_driver import LibvirtComputeDriver
 
 
@@ -27,22 +26,6 @@ class HostRecord:
     hypervisor_type: str
     hypervisor_version: str = "simulated"
     upgrades: int = 0
-
-
-@dataclass
-class HostUpgradeResult:
-    """Outcome of one host_live_upgrade call."""
-
-    host: str
-    migrated_away: List[MigrationReport] = field(default_factory=list)
-    inplace: Optional[InPlaceReport] = None
-
-    @property
-    def vm_disruption_s(self) -> float:
-        downtimes = [r.downtime_s for r in self.migrated_away]
-        if self.inplace is not None:
-            downtimes.append(self.inplace.downtime_s)
-        return max(downtimes, default=0.0)
 
 
 class NovaCompute:
@@ -83,13 +66,14 @@ class NovaCompute:
     def host_live_upgrade(self, host: str, target: HypervisorKind,
                           clock: Optional[SimClock] = None,
                           evacuation_host: Optional[str] = None
-                          ) -> HostUpgradeResult:
+                          ) -> TransplantReport:
         """Upgrade one host's hypervisor with HyperTP.
 
-        Steps (paper §4.5.2): (1) live-migrate VMs that do not support
-        HyperTP to ``evacuation_host``; (2) save remaining guests + trigger
-        the host upgrade through the driver; (3) update the Nova database;
-        (4) the driver restores all VMs on the upgraded host.
+        Steps (paper §4.5.2): the driver (1) live-migrates VMs that do not
+        support HyperTP to ``evacuation_host``, (2) saves the remaining
+        guests and triggers the host upgrade and (3) restores them on the
+        upgraded host — one ``HyperTP.transplant_host`` run; then (4) the
+        Nova database records the new hypervisor.
         """
         clock = clock or SimClock()
         driver = self.driver_for(host)
@@ -97,33 +81,24 @@ class NovaCompute:
             raise OrchestratorError(
                 f"{host} already runs {target.value}; nothing to upgrade"
             )
-        result = HostUpgradeResult(host=host)
-
-        hv = driver.connection.hypervisor
-        incompatible = [
-            d.vm.name
-            for d in sorted(hv.domains.values(), key=lambda d: d.domid)
-            if not d.vm.config.inplace_compatible
-        ]
+        evacuation = None
+        incompatible = evacuees(driver.connection.hypervisor)
         if incompatible:
             if evacuation_host is None:
                 raise OrchestratorError(
                     f"{host}: {len(incompatible)} VMs need evacuation but "
                     f"no evacuation host was given"
                 )
-            dest = self.driver_for(evacuation_host)
-            if dest.hypervisor_kind is not target:
+            evacuation = self.driver_for(evacuation_host)
+            if evacuation.hypervisor_kind is not target:
                 raise OrchestratorError(
                     f"evacuation host {evacuation_host} must already run "
                     f"{target.value}"
                 )
-            for vm_name in incompatible:
-                result.migrated_away.append(
-                    driver.live_migration(vm_name, dest, clock)
-                )
 
-        result.inplace = driver.hypertp_host_upgrade(target, clock)
+        report = driver.hypertp_host_upgrade(target, clock,
+                                             evacuation=evacuation)
         record = self.database[host]
         record.hypervisor_type = target.value
         record.upgrades += 1
-        return result
+        return report

@@ -30,7 +30,12 @@ agree with, kept verbatim for differential tests:
 * :class:`FormerLiveMigration`, :class:`FormerMigrationTP` and
   :func:`migrate_group_former` — the two migrators with their own copies
   of the pre-copy workflow, and the group driver that passed the receive
-  queue position to ``LiveMigration`` alone.
+  queue position to ``LiveMigration`` alone;
+* :data:`FORMER_CONVERTERS` — the three per-hypervisor UISR converter
+  pairs (``to_uisr_xen``/``from_uisr_xen``, ``to_uisr_kvm``/
+  ``from_uisr_kvm``, ``to_uisr_nova``/``from_uisr_nova``), each calling
+  its hypervisor's native entry points by hand, which the one
+  ``repro.core.convert`` pair must translate identically.
 
 Test-only: nothing outside ``tests/`` imports this module.
 """
@@ -80,7 +85,18 @@ from repro.core.pipeline import (
     StagePlan,
     _fold,
 )
+from repro.core.convert.compat import apply_platform_fixups
+from repro.core.convert.verify import verify_restore_target
 from repro.core.uisr.codec import encode_uisr
+from repro.core.uisr.format import (
+    UISR_VERSION,
+    UISRDeviceState,
+    UISRMemoryChunk,
+    UISRMemoryMap,
+    UISRPlatform,
+    UISRVCpu,
+    UISRVMState,
+)
 from repro.errors import (
     ClusterError,
     FleetError,
@@ -88,11 +104,18 @@ from repro.errors import (
     PlanningError,
     SentinelError,
     SimulationError,
+    UISRError,
 )
 from repro.fleet.controller import _HostPlan
 from repro.fleet.state import HostState
 from repro.hw.memory import PAGE_2M
-from repro.hypervisors.base import Domain, Hypervisor
+from repro.hypervisors.base import Domain, Hypervisor, HypervisorKind
+from repro.hypervisors.kvm import formats as kvm_formats
+from repro.hypervisors.kvm.hypervisor import KVMHypervisor
+from repro.hypervisors.nova import formats as nova_formats
+from repro.hypervisors.nova.hypervisor import NOVAHypervisor
+from repro.hypervisors.xen import formats as xen_formats
+from repro.hypervisors.xen.hypervisor import XenHypervisor
 from repro.sentinel.inventory import FleetInventory
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
@@ -980,7 +1003,7 @@ class FormerMigrationTP(MigrationTP):
         clock.advance(report.downtime_s)
 
         # Source proxy: VM_i State -> UISR, encoded onto the wire.
-        to_uisr = self.registry.to_uisr(src_hv.kind)
+        to_uisr = FORMER_CONVERTERS[src_hv.kind][0]
         uisr_state = to_uisr(src_hv, domain, pram_file=None)
         self._stream_stopcopy(vm, residual_gfns, encode_uisr(uisr_state),
                               stream)
@@ -1014,7 +1037,7 @@ class FormerMigrationTP(MigrationTP):
         vm.image.release()
         vm.image = dst_image
 
-        from_uisr = self.registry.from_uisr(dst_hv.kind)
+        from_uisr = FORMER_CONVERTERS[dst_hv.kind][1]
         new_domain = dst_hv.adopt_vm(vm)
         from_uisr(dst_hv, new_domain, arrived_state, pram_fs=None)
         vm.resume(clock.now)
@@ -1059,3 +1082,216 @@ def migrate_group_former(migrator, domains: List[Domain],
     if reports:
         clock.advance(max(r.total_s for r in reports))
     return reports
+
+
+# -- the former per-hypervisor UISR converter pairs ------------------------
+
+
+def _memory_map_for(domain: Domain, pram_file: Optional[str]) -> UISRMemoryMap:
+    image = domain.vm.image
+    if pram_file is not None:
+        return UISRMemoryMap(
+            page_size=image.page_size,
+            total_bytes=image.size_bytes,
+            pram_file=pram_file,
+        )
+    order = (image.page_size // 4096).bit_length() - 1
+    chunks = [
+        UISRMemoryChunk(gfn=gfn, mfn=mfn, order=order)
+        for gfn, mfn in image.mappings()
+    ]
+    return UISRMemoryMap(
+        page_size=image.page_size,
+        total_bytes=image.size_bytes,
+        chunks=chunks,
+    )
+
+
+def _device_states(domain: Domain) -> List[UISRDeviceState]:
+    from repro.devices.model import transplant_strategy_for
+
+    states = []
+    for driver in domain.vm.devices:
+        strategy, payload = transplant_strategy_for(driver)
+        states.append(UISRDeviceState(
+            name=driver.name,
+            device_class=type(driver).__name__,
+            strategy=strategy,
+            payload=payload,
+        ))
+    return states
+
+
+def to_uisr_xen(hypervisor: XenHypervisor, domain: Domain,
+                pram_file: Optional[str] = None) -> UISRVMState:
+    """Translate a Xen domain's VM_i State into UISR."""
+    if hypervisor.kind is not HypervisorKind.XEN:
+        raise UISRError(f"to_uisr_xen called on {hypervisor.kind.value}")
+    blob = hypervisor.toolstack.xc_domain_hvm_getcontext(domain.domid)
+    vcpus, platform = hypervisor.toolstack.decode_context(blob)
+    return UISRVMState(
+        version=UISR_VERSION,
+        vm_name=domain.vm.name,
+        vcpu_count=domain.vm.config.vcpus,
+        memory_bytes=domain.vm.image.size_bytes,
+        source_hypervisor=HypervisorKind.XEN.value,
+        vcpus=[UISRVCpu(v) for v in vcpus],
+        platform=UISRPlatform(platform),
+        memory_map=_memory_map_for(domain, pram_file),
+        devices=_device_states(domain),
+    )
+
+
+def from_uisr_xen(hypervisor: XenHypervisor, domain: Domain,
+                  state: UISRVMState, pram_fs=None) -> Domain:
+    """Restore a UISR document into a Xen domain via the toolstack."""
+    if hypervisor.kind is not HypervisorKind.XEN:
+        raise UISRError(f"from_uisr_xen called on {hypervisor.kind.value}")
+    verify_restore_target(
+        domain,
+        vm_name=state.vm_name,
+        vcpu_count=state.vcpu_count,
+        memory_bytes=state.memory_bytes,
+        devices=state.devices,
+    )
+    domain.provenance = (state.source_hypervisor, state.version)
+
+    if state.memory_map.by_reference:
+        if pram_fs is None:
+            raise UISRError(
+                f"UISR {state.vm_name} references PRAM file "
+                f"{state.memory_map.pram_file!r} but no PRAM fs was provided"
+            )
+        gfn_to_mfn = pram_fs.layout_of(state.memory_map.pram_file)
+        domain.vm.image.adopt_mapping(gfn_to_mfn)
+
+    platform = apply_platform_fixups(
+        state.platform.platform, target_ioapic_pins=hypervisor.ioapic_pins
+    )
+    blob = xen_formats.encode_hvm_context(
+        [record.vcpu for record in state.vcpus], platform
+    )
+    hypervisor.toolstack.xc_domain_hvm_setcontext(domain.domid, blob)
+    # The p2m must reflect the (possibly adopted) memory layout.
+    domain.npt = hypervisor.build_npt(domain.vm)
+    return domain
+
+
+def to_uisr_kvm(hypervisor: KVMHypervisor, domain: Domain,
+                pram_file: Optional[str] = None) -> UISRVMState:
+    """Translate a KVM domain's VM_i State into UISR."""
+    if hypervisor.kind is not HypervisorKind.KVM:
+        raise UISRError(f"to_uisr_kvm called on {hypervisor.kind.value}")
+    bundle = hypervisor.vmm_for(domain.domid).read_state_bundle()
+    vcpus, platform = kvm_formats.decode_bundle(bundle)
+    return UISRVMState(
+        version=UISR_VERSION,
+        vm_name=domain.vm.name,
+        vcpu_count=domain.vm.config.vcpus,
+        memory_bytes=domain.vm.image.size_bytes,
+        source_hypervisor=HypervisorKind.KVM.value,
+        vcpus=[UISRVCpu(v) for v in vcpus],
+        platform=UISRPlatform(platform),
+        memory_map=_memory_map_for(domain, pram_file),
+        devices=_device_states(domain),
+    )
+
+
+def from_uisr_kvm(hypervisor: KVMHypervisor, domain: Domain,
+                  state: UISRVMState, pram_fs=None) -> Domain:
+    """Restore a UISR document into a KVM domain via kvmtool ioctls."""
+    if hypervisor.kind is not HypervisorKind.KVM:
+        raise UISRError(f"from_uisr_kvm called on {hypervisor.kind.value}")
+    verify_restore_target(
+        domain,
+        vm_name=state.vm_name,
+        vcpu_count=state.vcpu_count,
+        memory_bytes=state.memory_bytes,
+        devices=state.devices,
+    )
+    domain.provenance = (state.source_hypervisor, state.version)
+
+    vmm = hypervisor.vmm_for(domain.domid)
+
+    # Memory first: KVM needs the guest memory address before vCPU state.
+    if state.memory_map.by_reference:
+        if pram_fs is None:
+            raise UISRError(
+                f"UISR {state.vm_name} references PRAM file "
+                f"{state.memory_map.pram_file!r} but no PRAM fs was provided"
+            )
+        gfn_to_mfn = pram_fs.layout_of(state.memory_map.pram_file)
+        vmm.mmap_guest_memory(gfn_to_mfn)
+
+    platform = apply_platform_fixups(
+        state.platform.platform, target_ioapic_pins=hypervisor.ioapic_pins
+    )
+    bundle = kvm_formats.encode_bundle(
+        [record.vcpu for record in state.vcpus], platform
+    )
+    vmm.apply_state_bundle(bundle)
+    # The EPT must reflect the (possibly adopted) memory layout.
+    domain.npt = hypervisor.build_npt(domain.vm)
+    return domain
+
+
+def to_uisr_nova(hypervisor: NOVAHypervisor, domain: Domain,
+                 pram_file: Optional[str] = None) -> UISRVMState:
+    """Translate a NOVA domain's VM_i State into UISR."""
+    if hypervisor.kind is not HypervisorKind.NOVA:
+        raise UISRError(f"to_uisr_nova called on {hypervisor.kind.value}")
+    blob = hypervisor.save_platform_state(domain)
+    vcpus, platform = nova_formats.decode_snapshot(blob)
+    return UISRVMState(
+        version=UISR_VERSION,
+        vm_name=domain.vm.name,
+        vcpu_count=domain.vm.config.vcpus,
+        memory_bytes=domain.vm.image.size_bytes,
+        source_hypervisor=HypervisorKind.NOVA.value,
+        vcpus=[UISRVCpu(v) for v in vcpus],
+        platform=UISRPlatform(platform),
+        memory_map=_memory_map_for(domain, pram_file),
+        devices=_device_states(domain),
+    )
+
+
+def from_uisr_nova(hypervisor: NOVAHypervisor, domain: Domain,
+                   state: UISRVMState, pram_fs=None) -> Domain:
+    """Restore a UISR document into a NOVA domain."""
+    if hypervisor.kind is not HypervisorKind.NOVA:
+        raise UISRError(f"from_uisr_nova called on {hypervisor.kind.value}")
+    verify_restore_target(
+        domain,
+        vm_name=state.vm_name,
+        vcpu_count=state.vcpu_count,
+        memory_bytes=state.memory_bytes,
+        devices=state.devices,
+    )
+    domain.provenance = (state.source_hypervisor, state.version)
+
+    if state.memory_map.by_reference:
+        if pram_fs is None:
+            raise UISRError(
+                f"UISR {state.vm_name} references PRAM file "
+                f"{state.memory_map.pram_file!r} but no PRAM fs was provided"
+            )
+        gfn_to_mfn = pram_fs.layout_of(state.memory_map.pram_file)
+        domain.vm.image.adopt_mapping(gfn_to_mfn)
+
+    platform = apply_platform_fixups(
+        state.platform.platform, target_ioapic_pins=hypervisor.ioapic_pins
+    )
+    blob = nova_formats.encode_snapshot(
+        [record.vcpu for record in state.vcpus], platform
+    )
+    hypervisor.load_platform_state(domain, blob)
+    domain.npt = hypervisor.build_npt(domain.vm)
+    return domain
+
+
+#: hypervisor kind -> its former (to_uisr, from_uisr) pair
+FORMER_CONVERTERS = {
+    HypervisorKind.XEN: (to_uisr_xen, from_uisr_xen),
+    HypervisorKind.KVM: (to_uisr_kvm, from_uisr_kvm),
+    HypervisorKind.NOVA: (to_uisr_nova, from_uisr_nova),
+}

@@ -31,7 +31,7 @@ from repro.analysis.findings import is_suppressed
 from repro.analysis.project import top_level_classes, top_level_functions
 from repro.analysis.rules import codec_symmetry, frame_symmetry, hygiene
 from repro.analysis.rules import io_hygiene, journal_hygiene, mechanism_hygiene
-from repro.analysis.rules import obs_hygiene, par_hygiene, registry_complete
+from repro.analysis.rules import obs_hygiene, par_hygiene
 from repro.analysis.rules import state_machine, sync_protocol, uisr_coverage
 from repro.cli import main as cli_main
 
@@ -74,7 +74,7 @@ class TestUISRFieldCoverage:
             "core/uisr/format.py": UISR_CLASSES,
             "core/convert/bad.py": textwrap.dedent(
                 """
-                def to_uisr_test(domain):
+                def to_uisr(domain):
                     return UISRVMState(
                         version=1,
                         vm_name=domain.name,
@@ -90,14 +90,14 @@ class TestUISRFieldCoverage:
         assert finding.path == "core/convert/bad.py"
         assert finding.line == 3  # the UISRVMState(...) construction
         assert "'vcpu_count'" in finding.message
-        assert finding.symbol == "to_uisr_test"
+        assert finding.symbol == "to_uisr"
 
     def test_writer_positional_fields_count(self):
         sources = {
             "core/uisr/format.py": UISR_CLASSES,
             "core/convert/good.py": textwrap.dedent(
                 """
-                def to_uisr_test(domain):
+                def to_uisr(domain):
                     return UISRVMState(1, domain.name, 2, [], None)
                 """
             ),
@@ -110,7 +110,7 @@ class TestUISRFieldCoverage:
             "core/uisr/format.py": UISR_CLASSES,
             "core/convert/bad.py": textwrap.dedent(
                 """
-                def to_uisr_test(domain):
+                def to_uisr(domain):
                     return UISRVMState(1, domain.name, 2, [], None,
                                        flavor="odd")
                 """
@@ -125,7 +125,7 @@ class TestUISRFieldCoverage:
             "core/uisr/format.py": UISR_CLASSES,
             "core/convert/bad.py": textwrap.dedent(
                 """
-                def from_uisr_test(hypervisor, domain, state):
+                def from_uisr(hypervisor, domain, state):
                     use(state.version, state.vm_name, state.vcpu_count)
                     use([r.vcpu for r in state.vcpus])
                     # state.platform never read -> lossy restore
@@ -146,7 +146,7 @@ class TestUISRFieldCoverage:
             "core/uisr/format.py": UISR_CLASSES,
             "core/convert/good.py": textwrap.dedent(
                 """
-                def from_uisr_test(hypervisor, domain, state):
+                def from_uisr(hypervisor, domain, state):
                     verify(vm_name=state.vm_name, count=state.vcpu_count,
                            version=state.version)
                     apply([r.vcpu for r in state.vcpus],
@@ -256,63 +256,6 @@ class TestCodecSymmetry:
         }
         findings, _ = analyze(sources, rules=["codec-symmetry"])
         assert findings == []
-
-
-# -- registry-completeness ----------------------------------------------------
-
-KIND_ENUM = textwrap.dedent(
-    """
-    import enum
-
-    class HypervisorKind(enum.Enum):
-        XEN = "xen"
-        KVM = "kvm"
-    """
-)
-
-
-class TestRegistryCompleteness:
-    def test_missing_member_flagged(self):
-        sources = {
-            "hypervisors/base.py": KIND_ENUM,
-            "core/uisr/registry.py": textwrap.dedent(
-                """
-                def default_registry():
-                    registry = ConverterRegistry()
-                    registry.register(HypervisorKind.XEN, to_x, from_x)
-                    return registry
-                """
-            ),
-        }
-        findings, _ = analyze(sources, rules=["registry-completeness"])
-        assert len(findings) == 1
-        finding = findings[0]
-        assert finding.symbol == "KVM"
-        assert finding.path == "core/uisr/registry.py"
-        assert finding.line == 4  # anchored at the first register() call
-
-    def test_complete_registry_clean(self):
-        sources = {
-            "hypervisors/base.py": KIND_ENUM,
-            "core/uisr/registry.py": textwrap.dedent(
-                """
-                def default_registry():
-                    registry = ConverterRegistry()
-                    registry.register(HypervisorKind.XEN, to_x, from_x)
-                    registry.register(HypervisorKind.KVM, to_k, from_k)
-                    return registry
-                """
-            ),
-        }
-        findings, _ = analyze(sources, rules=["registry-completeness"])
-        assert findings == []
-
-    def test_no_registrations_at_all_flagged(self):
-        sources = {"hypervisors/base.py": KIND_ENUM}
-        findings, _ = analyze(sources, rules=["registry-completeness"])
-        assert len(findings) == 1
-        assert "empty" in findings[0].message
-        assert findings[0].path == "hypervisors/base.py"
 
 
 # -- sim-clock-hygiene --------------------------------------------------------
@@ -548,7 +491,6 @@ class TestEngineAndReporters:
             "mechanism-hygiene",
             "par-entrypoint-hygiene",
             "par-payload-hygiene",
-            "registry-completeness",
             "sim-clock-hygiene",
             "state-machine-conformance",
             "sync-lock-order",
@@ -732,24 +674,13 @@ def test_par_payload_rule_sees_live_payloads(live_project):
     assert payloads
 
 
-def test_registry_rule_sees_live_registrations(live_project):
-    modules = live_project.modules
-    kind_classes = [top_level_classes(module.tree).get(
-        registry_complete.KIND_CLASS) for module in modules]
-    kind_classes = [cls for cls in kind_classes if cls is not None]
-    assert len(kind_classes) == 1
-    assert registry_complete._enum_members(kind_classes[0])
-    assert any(registry_complete._registered_kinds(module.tree)[0]
-               for module in modules)
-
-
 def test_uisr_coverage_rule_sees_live_converters(live_project):
     assert uisr_coverage._find_dataclasses(live_project).get(
         uisr_coverage.STATE_CLASS)
     names = [name for module in live_project.modules
              for name in top_level_functions(module.tree)]
-    assert any(name.startswith(uisr_coverage.TO_PREFIX) for name in names)
-    assert any(name.startswith(uisr_coverage.FROM_PREFIX) for name in names)
+    assert names.count(uisr_coverage.TO_NAME) == 1
+    assert names.count(uisr_coverage.FROM_NAME) == 1
 
 
 def test_codec_rule_sees_live_pairs(live_project):

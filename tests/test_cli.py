@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.hw.machine import Machine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -293,10 +294,18 @@ class TestSentinelCommand:
     pytest.param(["inplace", "--vms", "-2"], id="inplace-negative-vms"),
     pytest.param(["inplace", "--vcpus", "0"], id="inplace-no-vcpus"),
     pytest.param(["inplace", "--memory-gib", "0"], id="inplace-no-memory"),
+    # Guests that do not fit the machine: creation runs out of frames, or
+    # no frames are left for the UISR documents before the micro-reboot.
+    pytest.param(["inplace", "--vms", "40"], id="inplace-vms-over-capacity"),
+    pytest.param(["inplace", "--memory-gib", "500"],
+                 id="inplace-memory-over-capacity"),
+    pytest.param(["inplace", "--vms", "16"], id="inplace-no-room-for-uisr"),
     pytest.param(["migrate", "--vcpus", "0"], id="migrate-no-vcpus"),
     pytest.param(["migrate", "--memory-gib", "0"], id="migrate-no-memory"),
     pytest.param(["migrate", "--dirty-mb-s", "-5"],
                  id="migrate-negative-dirty-rate"),
+    pytest.param(["migrate", "--memory-gib", "500"],
+                 id="migrate-memory-over-capacity"),
     pytest.param(["advise", "CVE-0000-0000"], id="advise-unknown-cve"),
     pytest.param(["cluster", "--fractions", "0,abc"],
                  id="cluster-bad-fraction"),
@@ -320,6 +329,51 @@ def test_input_error_is_one_line_and_exit_2(argv, tmp_path, monkeypatch,
     assert captured.out == ""
     # Rejected before any work: no journal was started.
     assert not (tmp_path / "c.journal").exists()
+
+
+# -- the data plane against its goldens ---------------------------------------
+
+DATAPLANE_GOLDENS = Path(__file__).parent / "goldens" / "dataplane"
+KINDS = ("xen", "kvm", "nova")
+
+
+def dataplane_runs():
+    """The nine data-plane runs CI also compares with the goldens:
+    InPlaceTP over the six ordered pairs, each writing its trace, and a
+    migration to every destination (the Xen->Xen baseline or
+    MigrationTP)."""
+    runs = []
+    for source in KINDS:
+        for target in KINDS:
+            if source != target:
+                name = f"inplace-{source}-{target}"
+                runs.append(pytest.param(
+                    name, ["inplace", "--source", source, "--target", target,
+                           "--vms", "2", "--vcpus", "2",
+                           "--trace", f"{name}.trace.json"], id=name))
+    for dest in KINDS:
+        runs.append(pytest.param(f"migrate-{dest}",
+                                 ["migrate", "--dest", dest],
+                                 id=f"migrate-{dest}"))
+    return runs
+
+
+@pytest.mark.parametrize("name,argv", dataplane_runs())
+def test_dataplane_matches_goldens(name, argv, tmp_path, monkeypatch, capsys):
+    """stdout and trace are byte-identical to ``goldens/dataplane``,
+    recorded before the per-hypervisor UISR converters became one pair."""
+    monkeypatch.chdir(tmp_path)
+    # The trace names the machine "M1-<n>" after the process's n-th
+    # Machine; the goldens come from fresh processes, where n is 1.
+    monkeypatch.setattr(Machine, "_ids", 0)
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.encode() == (DATAPLANE_GOLDENS / f"{name}.txt").read_bytes()
+    traces = sorted(path.name for path in tmp_path.iterdir())
+    assert traces == ([f"{name}.trace.json"] if argv[0] == "inplace" else [])
+    for trace in traces:
+        assert ((tmp_path / trace).read_bytes()
+                == (DATAPLANE_GOLDENS / trace).read_bytes())
 
 
 # -- documented command lines -------------------------------------------------

@@ -11,7 +11,7 @@ from repro.hypervisors import (
     XenHypervisor,
     make_hypervisor,
 )
-from repro.hypervisors.base import HypervisorKind
+from repro.hypervisors.base import Hypervisor, HypervisorKind
 
 GIB = 1024 ** 3
 
@@ -99,6 +99,21 @@ class TestRegistryCompleteness:
     def test_make_hypervisor_all_kinds(self):
         for kind in HypervisorKind:
             assert make_hypervisor(kind).kind is kind
+
+    def test_hypervisor_without_a_state_path_cannot_be_instantiated(self):
+        # The one UISR converter pair reaches VM_i State only through
+        # these methods, so a hypervisor lacking them fails here rather
+        # than mid-transplant.
+        class NoStatePath(Hypervisor):
+            build_npt = XenHypervisor.build_npt
+            save_platform_state = XenHypervisor.save_platform_state
+            load_platform_state = XenHypervisor.load_platform_state
+            scheduler_report = XenHypervisor.scheduler_report
+
+        assert NoStatePath.__abstractmethods__ == {"read_vm_state",
+                                                   "write_vm_state"}
+        with pytest.raises(TypeError, match="abstract"):
+            NoStatePath()
 
     def test_every_kind_has_boot_model(self, m1):
         from repro.core.timings import DEFAULT_COST_MODEL

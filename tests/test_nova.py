@@ -13,7 +13,6 @@ from repro.hypervisors.nova import formats
 from repro.hypervisors.nova.hypervisor import NOVA_NPT_POLICY
 from repro.sim.clock import SimClock
 from repro.core.transplant import HyperTP
-from repro.core.uisr.registry import default_registry
 
 GIB = 1024 ** 3
 
@@ -102,11 +101,6 @@ class TestNOVAHypervisor:
 
 
 class TestRegistryExtensibility:
-    def test_default_registry_has_three_kinds(self):
-        kinds = default_registry().supported_kinds()
-        assert set(kinds) == {HypervisorKind.XEN, HypervisorKind.KVM,
-                              HypervisorKind.NOVA}
-
     def test_xen_to_nova_inplace(self, xen_host_factory):
         machine = xen_host_factory(vm_count=2, vcpus=2)
         vms = [d.vm for d in machine.hypervisor.domains.values()]

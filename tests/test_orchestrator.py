@@ -116,8 +116,8 @@ class TestNova:
         result = nova.host_live_upgrade(
             "h1", HypervisorKind.KVM, SimClock(), evacuation_host="spare",
         )
-        assert len(result.migrated_away) == 1
-        assert result.migrated_away[0].vm_name == "fragile"
+        assert len(result.migrated) == 1
+        assert result.migrated[0].vm_name == "fragile"
         assert result.inplace.vm_count == 1
 
     def test_evacuation_needs_matching_spare(self, xen_host_factory, fabric):
@@ -133,6 +133,28 @@ class TestNova:
         with pytest.raises(OrchestratorError):
             nova.host_live_upgrade("h1", HypervisorKind.KVM, SimClock(),
                                    evacuation_host="wrong")
+
+    @pytest.mark.parametrize("evacuation_host,with_fabric,error", [
+        (None, True, "no evacuation host"),
+        ("spare", False, "no fabric"),
+    ], ids=["no-evacuation-host", "no-fabric"])
+    def test_evacuation_needs_a_host_and_a_fabric(
+            self, xen_host_factory, kvm_host_factory, fabric,
+            evacuation_host, with_fabric, error):
+        nova = NovaCompute(fabric=fabric if with_fabric else None)
+        source = xen_host_factory(name="h1", vm_count=1)
+        source.hypervisor.create_vm(VMConfig(
+            "fragile", vcpus=1, memory_bytes=GIB, inplace_compatible=False,
+        ))
+        nova.register_host(source)
+        nova.register_host(kvm_host_factory(name="spare"))
+        with pytest.raises(OrchestratorError, match=error):
+            nova.host_live_upgrade("h1", HypervisorKind.KVM, SimClock(),
+                                   evacuation_host=evacuation_host)
+        # Rejected before any work: the host and its VMs are untouched.
+        assert source.hypervisor.kind is HypervisorKind.XEN
+        assert len(source.hypervisor.domains) == 2
+        assert nova.database["h1"].upgrades == 0
 
 
 class TestSchedulerFilters:

@@ -10,7 +10,7 @@ from repro.hw.machine import M1_SPEC, Machine
 from repro.hypervisors import XenHypervisor
 from repro.hypervisors.base import HypervisorKind
 from repro.sim.clock import SimClock
-from repro.core.convert import to_uisr_xen
+from repro.core.convert import to_uisr
 from repro.core.inplace import InPlaceTP
 from repro.core.transplant import HyperTP
 from repro.core.uisr.codec import decode_uisr, encode_uisr
@@ -57,7 +57,7 @@ class TestDeviceRecordsInUISR:
         domain.vm.attach_device(NetworkDriver("net0"))
         domain.vm.attach_device(EmulatedDriver("blk0",
                                                vmm_state_bytes=1024))
-        state = to_uisr_xen(xen, domain)
+        state = to_uisr(xen, domain)
         by_name = {d.name: d for d in state.devices}
         assert by_name["net0"].strategy == "unplug-rescan"
         assert by_name["blk0"].strategy == "translate"

@@ -1,11 +1,10 @@
-"""Tests for the UISR format, codec and converter registry."""
+"""Tests for the UISR format and codec."""
 
 import pytest
 
 from repro.errors import UISRError
 from repro.guest.devices import make_default_platform
 from repro.guest.vcpu import make_boot_vcpu
-from repro.hypervisors.base import HypervisorKind
 from repro.core.uisr import (
     UISRMemoryChunk,
     UISRMemoryMap,
@@ -13,7 +12,6 @@ from repro.core.uisr import (
     UISRVCpu,
     UISRVMState,
     decode_uisr,
-    default_registry,
     encode_uisr,
     uisr_size,
 )
@@ -133,29 +131,3 @@ class TestCodec:
         # Paper: ~5 KB for 1 vCPU.  Same order of magnitude expected.
         assert 2_000 < uisr_size(make_uisr(vcpus=1)) < 12_000
 
-
-class TestRegistry:
-    def test_default_registry_supports_both(self):
-        registry = default_registry()
-        kinds = registry.supported_kinds()
-        assert HypervisorKind.XEN in kinds
-        assert HypervisorKind.KVM in kinds
-
-    def test_unknown_kind_raises(self):
-        from repro.core.uisr.registry import ConverterRegistry
-
-        empty = ConverterRegistry()
-        with pytest.raises(UISRError):
-            empty.to_uisr(HypervisorKind.XEN)
-        with pytest.raises(UISRError):
-            empty.from_uisr(HypervisorKind.KVM)
-
-    def test_registration_roundtrip(self):
-        from repro.core.uisr.registry import ConverterRegistry
-
-        registry = ConverterRegistry()
-        to_fn = lambda *a, **k: None
-        from_fn = lambda *a, **k: None
-        registry.register(HypervisorKind.XEN, to_fn, from_fn)
-        assert registry.to_uisr(HypervisorKind.XEN) is to_fn
-        assert registry.from_uisr(HypervisorKind.XEN) is from_fn

@@ -1,8 +1,8 @@
-"""Round-trip regression over every registered converter pair.
+"""Round-trip regression over the whole repertoire.
 
-For each ordered pair (A, B) of hypervisors in the default registry, a
-synthetic VM's state travels A -> UISR -> B -> UISR -> A and must come back
-field-for-field identical — vCPU architectural state, MTRR, PIT and XSAVE
+For each ordered pair (A, B) of hypervisors, a synthetic VM's state
+travels A -> UISR -> B -> UISR -> A and must come back field-for-field
+identical — vCPU architectural state, MTRR, PIT and XSAVE
 exactly; the IOAPIC up to the smaller pin count (pins above it are dropped
 by the documented compat fixup).  This pins down §3.1's lossless-translation
 claim for the whole repertoire, not just the Xen/KVM pair the focused tests
@@ -19,8 +19,8 @@ from repro.guest.vm import VMConfig
 from repro.hw.machine import M1_SPEC, Machine
 from repro.hypervisors import HYPERVISOR_CLASSES, make_hypervisor
 from repro.hypervisors.base import HypervisorKind
+from repro.core.convert import from_uisr, to_uisr
 from repro.core.uisr.format import UISR_VERSION, UISRDeviceState
-from repro.core.uisr.registry import default_registry
 
 GIB = 1024 ** 3
 
@@ -37,7 +37,7 @@ def make_host(kind, name, vcpus=2, memory_gib=1.0, seed=7):
 
 
 def ordered_pairs():
-    kinds = default_registry().supported_kinds()
+    kinds = sorted(HypervisorKind, key=lambda kind: kind.value)
     return [(a, b) for a in kinds for b in kinds if a is not b]
 
 
@@ -59,19 +59,18 @@ def vm_view(domain):
 )
 class TestEveryPairRoundTrips:
     def test_state_survives_round_trip(self, source_kind, via_kind):
-        registry = default_registry()
         source, source_domain = make_host(source_kind, "src")
         original = vm_view(source_domain)
         original_pins = (source_domain.vm.platform.ioapic
                          .redirection_view())
 
-        uisr_out = registry.to_uisr(source_kind)(source, source_domain)
+        uisr_out = to_uisr(source, source_domain)
         via, via_domain = make_host(via_kind, "via")
-        registry.from_uisr(via_kind)(via, via_domain, uisr_out)
+        from_uisr(via, via_domain, uisr_out)
 
-        uisr_back = registry.to_uisr(via_kind)(via, via_domain)
+        uisr_back = to_uisr(via, via_domain)
         dest, dest_domain = make_host(source_kind, "dst")
-        registry.from_uisr(source_kind)(dest, dest_domain, uisr_back)
+        from_uisr(dest, dest_domain, uisr_back)
 
         assert vm_view(dest_domain) == original
         surviving = min(HYPERVISOR_CLASSES[source_kind].ioapic_pins,
@@ -80,36 +79,33 @@ class TestEveryPairRoundTrips:
         assert final_pins[:surviving] == original_pins[:surviving]
 
     def test_provenance_recorded_on_restore(self, source_kind, via_kind):
-        registry = default_registry()
         source, source_domain = make_host(source_kind, "src")
         assert source_domain.provenance is None  # native creation
 
-        uisr = registry.to_uisr(source_kind)(source, source_domain)
+        uisr = to_uisr(source, source_domain)
         via, via_domain = make_host(via_kind, "via")
-        registry.from_uisr(via_kind)(via, via_domain, uisr)
+        from_uisr(via, via_domain, uisr)
         assert via_domain.provenance == (source_kind.value, UISR_VERSION)
 
-        uisr_back = registry.to_uisr(via_kind)(via, via_domain)
+        uisr_back = to_uisr(via, via_domain)
         dest, dest_domain = make_host(source_kind, "dst")
-        registry.from_uisr(source_kind)(dest, dest_domain, uisr_back)
+        from_uisr(dest, dest_domain, uisr_back)
         assert dest_domain.provenance == (via_kind.value, UISR_VERSION)
 
 
 class TestRestoreTargetVerification:
     def test_memory_size_mismatch_rejected(self):
-        registry = default_registry()
         source, source_domain = make_host(HypervisorKind.XEN, "src",
                                           memory_gib=1.0)
-        uisr = registry.to_uisr(HypervisorKind.XEN)(source, source_domain)
+        uisr = to_uisr(source, source_domain)
         dest, dest_domain = make_host(HypervisorKind.KVM, "dst",
                                       memory_gib=2.0)
         with pytest.raises(UISRError, match="memory size"):
-            registry.from_uisr(HypervisorKind.KVM)(dest, dest_domain, uisr)
+            from_uisr(dest, dest_domain, uisr)
 
     def test_unknown_device_strategy_rejected(self):
-        registry = default_registry()
         source, source_domain = make_host(HypervisorKind.XEN, "src")
-        uisr = registry.to_uisr(HypervisorKind.XEN)(source, source_domain)
+        uisr = to_uisr(source, source_domain)
         bad = dataclasses.replace(
             uisr,
             devices=[UISRDeviceState(name="net0", device_class="net",
@@ -117,31 +113,27 @@ class TestRestoreTargetVerification:
         )
         dest, dest_domain = make_host(HypervisorKind.KVM, "dst")
         with pytest.raises(UISRError, match="unknown transplant strategy"):
-            registry.from_uisr(HypervisorKind.KVM)(dest, dest_domain, bad)
+            from_uisr(dest, dest_domain, bad)
 
     def test_device_without_attached_driver_rejected(self):
-        registry = default_registry()
         source, source_domain = make_host(HypervisorKind.XEN, "src")
         source_domain.vm.attach_device(NetworkDriver("net0"))
-        uisr = registry.to_uisr(HypervisorKind.XEN)(source, source_domain)
+        uisr = to_uisr(source, source_domain)
         assert [d.name for d in uisr.devices] == ["net0"]
         # The destination VM never had net0 attached.
         dest, dest_domain = make_host(HypervisorKind.KVM, "dst")
         with pytest.raises(UISRError, match="no [\\s\\S]*attached driver"):
-            registry.from_uisr(HypervisorKind.KVM)(dest, dest_domain, uisr)
+            from_uisr(dest, dest_domain, uisr)
 
     def test_device_records_travel_and_verify(self):
-        registry = default_registry()
         source, source_domain = make_host(HypervisorKind.XEN, "src")
         driver = NetworkDriver("net0")
         source_domain.vm.attach_device(driver)
-        uisr = registry.to_uisr(HypervisorKind.XEN)(source, source_domain)
+        uisr = to_uisr(source, source_domain)
         assert uisr.devices[0].strategy == "unplug-rescan"
 
         dest, dest_domain = make_host(HypervisorKind.KVM, "dst")
         dest_domain.vm.attach_device(NetworkDriver("net0"))
-        restored = registry.from_uisr(HypervisorKind.KVM)(
-            dest, dest_domain, uisr
-        )
+        restored = from_uisr(dest, dest_domain, uisr)
         assert restored is dest_domain
         assert restored.provenance == ("xen", UISR_VERSION)
