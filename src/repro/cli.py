@@ -238,7 +238,9 @@ def cmd_inplace(args) -> int:
         print(f"inplace: need >= 1 VM, got {args.vms}", file=sys.stderr)
         return 2
 
-    machine = Machine(args.machine)
+    # Named after its spec, so the trace does not depend on how many
+    # machines the process built before.
+    machine = Machine(args.machine, name=args.machine.name)
     hypervisor = make_hypervisor(args.source)
     hypervisor.boot(machine)
     opts = OptimizationConfig(

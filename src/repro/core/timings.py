@@ -14,8 +14,9 @@ Structural drivers, not magic numbers, produce the shapes:
   and VM count (Fig. 7b/7c);
 * parallel makespans over the machine's worker threads make M1 (4 cores)
   degrade faster than M2 (28 cores) as VM count grows (Fig. 7c vs 7f);
-* ``boot_kernel_count`` (Xen=2, KVM=1) and per-CPU boot work make the
-  KVM->Xen direction slow (Fig. 10);
+* Xen's boot base covers two kernels (the hypervisor core and dom0)
+  against one for KVM and NOVA, and with its per-CPU boot work it makes
+  the KVM->Xen direction slow (Fig. 10);
 * sequential early-boot PRAM parsing makes Reboot creep up with total
   entries (Fig. 7b).
 """

@@ -11,18 +11,14 @@ from typing import Dict, List, Tuple
 from repro.errors import HypervisorError
 from repro.guest.devices import PlatformState
 from repro.guest.vcpu import VCPUState
-from repro.guest.vm import VirtualMachine
 from repro.hypervisors.base import (
     Domain,
     Hypervisor,
     HypervisorKind,
     HypervisorType,
-    NestedPageTable,
 )
 from repro.hypervisors.kvm import formats
 from repro.hypervisors.kvm.kvmtool import KvmtoolVMM
-from repro.hypervisors.kvm.npt import build_ept
-from repro.hypervisors.kvm.scheduler import CFSScheduler
 
 
 class KVMHypervisor(Hypervisor):
@@ -31,27 +27,20 @@ class KVMHypervisor(Hypervisor):
     kind = HypervisorKind.KVM
     hv_type = HypervisorType.TYPE_2
     ioapic_pins = formats.KVM_IOAPIC_PINS
+    # KVM's EPT keeps an 8 B entry and an 8 B host-side rmap slot per
+    # mapped page, lighter than Xen's p2m.
+    npt_policy = "kvm-ept"
+    npt_bytes_per_page = 16
+    npt_root_pages = 2
+    # vCPUs are host threads on CFS runqueues.
+    scheduler_name = "cfs"
+    vcpu_placement = (7, 1)
     # Host Linux working set + kvm module (HV State).
     hv_state_bytes = 80 << 20
 
-    #: number of kernels the micro-reboot path must start (just Linux)
-    boot_kernel_count = 1
-
     def __init__(self):
         super().__init__()
-        self.scheduler = CFSScheduler(cpus=1)
         self.vmms: Dict[int, KvmtoolVMM] = {}
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def boot(self, machine) -> None:
-        super().boot(machine)
-        self.scheduler = CFSScheduler(cpus=machine.spec.threads)
-
-    # -- NPT -----------------------------------------------------------------
-
-    def build_npt(self, vm: VirtualMachine) -> NestedPageTable:
-        return build_ept(vm)
 
     # -- platform state (via kvmtool) -----------------------------------------
 
@@ -87,19 +76,10 @@ class KVMHypervisor(Hypervisor):
         # kvmtool mmaps the PRAM-described memory and hands it to KVM.
         self.vmm_for(domain.domid).mmap_guest_memory(gfn_to_mfn)
 
-    # -- VM management state ----------------------------------------------------
+    # -- one kvmtool VMM per domain ---------------------------------------------
 
     def _on_domain_added(self, domain: Domain) -> None:
-        self.scheduler.add_domain(domain.domid, domain.vm.config.vcpus)
         self.vmms[domain.domid] = KvmtoolVMM(self, domain)
 
     def _on_domain_removed(self, domain: Domain) -> None:
-        self.scheduler.remove_domain(domain.domid)
         self.vmms.pop(domain.domid, None)
-
-    def rebuild_management_state(self) -> None:
-        """Reconstruct CFS runqueues from VM_i states (post-transplant)."""
-        self.scheduler.rebuild(self.domains.values())
-
-    def scheduler_report(self) -> Dict[str, object]:
-        return self.scheduler.report()

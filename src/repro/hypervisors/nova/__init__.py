@@ -10,7 +10,8 @@ microhypervisor architectures (NOVA [48] in the paper's related work):
   bundle;
 * a 32-pin IOAPIC model (between KVM's 24 and Xen's 48), so conversions in
   *both* directions need the compat fixups;
-* a priority round-robin scheduler and a lean NPT policy.
+* a priority round-robin scheduler and a lean NPT policy, both declared
+  as class attributes and built by the base class.
 
 Its existence validates the UISR design claim: implementing its own state
 methods (``read_vm_state``/``write_vm_state``) makes every transplant

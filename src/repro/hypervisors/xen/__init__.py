@@ -4,10 +4,11 @@ Components mirror the real Xen stack the paper re-engineered:
 
 * :mod:`formats` — HVM-context typed save records (the ``xc_domain_hvm_get/
   setcontext`` blob format).
-* :mod:`npt` — p2m nested page table with Xen's management policy.
-* :mod:`scheduler` — credit-scheduler run queues (VM Management State).
+* :mod:`events` — event channels and grant tables (PV plumbing).
 * :mod:`toolstack` — libxenctrl/libxl-style control surface.
-* :mod:`hypervisor` — the hypervisor itself (hypervisor kernel + dom0).
+* :mod:`hypervisor` — the hypervisor itself (hypervisor kernel + dom0),
+  declaring its p2m NPT policy and credit-scheduler placement, which the
+  base class builds.
 
 Xen's live-migration behaviour (sequential receive side) is modeled in
 :mod:`repro.core.migration`, which both baselines share.

@@ -11,18 +11,14 @@ from typing import Dict, List, Tuple
 
 from repro.guest.devices import XEN_IOAPIC_PINS, PlatformState
 from repro.guest.vcpu import VCPUState
-from repro.guest.vm import VirtualMachine
 from repro.hypervisors.base import (
     Domain,
     Hypervisor,
     HypervisorKind,
     HypervisorType,
-    NestedPageTable,
 )
 from repro.hypervisors.xen import formats
 from repro.hypervisors.xen.events import EventChannelTable, GrantTable
-from repro.hypervisors.xen.npt import build_p2m
-from repro.hypervisors.xen.scheduler import CreditScheduler
 from repro.hypervisors.xen.toolstack import XenToolstack
 
 # Standard VIRQ numbers (subset).
@@ -36,15 +32,18 @@ class XenHypervisor(Hypervisor):
     kind = HypervisorKind.XEN
     hv_type = HypervisorType.TYPE_1
     ioapic_pins = XEN_IOAPIC_PINS
+    # Xen's p2m keeps, per mapped page, an 8 B PTE, an 8 B m2p reverse
+    # entry and type/accounting tags (its PV heritage).
+    npt_policy = "xen-p2m"
+    npt_bytes_per_page = 24
+    npt_root_pages = 4
+    scheduler_name = "credit"
+    vcpu_placement = (1, 1)
     # Xen hypervisor heap + dom0 kernel working set (HV State).
     hv_state_bytes = 96 << 20
 
-    #: number of kernels the micro-reboot path must start (Xen + dom0)
-    boot_kernel_count = 2
-
     def __init__(self):
         super().__init__()
-        self.scheduler = CreditScheduler(pcpus=1)
         self.toolstack = XenToolstack(self)
         self.dom0_online = False
         # PV plumbing: event channels (host-wide) and per-domain grant
@@ -57,17 +56,11 @@ class XenHypervisor(Hypervisor):
 
     def boot(self, machine) -> None:
         super().boot(machine)
-        self.scheduler = CreditScheduler(pcpus=machine.spec.threads)
         self.dom0_online = True
 
     def shutdown(self) -> None:
         self.dom0_online = False
         super().shutdown()
-
-    # -- NPT -----------------------------------------------------------------
-
-    def build_npt(self, vm: VirtualMachine) -> NestedPageTable:
-        return build_p2m(vm)
 
     # -- platform state --------------------------------------------------------
 
@@ -94,10 +87,9 @@ class XenHypervisor(Hypervisor):
         blob = formats.encode_hvm_context(vcpus, platform)
         self.toolstack.xc_domain_hvm_setcontext(domain.domid, blob)
 
-    # -- VM management state -----------------------------------------------------
+    # -- PV plumbing -------------------------------------------------------------
 
     def _on_domain_added(self, domain: Domain) -> None:
-        self.scheduler.add_domain(domain.domid, domain.vm.config.vcpus)
         # Every HVM guest gets the standard PV plumbing: a xenstore and a
         # console channel toward dom0 (domid 0), a timer VIRQ, and a grant
         # table its PV drivers will populate.
@@ -107,7 +99,6 @@ class XenHypervisor(Hypervisor):
         self.grant_tables[domain.domid] = GrantTable(domain.domid)
 
     def _on_domain_removed(self, domain: Domain) -> None:
-        self.scheduler.remove_domain(domain.domid)
         # PV teardown: backends unmap whatever they still hold, grants are
         # revoked, channels closed.  The guest's PV frontends re-create
         # their transport on the target hypervisor (unplug/rescan, §4.2.3).
@@ -116,10 +107,3 @@ class XenHypervisor(Hypervisor):
             table.force_unmap_all()
             table.revoke_all()
         self.event_channels.close_domain(domain.domid)
-
-    def rebuild_management_state(self) -> None:
-        """Reconstruct scheduler queues from VM_i states (post-transplant)."""
-        self.scheduler.rebuild(self.domains.values())
-
-    def scheduler_report(self) -> Dict[str, object]:
-        return self.scheduler.report()

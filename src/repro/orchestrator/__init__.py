@@ -4,9 +4,10 @@ The paper argues HyperTP does not burden sysadmins because clouds drive
 hypervisors through generic libraries (libvirt) and an orchestrator (Nova),
 never vendor tools directly.  This package implements that integration:
 
-* :mod:`libvirt` — a libvirt-like façade over both hypervisors (the G2 path).
+* :mod:`libvirt` — a libvirt-like façade over every hypervisor (the G2 path).
 * :mod:`compute_driver` — Nova's ComputeDriver interface extended with the
-  HyperTP operations (guest state save, kernel load+exec, state restore).
+  one HyperTP operation, ``hypertp_host_upgrade`` (evacuate, save guest
+  state, kexec, restore).
 * :mod:`nova` — the compute manager with the new ``host_live_upgrade`` API
   and its database of host/hypervisor assignments.
 * :mod:`scheduler_filters` — HyperTP-aware placement filters.

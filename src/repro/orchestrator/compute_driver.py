@@ -16,7 +16,7 @@ driver would implement the same interface.
 """
 
 import abc
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import OrchestratorError
 from repro.hw.machine import Machine
@@ -28,21 +28,7 @@ from repro.orchestrator.libvirt import LibvirtConnection
 
 
 class ComputeDriver(abc.ABC):
-    """The subset of Nova's driver interface HyperTP touches."""
-
-    @abc.abstractmethod
-    def list_instances(self) -> List[str]:
-        ...
-
-    @abc.abstractmethod
-    def suspend(self, instance: str, now: float) -> None:
-        ...
-
-    @abc.abstractmethod
-    def resume(self, instance: str, now: float) -> None:
-        ...
-
-    # -- HyperTP extension --
+    """The operation HyperTP adds to Nova's driver interface."""
 
     @abc.abstractmethod
     def hypertp_host_upgrade(self, target: HypervisorKind, clock: SimClock,
@@ -64,15 +50,6 @@ class LibvirtComputeDriver(ComputeDriver):
     @property
     def hypervisor_kind(self) -> HypervisorKind:
         return self.connection.hypervisor.kind
-
-    def list_instances(self) -> List[str]:
-        return self.connection.list_domains()
-
-    def suspend(self, instance: str, now: float) -> None:
-        self.connection.lookup(instance).suspend(now)
-
-    def resume(self, instance: str, now: float) -> None:
-        self.connection.lookup(instance).resume(now)
 
     def hypertp_host_upgrade(self, target: HypervisorKind, clock: SimClock,
                              evacuation: Optional["ComputeDriver"] = None

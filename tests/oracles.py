@@ -35,7 +35,14 @@ agree with, kept verbatim for differential tests:
   pairs (``to_uisr_xen``/``from_uisr_xen``, ``to_uisr_kvm``/
   ``from_uisr_kvm``, ``to_uisr_nova``/``from_uisr_nova``), each calling
   its hypervisor's native entry points by hand, which the one
-  ``repro.core.convert`` pair must translate identically.
+  ``repro.core.convert`` pair must translate identically;
+* :data:`FORMER_SKELETONS` — each hypervisor's former hand-written NPT
+  class (:class:`XenP2M`, :class:`KVMEpt`, :class:`NovaNPT`), scheduler
+  class (:class:`CreditScheduler`, :class:`CFSScheduler`,
+  :class:`PriorityRoundRobin`) and per-domain ``_vmi_fixed_overhead``,
+  and :func:`memory_report_former`, which the NPTs, run queues and
+  memory report the ``Hypervisor`` base class builds from each
+  hypervisor's declared policy must equal.
 
 Test-only: nothing outside ``tests/`` imports this module.
 """
@@ -45,7 +52,7 @@ import heapq
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Callable,
     Deque,
@@ -108,8 +115,15 @@ from repro.errors import (
 )
 from repro.fleet.controller import _HostPlan
 from repro.fleet.state import HostState
-from repro.hw.memory import PAGE_2M
-from repro.hypervisors.base import Domain, Hypervisor, HypervisorKind
+from repro.guest.vm import VirtualMachine
+from repro.hw.memory import PAGE_2M, PAGE_4K
+from repro.hypervisors.base import (
+    Domain,
+    Hypervisor,
+    HypervisorKind,
+    MemoryReport,
+    NestedPageTable,
+)
 from repro.hypervisors.kvm import formats as kvm_formats
 from repro.hypervisors.kvm.hypervisor import KVMHypervisor
 from repro.hypervisors.nova import formats as nova_formats
@@ -1295,3 +1309,324 @@ FORMER_CONVERTERS = {
     HypervisorKind.KVM: (to_uisr_kvm, from_uisr_kvm),
     HypervisorKind.NOVA: (to_uisr_nova, from_uisr_nova),
 }
+
+
+# -- the former per-hypervisor NPT and scheduler classes -------------------
+#
+# Verbatim from hypervisors/xen/npt.py, hypervisors/kvm/npt.py,
+# hypervisors/xen/scheduler.py, hypervisors/kvm/scheduler.py and
+# hypervisors/nova/hypervisor.py, before each hypervisor only declared
+# its policy.
+
+# Bytes of p2m/m2p metadata per mapped guest page (8 B PTE + 8 B m2p entry
+# + type/accounting tags).
+_P2M_BYTES_PER_ENTRY = 24
+_P2M_ROOT_OVERHEAD = 4 * PAGE_4K
+
+XEN_NPT_POLICY = "xen-p2m"
+
+
+class XenP2M(NestedPageTable):
+    """Concrete NPT with Xen's p2m policy and an m2p reverse map."""
+
+    def __init__(self, gfn_to_mfn: Dict[int, int], page_size: int):
+        metadata = _P2M_ROOT_OVERHEAD + _P2M_BYTES_PER_ENTRY * len(gfn_to_mfn)
+        super().__init__(
+            gfn_to_mfn=gfn_to_mfn,
+            page_size=page_size,
+            policy_tag=XEN_NPT_POLICY,
+            metadata_bytes=metadata,
+        )
+        self.m2p = {mfn: gfn for gfn, mfn in gfn_to_mfn.items()}
+
+    def reverse_lookup(self, mfn: int) -> int:
+        return self.m2p[mfn]
+
+
+def build_p2m(vm: VirtualMachine) -> XenP2M:
+    """Construct the p2m for a VM from its guest image mapping."""
+    return XenP2M(dict(vm.image.mappings()), vm.image.page_size)
+
+
+# 8 B EPT entry + 8 B rmap slot per mapped guest page.
+_EPT_BYTES_PER_ENTRY = 16
+_EPT_ROOT_OVERHEAD = 2 * PAGE_4K
+
+KVM_NPT_POLICY = "kvm-ept"
+
+
+class KVMEpt(NestedPageTable):
+    """Concrete NPT with KVM's EPT/shadow-MMU policy."""
+
+    def __init__(self, gfn_to_mfn: Dict[int, int], page_size: int):
+        metadata = _EPT_ROOT_OVERHEAD + _EPT_BYTES_PER_ENTRY * len(gfn_to_mfn)
+        super().__init__(
+            gfn_to_mfn=gfn_to_mfn,
+            page_size=page_size,
+            policy_tag=KVM_NPT_POLICY,
+            metadata_bytes=metadata,
+        )
+        # Host-side reverse-map slots (rebuilt lazily on faults in real KVM).
+        self.rmap_slots = len(gfn_to_mfn)
+
+
+def build_ept(vm: VirtualMachine) -> KVMEpt:
+    """Construct the EPT for a VM from its guest image mapping."""
+    return KVMEpt(dict(vm.image.mappings()), vm.image.page_size)
+
+
+NOVA_NPT_POLICY = "nova-npt"
+
+# 8 B hardware entry + 4 B capability-range tag per mapping.
+_NOVA_BYTES_PER_ENTRY = 12
+_NOVA_ROOT_OVERHEAD = PAGE_4K
+
+
+class NovaNPT(NestedPageTable):
+    """NPT with NOVA's capability-range policy."""
+
+    def __init__(self, gfn_to_mfn: Dict[int, int], page_size: int):
+        metadata = _NOVA_ROOT_OVERHEAD + _NOVA_BYTES_PER_ENTRY * len(gfn_to_mfn)
+        super().__init__(
+            gfn_to_mfn=gfn_to_mfn,
+            page_size=page_size,
+            policy_tag=NOVA_NPT_POLICY,
+            metadata_bytes=metadata,
+        )
+
+
+DEFAULT_WEIGHT = 256
+DEFAULT_CAP = 0  # uncapped
+
+
+@dataclass
+class CreditVCPU:
+    """Per-vCPU credit accounting entry."""
+
+    domid: int
+    vcpu_index: int
+    credit: int = 300
+    weight: int = DEFAULT_WEIGHT
+    cap: int = DEFAULT_CAP
+
+
+@dataclass
+class CreditRunqueue:
+    """One physical CPU's run queue."""
+
+    pcpu: int
+    entries: List[CreditVCPU] = field(default_factory=list)
+
+
+class CreditScheduler:
+    """Credit-scheduler queues over a machine's physical CPUs."""
+
+    def __init__(self, pcpus: int):
+        self.pcpus = max(1, pcpus)
+        self.runqueues: List[CreditRunqueue] = [
+            CreditRunqueue(p) for p in range(self.pcpus)
+        ]
+        self._weights: Dict[int, int] = {}
+
+    def add_domain(self, domid: int, vcpus: int,
+                   weight: int = DEFAULT_WEIGHT) -> None:
+        self._weights[domid] = weight
+        for index in range(vcpus):
+            queue = self.runqueues[(domid + index) % self.pcpus]
+            queue.entries.append(
+                CreditVCPU(domid=domid, vcpu_index=index, weight=weight)
+            )
+
+    def remove_domain(self, domid: int) -> None:
+        self._weights.pop(domid, None)
+        for queue in self.runqueues:
+            queue.entries = [e for e in queue.entries if e.domid != domid]
+
+    def rebuild(self, domains) -> None:
+        """Reconstruct all queues from scratch (post-transplant path)."""
+        weights = dict(self._weights)
+        self.runqueues = [CreditRunqueue(p) for p in range(self.pcpus)]
+        self._weights = {}
+        for domain in domains:
+            self.add_domain(
+                domain.domid,
+                domain.vm.config.vcpus,
+                weight=weights.get(domain.domid, DEFAULT_WEIGHT),
+            )
+
+    def queued_vcpus(self) -> int:
+        return sum(len(q.entries) for q in self.runqueues)
+
+    def report(self) -> Dict[str, object]:
+        return {
+            "scheduler": "credit",
+            "pcpus": self.pcpus,
+            "queued_vcpus": self.queued_vcpus(),
+            "domains": sorted(self._weights),
+        }
+
+
+DEFAULT_NICE = 0
+
+
+@dataclass
+class CFSTask:
+    """One vCPU thread's runqueue entry."""
+
+    domid: int
+    vcpu_index: int
+    vruntime: float = 0.0
+    nice: int = DEFAULT_NICE
+
+
+@dataclass
+class CFSRunqueue:
+    """One host CPU's CFS runqueue (sorted by vruntime on demand)."""
+
+    cpu: int
+    tasks: List[CFSTask] = field(default_factory=list)
+
+
+class CFSScheduler:
+    """CFS runqueues over the host's CPUs."""
+
+    def __init__(self, cpus: int):
+        self.cpus = max(1, cpus)
+        self.runqueues: List[CFSRunqueue] = [CFSRunqueue(c) for c in range(self.cpus)]
+        self._nice: Dict[int, int] = {}
+
+    def add_domain(self, domid: int, vcpus: int, nice: int = DEFAULT_NICE) -> None:
+        self._nice[domid] = nice
+        for index in range(vcpus):
+            queue = self.runqueues[(domid * 7 + index) % self.cpus]
+            queue.tasks.append(CFSTask(domid=domid, vcpu_index=index, nice=nice))
+
+    def remove_domain(self, domid: int) -> None:
+        self._nice.pop(domid, None)
+        for queue in self.runqueues:
+            queue.tasks = [t for t in queue.tasks if t.domid != domid]
+
+    def rebuild(self, domains) -> None:
+        """Reconstruct all runqueues from the domain list (post-transplant)."""
+        nice = dict(self._nice)
+        self.runqueues = [CFSRunqueue(c) for c in range(self.cpus)]
+        self._nice = {}
+        for domain in domains:
+            self.add_domain(
+                domain.domid,
+                domain.vm.config.vcpus,
+                nice=nice.get(domain.domid, DEFAULT_NICE),
+            )
+
+    def queued_vcpus(self) -> int:
+        return sum(len(q.tasks) for q in self.runqueues)
+
+    def report(self) -> Dict[str, object]:
+        return {
+            "scheduler": "cfs",
+            "cpus": self.cpus,
+            "queued_vcpus": self.queued_vcpus(),
+            "domains": sorted(self._nice),
+        }
+
+
+@dataclass
+class RRQueueEntry:
+    """One scheduling context in the round-robin queue."""
+
+    domid: int
+    vcpu_index: int
+    priority: int = 1
+
+
+class PriorityRoundRobin:
+    """NOVA's fixed-priority round-robin scheduler (VM Management State)."""
+
+    def __init__(self, cpus: int):
+        self.cpus = max(1, cpus)
+        self.queues: List[List[RRQueueEntry]] = [[] for _ in range(self.cpus)]
+        self._priorities: Dict[int, int] = {}
+
+    def add_domain(self, domid: int, vcpus: int, priority: int = 1) -> None:
+        self._priorities[domid] = priority
+        for index in range(vcpus):
+            queue = self.queues[(domid + 3 * index) % self.cpus]
+            queue.append(RRQueueEntry(domid=domid, vcpu_index=index,
+                                      priority=priority))
+
+    def remove_domain(self, domid: int) -> None:
+        self._priorities.pop(domid, None)
+        for i, queue in enumerate(self.queues):
+            self.queues[i] = [e for e in queue if e.domid != domid]
+
+    def rebuild(self, domains) -> None:
+        priorities = dict(self._priorities)
+        self.queues = [[] for _ in range(self.cpus)]
+        self._priorities = {}
+        for domain in domains:
+            self.add_domain(domain.domid, domain.vm.config.vcpus,
+                            priority=priorities.get(domain.domid, 1))
+
+    def queued_vcpus(self) -> int:
+        return sum(len(q) for q in self.queues)
+
+    def report(self) -> Dict[str, object]:
+        return {
+            "scheduler": "priority-rr",
+            "cpus": self.cpus,
+            "queued_vcpus": self.queued_vcpus(),
+            "domains": sorted(self._priorities),
+        }
+
+
+@dataclass(frozen=True)
+class FormerSkeleton:
+    """What one hypervisor class used to build by hand."""
+
+    build_npt: Callable[[VirtualMachine], NestedPageTable]
+    scheduler: Callable[[int], object]  # CPU count -> empty scheduler
+    vmi_fixed_overhead: int  # the former ``_vmi_fixed_overhead()``
+
+
+FORMER_SKELETONS = {
+    HypervisorKind.XEN: FormerSkeleton(
+        build_p2m, lambda cpus: CreditScheduler(pcpus=cpus), 16 << 10),
+    HypervisorKind.KVM: FormerSkeleton(
+        build_ept, lambda cpus: CFSScheduler(cpus=cpus), 16 << 10),
+    HypervisorKind.NOVA: FormerSkeleton(
+        lambda vm: NovaNPT(dict(vm.image.mappings()), vm.image.page_size),
+        lambda cpus: PriorityRoundRobin(cpus=cpus), 48 << 10),
+}
+
+
+def former_queue_contents(scheduler) -> List[List[Tuple[int, int]]]:
+    """A former scheduler's per-CPU queues as ``(domid, vcpu)`` lists."""
+    if isinstance(scheduler, PriorityRoundRobin):
+        return [[(e.domid, e.vcpu_index) for e in queue]
+                for queue in scheduler.queues]
+    if isinstance(scheduler, CreditScheduler):
+        return [[(e.domid, e.vcpu_index) for e in queue.entries]
+                for queue in scheduler.runqueues]
+    return [[(t.domid, t.vcpu_index) for t in queue.tasks]
+            for queue in scheduler.runqueues]
+
+
+def memory_report_former(hypervisor: Hypervisor) -> MemoryReport:
+    """The former ``Hypervisor.memory_report``, with each domain's NPT
+    built by its hypervisor's former NPT class and the former per-domain
+    ``_vmi_fixed_overhead()``."""
+    former = FORMER_SKELETONS[hypervisor.kind]
+    guest = sum(d.vm.image.size_bytes for d in hypervisor.domains.values())
+    vmi = sum(
+        former.build_npt(d.vm).metadata_bytes
+        + len(d.native_state_blob or b"")
+        + former.vmi_fixed_overhead
+        for d in hypervisor.domains.values()
+    )
+    mgmt = 4096 + 512 * len(hypervisor.domains)
+    return MemoryReport(
+        guest_state=guest,
+        vmi_state=vmi,
+        management_state=mgmt,
+        hv_state=hypervisor.hv_state_bytes,
+    )

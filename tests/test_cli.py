@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
-from repro.hw.machine import Machine
+from repro.hw.machine import M1_SPEC, Machine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -361,11 +361,8 @@ def dataplane_runs():
 @pytest.mark.parametrize("name,argv", dataplane_runs())
 def test_dataplane_matches_goldens(name, argv, tmp_path, monkeypatch, capsys):
     """stdout and trace are byte-identical to ``goldens/dataplane``,
-    recorded before the per-hypervisor UISR converters became one pair."""
+    whichever tests ran before in this process."""
     monkeypatch.chdir(tmp_path)
-    # The trace names the machine "M1-<n>" after the process's n-th
-    # Machine; the goldens come from fresh processes, where n is 1.
-    monkeypatch.setattr(Machine, "_ids", 0)
     assert main(argv) == 0
     stdout = capsys.readouterr().out
     assert stdout.encode() == (DATAPLANE_GOLDENS / f"{name}.txt").read_bytes()
@@ -374,6 +371,19 @@ def test_dataplane_matches_goldens(name, argv, tmp_path, monkeypatch, capsys):
     for trace in traces:
         assert ((tmp_path / trace).read_bytes()
                 == (DATAPLANE_GOLDENS / trace).read_bytes())
+
+
+def test_inplace_trace_does_not_depend_on_earlier_machines(tmp_path):
+    # The trace names the host after its machine spec, not after how many
+    # machines the process built before.
+    Machine(M1_SPEC)
+    traces = []
+    for run in range(2):
+        trace = tmp_path / f"run{run}.trace.json"
+        assert main(["inplace", "--trace", str(trace)]) == 0
+        traces.append(trace.read_bytes())
+    assert traces[0] == traces[1]
+    assert b'"name": "M1"' in traces[0]
 
 
 # -- documented command lines -------------------------------------------------

@@ -2,8 +2,8 @@
 
 The examples are the quickstart documentation; if one rots, a user's first
 contact with the library breaks.  Each runs as a subprocess (fresh
-interpreter, like a user would) and must exit 0 printing its headline
-result.
+interpreter, like a user would), must exit 0 printing its headline result,
+and must print exactly its golden, ``goldens/examples/<script>.txt``.
 """
 
 import subprocess
@@ -12,15 +12,18 @@ from pathlib import Path
 
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+GOLDENS_DIR = Path(__file__).resolve().parent / "goldens" / "examples"
 
 
 def run_example(name):
     result = subprocess.run(
         [sys.executable, str(EXAMPLES_DIR / name)],
-        capture_output=True, text=True, timeout=180,
+        capture_output=True, timeout=180,
     )
-    assert result.returncode == 0, result.stderr
-    return result.stdout
+    assert result.returncode == 0, result.stderr.decode()
+    golden = GOLDENS_DIR / f"{Path(name).stem}.txt"
+    assert result.stdout == golden.read_bytes()
+    return result.stdout.decode()
 
 
 class TestExamples:
@@ -76,3 +79,5 @@ class TestExamples:
             "fleet_emergency_response.py",
         }
         assert scripts == tested, f"untested examples: {scripts - tested}"
+        goldens = {p.stem for p in GOLDENS_DIR.glob("*.txt")}
+        assert goldens == {Path(name).stem for name in scripts}

@@ -1,17 +1,28 @@
 """Negative-path and contract tests for the generic hypervisor base."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import HypervisorError
 from repro.guest.vm import VMConfig
 from repro.hw.machine import M1_SPEC, Machine
+from repro.hw.memory import PAGE_2M, PAGE_4K
 from repro.hypervisors import (
     HYPERVISOR_CLASSES,
     KVMHypervisor,
+    NOVAHypervisor,
     XenHypervisor,
     make_hypervisor,
 )
 from repro.hypervisors.base import Hypervisor, HypervisorKind
+from tests.oracles import (
+    FORMER_SKELETONS,
+    former_queue_contents,
+    memory_report_former,
+)
 
 GIB = 1024 ** 3
 
@@ -105,15 +116,32 @@ class TestRegistryCompleteness:
         # these methods, so a hypervisor lacking them fails here rather
         # than mid-transplant.
         class NoStatePath(Hypervisor):
-            build_npt = XenHypervisor.build_npt
             save_platform_state = XenHypervisor.save_platform_state
             load_platform_state = XenHypervisor.load_platform_state
-            scheduler_report = XenHypervisor.scheduler_report
 
         assert NoStatePath.__abstractmethods__ == {"read_vm_state",
                                                    "write_vm_state"}
         with pytest.raises(TypeError, match="abstract"):
             NoStatePath()
+
+    def test_hypervisor_without_a_policy_cannot_be_instantiated(self):
+        # The base class builds the NPT and the run queues from these
+        # declarations, so leaving one out fails before any VM exists.
+        class NoSchedulerPolicy(Hypervisor):
+            kind = NOVAHypervisor.kind
+            hv_type = NOVAHypervisor.hv_type
+            ioapic_pins = NOVAHypervisor.ioapic_pins
+            npt_policy = NOVAHypervisor.npt_policy
+            npt_bytes_per_page = NOVAHypervisor.npt_bytes_per_page
+            npt_root_pages = NOVAHypervisor.npt_root_pages
+            save_platform_state = NOVAHypervisor.save_platform_state
+            load_platform_state = NOVAHypervisor.load_platform_state
+            read_vm_state = NOVAHypervisor.read_vm_state
+            write_vm_state = NOVAHypervisor.write_vm_state
+
+        with pytest.raises(TypeError, match="without declaring "
+                                            "scheduler_name, vcpu_placement"):
+            NoSchedulerPolicy()
 
     def test_every_kind_has_boot_model(self, m1):
         from repro.core.timings import DEFAULT_COST_MODEL
@@ -150,3 +178,90 @@ class TestMemoryReportContract:
         report = xen.memory_report()
         assert report.guest_state == 0
         assert report.hv_state > 0
+
+
+# -- the base class against the former per-hypervisor classes ---------------
+
+KINDS = st.sampled_from(list(HypervisorKind))
+
+
+def _former_report(scheduler):
+    report = scheduler.report()
+    if "pcpus" in report:  # the former credit scheduler's name for it
+        report["cpus"] = report.pop("pcpus")
+    return report
+
+
+def _assert_same_run_queues(hypervisor, former):
+    assert hypervisor.scheduler.queues == former_queue_contents(former)
+    assert hypervisor.scheduler_report() == _former_report(former)
+
+
+# (operation, argument): create a VM with that many vCPUs, destroy or
+# detach the domain at that index, or rebuild the queues.
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("create"), st.integers(1, 8)),
+    st.tuples(st.sampled_from(["destroy", "detach"]), st.integers(0, 63)),
+    st.tuples(st.just("rebuild"), st.just(0)),
+), max_size=24)
+
+
+@given(kind=KINDS, cpus=st.integers(1, 32), ops=_OPS)
+@settings(max_examples=150, deadline=None)
+def test_run_queues_match_former_schedulers(kind, cpus, ops):
+    """Run queues built from the declared placement hold the same
+    ``(domid, vcpu)`` entries, queue by queue, and report the same as the
+    former credit/CFS/priority-RR classes driven by the former hooks."""
+    former_scheduler = FORMER_SKELETONS[kind].scheduler
+    hypervisor = make_hypervisor(kind)
+    _assert_same_run_queues(hypervisor, former_scheduler(1))
+    hypervisor.boot(Machine(replace(M1_SPEC, cores=1, threads=cpus)))
+    former = former_scheduler(cpus)
+    for step, (op, arg) in enumerate(ops):
+        if op == "create":
+            domain = hypervisor.create_vm(VMConfig(
+                f"vm{step}", vcpus=arg, memory_bytes=PAGE_2M))
+            former.add_domain(domain.domid, arg)
+        elif op == "rebuild":
+            hypervisor.rebuild_management_state()
+            former.rebuild(hypervisor.domains.values())
+        elif hypervisor.domains:
+            domid = sorted(hypervisor.domains)[arg % len(hypervisor.domains)]
+            if op == "destroy":
+                hypervisor.destroy_domain(domid)
+            else:
+                hypervisor.detach_domain(domid)
+            former.remove_domain(domid)
+        _assert_same_run_queues(hypervisor, former)
+
+
+_VMS = st.lists(st.tuples(
+    st.integers(1, 4),                      # vCPUs
+    st.sampled_from([PAGE_4K, PAGE_2M]),    # page size
+    st.integers(1, 64),                     # pages
+    st.integers(0, 2 ** 16),                # seed
+    st.booleans(),                          # native state blob saved
+), min_size=1, max_size=6)
+
+
+@given(kind=KINDS, vms=_VMS)
+@settings(max_examples=100, deadline=None)
+def test_npts_and_memory_report_match_former_classes(kind, vms):
+    """Each VM's NPT built from the declared policy equals the former
+    p2m/EPT/NOVA class's, and the memory report equals the former one
+    with its per-hypervisor ``_vmi_fixed_overhead``."""
+    former = FORMER_SKELETONS[kind]
+    hypervisor = make_hypervisor(kind)
+    hypervisor.boot(Machine(M1_SPEC))
+    for index, (vcpus, page_size, pages, seed, saved) in enumerate(vms):
+        domain = hypervisor.create_vm(VMConfig(
+            f"vm{index}", vcpus=vcpus, memory_bytes=pages * page_size,
+            page_size=page_size, seed=seed))
+        if saved:
+            hypervisor.save_platform_state(domain)
+        npt, former_npt = domain.npt, former.build_npt(domain.vm)
+        assert (npt.policy_tag, npt.metadata_bytes, npt.page_size,
+                npt.gfn_to_mfn) == (
+            former_npt.policy_tag, former_npt.metadata_bytes,
+            former_npt.page_size, former_npt.gfn_to_mfn)
+    assert hypervisor.memory_report() == memory_report_former(hypervisor)

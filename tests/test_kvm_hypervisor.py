@@ -9,7 +9,6 @@ from repro.guest.vm import VMConfig
 from repro.hypervisors import KVMHypervisor
 from repro.hypervisors.base import HypervisorKind, HypervisorType
 from repro.hypervisors.kvm import formats
-from repro.hypervisors.kvm.npt import KVM_NPT_POLICY
 
 GIB = 1024 ** 3
 
@@ -82,13 +81,12 @@ class TestKVMHypervisor:
     def test_identity(self):
         assert KVMHypervisor.kind is HypervisorKind.KVM
         assert KVMHypervisor.hv_type is HypervisorType.TYPE_2
-        assert KVMHypervisor.boot_kernel_count == 1
 
     def test_create_vm_builds_ept_and_vmm(self, m1):
         kvm = KVMHypervisor()
         kvm.boot(m1)
         domain = kvm.create_vm(VMConfig("g", vcpus=1, memory_bytes=GIB))
-        assert domain.npt.policy_tag == KVM_NPT_POLICY
+        assert domain.npt.policy_tag == "kvm-ept"
         assert kvm.vmm_for(domain.domid).domain is domain
 
     def test_ept_lighter_than_p2m(self, m1, m2):

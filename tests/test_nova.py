@@ -10,7 +10,6 @@ from repro.hw.machine import M1_SPEC, Machine
 from repro.hypervisors import NOVAHypervisor, make_hypervisor
 from repro.hypervisors.base import HypervisorKind, HypervisorType
 from repro.hypervisors.nova import formats
-from repro.hypervisors.nova.hypervisor import NOVA_NPT_POLICY
 from repro.sim.clock import SimClock
 from repro.core.transplant import HyperTP
 
@@ -77,7 +76,6 @@ class TestNOVAHypervisor:
     def test_identity(self):
         assert NOVAHypervisor.kind is HypervisorKind.NOVA
         assert NOVAHypervisor.hv_type is HypervisorType.TYPE_1
-        assert NOVAHypervisor.boot_kernel_count == 1
         assert make_hypervisor(HypervisorKind.NOVA).kind is HypervisorKind.NOVA
 
     def test_smallest_hv_state(self):
@@ -89,7 +87,7 @@ class TestNOVAHypervisor:
     def test_npt_policy(self):
         machine = _nova_host()
         domain = next(iter(machine.hypervisor.domains.values()))
-        assert domain.npt.policy_tag == NOVA_NPT_POLICY
+        assert domain.npt.policy_tag == "nova-npt"
 
     def test_scheduler(self):
         machine = _nova_host(vm_count=2, vcpus=3)

@@ -3,15 +3,16 @@
 The memory-separation design hinges on scheduler queues being *derived*
 data: for any domain population, tearing the queues down and rebuilding
 them from the VM_i states must reproduce an equivalent scheduling state —
-for all three hypervisors' schedulers.
+under every hypervisor's declared vCPU placement.
 """
+
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hypervisors.kvm.scheduler import CFSScheduler
-from repro.hypervisors.nova.hypervisor import PriorityRoundRobin
-from repro.hypervisors.xen.scheduler import CreditScheduler
+from repro.hypervisors import HYPERVISOR_CLASSES
+from repro.hypervisors.base import RunQueues
 
 
 class FakeDomain:
@@ -37,9 +38,8 @@ populations = st.lists(
 )
 
 scheduler_factories = st.sampled_from([
-    lambda: CreditScheduler(pcpus=8),
-    lambda: CFSScheduler(cpus=8),
-    lambda: PriorityRoundRobin(cpus=8),
+    partial(RunQueues, cls.scheduler_name, 8, cls.vcpu_placement)
+    for cls in HYPERVISOR_CLASSES.values()
 ])
 
 
