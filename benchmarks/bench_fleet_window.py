@@ -211,6 +211,8 @@ def main():
     parser.add_argument("--json", dest="json_path", metavar="PATH",
                         default=str(DEFAULT_JSON_PATH))
     args = parser.parse_args()
+    if args.workers < 1:
+        parser.error(f"--workers must be >= 1, got {args.workers}")
 
     started = time.perf_counter()
     results, stats = run(smoke=args.smoke, workers=args.workers)

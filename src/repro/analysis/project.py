@@ -11,7 +11,7 @@ import ast
 import fnmatch
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -141,6 +141,39 @@ def dotted_name(node: ast.expr) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def _import_aliases(tree: ast.Module) -> Dict[str, str]:
+    """Local name -> fully-qualified dotted name, for imports."""
+    aliases: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for name in node.names:
+                aliases[name.asname or name.name.split(".")[0]] = name.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for name in node.names:
+                aliases[name.asname or name.name] = (
+                    f"{node.module}.{name.name}"
+                )
+    return aliases
+
+
+def resolved_calls(tree: ast.Module) -> Iterator[Tuple[ast.Call, str]]:
+    """Every call with a dotted callee, as ``(node, name)``, the name's
+    head resolved through the module's imports (``from time import sleep
+    as nap; nap()`` gives ``time.sleep``)."""
+    aliases = _import_aliases(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        dotted = dotted_name(node.func)
+        if dotted is None:
+            continue
+        head, _, tail = dotted.partition(".")
+        resolved = aliases.get(head)
+        if resolved is not None:
+            dotted = resolved + ("." + tail if tail else "")
+        yield node, dotted
 
 
 def attribute_reads(root: ast.AST, base_name: str) -> Dict[str, int]:

@@ -39,13 +39,13 @@ from repro.analysis.findings import Finding
 from repro.analysis.project import Project, SourceModule
 
 #: layers that own frame channels: the wire, PRAM and UISR documents
-#: (core/), plan blobs (cluster/) and the worker pipe (par/).
-FRAME_SCOPE = ("core/", "cluster/", "par/")
+#: (core/) and plan blobs (cluster/).
+FRAME_SCOPE = ("core/", "cluster/")
 
 WRITER_METHODS = frozenset({"frame", "_frame"})
 WRITER_FUNCTIONS = frozenset({"encode_frame"})
 READER_MARKERS = frozenset({"FrameReader"})
-READER_FUNCTIONS = frozenset({"decode_frame", "read_stream_frame"})
+READER_FUNCTIONS = frozenset({"decode_frame"})
 END_TAG_NAMES = frozenset({"END_FRAME"})
 
 

@@ -16,17 +16,17 @@ state-recovery code is prone to.
 """
 
 import ast
-from typing import Dict, Iterable, Set
+from typing import Iterable, Set
 
 from repro.analysis.engine import Rule, register_rule
 from repro.analysis.findings import Finding
-from repro.analysis.project import Project, SourceModule, dotted_name
+from repro.analysis.project import Project, SourceModule, resolved_calls
 
 #: layers that must run on simulated time (path prefixes); par/ is in
-#: scope with one audited exception, the repro.par.realtime boundary
-#: (pool deadlines and respawn backoff are real infrastructure).  The
-#: rest of the tree (analysis/, bench/, the CLI) never simulates; CI
-#: also lints benchmarks/, which times itself on purpose.
+#: scope too: the worker pool's deadline is an interval timer armed in
+#: the worker, never a clock read.  The rest of the tree (analysis/,
+#: bench/, the CLI) never simulates; CI also lints benchmarks/, which
+#: times itself on purpose.
 CLOCK_SCOPE = ("sim/", "core/", "hypervisors/", "fleet/", "obs/", "io/",
                "par/", "sentinel/", "cluster/", "workloads/", "guest/",
                "hw/", "devices/", "storage/", "orchestrator/", "vulndb/",
@@ -52,21 +52,6 @@ BROAD_EXCEPTIONS = frozenset({"Exception", "BaseException"})
 STATE_EXCEPTIONS = frozenset({"StateFormatError", "UISRError"})
 
 
-def _import_aliases(tree: ast.Module) -> Dict[str, str]:
-    """Local name -> fully-qualified dotted name, for imports."""
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for name in node.names:
-                aliases[name.asname or name.name.split(".")[0]] = name.name
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            for name in node.names:
-                aliases[name.asname or name.name] = (
-                    f"{node.module}.{name.name}"
-                )
-    return aliases
-
-
 @register_rule
 class SimClockHygieneRule(Rule):
     name = "sim-clock-hygiene"
@@ -82,17 +67,7 @@ class SimClockHygieneRule(Rule):
             yield from self._check_module(module)
 
     def _check_module(self, module: SourceModule) -> Iterable[Finding]:
-        aliases = _import_aliases(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = dotted_name(node.func)
-            if dotted is None:
-                continue
-            head, _, tail = dotted.partition(".")
-            resolved = aliases.get(head)
-            if resolved is not None:
-                dotted = resolved + ("." + tail if tail else "")
+        for node, dotted in resolved_calls(module.tree):
             if dotted in WALL_CLOCK_CALLS:
                 yield self.finding(
                     module.path, node.lineno,

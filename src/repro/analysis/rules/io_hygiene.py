@@ -8,13 +8,11 @@ layer; a stray ``struct.pack`` elsewhere is an unversioned, unchecksummed
 byte format waiting to corrupt a guest silently.
 """
 
-import ast
 from typing import Iterable
 
 from repro.analysis.engine import Rule, register_rule
 from repro.analysis.findings import Finding
-from repro.analysis.project import Project, SourceModule, dotted_name
-from repro.analysis.rules.hygiene import _import_aliases
+from repro.analysis.project import Project, SourceModule, resolved_calls
 
 #: the one layer allowed to use the struct module
 IO_SCOPE = ("io/",)
@@ -35,17 +33,7 @@ class IOFormatHygieneRule(Rule):
             yield from self._check_module(module)
 
     def _check_module(self, module: SourceModule) -> Iterable[Finding]:
-        aliases = _import_aliases(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = dotted_name(node.func)
-            if dotted is None:
-                continue
-            head, _, tail = dotted.partition(".")
-            resolved = aliases.get(head)
-            if resolved is not None:
-                dotted = resolved + ("." + tail if tail else "")
+        for node, dotted in resolved_calls(module.tree):
             if dotted == "struct" or dotted.startswith("struct."):
                 yield self.finding(
                     module.path, node.lineno,

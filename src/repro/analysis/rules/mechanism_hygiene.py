@@ -13,13 +13,11 @@ float-association and drifted apart by design.  A helper call outside
 the pipeline layer is a fourth cost path waiting to happen.
 """
 
-import ast
 from typing import Iterable
 
 from repro.analysis.engine import Rule, register_rule
 from repro.analysis.findings import Finding
-from repro.analysis.project import Project, SourceModule, dotted_name
-from repro.analysis.rules.hygiene import _import_aliases
+from repro.analysis.project import Project, SourceModule, resolved_calls
 
 #: the modules that implement (and are allowed to price) the mechanisms
 MECHANISM_SCOPE = (
@@ -57,17 +55,7 @@ class MechanismHygieneRule(Rule):
             yield from self._check_module(module)
 
     def _check_module(self, module: SourceModule) -> Iterable[Finding]:
-        aliases = _import_aliases(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = dotted_name(node.func)
-            if dotted is None:
-                continue
-            head, _, tail = dotted.partition(".")
-            resolved = aliases.get(head)
-            if resolved is not None:
-                dotted = resolved + ("." + tail if tail else "")
+        for node, dotted in resolved_calls(module.tree):
             helper = dotted.rsplit(".", 1)[-1]
             if helper in COST_HELPERS:
                 yield self.finding(

@@ -49,6 +49,29 @@ def _spec(value: str):
         ) from None
 
 
+def _write_outputs(command: str, outputs) -> bool:
+    """Write each ``(path, data)`` whose path is set, before the report
+    prints: text and bytes as they are, a document as sorted JSON.  A
+    path that cannot be written is an input error, one line and ``False``
+    (exit 2), not a traceback after the report."""
+    import json
+
+    for path, data in outputs:
+        if not path:
+            continue
+        if not isinstance(data, (str, bytes)):
+            data = json.dumps(data, indent=2, sort_keys=True)
+        mode = "wb" if isinstance(data, bytes) else "w"
+        try:
+            with open(path, mode) as handle:
+                handle.write(data)
+        except OSError as error:
+            print(f"{command}: cannot write {path}: "
+                  f"{error.strerror or error}", file=sys.stderr)
+            return False
+    return True
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypertp",
@@ -261,6 +284,12 @@ def cmd_inplace(args) -> int:
     except (FrameAllocationError, TransplantError, VMLifecycleError) as error:
         print(f"inplace: {error}", file=sys.stderr)
         return 2
+    if args.trace:
+        from repro.obs import trace_inplace
+
+        trace = trace_inplace(report).to_chrome_trace()
+        if not _write_outputs("inplace", [(args.trace, trace)]):
+            return 2
     print(f"InPlaceTP {report.source}->{report.target} on "
           f"{args.machine.name}: {report.vm_count} VMs x {args.vcpus} vCPU "
           f"x {args.memory_gib:g} GiB")
@@ -272,10 +301,6 @@ def cmd_inplace(args) -> int:
           f"UISR {report.uisr_bytes / 1024:.1f} KiB, guests intact: "
           f"{report.guest_digests_preserved}")
     if args.trace:
-        from repro.obs import trace_inplace
-
-        with open(args.trace, "w") as handle:
-            handle.write(trace_inplace(report).to_chrome_trace())
         print(f"  trace written to {args.trace} "
               f"(open in chrome://tracing or Perfetto)")
     return 0
@@ -384,6 +409,9 @@ def cmd_cluster(args) -> int:
     except (ClusterError, ValueError) as error:
         print(f"cluster: {error}", file=sys.stderr)
         return 2
+    blob = encode_plan(plan) if plan is not None else None
+    if not _write_outputs("cluster", [(args.export_plan, blob)]):
+        return 2
     gains = UpgradeCampaign.time_gains(results)
     print(f"Cluster upgrade sweep ({args.hosts} hosts x "
           f"{args.vms_per_host} VMs):")
@@ -391,18 +419,13 @@ def cmd_cluster(args) -> int:
         print(f"  {result.inplace_fraction:>5.0%}: "
               f"{result.migration_count:4d} migrations, "
               f"{result.total_minutes:6.1f} min, gain {gain:4.0%}")
-    if plan is not None:
-        blob = encode_plan(plan)
-        with open(args.export_plan, "wb") as handle:
-            handle.write(blob)
+    if blob is not None:
         print(f"plan ({args.export_fraction:.0%} in-place) -> "
               f"{args.export_plan} ({len(blob)} bytes)")
     return 0
 
 
 def cmd_fleet(args) -> int:
-    import json
-
     from repro.errors import (
         ClusterError,
         FleetError,
@@ -471,6 +494,11 @@ def cmd_fleet(args) -> int:
         print(f"fleet: resuming from {args.resume} — verifying "
               f"{resumed['replayed']} journaled record(s)", file=sys.stderr)
     document = result["document"]
+    if not _write_outputs("fleet", [
+            (args.json_path, document),
+            (args.trace_path, result.get("trace")),
+            (args.metrics_path, result.get("registry"))]):
+        return 2
     campaign, window = document["campaign"], document["window"]
     robustness = document["robustness"]
     record = load_default_database().get(campaign["trigger_cve"])
@@ -510,17 +538,10 @@ def cmd_fleet(args) -> int:
     else:
         print("  no host reached DONE — the fleet stays vulnerable")
     if args.json_path:
-        with open(args.json_path, "w") as handle:
-            handle.write(json.dumps(document, indent=2, sort_keys=True))
         print(f"  metrics JSON written to {args.json_path}")
     if args.trace_path:
-        with open(args.trace_path, "w") as handle:
-            handle.write(result["trace"])
         print(f"  trace JSON written to {args.trace_path}")
     if args.metrics_path:
-        with open(args.metrics_path, "w") as handle:
-            handle.write(json.dumps(result["registry"], indent=2,
-                                    sort_keys=True))
         print(f"  metrics snapshot written to {args.metrics_path}")
     terminal = {"done", "rolled-back"}
     if not all(h["state"] in terminal for h in document["per_host"]):
@@ -531,9 +552,12 @@ def cmd_fleet(args) -> int:
 
 
 def cmd_sentinel(args) -> int:
-    import json
-
-    from repro.errors import SentinelError, VulnDBError
+    from repro.errors import (
+        ClusterError,
+        JournalError,
+        SentinelError,
+        VulnDBError,
+    )
     from repro.par import run_sentinel
     from repro.sentinel import (
         DAY_S,
@@ -579,11 +603,16 @@ def cmd_sentinel(args) -> int:
             "metrics": bool(args.metrics_path),
             "journal_dir": args.journal_dir,
         })
-    except (SentinelError, VulnDBError) as error:
+    except (ClusterError, JournalError, SentinelError, VulnDBError) as error:
         print(f"sentinel: {error}", file=sys.stderr)
         return 2
 
     document = result["document"]
+    if not _write_outputs("sentinel", [
+            (args.json_path, document),
+            (args.trace_path, result.get("trace")),
+            (args.metrics_path, result.get("registry"))]):
+        return 2
     counters, windows = document["counters"], document["windows"]
     years = document["completed_at_s"] / DAY_S / 365.25
     print(f"Sentinel replay: {counters['disclosures']} deliveries "
@@ -610,17 +639,10 @@ def cmd_sentinel(args) -> int:
     print(f"  exposure   : {windows['exposure_host_days_total']:.1f} "
           f"host-days of open exposure accrued")
     if args.json_path:
-        with open(args.json_path, "w") as handle:
-            handle.write(json.dumps(document, indent=2, sort_keys=True))
         print(f"  report JSON written to {args.json_path}")
     if args.trace_path:
-        with open(args.trace_path, "w") as handle:
-            handle.write(result["trace"])
         print(f"  trace JSON written to {args.trace_path}")
     if args.metrics_path:
-        with open(args.metrics_path, "w") as handle:
-            handle.write(json.dumps(result["registry"], indent=2,
-                                    sort_keys=True))
         print(f"  metrics JSON written to {args.metrics_path}")
     if args.journal_dir:
         print(f"  campaign journals written to {args.journal_dir}")

@@ -23,7 +23,6 @@ from repro.io.frames import (
     Unpacker,
     decode_frame,
     encode_frame,
-    read_stream_frame,
 )
 from repro.io.pages import (
     DedupStats,
@@ -40,7 +39,6 @@ __all__ = [
     "END_FRAME",
     "encode_frame",
     "decode_frame",
-    "read_stream_frame",
     "FrameWriter",
     "FrameReader",
     "Packer",

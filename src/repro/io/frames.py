@@ -205,36 +205,31 @@ def encode_frame(frame_type: int, payload: bytes) -> bytes:
     return header + payload + _CRC.pack(crc)
 
 
-def decode_frame(data: bytes, offset: int = 0, *,
-                 base_offset: int = 0) -> Tuple[int, bytes, int]:
+def decode_frame(data: bytes, offset: int = 0) -> Tuple[int, bytes, int]:
     """Parse one frame at ``offset``; returns (type, payload, consumed).
 
-    Error messages locate the failure by its absolute byte offset
-    (``offset + base_offset``) and, once the header parsed, by the frame's
-    type tag — so a bad CRC in a long multi-frame stream names the exact
-    frame, not just "bad CRC".  ``base_offset`` lets incremental callers
-    (:func:`read_stream_frame`) report stream positions even though they
-    hand in a buffer holding a single frame.
+    Error messages locate the failure by its byte offset and, once the
+    header parsed, by the frame's type tag — so a bad CRC in a long
+    multi-frame stream names the exact frame, not just "bad CRC".
     """
-    at = offset + base_offset
     if len(data) - offset < _HEADER.size:
         raise StateFormatError(
-            f"truncated frame at byte offset {at}: want "
+            f"truncated frame at byte offset {offset}: want "
             f"{_HEADER.size}-byte header, have {len(data) - offset}"
         )
     magic, version, frame_type, length = _HEADER.unpack_from(data, offset)
     if magic != FRAME_MAGIC:
         raise StateFormatError(
-            f"bad frame magic {magic:#x} at byte offset {at}"
+            f"bad frame magic {magic:#x} at byte offset {offset}"
         )
     if version != FRAME_VERSION:
         raise StateFormatError(
-            f"unsupported frame version {version} at byte offset {at}"
+            f"unsupported frame version {version} at byte offset {offset}"
         )
     total = _HEADER.size + length + _CRC.size
     if len(data) - offset < total:
         raise StateFormatError(
-            f"truncated frame (type {frame_type}) at byte offset {at}: "
+            f"truncated frame (type {frame_type}) at byte offset {offset}: "
             f"want {total} bytes, have {len(data) - offset}"
         )
     body_end = offset + _HEADER.size + length
@@ -243,64 +238,14 @@ def decode_frame(data: bytes, offset: int = 0, *,
     computed = zlib.crc32(data[offset:body_end])
     if stored_crc != computed:
         raise StateFormatError(
-            f"frame CRC mismatch (type {frame_type}) at byte offset {at}: "
+            f"frame CRC mismatch (type {frame_type}) at byte offset {offset}: "
             f"stored {stored_crc:#010x}, computed {computed:#010x}"
         )
     if frame_type == END_FRAME and payload:
         raise StateFormatError(
-            f"END frame at byte offset {at} carries a non-empty payload"
+            f"END frame at byte offset {offset} carries a non-empty payload"
         )
     return frame_type, payload, total
-
-
-def read_stream_frame(stream, offset: int = 0) -> Tuple[int, bytes, int]:
-    """Read exactly one frame from a binary file object (blocking).
-
-    Returns ``(type, payload, consumed)``.  The pipe-transport flavour of
-    the codec: where :class:`FrameReader` walks an in-memory buffer, this
-    reads incrementally — header first, then exactly the body the header
-    promises — so two processes can speak frames over a pipe without
-    buffering the whole stream.  ``offset`` is the caller's running byte
-    position on the channel, reported in every error message.
-
-    EOF cleanly *between* frames raises ``StateFormatError("stream
-    closed...")``; EOF mid-frame reports a truncation at the absolute
-    offset.  Callers that treat endpoint death as a recoverable event
-    (the ``repro.par`` worker pool) catch the error and handle it.
-    """
-    header = _read_exact(stream, _HEADER.size)
-    if not header:
-        raise StateFormatError(
-            f"stream closed at byte offset {offset}: expected a frame header"
-        )
-    if len(header) < _HEADER.size:
-        raise StateFormatError(
-            f"truncated frame at byte offset {offset}: want "
-            f"{_HEADER.size}-byte header, have {len(header)}"
-        )
-    _, _, frame_type, length = _HEADER.unpack(header)
-    rest = _read_exact(stream, length + _CRC.size)
-    if len(rest) < length + _CRC.size:
-        raise StateFormatError(
-            f"truncated frame (type {frame_type}) at byte offset {offset}: "
-            f"want {_HEADER.size + length + _CRC.size} bytes, have "
-            f"{_HEADER.size + len(rest)}"
-        )
-    return decode_frame(header + rest, base_offset=offset)
-
-
-def _read_exact(stream, size: int) -> bytes:
-    """Read up to ``size`` bytes, looping over short reads; may return
-    fewer only at EOF."""
-    parts: List[bytes] = []
-    have = 0
-    while have < size:
-        chunk = stream.read(size - have)
-        if not chunk:
-            break
-        parts.append(chunk)
-        have += len(chunk)
-    return b"".join(parts)
 
 
 class FrameWriter:

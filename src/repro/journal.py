@@ -359,7 +359,10 @@ class CampaignJournal:
         meta.setdefault("format", JOURNAL_FORMAT)
         meta.setdefault("version", JOURNAL_VERSION)
         decode_meta(encode_meta(meta))  # validate before the first write
-        handle = open(path, "wb")
+        try:
+            handle = open(path, "wb")
+        except OSError as exc:
+            raise JournalError(f"cannot create journal {path}: {exc}") from exc
         journal = cls(path, handle, meta, crash_after=crash_after)
         # META is record 0; appended records claim seqs from 1 (__init__).
         journal._append(CAMPAIGN_META_FRAME, encode_meta(meta))

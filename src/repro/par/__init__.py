@@ -6,37 +6,31 @@ if it is *invisible in the output*: the artifact must be byte-identical
 for any worker count and any completion order, and ``workers=1`` must be
 exactly the serial path.  The subsystem:
 
-* :mod:`pool` — spawn-based :class:`WorkerPool` whose task/result
-  protocol rides the :mod:`repro.io` frame codec over pipes, with
-  per-task timeouts, crash detection, bounded retry and inline fallback;
+* :mod:`pool` — :class:`WorkerPool`, the standard library's process pool
+  on a ``spawn`` context, with a per-task deadline and inline fallback
+  when the pool breaks;
 * :mod:`shard` — :func:`derive_seed` (stable per-shard seeds);
 * :mod:`runner` — :class:`ParallelRunner` (order-preserving map) and the
   one-campaign / one-replay entrypoints that ``hypertp fleet`` and
-  ``hypertp sentinel`` run in-process;
-* :mod:`realtime` — the subsystem's one audited wall-clock boundary.
+  ``hypertp sentinel`` run in-process.
 
-See ``docs/parallelism.md`` for the protocol and the determinism
+See ``docs/parallelism.md`` for the pool and the determinism
 contract, and the ``par-entrypoint-hygiene`` / ``par-payload-hygiene``
 lint rules for the statically-enforced parts.
 """
 
 import importlib
 
-# Lazy re-exports (PEP 562): the worker boot command imports
-# ``repro.par.pool`` through this package; pulling :mod:`runner` and
-# :mod:`shard` eagerly would tax every worker spawn.  Attributes resolve
-# on first access.
+# Lazy re-exports (PEP 562): a worker imports ``repro.par.pool`` through
+# this package; pulling :mod:`runner` and :mod:`shard` eagerly would tax
+# every worker spawn.  Attributes resolve on first access.
 _EXPORTS = {
-    "TASK_FRAME": "repro.par.pool",
-    "RESULT_FRAME": "repro.par.pool",
-    "ERROR_FRAME": "repro.par.pool",
     "Task": "repro.par.pool",
     "PoolStats": "repro.par.pool",
     "WorkerPool": "repro.par.pool",
     "func_ref": "repro.par.pool",
     "resolve_ref": "repro.par.pool",
     "check_payload": "repro.par.pool",
-    "worker_main": "repro.par.pool",
     "ParallelRunner": "repro.par.runner",
     "fleet_campaign_task": "repro.par.runner",
     "run_fleet_campaign": "repro.par.runner",
@@ -61,16 +55,12 @@ def __dir__():
 
 
 __all__ = [
-    "TASK_FRAME",
-    "RESULT_FRAME",
-    "ERROR_FRAME",
     "Task",
     "PoolStats",
     "WorkerPool",
     "func_ref",
     "resolve_ref",
     "check_payload",
-    "worker_main",
     "ParallelRunner",
     "fleet_campaign_task",
     "run_fleet_campaign",

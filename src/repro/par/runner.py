@@ -10,10 +10,10 @@ submission order, keep the pool's operational stats for the artifact's
 shipped live objects), and returns plain data: the metrics document,
 the Chrome-trace text and a registry snapshot.  Because the campaign is
 seeded and every serialization is deterministic, the same payload
-produces the same results inline, in a worker, or in a worker that
-crashed twice and was retried.  It is the only code that turns a
-payload into a ``FleetController`` — plain, traced, metered, journaled
-or resumed — as :func:`sentinel_task` is for a ``Sentinel``.
+produces the same results inline, in a worker, or inline again after
+its worker crashed.  It is the only code that turns a payload into a
+``FleetController`` — plain, traced, metered, journaled or resumed — as
+:func:`sentinel_task` is for a ``Sentinel``.
 ``hypertp fleet`` and ``hypertp sentinel`` call them in-process through
 :func:`run_fleet_campaign` and :func:`run_sentinel`.
 """
@@ -21,9 +21,6 @@ or resumed — as :func:`sentinel_task` is for a ``Sentinel``.
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.par.pool import PoolStats, Task, WorkerPool, func_ref
-
-#: Pool deadline of one task: a sweep cell, a campaign or a replay.
-_RUN_TIMEOUT_S = 600.0
 
 
 class ParallelRunner:
@@ -48,7 +45,7 @@ class ParallelRunner:
                  label=labels[index] if labels else f"{ref}#{index}")
             for index, payload in enumerate(payloads)
         ]
-        pool = WorkerPool(workers=self.workers, task_timeout_s=_RUN_TIMEOUT_S)
+        pool = WorkerPool(workers=self.workers)
         try:
             return pool.run(tasks)
         finally:
@@ -79,8 +76,8 @@ def fleet_campaign_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     Everything live — clock, engine, journal — is constructed here,
     inside the executing process; only seeds, paths and plain data cross
-    the pipe.  The trace and the metrics snapshot are built from the
-    finished campaign (:meth:`FleetController.timeline`,
+    the process boundary.  The trace and the metrics snapshot are built
+    from the finished campaign (:meth:`FleetController.timeline`,
     :meth:`FleetMetrics.report_into`); a journaled or resumed run's
     snapshot also carries the journal's ``journal_*`` counters.  The
     returned ``document`` is exactly ``FleetMetrics.to_dict()``, so
@@ -177,7 +174,13 @@ def sentinel_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     if journal_dir:
         import os
 
-        os.makedirs(journal_dir, exist_ok=True)
+        from repro.errors import JournalError
+
+        try:
+            os.makedirs(journal_dir, exist_ok=True)
+        except OSError as exc:
+            raise JournalError(f"cannot create journal directory "
+                               f"{journal_dir}: {exc}") from exc
     sentinel = Sentinel(config, journal_dir=journal_dir or None)
     report = sentinel.run()
 
@@ -211,9 +214,9 @@ def run_fleet_campaign(payload: Dict[str, Any],
 
     ``hypertp fleet`` calls it at ``workers=1``, which runs the campaign
     in the calling process.  With more, the single task takes the full
-    subprocess round trip (frames out, campaign in a fresh interpreter,
-    frames back) and must return byte-identical results: the contract
-    the parallel sweeps rely on.
+    round trip (payload pickled out, campaign in a spawned interpreter,
+    result pickled back) and must return byte-identical results: the
+    contract the parallel sweeps rely on.
     """
     runner = ParallelRunner(workers=workers)
     return runner.map_tasks(fleet_campaign_task, [payload],

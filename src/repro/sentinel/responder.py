@@ -72,6 +72,9 @@ class SentinelConfig:
                 f"need 1..{NODE_CAPACITY_VMS} VMs per host, got "
                 f"{self.vms_per_host}"
             )
+        if self.group_size < 1:
+            raise SentinelError(
+                f"group size must be >= 1, got {self.group_size}")
         if not self.pool:
             raise SentinelError("hypervisor pool cannot be empty")
         if self.current_hypervisor not in self.pool:

@@ -27,7 +27,6 @@ from repro.analysis import (
     run_analysis,
 )
 from repro.analysis.engine import AnalysisError
-from repro.analysis.findings import is_suppressed
 from repro.analysis.project import top_level_classes, top_level_functions
 from repro.analysis.rules import codec_symmetry, frame_symmetry, hygiene
 from repro.analysis.rules import io_hygiene, journal_hygiene, mechanism_hygiene
@@ -546,10 +545,9 @@ class TestLiveTree:
         project = Project.from_directory(REPRO_ROOT)
         findings, suppressed = run_analysis(project)
         assert findings == [], render_text(findings, suppressed)
-        # exactly the documented suppressions: two Xen LAPIC split-record
-        # ones, plus the two wall-clock calls behind repro.par's audited
-        # realtime boundary
-        assert suppressed == 4
+        # exactly the documented suppressions: the two Xen LAPIC
+        # split-record ones
+        assert suppressed == 2
 
     def test_cli_lint_strict_passes(self, capsys):
         assert cli_main(["lint", "--strict"]) == 0
@@ -558,7 +556,7 @@ class TestLiveTree:
     def test_cli_lint_json(self, capsys):
         assert cli_main(["lint", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload == {"findings": [], "suppressed": 4, "clean": True}
+        assert payload == {"findings": [], "suppressed": 2, "clean": True}
 
     def test_cli_lint_strict_fails_on_findings(self, tmp_path, capsys):
         bad = tmp_path / "core"
@@ -693,7 +691,7 @@ def test_frame_rule_sees_live_channels(live_project):
                 if module.path.startswith(frame_symmetry.FRAME_SCOPE)
                 and SCOPE_SITES["FRAME_SCOPE"](module)}
     assert channels == {"core/pram.py", "core/wire.py", "core/uisr/codec.py",
-                        "cluster/serialize.py", "par/pool.py"}
+                        "cluster/serialize.py"}
 
 
 def test_journal_rule_sees_the_live_composite(live_project):
@@ -724,14 +722,6 @@ def test_sync_rule_sees_the_live_lock_order(live_project):
         ("self._vm_locks[*]", "self._link"),
         ("self._ledger", "self._link"),
     }
-
-
-def test_sim_clock_rule_sees_the_realtime_boundary(live_project):
-    # repro.par's audited wall-clock calls, both suppressed in source
-    module = live_project.get("par/realtime.py")
-    findings = list(hygiene.SimClockHygieneRule()._check_module(module))
-    assert len(findings) == 2
-    assert all(is_suppressed(finding, module.lines) for finding in findings)
 
 
 def test_exception_rule_sees_live_handlers(live_project):

@@ -318,10 +318,31 @@ class TestSentinelCommand:
     # capacity-blocked.
     pytest.param(["sentinel", "--hosts", "4", "--vms-per-host", "30",
                   "--limit", "5"], id="sentinel-vms-per-host-over-capacity"),
+    pytest.param(["sentinel", "--hosts", "4", "--group-size", "0",
+                  "--limit", "5"], id="sentinel-group-size-zero"),
+    # Two hosts' VMs fill the one destination the planner may use.
+    pytest.param(["sentinel", "--vms-per-host", "22", "--limit", "40"],
+                 id="sentinel-no-destination"),
+    # A path the user names: a journal under a plain file, or an output
+    # file in a missing directory (written before the report prints).
+    pytest.param(["fleet", "--hosts", "4", "--journal", "README.md/x.journal"],
+                 id="fleet-journal-not-a-directory"),
+    pytest.param(["sentinel", "--hosts", "4", "--limit", "5",
+                  "--journal-dir", "README.md"],
+                 id="sentinel-journal-dir-is-a-file"),
+    *[pytest.param([command, "--hosts", "4", *limit, flag, "missing/out"],
+                   id=f"{command}{flag}-missing-directory")
+      for command, limit in (("fleet", []), ("sentinel", ["--limit", "5"]))
+      for flag in ("--json", "--trace", "--metrics")],
+    pytest.param(["inplace", "--trace", "missing/out"],
+                 id="inplace--trace-missing-directory"),
+    pytest.param(["cluster", "--export-plan", "missing/out"],
+                 id="cluster--export-plan-missing-directory"),
 ])
 def test_input_error_is_one_line_and_exit_2(argv, tmp_path, monkeypatch,
                                             capsys):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "README.md").write_text("a file, not a directory\n")
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"{argv[0]}: ")

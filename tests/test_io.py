@@ -258,9 +258,9 @@ class TestCrossPathDedup:
 
 
 class TestFrameErrorDiagnostics:
-    """Truncation and CRC errors must carry the absolute byte offset and
-    the frame's type tag, so a fault in a long multi-frame stream (or on
-    a worker pipe) pinpoints the broken frame instead of just failing."""
+    """Truncation and CRC errors must carry the byte offset and the
+    frame's type tag, so a fault in a long multi-frame stream pinpoints
+    the broken frame instead of just failing."""
 
     def test_crc_error_reports_offset_and_type(self):
         first = encode_frame(1, b"hello")
@@ -299,61 +299,3 @@ class TestFrameErrorDiagnostics:
         message = str(excinfo.value)
         assert "magic" in message
         assert f"byte offset {len(first)}" in message
-
-    def test_base_offset_shifts_reported_position(self):
-        frame = bytearray(encode_frame(5, b"x" * 10))
-        frame[-2] ^= 0x55
-        with pytest.raises(StateFormatError) as excinfo:
-            decode_frame(bytes(frame), 0, base_offset=4096)
-        assert "byte offset 4096" in str(excinfo.value)
-
-
-class TestReadStreamFrame:
-    """Incremental framing over a blocking binary stream (worker pipes)."""
-
-    def test_roundtrip_over_bytesio(self):
-        import io as stdio
-
-        from repro.io import read_stream_frame
-
-        stream = stdio.BytesIO(
-            encode_frame(1, b"alpha") + encode_frame(2, b"beta")
-            + encode_frame(END_FRAME, b"")
-        )
-        offset = 0
-        seen = []
-        while True:
-            frame_type, payload, consumed = read_stream_frame(stream, offset)
-            offset += consumed
-            if frame_type == END_FRAME:
-                break
-            seen.append((frame_type, payload))
-        assert seen == [(1, b"alpha"), (2, b"beta")]
-        assert offset == stream.tell()
-
-    def test_eof_between_frames_reports_offset(self):
-        import io as stdio
-
-        from repro.io import read_stream_frame
-
-        first = encode_frame(1, b"alpha")
-        stream = stdio.BytesIO(first)
-        _, _, consumed = read_stream_frame(stream, 0)
-        with pytest.raises(StateFormatError) as excinfo:
-            read_stream_frame(stream, consumed)
-        message = str(excinfo.value)
-        assert "stream closed" in message
-        assert f"byte offset {len(first)}" in message
-
-    def test_partial_frame_at_eof_reports_truncation(self):
-        import io as stdio
-
-        from repro.io import read_stream_frame
-
-        whole = encode_frame(6, b"cut-me-short")
-        stream = stdio.BytesIO(whole[:-5])
-        with pytest.raises(StateFormatError) as excinfo:
-            read_stream_frame(stream, 0)
-        message = str(excinfo.value)
-        assert "truncated" in message
-        assert "(type 6)" in message
