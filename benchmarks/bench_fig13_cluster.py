@@ -7,7 +7,7 @@ time at 60 %; 25 migrations / ~80 % gain at 80 % (3 min 54 s vs up to
 """
 
 from repro.bench.report import format_table, print_experiment
-from repro.cluster.upgrade import UpgradeCampaign
+from repro.fleet import UpgradeCampaign
 
 FRACTIONS = [0.0, 0.2, 0.4, 0.6, 0.8]
 PAPER_MIGRATIONS = {0.0: 154, 0.2: 109, 0.6: 42, 0.8: 25}

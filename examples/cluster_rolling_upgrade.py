@@ -8,8 +8,9 @@ VMs, and reports how migration counts and total time fall as more VMs can
 ride the micro-reboot.
 """
 
-from repro.cluster import BtrPlacePlanner, PlanExecutor, UpgradeCampaign
+from repro.cluster import BtrPlacePlanner
 from repro.cluster.model import build_paper_cluster
+from repro.fleet import UpgradeCampaign
 
 
 def inspect_one_plan():
@@ -22,10 +23,11 @@ def inspect_one_plan():
         print(f"  round {group.group_index}: offline {group.nodes}, "
               f"{len(group.migrations)} migrations, "
               f"in-place VMs per host {upgrades}")
-    result = PlanExecutor().execute(plan)
+    # The same cluster, planned the same way, run as one campaign.
+    result = UpgradeCampaign(group_size=2).run(0.5)
     print(f"  => {result.migration_count} migrations "
           f"({result.migration_s / 60:.1f} min) + "
-          f"{result.upgrade_count} host reboots "
+          f"{plan.upgrade_count} host reboots "
           f"({result.upgrade_s:.0f} s) = {result.total_minutes:.1f} min\n")
 
 

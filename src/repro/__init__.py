@@ -57,23 +57,23 @@ _EXPORTS = {
     "XenHypervisor": "repro.hypervisors",
     "KVMHypervisor": "repro.hypervisors",
     "make_hypervisor": "repro.hypervisors",
-    "HyperTP": "repro.core",
-    "TransplantReport": "repro.core",
-    "InPlaceTP": "repro.core",
-    "InPlaceReport": "repro.core",
-    "MigrationTP": "repro.core",
-    "LiveMigration": "repro.core",
-    "MigrationReport": "repro.core",
-    "OptimizationConfig": "repro.core",
-    "CostModel": "repro.core",
-    "DEFAULT_COST_MODEL": "repro.core",
+    "HyperTP": "repro.core.transplant",
+    "TransplantReport": "repro.core.transplant",
+    "InPlaceTP": "repro.core.inplace",
+    "InPlaceReport": "repro.core.inplace",
+    "MigrationTP": "repro.core.migration",
+    "LiveMigration": "repro.core.migration",
+    "MigrationReport": "repro.core.migration",
+    "OptimizationConfig": "repro.core.optimizations",
+    "CostModel": "repro.core.timings",
+    "DEFAULT_COST_MODEL": "repro.core.timings",
     "load_default_database": "repro.vulndb",
     "TransplantAdvisor": "repro.vulndb",
     "TransplantAdvice": "repro.vulndb",
     "Severity": "repro.vulndb",
     "NovaCompute": "repro.orchestrator",
     "DatacenterAPI": "repro.orchestrator",
-    "UpgradeCampaign": "repro.cluster",
+    "UpgradeCampaign": "repro.fleet",
     "FleetConfig": "repro.fleet",
     "FleetController": "repro.fleet",
     "FleetMetrics": "repro.fleet",

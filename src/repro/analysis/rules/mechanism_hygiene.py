@@ -1,16 +1,17 @@
 """Mechanism cost-path hygiene rule.
 
 ``mechanism-hygiene``: the per-action cost helpers — the ``CostModel``
-phase methods and ``plan_precopy`` — may only be called from the
-mechanism layer itself (``core/pipeline.py``, ``core/inplace.py``,
-``core/migration.py``, ``core/timings.py``).  Everybody else must go
-through :class:`repro.core.pipeline.StagePlan`.
+phase methods and ``plan_precopy``, all defined in ``core/timings.py``
+— may only be called from the mechanism layer itself
+(``core/pipeline.py``, ``core/inplace.py``, ``core/migration.py``,
+``core/timings.py``).  Everybody else must go through
+:class:`repro.core.pipeline.StagePlan`.
 
 This is the teeth of the staged-pipeline refactor: before it, three
-consumers (the cluster executor, the fleet controller and the
+consumers (a cluster plan executor, the fleet controller and the
 orchestrator policy) each re-summed the phase helpers in their own
 float-association and drifted apart by design.  A helper call outside
-the pipeline layer is a fourth cost path waiting to happen.
+the pipeline layer is a second cost path waiting to happen.
 """
 
 from typing import Iterable

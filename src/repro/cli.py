@@ -22,7 +22,7 @@
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.hw.machine import CLUSTER_NODE_SPEC, M1_SPEC, M2_SPEC
 from repro.hypervisors.base import HypervisorKind
@@ -38,6 +38,13 @@ def _kind(value: str) -> HypervisorKind:
             f"unknown hypervisor {value!r}; pick from "
             f"{[k.value for k in HypervisorKind]}"
         ) from None
+
+
+def _pool(value: str) -> Tuple[str, ...]:
+    """A comma-separated hypervisor repertoire, each name checked like
+    ``--current``; empty entries are dropped."""
+    return tuple(_kind(name.strip()).value
+                 for name in value.split(",") if name.strip())
 
 
 def _spec(value: str):
@@ -110,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     advise.add_argument("cve", help="triggering CVE id")
     advise.add_argument("--current", type=_kind,
                         default=HypervisorKind.XEN)
-    advise.add_argument("--pool", default="xen,kvm",
+    advise.add_argument("--pool", type=_pool, default="xen,kvm",
                         help="comma-separated hypervisor repertoire")
     advise.add_argument("--open", dest="open_cves", default="",
                         help="comma-separated other open CVE ids")
@@ -152,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--cve", default="CVE-2016-6258",
                        help="triggering CVE id")
     fleet.add_argument("--current", type=_kind, default=HypervisorKind.XEN)
-    fleet.add_argument("--pool", default="xen,kvm",
+    fleet.add_argument("--pool", type=_pool, default="xen,kvm",
                        help="comma-separated hypervisor repertoire")
     fleet.add_argument("--json", dest="json_path", metavar="FILE",
                        help="also write the full metrics document as JSON")
@@ -189,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("inplace", "migration", "hybrid", "auto"))
     sentinel.add_argument("--current", type=_kind,
                           default=HypervisorKind.XEN)
-    sentinel.add_argument("--pool", default="xen,kvm",
+    sentinel.add_argument("--pool", type=_pool, default="xen,kvm",
                           help="comma-separated hypervisor repertoire")
     sentinel.add_argument("--mean-gap-days", type=float, default=7.0,
                           help="mean gap between feed advisories")
@@ -345,7 +352,7 @@ def cmd_advise(args) -> int:
     from repro.vulndb import TransplantAdvisor, load_default_database
 
     db = load_default_database()
-    pool = [p.strip() for p in args.pool.split(",") if p.strip()]
+    pool = list(args.pool)
     open_cves = [c.strip() for c in args.open_cves.split(",") if c.strip()]
     try:
         advisor = TransplantAdvisor(db, hypervisor_pool=pool)
@@ -389,9 +396,10 @@ def cmd_vulns(_args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    from repro.cluster import BtrPlacePlanner, UpgradeCampaign, encode_plan
+    from repro.cluster import BtrPlacePlanner, encode_plan
     from repro.cluster.model import build_paper_cluster
-    from repro.errors import ClusterError
+    from repro.errors import ClusterError, FleetError
+    from repro.fleet import UpgradeCampaign
 
     campaign = UpgradeCampaign(hosts=args.hosts,
                                vms_per_host=args.vms_per_host)
@@ -406,7 +414,7 @@ def cmd_cluster(args) -> int:
             )
             plan = BtrPlacePlanner(
                 cluster, group_size=campaign.group_size).plan(apply=False)
-    except (ClusterError, ValueError) as error:
+    except (ClusterError, FleetError, ValueError) as error:
         print(f"cluster: {error}", file=sys.stderr)
         return 2
     blob = encode_plan(plan) if plan is not None else None
@@ -449,7 +457,6 @@ def cmd_fleet(args) -> int:
         print(f"fleet: --crash-after must be >= 1, got {args.crash_after}",
               file=sys.stderr)
         return 2
-    pool = tuple(p.strip() for p in args.pool.split(",") if p.strip())
     payload = {
         "config": {
             "hosts": args.hosts,
@@ -463,7 +470,7 @@ def cmd_fleet(args) -> int:
             "mechanism": args.mechanism,
             "trigger_cve": args.cve,
             "current_hypervisor": args.current.value,
-            "pool": pool,
+            "pool": args.pool,
         },
         "fail_rate": args.fail_rate,
         "injector_seed": args.seed,
@@ -566,7 +573,6 @@ def cmd_sentinel(args) -> int:
         SentinelConfig,
     )
 
-    pool = tuple(p.strip() for p in args.pool.split(",") if p.strip())
     try:
         config = SentinelConfig(
             hosts=args.hosts,
@@ -575,7 +581,7 @@ def cmd_sentinel(args) -> int:
             mechanism=args.mechanism,
             seed=args.seed,
             current_hypervisor=args.current.value,
-            pool=pool,
+            pool=args.pool,
             feed=FeedSchedule(
                 seed=args.seed,
                 mean_gap_days=args.mean_gap_days,
@@ -618,7 +624,7 @@ def cmd_sentinel(args) -> int:
     print(f"Sentinel replay: {counters['disclosures']} deliveries "
           f"({counters['duplicates_ignored']} duplicates) over "
           f"{years:.1f} simulated years, fleet of {args.hosts} hosts "
-          f"on {args.current.value}, pool {list(pool)}")
+          f"on {args.current.value}, pool {list(args.pool)}")
     print(f"  responses  : {counters['campaigns_launched']} campaigns, "
           f"{counters['returns_launched']} returns, "
           f"{counters['preemptions']} preempted, "

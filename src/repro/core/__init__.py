@@ -16,23 +16,14 @@ Submodules:
 * :mod:`migration` — MigrationTP and homogeneous live-migration baseline.
 * :mod:`transplant` — the :class:`HyperTP` façade tying it all together.
 * :mod:`tcb` — trusted-computing-base accounting (§4.4).
+* :mod:`wire` — the MigrationTP wire protocol.
+* :mod:`pipeline` — the staged cost path: per-host and per-VM stage
+  plans for both mechanisms.
+* :mod:`mechanisms` — the §4.5.2 per-host mechanism policy.
+
+The package re-exports nothing; import the submodule that defines a
+name.  That keeps the cost path (``timings``, ``pipeline``,
+``mechanisms``) free of the data plane (``transplant``, ``inplace``,
+``migration``, ``pram``, ``kexec``, ``wire``, ``uisr``), so the fleet
+and sentinel control planes load no PRAM, wire or UISR code.
 """
-
-from repro.core.transplant import HyperTP, TransplantReport
-from repro.core.inplace import InPlaceTP, InPlaceReport
-from repro.core.migration import MigrationTP, LiveMigration, MigrationReport
-from repro.core.optimizations import OptimizationConfig
-from repro.core.timings import CostModel, DEFAULT_COST_MODEL
-
-__all__ = [
-    "HyperTP",
-    "TransplantReport",
-    "InPlaceTP",
-    "InPlaceReport",
-    "MigrationTP",
-    "LiveMigration",
-    "MigrationReport",
-    "OptimizationConfig",
-    "CostModel",
-    "DEFAULT_COST_MODEL",
-]

@@ -30,6 +30,7 @@ from repro.hypervisors import make_hypervisor
 from repro.hypervisors.base import Hypervisor, HypervisorKind
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
+from repro.core.convert import from_uisr, to_uisr
 from repro.core.kexec import load_kexec_image, micro_reboot
 from repro.core.optimizations import DEFAULT_OPTIMIZATIONS, OptimizationConfig
 from repro.core.pipeline import InPlacePipeline, StagePlan, VerifySpec
@@ -226,10 +227,6 @@ class InPlaceTP:
             self._checkpoint("pause")
 
             # ❸ translate VM_i State -> UISR, store encoded docs in RAM.
-            # (The pair is imported here, not at the top: the fleet and
-            # sentinel planners import this module but never translate.)
-            from repro.core.convert import to_uisr
-
             uisr_docs = []
             vm_shapes = []
             for domain in domains:
@@ -272,8 +269,6 @@ class InPlaceTP:
         self._checkpoint("reboot")
 
         # ❺+❻ restore VM_i States from UISR and re-link to new domains.
-        from repro.core.convert import from_uisr
-
         for vm, state in zip(vms, uisr_docs):
             domain = target.adopt_vm(vm)
             from_uisr(target, domain, state, pram_fs=pram)

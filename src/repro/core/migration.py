@@ -30,19 +30,16 @@ from repro.hw.network import Fabric
 from repro.hypervisors.base import Domain, Hypervisor
 from repro.sim.clock import SimClock
 from repro.core import wire
-from repro.core.timings import DEFAULT_COST_MODEL, CostModel
+from repro.core.convert import from_uisr, to_uisr
+from repro.core.pipeline import MigrationPipeline, StagePlan
+from repro.core.timings import (
+    DEFAULT_COST_MODEL,
+    CostModel,
+    PreCopyRound,
+    plan_precopy,
+)
 from repro.core.uisr.codec import decode_uisr, encode_uisr
 from repro.core.uisr.format import UISRVMState
-
-
-@dataclass
-class PreCopyRound:
-    """One iteration of the pre-copy loop."""
-
-    index: int
-    bytes_sent: int
-    duration_s: float
-    dirty_after_bytes: int
 
 
 @dataclass
@@ -71,41 +68,6 @@ class MigrationReport:
     @property
     def round_count(self) -> int:
         return len(self.rounds)
-
-
-def plan_precopy(memory_bytes: int, rate_bytes_s: float,
-                 dirty_rate_bytes_s: float,
-                 cost: CostModel) -> List[PreCopyRound]:
-    """Compute the pre-copy rounds for one VM.
-
-    Round 1 ships all memory; round *k* ships what was dirtied during round
-    *k-1*.  The loop exits when the residual dirty set falls under the
-    stop threshold (it then moves in the stop-and-copy) or when the round
-    budget is exhausted (write-heavy guests never converge further).
-    """
-    if rate_bytes_s <= 0:
-        raise MigrationError("migration needs positive link rate")
-    if dirty_rate_bytes_s < 0:
-        raise MigrationError(
-            f"dirty rate must be >= 0 bytes/s, got {dirty_rate_bytes_s:g}")
-    rounds: List[PreCopyRound] = []
-    to_send = memory_bytes
-    threshold = max(1, int(memory_bytes * cost.stop_threshold_fraction))
-    for index in range(1, cost.max_precopy_rounds + 1):
-        duration = to_send / rate_bytes_s + cost.migration_round_overhead_s
-        dirtied = min(memory_bytes, int(dirty_rate_bytes_s * duration))
-        rounds.append(PreCopyRound(
-            index=index,
-            bytes_sent=to_send,
-            duration_s=duration,
-            dirty_after_bytes=dirtied,
-        ))
-        to_send = dirtied
-        if dirtied <= threshold:
-            break
-        if dirty_rate_bytes_s >= rate_bytes_s:
-            break  # pre-copy cannot converge; cut to stop-and-copy
-    return rounds
 
 
 class _MigrationBase:
@@ -396,7 +358,7 @@ class MigrationTP(_MigrationBase):
 
     def stage_plan(self, domain: Domain,
                    dirty_rate_bytes_s: float = 1 << 20,
-                   concurrent: int = 1) -> "StagePlan":
+                   concurrent: int = 1) -> StagePlan:
         """The staged cost breakdown for migrating ``domain``.
 
         Predicts :meth:`migrate` without executing it: the same
@@ -405,9 +367,6 @@ class MigrationTP(_MigrationBase):
         the mechanism simulation bills it, the Fig. 13-calibrated
         planners do not).
         """
-        # Deferred: repro.core.pipeline imports plan_precopy from here.
-        from repro.core.pipeline import MigrationPipeline
-
         pipeline = MigrationPipeline(
             self._flow_rate(concurrent), self.cost,
             self.destination.hypervisor.kind, charge_proxy=True,
@@ -417,10 +376,6 @@ class MigrationTP(_MigrationBase):
                                 vm.config.vcpus)
 
     def _capture_state(self, src_hv: Hypervisor, domain: Domain) -> bytes:
-        # Deferred: the fleet and sentinel planners import this module but
-        # never translate state.
-        from repro.core.convert import to_uisr
-
         return encode_uisr(to_uisr(src_hv, domain, pram_file=None))
 
     def _decode_state(self, blob: bytes) -> UISRVMState:
@@ -428,8 +383,6 @@ class MigrationTP(_MigrationBase):
 
     def _restore_state(self, dst_hv: Hypervisor, domain: Domain,
                        state: UISRVMState) -> None:
-        from repro.core.convert import from_uisr
-
         from_uisr(dst_hv, domain, state, pram_fs=None)
 
     def _downtime_tail_s(self, receive_queue_position: int,

@@ -16,14 +16,16 @@ Every transplant mechanism decomposes into the same six stages::
   the VM paused, restore is the destination VMM's activation.  Downtime =
   translate + transfer + restore — the stop-and-copy.
 
-The planners (:mod:`repro.cluster.executor`), the fleet control plane
-(:mod:`repro.fleet.controller`), the mechanism policy
+The fleet control plane (:mod:`repro.fleet.controller`, which also runs
+the Fig. 13 cluster upgrade), the mechanism policy
 (:mod:`repro.core.mechanisms`) and the mechanisms' own ``stage_plan``
 methods all derive their per-action durations from these plans, so
 fleet-scale numbers are *the same floats* a :class:`TransplantPipelines`
 composes for the host — there is no second, silently drifting cost path
 (the pre-refactor drift this module removed: three consumers each
-re-summed the phase helpers in their own order).
+re-summed the phase helpers in their own order).  Of ``repro.core`` the
+module imports only the cost model (:mod:`repro.core.timings`, which
+also plans the pre-copy rounds), never a mechanism's data plane.
 
 Float discipline: a :class:`StagePlan`'s ``total_s`` is composed in the
 mechanism's calibrated association — InPlaceTP folds the stages left to
@@ -43,8 +45,7 @@ from repro.hw.machine import CLUSTER_NODE_SPEC, Machine, MachineSpec
 from repro.hw.memory import PAGE_2M
 from repro.hypervisors.base import HypervisorKind
 from repro.sim.resources import effective_tcp_rate, gigabits
-from repro.core.migration import plan_precopy
-from repro.core.timings import DEFAULT_COST_MODEL, CostModel
+from repro.core.timings import DEFAULT_COST_MODEL, CostModel, plan_precopy
 
 
 def fabric_link_rate(node_spec: MachineSpec = CLUSTER_NODE_SPEC) -> float:

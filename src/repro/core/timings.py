@@ -22,9 +22,9 @@ Structural drivers, not magic numbers, produce the shapes:
 """
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import List, Sequence
 
-from repro.errors import TransplantError
+from repro.errors import MigrationError, TransplantError
 from repro.hw.machine import Machine
 from repro.hw.memory import PAGE_4K
 from repro.hypervisors.base import HypervisorKind
@@ -201,3 +201,51 @@ class CostModel:
 
 
 DEFAULT_COST_MODEL = CostModel()
+
+
+# -- pre-copy migration --------------------------------------------------------
+
+
+@dataclass
+class PreCopyRound:
+    """One iteration of the pre-copy loop."""
+
+    index: int
+    bytes_sent: int
+    duration_s: float
+    dirty_after_bytes: int
+
+
+def plan_precopy(memory_bytes: int, rate_bytes_s: float,
+                 dirty_rate_bytes_s: float,
+                 cost: CostModel) -> List[PreCopyRound]:
+    """Compute the pre-copy rounds for one VM.
+
+    Round 1 ships all memory; round *k* ships what was dirtied during round
+    *k-1*.  The loop exits when the residual dirty set falls under the
+    stop threshold (it then moves in the stop-and-copy) or when the round
+    budget is exhausted (write-heavy guests never converge further).
+    """
+    if rate_bytes_s <= 0:
+        raise MigrationError("migration needs positive link rate")
+    if dirty_rate_bytes_s < 0:
+        raise MigrationError(
+            f"dirty rate must be >= 0 bytes/s, got {dirty_rate_bytes_s:g}")
+    rounds: List[PreCopyRound] = []
+    to_send = memory_bytes
+    threshold = max(1, int(memory_bytes * cost.stop_threshold_fraction))
+    for index in range(1, cost.max_precopy_rounds + 1):
+        duration = to_send / rate_bytes_s + cost.migration_round_overhead_s
+        dirtied = min(memory_bytes, int(dirty_rate_bytes_s * duration))
+        rounds.append(PreCopyRound(
+            index=index,
+            bytes_sent=to_send,
+            duration_s=duration,
+            dirty_after_bytes=dirtied,
+        ))
+        to_send = dirtied
+        if dirtied <= threshold:
+            break
+        if dirty_rate_bytes_s >= rate_bytes_s:
+            break  # pre-copy cannot converge; cut to stop-and-copy
+    return rounds

@@ -9,10 +9,14 @@ measures the vulnerability window at datacenter scale:
   fleet-wide transition trace;
 * :mod:`failures` — deterministic per-phase failure injection and the
   bounded exponential-backoff retry policy;
-* :mod:`metrics` — per-host and fleet-wide window metrics with JSON export.
+* :mod:`metrics` — per-host and fleet-wide window metrics with JSON export;
+* :mod:`upgrade` — the Fig. 13 cluster upgrade, which is the controller's
+  degenerate campaign: no failures, sequential waves, one migration
+  stream, no admission cap and no verify stage.
 
 Every host runs as one :class:`repro.sim.engine.Process` and waits on the
-engine's FIFO gates, latches and semaphores.
+engine's FIFO gates, latches and semaphores.  The controller is the only
+code that times a reconfiguration plan.
 """
 
 from repro.fleet.controller import FleetConfig, FleetController
@@ -24,6 +28,7 @@ from repro.fleet.state import (
     HostState,
     Transition,
 )
+from repro.fleet.upgrade import CampaignResult, UpgradeCampaign
 
 __all__ = [
     "FleetConfig",
@@ -38,4 +43,6 @@ __all__ = [
     "HostRecord",
     "HostState",
     "Transition",
+    "UpgradeCampaign",
+    "CampaignResult",
 ]

@@ -14,13 +14,12 @@ Scalability notes: every host is one generator process; contended
 resources (the shared migration fabric, per-node capacity slots, per-VM
 move locks, the admission cap) are FIFO wait queues that wake exactly one
 waiter per release, so a campaign schedules O(events log events) with no
-per-host polling.  The degenerate configuration — no failures,
-``sequential_groups=True``, unbounded concurrency — reproduces the
-:class:`repro.cluster.upgrade.UpgradeCampaign` (Fig. 13) total because it
-times the identical plan with the identical staged pipeline
-(:mod:`repro.core.pipeline`) — fleet per-host durations are the same
-floats a :class:`~repro.core.pipeline.TransplantPipelines` composes for
-the host, stage by stage.
+per-host polling.  Fleet per-host durations are the floats a
+:class:`~repro.core.pipeline.TransplantPipelines` composes for the host,
+stage by stage.  The degenerate configuration — no failures,
+``sequential_groups=True``, unbounded concurrency, one migration stream
+and no verify stage — *is* the Fig. 13 cluster upgrade:
+:class:`repro.fleet.upgrade.UpgradeCampaign` runs it.
 """
 
 import gc
@@ -235,7 +234,7 @@ class FleetController:
             self.target_kind = HypervisorKind(self.advice.recommended_target)
         self._machine = Machine(node_spec, name="fleet-reference")
         # The one cost path: per-host durations come from the staged
-        # pipeline the cluster executor also charges, verify stage included.
+        # pipeline, verify stage included.
         self._pipelines = TransplantPipelines(
             machine=self._machine, node_spec=node_spec, cost=cost_model,
             verify=VerifySpec(config.verify_fixed_s, config.verify_per_vm_s),

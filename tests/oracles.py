@@ -36,6 +36,11 @@ agree with, kept verbatim for differential tests:
   ``from_uisr_kvm``, ``to_uisr_nova``/``from_uisr_nova``), each calling
   its hypervisor's native entry points by hand, which the one
   ``repro.core.convert`` pair must translate identically;
+* :class:`PlanExecutor` and :class:`ExecutionResult` — the former
+  arithmetic Fig. 13 engine: a plan timed as the sum over waves of the
+  wave's migration times plus its slowest host upgrade, which the fleet
+  controller's degenerate campaign
+  (:class:`repro.fleet.upgrade.UpgradeCampaign`) must reproduce;
 * :data:`FORMER_SKELETONS` — each hypervisor's former hand-written NPT
   class (:class:`XenP2M`, :class:`KVMEpt`, :class:`NovaNPT`), scheduler
   class (:class:`CreditScheduler`, :class:`CFSScheduler`,
@@ -67,7 +72,12 @@ from typing import (
 
 from repro.cluster.btrplace import BtrPlacePlanner
 from repro.cluster.model import Cluster, ClusterNode, ClusterVM, WorkloadKind
-from repro.cluster.plan import GroupPlan, ReconfigurationPlan
+from repro.cluster.plan import (
+    GroupPlan,
+    InPlaceAction,
+    MigrationAction,
+    ReconfigurationPlan,
+)
 from repro.core.mechanisms import (
     DEFAULT_SLO_S,
     WORKLOAD_SLO_S,
@@ -78,20 +88,17 @@ from repro.core.mechanisms import (
     decide_fleet,
 )
 from repro.core import wire
-from repro.core.migration import (
-    LiveMigration,
-    MigrationReport,
-    MigrationTP,
-    plan_precopy,
-)
+from repro.core.migration import LiveMigration, MigrationReport, MigrationTP
 from repro.core.pipeline import (
     InPlacePipeline,
     MigrationPipeline,
     Stage,
     StageCost,
     StagePlan,
+    TransplantPipelines,
     _fold,
 )
+from repro.core.timings import DEFAULT_COST_MODEL, CostModel, plan_precopy
 from repro.core.convert.compat import apply_platform_fixups
 from repro.core.convert.verify import verify_restore_target
 from repro.core.uisr.codec import encode_uisr
@@ -116,6 +123,7 @@ from repro.errors import (
 from repro.fleet.controller import _HostPlan
 from repro.fleet.state import HostState
 from repro.guest.vm import VirtualMachine
+from repro.hw.machine import CLUSTER_NODE_SPEC, MachineSpec
 from repro.hw.memory import PAGE_2M, PAGE_4K
 from repro.hypervisors.base import (
     Domain,
@@ -1309,6 +1317,90 @@ FORMER_CONVERTERS = {
     HypervisorKind.KVM: (to_uisr_kvm, from_uisr_kvm),
     HypervisorKind.NOVA: (to_uisr_nova, from_uisr_nova),
 }
+
+
+# -- the former repro.cluster.executor, verbatim -------------------------------
+
+
+@dataclass
+class ExecutionResult:
+    """Timing outcome of one plan."""
+
+    total_s: float
+    migration_s: float
+    upgrade_s: float
+    migration_count: int
+    upgrade_count: int
+    per_group_s: List[float] = field(default_factory=list)
+    # (vm_name, seconds) per action — a VM can migrate more than once.
+    per_migration_s: List[Tuple[str, float]] = field(default_factory=list)
+
+    @property
+    def total_minutes(self) -> float:
+        return self.total_s / 60.0
+
+
+class PlanExecutor:
+    """Times a :class:`ReconfigurationPlan` against the staged pipeline."""
+
+    def __init__(self, node_spec: MachineSpec = CLUSTER_NODE_SPEC,
+                 cost_model: CostModel = DEFAULT_COST_MODEL,
+                 target_kind: HypervisorKind = HypervisorKind.KVM):
+        self.node_spec = node_spec
+        self.cost = cost_model
+        self.target_kind = target_kind
+        self.pipelines = TransplantPipelines(
+            node_spec=node_spec, cost=cost_model)
+
+    # -- per-action stage plans ----------------------------------------------
+
+    def migration_plan(self, action: MigrationAction) -> StagePlan:
+        """MigrationTP stage plan for one evacuation over the fabric."""
+        return self.pipelines.migration(self.target_kind).plan_vm(
+            action.memory_bytes, action.workload.dirty_rate_bytes_s,
+        )
+
+    def upgrade_plan(self, action: InPlaceAction) -> StagePlan:
+        """InPlaceTP stage plan for one host carrying ``vm_count`` VMs."""
+        return self.pipelines.inplace(self.target_kind).plan_host(
+            action.vm_count, action.total_memory_bytes,
+        )
+
+    def migration_time_s(self, action: MigrationAction) -> float:
+        return self.migration_plan(action).total_s
+
+    def upgrade_time_s(self, action: InPlaceAction) -> float:
+        return self.upgrade_plan(action).total_s
+
+    # -- whole plan -----------------------------------------------------------
+
+    def execute(self, plan: ReconfigurationPlan) -> ExecutionResult:
+        migration_s = 0.0
+        upgrade_s = 0.0
+        per_group = []
+        per_migration: List[Tuple[str, float]] = []
+        for group in plan.groups:
+            group_migration = 0.0
+            for action in group.migrations:
+                t = self.migration_time_s(action)
+                per_migration.append((action.vm_name, t))
+                group_migration += t
+            # Hosts in a group reboot in parallel.
+            group_upgrade = max(
+                (self.upgrade_time_s(a) for a in group.upgrades), default=0.0
+            )
+            migration_s += group_migration
+            upgrade_s += group_upgrade
+            per_group.append(group_migration + group_upgrade)
+        return ExecutionResult(
+            total_s=migration_s + upgrade_s,
+            migration_s=migration_s,
+            upgrade_s=upgrade_s,
+            migration_count=plan.migration_count,
+            upgrade_count=plan.upgrade_count,
+            per_group_s=per_group,
+            per_migration_s=per_migration,
+        )
 
 
 # -- the former per-hypervisor NPT and scheduler classes -------------------

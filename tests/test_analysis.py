@@ -870,7 +870,7 @@ class TestMechanismHygiene:
         sources = {
             "cluster/executor.py": textwrap.dedent(
                 """
-                from repro.core.migration import plan_precopy as precopy
+                from repro.core.timings import plan_precopy as precopy
 
                 def migration_time(memory, rate, dirty, cost):
                     return precopy(memory, rate, dirty, cost)

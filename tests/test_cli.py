@@ -24,6 +24,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["inplace", "--machine", "M9"])
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["fleet", "--hosts", "4", "--pool", "xen,foo"],
+                     id="fleet"),
+        pytest.param(["sentinel", "--hosts", "4", "--limit", "20",
+                      "--pool", "xen,foo"], id="sentinel"),
+        pytest.param(["advise", "CVE-2016-6258", "--pool", "xen,foo"],
+                     id="advise"),
+    ])
+    def test_unknown_pool_hypervisor_rejected(self, argv, capsys):
+        # Checked like --current: an argparse error, not a traceback or
+        # advice naming a hypervisor that does not exist.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "argument --pool: unknown hypervisor 'foo'" in \
+            capsys.readouterr().err
+
+    def test_pool_names_are_case_insensitive(self):
+        args = build_parser().parse_args(["fleet", "--pool", "xen,KVM"])
+        assert args.pool == ("xen", "kvm")
+
     @pytest.mark.parametrize("command", ["fleet", "sentinel"])
     def test_single_run_commands_take_no_workers(self, command, capsys):
         # One campaign or replay always runs in the calling process.
@@ -392,6 +413,32 @@ def test_dataplane_matches_goldens(name, argv, tmp_path, monkeypatch, capsys):
     for trace in traces:
         assert ((tmp_path / trace).read_bytes()
                 == (DATAPLANE_GOLDENS / trace).read_bytes())
+
+
+# -- the Fig. 13 sweep against its goldens -------------------------------------
+
+CLUSTER_GOLDENS = Path(__file__).parent / "goldens" / "cluster"
+
+
+@pytest.mark.parametrize("name,argv", [
+    pytest.param("cluster.txt", ["cluster"], id="default"),
+    pytest.param("cluster-hosts20-vms16.txt",
+                 ["cluster", "--hosts", "20", "--vms-per-host", "16",
+                  "--fractions", "0,0.3,0.7,1"], id="hosts20-vms16"),
+])
+def test_cluster_matches_goldens(name, argv, capsys):
+    """The sweep's stdout is byte-identical to ``goldens/cluster``, which
+    CI also compares."""
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == \
+        (CLUSTER_GOLDENS / name).read_bytes()
+
+
+def test_cluster_exported_plan_matches_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["cluster", "--export-plan", "plan.bin"]) == 0
+    assert ((tmp_path / "plan.bin").read_bytes()
+            == (CLUSTER_GOLDENS / "plan.bin").read_bytes())
 
 
 def test_inplace_trace_does_not_depend_on_earlier_machines(tmp_path):

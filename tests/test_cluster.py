@@ -1,10 +1,10 @@
-"""Tests for the cluster model, BtrPlace planner, executor and campaigns."""
+"""Tests for the cluster model, the BtrPlace planner, and the Fig. 13
+campaign that executes its plans."""
 
 import pytest
 
 from repro.errors import ClusterError, PlanningError
 from repro.cluster.btrplace import BtrPlacePlanner
-from repro.cluster.executor import PlanExecutor
 from repro.cluster.model import (
     Cluster,
     ClusterNode,
@@ -12,8 +12,9 @@ from repro.cluster.model import (
     WorkloadKind,
     build_paper_cluster,
 )
-from repro.cluster.plan import MigrationAction
-from repro.cluster.upgrade import UpgradeCampaign
+from repro.core.pipeline import TransplantPipelines
+from repro.fleet import UpgradeCampaign
+from repro.hypervisors.base import HypervisorKind
 
 GIB = 1024 ** 3
 
@@ -127,29 +128,30 @@ class TestPlanner:
 
 
 class TestExecutor:
+    """What executing a plan's actions costs: the stage plans the fleet
+    controller charges, and the campaign's split of its time."""
+
     def test_streaming_migrations_slower_than_idle(self):
-        executor = PlanExecutor()
-        idle = executor.migration_time_s(MigrationAction(
-            "a", "n0", "n1", 4 * GIB, WorkloadKind.IDLE))
-        streaming = executor.migration_time_s(MigrationAction(
-            "b", "n0", "n1", 4 * GIB, WorkloadKind.STREAMING))
+        migration = TransplantPipelines().migration(HypervisorKind.KVM)
+        idle = migration.plan_vm(
+            4 * GIB, WorkloadKind.IDLE.dirty_rate_bytes_s).total_s
+        streaming = migration.plan_vm(
+            4 * GIB, WorkloadKind.STREAMING.dirty_rate_bytes_s).total_s
         assert streaming > idle
 
     def test_upgrade_seconds_scale(self):
-        from repro.cluster.plan import InPlaceAction
-
-        executor = PlanExecutor()
-        empty = executor.upgrade_time_s(InPlaceAction("n0", 0, 0))
-        loaded = executor.upgrade_time_s(InPlaceAction("n0", 10, 40 * GIB))
+        inplace = TransplantPipelines().inplace(HypervisorKind.KVM)
+        empty = inplace.plan_host(0, 0).total_s
+        loaded = inplace.plan_host(10, 40 * GIB).total_s
         assert loaded > empty
         assert loaded < 30  # hosts upgrade in seconds, not minutes
 
     def test_execution_accounts_all_actions(self):
         cluster = build_paper_cluster(inplace_fraction=0.5)
         plan = BtrPlacePlanner(cluster).plan()
-        result = PlanExecutor().execute(plan)
+        result = UpgradeCampaign().run(0.5)
         assert result.migration_count == plan.migration_count
-        assert len(result.per_migration_s) == plan.migration_count
+        assert result.migration_s > 0 and result.upgrade_s > 0
         assert result.total_s == pytest.approx(
             result.migration_s + result.upgrade_s
         )

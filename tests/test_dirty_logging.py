@@ -84,8 +84,7 @@ class TestDirtyLogDrivesPreCopy:
         domain = next(iter(source.hypervisor.domains.values()))
         migrator = MigrationTP(fabric, source, destination)
         stream = wire.MigrationStream()
-        from repro.core.migration import plan_precopy
-        from repro.core.timings import DEFAULT_COST_MODEL
+        from repro.core.timings import DEFAULT_COST_MODEL, plan_precopy
 
         rounds = plan_precopy(1 << 30, migrator._flow_rate(1), 1 << 20,
                               DEFAULT_COST_MODEL)

@@ -1,15 +1,21 @@
 """Tests for the repro.fleet emergency-response control plane."""
 
 import json
+import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import FleetError, SimulationError
-from repro.cluster.executor import PlanExecutor
+from repro.errors import FleetError, ReproError, SimulationError
+from repro.cluster.btrplace import BtrPlacePlanner
 from repro.cluster.plan import InPlaceAction, MigrationAction
-from repro.cluster.model import NODE_CAPACITY_VMS, WorkloadKind
-from repro.cluster.upgrade import UpgradeCampaign
+from repro.cluster.model import (
+    NODE_CAPACITY_VMS,
+    WorkloadKind,
+    build_paper_cluster,
+)
 from repro.fleet import (
     FailureInjector,
     FailurePhase,
@@ -18,11 +24,14 @@ from repro.fleet import (
     FleetTrace,
     HostState,
     RetryPolicy,
+    UpgradeCampaign,
     percentile,
 )
 from repro.fleet.state import HostRecord, Transition
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine, FifoSemaphore, Gate, Latch
+
+from tests.oracles import PlanExecutor
 
 GIB = 1024 ** 3
 
@@ -40,10 +49,12 @@ def run_campaign(fail_rate=0.0, retry=None, **overrides):
     return controller, controller.run()
 
 
-# -- executor on the staged pipeline ------------------------------------------
+# -- the Fig. 13 campaign and its arithmetic oracle ----------------------------
 
 class TestExecutorCostFunctions:
     def test_executor_delegates_to_stage_plans(self):
+        # The oracle prices each action with the staged pipeline, as the
+        # fleet controller does, so it is a reference for the same floats.
         executor = PlanExecutor()
         migration = MigrationAction(
             vm_name="vm0", source="a", destination="b",
@@ -272,24 +283,44 @@ class TestWindowInvariant:
         )
 
 
+def _outcome(run):
+    """``(result, None)``, or ``(None, (class, message))`` if it raised."""
+    try:
+        return run(), None
+    except ReproError as error:
+        return None, (type(error), str(error))
+
+
 class TestExecutorCompat:
-    def test_degenerate_config_matches_upgrade_campaign(self):
-        """No failures + sequential groups reproduces Fig. 13 within 1 %."""
-        for fraction in (0.0, 0.4, 0.8):
-            campaign = UpgradeCampaign(hosts=10, vms_per_host=10,
-                                       group_size=2, seed=42)
-            reference = campaign.run(fraction)
-            config = FleetConfig(
-                hosts=10, vms_per_host=10, inplace_fraction=fraction,
-                group_size=2, seed=42, sequential_groups=True,
-                concurrency=None,
-            )
-            metrics = FleetController(config).run()
-            assert metrics.done_hosts == 10
-            assert metrics.migrations_executed == reference.migration_count
-            assert metrics.fleet_window_s == pytest.approx(
-                reference.total_s, rel=0.01
-            )
+    @settings(max_examples=150, deadline=None)
+    @given(hosts=st.integers(1, 17),
+           vms_per_host=st.integers(0, NODE_CAPACITY_VMS),
+           group_size=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1),
+           fraction=st.floats(0.0, 1.0))
+    def test_upgrade_campaign_matches_plan_executor_oracle(
+            self, hosts, vms_per_host, group_size, seed, fraction):
+        """The degenerate fleet campaign times a plan exactly as the
+        former arithmetic engine did: each wave's migrations one after
+        another, then its slowest host upgrade."""
+        result, error = _outcome(lambda: UpgradeCampaign(
+            hosts=hosts, vms_per_host=vms_per_host, group_size=group_size,
+            seed=seed).run(fraction))
+        reference, reference_error = _outcome(
+            lambda: PlanExecutor().execute(BtrPlacePlanner(
+                build_paper_cluster(hosts=hosts, vms_per_host=vms_per_host,
+                                    inplace_fraction=fraction, seed=seed),
+                group_size).plan(apply=True)))
+        assert error == reference_error
+        if error is not None:
+            return
+        assert result.migration_count == reference.migration_count
+        assert math.isclose(result.total_s, reference.total_s,
+                            rel_tol=1e-12)
+        assert math.isclose(result.migration_s, reference.migration_s,
+                            rel_tol=1e-9, abs_tol=1e-9)
+        assert math.isclose(result.upgrade_s, reference.upgrade_s,
+                            rel_tol=1e-9, abs_tol=1e-9)
 
 
 class TestFailureInjection:

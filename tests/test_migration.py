@@ -9,13 +9,8 @@ from hypothesis import strategies as st
 from repro.errors import MigrationError
 from repro.guest.drivers import PassthroughDriver
 from repro.guest.vm import VMConfig
-from repro.core.migration import (
-    LiveMigration,
-    MigrationTP,
-    migrate_group,
-    plan_precopy,
-)
-from repro.core.timings import DEFAULT_COST_MODEL
+from repro.core.migration import LiveMigration, MigrationTP, migrate_group
+from repro.core.timings import DEFAULT_COST_MODEL, plan_precopy
 from repro.hw.machine import M1_SPEC, Machine
 from repro.hw.network import Fabric
 from repro.hypervisors import make_hypervisor

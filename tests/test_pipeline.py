@@ -1,10 +1,10 @@
 """Tests for the staged transplant pipeline and the mechanism policy.
 
-The pipeline is the one per-host cost path (cluster executor, fleet
-controller, mechanism policy, mechanism simulations), so these tests
-are mostly about *equality*: the same floats must come out of
-every layer, and the default campaign's artifacts must stay
-byte-identical to the pre-refactor goldens.
+The pipeline is the one per-host cost path (fleet controller, mechanism
+policy, mechanism simulations), so these tests are mostly about
+*equality*: the same floats must come out of every layer, and the
+default campaign's artifacts must stay byte-identical to the
+pre-refactor goldens.
 """
 
 import json
@@ -12,7 +12,6 @@ import os
 
 import pytest
 
-from repro.cluster.executor import PlanExecutor
 from repro.cluster.model import build_paper_cluster
 from repro.cluster.btrplace import BtrPlacePlanner
 from repro.core.mechanisms import (
@@ -33,9 +32,11 @@ from repro.core.pipeline import (
 )
 from repro.core.timings import DEFAULT_COST_MODEL
 from repro.errors import FleetError, TransplantError
-from repro.fleet import FleetConfig, FleetController
+from repro.fleet import FleetConfig, FleetController, UpgradeCampaign
 from repro.hypervisors.base import HypervisorKind
 from repro.sim.clock import SimClock
+
+from tests.oracles import PlanExecutor
 
 GIB = 1024 ** 3
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
@@ -117,8 +118,9 @@ class TestStagePlan:
 
 class TestExecutorParity:
     def test_executor_times_equal_hypertp_upgrade_host(self):
-        """Cluster per-action times are the floats an independently built
-        :class:`TransplantPipelines` composes for the same actions."""
+        """The Fig. 13 oracle's per-action times are the floats an
+        independently built :class:`TransplantPipelines` composes for the
+        same actions."""
         executor = PlanExecutor()
         pipelines = TransplantPipelines()
         inplace = pipelines.inplace(executor.target_kind)
@@ -193,10 +195,9 @@ class TestFleetParity:
             assert times["done"] == times["verifying"] + verify_s
 
     def test_degenerate_fleet_pinned_against_both_references(self):
-        """The sequential fleet matches UpgradeCampaign within 1% AND the
-        executor's per-action floats exactly (the reconciled drift)."""
-        from repro.cluster.upgrade import UpgradeCampaign
-
+        """The sequential fleet with its verify stage matches the
+        verify-free UpgradeCampaign within 1% AND the oracle executor's
+        per-action floats exactly."""
         reference = UpgradeCampaign(hosts=10, vms_per_host=10,
                                     group_size=2, seed=42).run(0.8)
         config = FleetConfig(hosts=10, vms_per_host=10,
@@ -208,10 +209,10 @@ class TestFleetParity:
         assert metrics.migrations_executed == reference.migration_count == 31
         assert metrics.fleet_window_s == pytest.approx(reference.total_s,
                                                        rel=0.01)
-        # Pinned: the exact drift between the fleet and Fig. 13 is the
+        # Pinned: the exact drift between this fleet and Fig. 13 is the
         # per-host verify stage, nothing else.  Every per-host duration
-        # matches the executor's exactly (the parity tests above tie both
-        # to the pipelines).
+        # matches the oracle executor's exactly (the parity tests above
+        # tie both to the pipelines).
         executor = PlanExecutor()
         for hp in controller.host_plans:
             assert hp.plan.execute_s == executor.upgrade_plan(

@@ -13,9 +13,10 @@ from repro.cluster import (
     summarize_plan,
 )
 from repro.cluster.btrplace import BtrPlacePlanner
-from repro.cluster.executor import PlanExecutor
 from repro.cluster.model import build_paper_cluster
 from repro.workloads.base import MetricSeries
+
+from tests.oracles import PlanExecutor
 
 
 class TestPlanSerialization:

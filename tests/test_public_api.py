@@ -1,5 +1,9 @@
 """Public-API surface tests: the README's promises hold."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -111,3 +115,41 @@ class TestDocumentationArtifacts:
             if not (module.__doc__ and module.__doc__.strip()):
                 missing.append(info.name)
         assert not missing, f"modules without docstrings: {missing}"
+
+
+def modules_loaded_by(statement):
+    """The ``repro`` modules a fresh interpreter holds after ``statement``."""
+    code = (f"import sys\n{statement}\n"
+            f"print(*sorted(name for name in sys.modules "
+            f"if name.split('.')[0] == 'repro'))")
+    # The child imports the package this process imported.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(repro.__file__))))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+#: the transplant data plane: guests' state moved, translated and rebooted
+DATA_PLANE = ("repro.core.transplant", "repro.core.inplace",
+              "repro.core.migration", "repro.core.pram", "repro.core.wire",
+              "repro.core.kexec", "repro.core.optimizations",
+              "repro.core.uisr", "repro.devices")
+
+
+class TestImportLayers:
+    def test_control_plane_loads_no_data_plane(self):
+        # The fleet and sentinel plan and time transplants through the
+        # cost path (timings, pipeline, mechanisms) alone.
+        loaded = modules_loaded_by("import repro.fleet, repro.sentinel, "
+                                   "repro.par.runner, repro.journal")
+        assert "repro.core.pipeline" in loaded
+        assert [name for name in loaded
+                if name.startswith(DATA_PLANE)] == []
+
+    def test_cluster_is_only_the_planning_layer(self):
+        loaded = modules_loaded_by("import repro.cluster")
+        assert "repro.cluster.btrplace" in loaded
+        assert [name for name in loaded if name.startswith(
+            ("repro.core", "repro.hypervisors", "repro.fleet"))] == []
