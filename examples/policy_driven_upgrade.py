@@ -57,7 +57,7 @@ def main():
         )
         for vm in vms
     ]
-    pipelines = TransplantPipelines(machine, node_spec=M1_SPEC)
+    pipelines = TransplantPipelines(M1_SPEC)
     decision = MechanismPolicy("auto").decide_host(
         machine.name, profiles,
         inplace=pipelines.inplace(HypervisorKind.KVM),

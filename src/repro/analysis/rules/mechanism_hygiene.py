@@ -2,16 +2,19 @@
 
 ``mechanism-hygiene``: the per-action cost helpers — the ``CostModel``
 phase methods and ``plan_precopy``, all defined in ``core/timings.py``
-— may only be called from the mechanism layer itself
-(``core/pipeline.py``, ``core/inplace.py``, ``core/migration.py``,
-``core/timings.py``).  Everybody else must go through
-:class:`repro.core.pipeline.StagePlan`.
+— may only be called from the cost path itself: ``core/pipeline.py``,
+which turns a transplant's shape into a
+:class:`repro.core.pipeline.StagePlan`, ``core/timings.py``, and
+``core/migration.py``, which plans the pre-copy rounds its wire ships.
+Everybody else — the fleet, the mechanism policy and ``InPlaceTP``
+itself — must go through a ``StagePlan``.
 
 This is the teeth of the staged-pipeline refactor: before it, three
 consumers (a cluster plan executor, the fleet controller and the
 orchestrator policy) each re-summed the phase helpers in their own
-float-association and drifted apart by design.  A helper call outside
-the pipeline layer is a second cost path waiting to happen.
+float-association and drifted apart by design, and the live mechanisms
+rebuilt every phase inline beside their own ``stage_plan``.  A helper
+call outside the pipeline layer is a second cost path waiting to happen.
 """
 
 from typing import Iterable
@@ -20,10 +23,11 @@ from repro.analysis.engine import Rule, register_rule
 from repro.analysis.findings import Finding
 from repro.analysis.project import Project, SourceModule, resolved_calls
 
-#: the modules that implement (and are allowed to price) the mechanisms
+#: the modules allowed to call a cost helper: the pipeline that prices
+#: every mechanism, the cost model, and the migrators' wire, which ships
+#: the pre-copy rounds
 MECHANISM_SCOPE = (
     "core/pipeline.py",
-    "core/inplace.py",
     "core/migration.py",
     "core/timings.py",
 )

@@ -15,9 +15,11 @@ Workflow on one machine:
 ❼ resumes all guests and frees the ephemeral metadata.
 
 Downtime = Translation + Reboot + Restoration; PRAM construction happens
-while guests still run.  The network link needs its own re-initialisation
-after reboot, reported separately (network-independent workloads do not
-observe it).
+while guests still run.  The run charges exactly the phases its own
+:meth:`InPlaceTP.stage_plan` prices (:mod:`repro.core.pipeline`); only
+device preparation and the network link's re-initialisation after the
+reboot are its own terms (network-independent workloads do not observe
+the latter).
 """
 
 from dataclasses import dataclass, field
@@ -33,9 +35,9 @@ from repro.sim.engine import Engine
 from repro.core.convert import from_uisr, to_uisr
 from repro.core.kexec import load_kexec_image, micro_reboot
 from repro.core.optimizations import DEFAULT_OPTIMIZATIONS, OptimizationConfig
-from repro.core.pipeline import InPlacePipeline, StagePlan, VerifySpec
+from repro.core.pipeline import InPlacePipeline, Stage, StagePlan
 from repro.core.pram import PRAMFilesystem
-from repro.core.timings import DEFAULT_COST_MODEL, CostModel
+from repro.core.timings import entries_for
 from repro.core.uisr.codec import encode_uisr
 from repro.devices.model import plan_device_transplant, restore_devices
 
@@ -89,7 +91,6 @@ class InPlaceTP:
     _LAST_ABORTABLE = "store-uisr"
 
     def __init__(self, machine: Machine, target_kind: HypervisorKind,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
                  optimizations: OptimizationConfig = DEFAULT_OPTIMIZATIONS,
                  failure_hook: Optional[Callable[[str], None]] = None):
         if machine.hypervisor is None:
@@ -102,7 +103,6 @@ class InPlaceTP:
         self.machine = machine
         self.source: Hypervisor = machine.hypervisor
         self.target_kind = target_kind
-        self.cost = cost_model
         self.opts = optimizations
         # Test/chaos hook, invoked at each phase boundary with the phase
         # name; raising from it simulates a failure at that point.
@@ -113,28 +113,27 @@ class InPlaceTP:
         if self.failure_hook is not None:
             self.failure_hook(phase)
 
-    def stage_plan(self, verify: Optional[VerifySpec] = None) -> StagePlan:
+    def stage_plan(self) -> StagePlan:
         """The staged cost breakdown for this machine's live population.
 
-        Predicts the run without mutating anything: the same
-        quiesce/capture/translate/transfer/restore stages the planners
-        charge, derived from the actual domains on the source
-        hypervisor.  Assumes prepare-ahead and the cost model's default
-        parallelism (the configuration the pipeline layer models).
+        Predicts the run without mutating anything, and is what the run
+        charges: the quiesce/capture/translate/transfer/restore stages of
+        the actual domains on the source hypervisor, under this
+        transplant's optimisations.
         """
         domains = sorted(self.source.domains.values(), key=lambda d: d.domid)
-        vm_shapes = []
-        entry_counts = []
-        for domain in domains:
-            entries = self.cost.entries_for(
-                domain.vm.image.size_bytes, domain.vm.image.page_size,
-                self.opts.huge_pages,
-            )
-            vm_shapes.append((domain.vm.config.vcpus, entries))
-            entry_counts.append(entries)
-        pipeline = InPlacePipeline(self.machine, self.cost,
-                                   self.target_kind, verify=verify)
-        return pipeline.plan_shapes(vm_shapes, entry_counts)
+        vm_shapes = [
+            (domain.vm.config.vcpus,
+             entries_for(domain.vm.image.size_bytes,
+                         domain.vm.image.page_size, self.opts.huge_pages))
+            for domain in domains
+        ]
+        pipeline = InPlacePipeline(self.machine.spec, self.target_kind)
+        return pipeline.plan_shapes(
+            vm_shapes, parallel=self.opts.parallel,
+            early_restoration=self.opts.early_restoration,
+            capture_in_pause=not self.opts.prepare_ahead,
+        )
 
     # -- the full workflow, phase by phase ---------------------------------
 
@@ -170,6 +169,7 @@ class InPlaceTP:
             vm_count=len(self.source.domains),
         )
         start = now()
+        plan = self.stage_plan()
 
         domains = sorted(self.source.domains.values(), key=lambda d: d.domid)
         vms = [d.vm for d in domains]
@@ -194,13 +194,8 @@ class InPlaceTP:
             self._checkpoint("prepare")
 
             pram = PRAMFilesystem(self.machine.memory)
-            entry_counts = []
             for domain in domains:
                 image = domain.vm.image
-                entry_counts.append(
-                    self.cost.entries_for(image.size_bytes, image.page_size,
-                                          self.opts.huge_pages)
-                )
                 pram.add_vm_file(
                     domain.vm.name, image.mappings(),
                     page_size=image.page_size,
@@ -208,9 +203,7 @@ class InPlaceTP:
                 )
             pram_pointer = pram.seal()
             report.pram_metadata_bytes = pram.metadata_bytes()
-            report.pram_s = self.cost.pram_phase_s(
-                self.machine, entry_counts, parallel=self.opts.parallel
-            )
+            report.pram_s = plan.stage_s(Stage.CAPTURE)
             report.pram_in_pause = not self.opts.prepare_ahead
             if self.opts.prepare_ahead:
                 yield report.pram_s  # guests still running
@@ -228,25 +221,15 @@ class InPlaceTP:
 
             # ❸ translate VM_i State -> UISR, store encoded docs in RAM.
             uisr_docs = []
-            vm_shapes = []
             for domain in domains:
-                state = to_uisr(self.source, domain,
-                                pram_file=domain.vm.name)
-                uisr_docs.append(state)
-                vm_shapes.append((
-                    domain.vm.config.vcpus,
-                    self.cost.entries_for(domain.vm.image.size_bytes,
-                                          domain.vm.image.page_size,
-                                          self.opts.huge_pages),
-                ))
+                uisr_docs.append(to_uisr(self.source, domain,
+                                         pram_file=domain.vm.name))
                 domain.vm.mark_suspended()
             self._checkpoint("translate")
             encoded = [encode_uisr(doc) for doc in uisr_docs]
             report.uisr_bytes = sum(len(blob) for blob in encoded)
             uisr_frames = self._store_uisr(encoded)
-            report.translation_s = self.cost.translate_phase_s(
-                self.machine, vm_shapes, parallel=self.opts.parallel
-            )
+            report.translation_s = plan.stage_s(Stage.TRANSLATE)
             yield report.translation_s
             self._checkpoint("store-uisr")
         except Exception as exc:
@@ -258,10 +241,7 @@ class InPlaceTP:
             ) from exc
 
         # ❹ micro-reboot into the target hypervisor.
-        total_entries = sum(e for _, e in vm_shapes)
-        report.reboot_s = self.cost.reboot_phase_s(
-            self.machine, self.target_kind, total_entries
-        )
+        report.reboot_s = plan.stage_s(Stage.TRANSFER)
         micro_reboot(self.machine, target, pram_pointer)
         yield report.reboot_s
         network_ready_at = now() + self.machine.nic.init_s
@@ -274,10 +254,7 @@ class InPlaceTP:
             from_uisr(target, domain, state, pram_fs=pram)
             pram.release_guest_pins(vm.name)
         target.rebuild_management_state()
-        report.restoration_s = self.cost.restore_phase_s(
-            self.machine, vm_shapes, parallel=self.opts.parallel,
-            early_restoration=self.opts.early_restoration,
-        )
+        report.restoration_s = plan.stage_s(Stage.RESTORE)
         yield report.restoration_s
         self._checkpoint("restore")
 
@@ -292,10 +269,7 @@ class InPlaceTP:
         yield max(0.0, network_ready_at - now())
         self.machine.nic.bring_up()
 
-        report.downtime_s = (
-            report.translation_s + report.reboot_s + report.restoration_s
-            + (0.0 if self.opts.prepare_ahead else report.pram_s)
-        )
+        report.downtime_s = plan.downtime_s
         report.downtime_with_network_s = max(
             report.downtime_s,
             report.translation_s + report.reboot_s + report.network_s

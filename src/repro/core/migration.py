@@ -14,7 +14,10 @@ The Xen baseline also models Xen's *sequential receive side* (the paper's
 explanation for the downtime variance when migrating many VMs at once,
 Fig. 8/9): concurrent incoming migrations queue for the final activation.
 Each subclass supplies only these differences: how VM_i State is captured,
-decoded and restored, and the downtime term it adds.
+decoded and restored, and (``LiveMigration``) the receive-queue wait.
+Every duration a run charges comes from the migrator's own
+:meth:`_MigrationBase.stage_plan` (:mod:`repro.core.pipeline`); the run
+plans the pre-copy rounds again only for the pages the wire ships.
 """
 
 import random
@@ -31,13 +34,8 @@ from repro.hypervisors.base import Domain, Hypervisor
 from repro.sim.clock import SimClock
 from repro.core import wire
 from repro.core.convert import from_uisr, to_uisr
-from repro.core.pipeline import MigrationPipeline, StagePlan
-from repro.core.timings import (
-    DEFAULT_COST_MODEL,
-    CostModel,
-    PreCopyRound,
-    plan_precopy,
-)
+from repro.core.pipeline import MigrationPipeline, Stage, StagePlan
+from repro.core.timings import PreCopyRound, plan_precopy
 from repro.core.uisr.codec import decode_uisr, encode_uisr
 from repro.core.uisr.format import UISRVMState
 
@@ -73,20 +71,18 @@ class MigrationReport:
 class _MigrationBase:
     """The pre-copy workflow both migrators run.
 
-    A subclass sets ``heterogeneous`` (the report flag) and ``label`` (its
-    name in the guest-corruption error), and supplies what truly differs:
-    how VM_i State leaves the source (``_capture_state``), how it is
-    decoded at the destination (``_decode_state``, inside the
-    abort-and-resume ``try``) and restored into the adopted domain
-    (``_restore_state``), and the downtime term charged after the final
-    copy and the activation (``_downtime_tail_s``).
+    A subclass sets ``heterogeneous`` (the report flag, and whether its
+    plan charges the UISR proxy pair) and ``label`` (its name in the
+    guest-corruption error), and supplies what truly differs: how VM_i
+    State leaves the source (``_capture_state``), how it is decoded at the
+    destination (``_decode_state``, inside the abort-and-resume ``try``)
+    and restored into the adopted domain (``_restore_state``).
     """
 
     heterogeneous: bool
     label: str
 
-    def __init__(self, fabric: Fabric, source: Machine, destination: Machine,
-                 cost_model: CostModel = DEFAULT_COST_MODEL):
+    def __init__(self, fabric: Fabric, source: Machine, destination: Machine):
         if source is destination:
             raise MigrationError("source and destination must differ")
         if source.hypervisor is None or destination.hypervisor is None:
@@ -94,8 +90,26 @@ class _MigrationBase:
         self.fabric = fabric
         self.source = source
         self.destination = destination
-        self.cost = cost_model
         self.link = fabric.link_between(source, destination)
+
+    def stage_plan(self, domain: Domain,
+                   dirty_rate_bytes_s: float = 1 << 20,
+                   concurrent: int = 1) -> StagePlan:
+        """The staged cost breakdown for migrating ``domain``.
+
+        Predicts :meth:`migrate` without executing it, and is what the run
+        charges: the quiesce/capture/translate/transfer/restore stages at
+        this flow's share of the link, with the UISR proxy pair in the
+        translate stage for MigrationTP (``charge_proxy`` — the
+        Fig. 13-calibrated planners leave it off).
+        """
+        pipeline = MigrationPipeline(
+            self._flow_rate(concurrent), self.destination.hypervisor.kind,
+            charge_proxy=self.heterogeneous,
+        )
+        vm = domain.vm
+        return pipeline.plan_vm(vm.image.size_bytes, dirty_rate_bytes_s,
+                                vm.config.vcpus)
 
     def migrate(self, domain: Domain, clock: Optional[SimClock] = None,
                 dirty_rate_bytes_s: float = 1 << 20,
@@ -126,12 +140,12 @@ class _MigrationBase:
             heterogeneous=self.heterogeneous,
         )
 
-        rate = self._flow_rate(concurrent)
-        rounds = plan_precopy(vm.image.size_bytes, rate, dirty_rate_bytes_s,
-                              self.cost)
+        plan = self.stage_plan(domain, dirty_rate_bytes_s, concurrent)
+        rounds = plan_precopy(vm.image.size_bytes, self._flow_rate(concurrent),
+                              dirty_rate_bytes_s)
         report.rounds = rounds
-        report.precopy_s = (self.cost.migration_setup_s
-                            + sum(r.duration_s for r in rounds))
+        report.precopy_s = (plan.stage_s(Stage.QUIESCE)
+                            + plan.stage_s(Stage.CAPTURE))
         report.bytes_transferred = sum(r.bytes_sent for r in rounds)
 
         # The pre-copy rounds travel the wire protocol; guest pages are
@@ -146,13 +160,8 @@ class _MigrationBase:
         pause_time = clock.now
         vm.pause(pause_time)
         residual = rounds[-1].dirty_after_bytes
-        final_copy_s = residual / rate
-        activation_s = self.cost.stopcopy_overhead_s(
-            dst_hv.kind, vm.config.vcpus
-        )
-        report.downtime_s = (final_copy_s + activation_s
-                             + self._downtime_tail_s(receive_queue_position,
-                                                     activation_s))
+        report.downtime_s = plan.downtime_s + self._receive_queue_s(
+            receive_queue_position, plan.stage_s(Stage.RESTORE))
         report.bytes_transferred += residual
         clock.advance(report.downtime_s)
 
@@ -299,6 +308,11 @@ class _MigrationBase:
     def _flow_rate(self, concurrent: int) -> float:
         return self.link.pipe.flow_rate(concurrent)
 
+    def _receive_queue_s(self, position: int, activation_s: float) -> float:
+        """Wait for the activations queued ahead at the destination:
+        none, unless the receive side is serialized."""
+        return 0.0
+
 
 class LiveMigration(_MigrationBase):
     """Homogeneous live migration (the Xen->Xen baseline of Table 4).
@@ -311,9 +325,8 @@ class LiveMigration(_MigrationBase):
     heterogeneous = False
     label = "migration"
 
-    def __init__(self, fabric: Fabric, source: Machine, destination: Machine,
-                 cost_model: CostModel = DEFAULT_COST_MODEL):
-        super().__init__(fabric, source, destination, cost_model)
+    def __init__(self, fabric: Fabric, source: Machine, destination: Machine):
+        super().__init__(fabric, source, destination)
         if source.hypervisor.kind is not destination.hypervisor.kind:
             raise MigrationError(
                 "LiveMigration requires homogeneous hypervisors; "
@@ -330,9 +343,8 @@ class LiveMigration(_MigrationBase):
                        state: bytes) -> None:
         dst_hv.load_platform_state(domain, state)
 
-    def _downtime_tail_s(self, receive_queue_position: int,
-                         activation_s: float) -> float:
-        return receive_queue_position * activation_s
+    def _receive_queue_s(self, position: int, activation_s: float) -> float:
+        return position * activation_s
 
 
 class MigrationTP(_MigrationBase):
@@ -347,33 +359,13 @@ class MigrationTP(_MigrationBase):
     heterogeneous = True
     label = "MigrationTP"
 
-    def __init__(self, fabric: Fabric, source: Machine, destination: Machine,
-                 cost_model: CostModel = DEFAULT_COST_MODEL):
-        super().__init__(fabric, source, destination, cost_model)
+    def __init__(self, fabric: Fabric, source: Machine, destination: Machine):
+        super().__init__(fabric, source, destination)
         if source.hypervisor.kind is destination.hypervisor.kind:
             raise MigrationError(
                 "MigrationTP expects heterogeneous hypervisors; "
                 "use LiveMigration for the homogeneous case"
             )
-
-    def stage_plan(self, domain: Domain,
-                   dirty_rate_bytes_s: float = 1 << 20,
-                   concurrent: int = 1) -> StagePlan:
-        """The staged cost breakdown for migrating ``domain``.
-
-        Predicts :meth:`migrate` without executing it: the same
-        quiesce/capture/transfer/restore stages the planners charge, plus
-        the UISR proxy pair in the translate stage (``charge_proxy`` —
-        the mechanism simulation bills it, the Fig. 13-calibrated
-        planners do not).
-        """
-        pipeline = MigrationPipeline(
-            self._flow_rate(concurrent), self.cost,
-            self.destination.hypervisor.kind, charge_proxy=True,
-        )
-        vm = domain.vm
-        return pipeline.plan_vm(vm.image.size_bytes, dirty_rate_bytes_s,
-                                vm.config.vcpus)
 
     def _capture_state(self, src_hv: Hypervisor, domain: Domain) -> bytes:
         return encode_uisr(to_uisr(src_hv, domain, pram_file=None))
@@ -384,10 +376,6 @@ class MigrationTP(_MigrationBase):
     def _restore_state(self, dst_hv: Hypervisor, domain: Domain,
                        state: UISRVMState) -> None:
         from_uisr(dst_hv, domain, state, pram_fs=None)
-
-    def _downtime_tail_s(self, receive_queue_position: int,
-                         activation_s: float) -> float:
-        return 2 * self.cost.proxy_translate_s
 
 
 def migrate_group(migrator: _MigrationBase, domains: List[Domain],

@@ -1,4 +1,4 @@
-"""Staged transplant pipeline — the one cost path for per-host execution.
+"""Staged transplant pipeline — the one cost path.
 
 Every transplant mechanism decomposes into the same six stages::
 
@@ -9,30 +9,35 @@ Every transplant mechanism decomposes into the same six stages::
   run (prepare-ahead, §4.2.5), translate turns VM_i State into UISR,
   transfer is the kexec micro-reboot, restore rebuilds the target's
   domains from UISR/PRAM, verify is the operator's post-transplant check.
-  Downtime = translate + transfer + restore (§5.2).
+  Downtime = translate + transfer + restore (§5.2), plus capture when
+  prepare-ahead is off and PRAM is built inside the pause.
 * **MigrationTP** (§3.3): quiesce is connection setup + the first memory
   scan, capture is the iterative pre-copy rounds, translate is the UISR
   proxy encode/decode pair, transfer ships the residual dirty set with
   the VM paused, restore is the destination VMM's activation.  Downtime =
-  translate + transfer + restore — the stop-and-copy.
+  transfer + restore + translate — the stop-and-copy.
 
-The fleet control plane (:mod:`repro.fleet.controller`, which also runs
-the Fig. 13 cluster upgrade), the mechanism policy
-(:mod:`repro.core.mechanisms`) and the mechanisms' own ``stage_plan``
-methods all derive their per-action durations from these plans, so
-fleet-scale numbers are *the same floats* a :class:`TransplantPipelines`
-composes for the host — there is no second, silently drifting cost path
-(the pre-refactor drift this module removed: three consumers each
-re-summed the phase helpers in their own order).  Of ``repro.core`` the
-module imports only the cost model (:mod:`repro.core.timings`, which
-also plans the pre-copy rounds), never a mechanism's data plane.
+A :class:`StagePlan` is the only code that turns a transplant's shape
+into durations.  The fleet control plane (:mod:`repro.fleet.controller`,
+which also runs the Fig. 13 cluster upgrade) and the mechanism policy
+(:mod:`repro.core.mechanisms`) charge the plans a
+:class:`TransplantPipelines` builds; the live mechanisms
+(:class:`repro.core.inplace.InPlaceTP`,
+:class:`repro.core.migration.MigrationTP` and ``LiveMigration``) charge
+the plan their own ``stage_plan`` returns.  Plans are priced from data —
+a :class:`~repro.hw.machine.MachineSpec` and the one calibration,
+:data:`~repro.core.timings.DEFAULT_COST_MODEL` — never from a simulated
+machine.  Of ``repro.core`` the module imports only the cost model
+(:mod:`repro.core.timings`, which also plans the pre-copy rounds), never
+a mechanism's data plane.
 
 Float discipline: a :class:`StagePlan`'s ``total_s`` is composed in the
 mechanism's calibrated association — InPlaceTP folds the stages left to
-right, MigrationTP groups busy-time and downtime before adding them.
-The two associations differ by 1 ulp on thousands of real campaign
-actions, so each builder reproduces its historical summation tree
-exactly and every committed artifact stays byte-identical.
+right, MigrationTP groups busy-time and downtime before adding them —
+and ``downtime_s`` in the order the live run sums it.  The associations
+differ by 1 ulp on thousands of real campaign actions, so each builder
+reproduces its historical summation tree exactly and every committed
+artifact stays byte-identical.
 """
 
 import enum
@@ -41,16 +46,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import TransplantError
-from repro.hw.machine import CLUSTER_NODE_SPEC, Machine, MachineSpec
+from repro.hw.machine import CLUSTER_NODE_SPEC, MachineSpec
 from repro.hw.memory import PAGE_2M
 from repro.hypervisors.base import HypervisorKind
 from repro.sim.resources import effective_tcp_rate, gigabits
-from repro.core.timings import DEFAULT_COST_MODEL, CostModel, plan_precopy
-
-
-def fabric_link_rate(node_spec: MachineSpec = CLUSTER_NODE_SPEC) -> float:
-    """Effective bytes/s of the shared migration fabric for ``node_spec``."""
-    return effective_tcp_rate(gigabits(node_spec.nic_gbps))
+from repro.core.timings import DEFAULT_COST_MODEL, entries_for, plan_precopy
 
 
 class Stage(enum.Enum):
@@ -142,9 +142,10 @@ class InPlacePipeline:
 
     ``plan_host`` models the cluster planner's uniform-VM host (what
     :class:`repro.cluster.plan.InPlaceAction` describes); ``plan_shapes``
-    takes explicit per-VM ``(vcpus, entries)`` shapes for a live
-    population (what :meth:`repro.core.inplace.InPlaceTP.stage_plan`
-    prices a live host with).
+    takes explicit per-VM ``(vcpus, entries)`` shapes and the run's
+    optimisation flags for a live population (what
+    :meth:`repro.core.inplace.InPlaceTP.stage_plan` prices and its run
+    charges).
 
     A plan is a pure value of its shape: everything else it reads is
     fixed at construction, so ``plan_host`` builds each
@@ -155,12 +156,10 @@ class InPlacePipeline:
 
     mechanism = "inplace"
 
-    def __init__(self, machine: Machine,
-                 cost: CostModel = DEFAULT_COST_MODEL,
+    def __init__(self, spec: MachineSpec,
                  target_kind: HypervisorKind = HypervisorKind.KVM,
                  verify: Optional[VerifySpec] = None):
-        self.machine = machine
-        self.cost = cost
+        self.spec = spec
         self.target_kind = target_kind
         self.verify = verify
         self._host_plans: Dict[Tuple[int, int], StagePlan] = {}
@@ -170,47 +169,46 @@ class InPlacePipeline:
         key = (vm_count, total_memory_bytes)
         plan = self._host_plans.get(key)
         if plan is None:
-            plan = self._host_plans[key] = self._build_host(
-                vm_count, total_memory_bytes)
+            entries_per_vm = (
+                entries_for(total_memory_bytes // vm_count, PAGE_2M,
+                            huge_pages=True)
+                if vm_count else 0
+            )
+            plan = self._host_plans[key] = self.plan_shapes(
+                [(1, entries_per_vm)] * vm_count)
         return plan
 
-    def _build_host(self, vm_count: int,
-                    total_memory_bytes: int) -> StagePlan:
-        entries_per_vm = (
-            self.cost.entries_for(
-                total_memory_bytes // max(1, vm_count), PAGE_2M,
-                huge_pages=True,
-            )
-            if vm_count else 0
-        )
-        entry_counts = [entries_per_vm] * vm_count
-        vm_shapes = [(1, entries_per_vm)] * vm_count
-        capture = (self.cost.pram_phase_s(self.machine, entry_counts)
-                   if vm_count else 0.0)
-        return self._build(vm_count, vm_shapes, sum(entry_counts), capture)
+    def plan_shapes(self, vm_shapes: Sequence[Tuple[int, int]], *,
+                    parallel: bool = True, early_restoration: bool = True,
+                    capture_in_pause: bool = False) -> StagePlan:
+        """Stage costs for an explicit ``(vcpus, entries)`` population.
 
-    def plan_shapes(self, vm_shapes: Sequence,
-                    entry_counts: Optional[Sequence[int]] = None) -> StagePlan:
-        """Stage costs for an explicit ``(vcpus, entries)`` population."""
-        if entry_counts is None:
-            entry_counts = [entries for _, entries in vm_shapes]
-        capture = (self.cost.pram_phase_s(self.machine, list(entry_counts))
-                   if entry_counts else 0.0)
-        return self._build(len(vm_shapes), list(vm_shapes),
-                           sum(entry_counts), capture)
-
-    def _build(self, vm_count: int, vm_shapes, total_entries: int,
-               capture: float) -> StagePlan:
-        translate = self.cost.translate_phase_s(self.machine, vm_shapes)
-        transfer = self.cost.reboot_phase_s(self.machine, self.target_kind,
-                                            total_entries)
-        restore = self.cost.restore_phase_s(self.machine, vm_shapes)
-        verify = self.verify.duration_s(vm_count) if self.verify else 0.0
+        The flags are the run's §4.2.5 optimisations: ``parallel`` gives
+        each VM's PRAM, translation and restoration task a worker thread,
+        ``early_restoration`` starts restoring before every host service
+        is up, and ``capture_in_pause`` (prepare-ahead off) builds PRAM
+        with the guests paused, so capture joins the downtime.
+        """
+        cost = DEFAULT_COST_MODEL
+        entry_counts = [entries for _, entries in vm_shapes]
+        capture = cost.pram_phase_s(self.spec, entry_counts,
+                                    parallel=parallel)
+        translate = cost.translate_phase_s(self.spec, vm_shapes,
+                                           parallel=parallel)
+        transfer = cost.reboot_phase_s(self.spec, self.target_kind,
+                                       sum(entry_counts))
+        restore = cost.restore_phase_s(self.spec, vm_shapes,
+                                       parallel=parallel,
+                                       early_restoration=early_restoration)
+        verify = (self.verify.duration_s(len(vm_shapes)) if self.verify
+                  else 0.0)
         stages = (
             StageCost(Stage.QUIESCE, 0.0, downtime=False,
                       detail="pause guests (kexec image staged ahead)"),
-            StageCost(Stage.CAPTURE, capture, downtime=False,
-                      detail="PRAM construction, prepare-ahead"),
+            StageCost(Stage.CAPTURE, capture, downtime=capture_in_pause,
+                      detail=("PRAM construction, inside the pause"
+                              if capture_in_pause
+                              else "PRAM construction, prepare-ahead")),
             StageCost(Stage.TRANSLATE, translate, downtime=True,
                       detail="VM_i State -> UISR"),
             StageCost(Stage.TRANSFER, transfer, downtime=True,
@@ -222,24 +220,27 @@ class InPlacePipeline:
                       detail="post-transplant host verification"),
         )
         # InPlaceTP's calibrated association is the plain left fold
-        # (pram + translation + reboot + restoration, then verify).
+        # (pram + translation + reboot + restoration, then verify); the
+        # pause sums translation, reboot and restoration, then PRAM when
+        # it was built inside the pause.
         execute = _fold([s.duration_s for s in stages[:-1]])
         total = _fold([s.duration_s for s in stages])
-        downtime = _fold([s.duration_s for s in stages if s.downtime])
+        downtime = _fold([translate, transfer, restore,
+                          capture if capture_in_pause else 0.0])
         return StagePlan(mechanism=self.mechanism, stages=stages,
                          total_s=total, execute_s=execute,
                          downtime_s=downtime)
 
 
 class MigrationPipeline:
-    """Stage costs of MigrationTP for one VM over a shared fabric.
+    """Stage costs of MigrationTP for one VM over a link of ``link_rate``
+    bytes/s: a fabric's rate from :class:`TransplantPipelines`, or a live
+    flow's share from the migrators' ``stage_plan``.
 
     ``charge_proxy`` switches on the 2x ``proxy_translate_s`` UISR term
-    the mechanism simulation charges (~1.6 ms).  The planners leave it
-    off: the fleet/cluster cost model is calibrated against Fig. 13 and
-    treats the proxy pair as measurement noise — pre-refactor this was
-    an undocumented divergence between two formulas in different layers;
-    now it is one flag in one place.
+    MigrationTP's run charges (~1.6 ms).  The planners leave it off: the
+    fleet/cluster cost model is calibrated against Fig. 13 and treats the
+    proxy pair as measurement noise, and ``LiveMigration`` has no proxies.
 
     Like :class:`InPlacePipeline`, each ``(memory_bytes,
     dirty_rate_bytes_s, vcpus)`` shape is built once per instance.
@@ -248,7 +249,6 @@ class MigrationPipeline:
     mechanism = "migration"
 
     def __init__(self, link_rate: float,
-                 cost: CostModel = DEFAULT_COST_MODEL,
                  target_kind: HypervisorKind = HypervisorKind.KVM,
                  charge_proxy: bool = False):
         if link_rate <= 0:
@@ -257,7 +257,6 @@ class MigrationPipeline:
                 f"got {link_rate}"
             )
         self.link_rate = link_rate
-        self.cost = cost
         self.target_kind = target_kind
         self.charge_proxy = charge_proxy
         self._vm_plans: Dict[Tuple[int, float, int], StagePlan] = {}
@@ -273,16 +272,17 @@ class MigrationPipeline:
 
     def _build_vm(self, memory_bytes: int, dirty_rate_bytes_s: float,
                   vcpus: int) -> StagePlan:
+        cost = DEFAULT_COST_MODEL
         rounds = plan_precopy(memory_bytes, self.link_rate,
-                              dirty_rate_bytes_s, self.cost)
+                              dirty_rate_bytes_s)
         capture = sum(r.duration_s for r in rounds)
         residual = rounds[-1].dirty_after_bytes
         transfer = residual / self.link_rate
-        restore = self.cost.stopcopy_overhead_s(self.target_kind, vcpus)
-        translate = (2 * self.cost.proxy_translate_s
+        restore = cost.stopcopy_overhead_s(self.target_kind, vcpus)
+        translate = (2 * cost.proxy_translate_s
                      if self.charge_proxy else 0.0)
         stages = (
-            StageCost(Stage.QUIESCE, self.cost.migration_setup_s,
+            StageCost(Stage.QUIESCE, cost.migration_setup_s,
                       downtime=False,
                       detail="connection + negotiation + first scan"),
             StageCost(Stage.CAPTURE, capture, downtime=False,
@@ -299,30 +299,26 @@ class MigrationPipeline:
                       detail="resume on destination"),
         )
         # MigrationTP's calibrated association groups busy time (setup +
-        # pre-copy) and downtime (residual copy + activation) before
-        # adding the two — the historical precopy/downtime split.
+        # pre-copy) and downtime (residual copy + activation, then the
+        # proxy pair, as the run sums it) before adding the two — the
+        # historical precopy/downtime split.
         busy = _fold([s.duration_s for s in stages if not s.downtime])
-        downtime = _fold([s.duration_s for s in stages if s.downtime])
+        downtime = (transfer + restore) + translate
         total = busy + downtime
         return StagePlan(mechanism=self.mechanism, stages=stages,
                          total_s=total, execute_s=total, downtime_s=downtime)
 
 
 class TransplantPipelines:
-    """Both mechanism pipelines for one host/fabric shape, cached per
-    target hypervisor (the fleet needs the source direction for
-    ReHype-style rollback)."""
+    """Both mechanism pipelines for hosts of one ``spec`` joined by a
+    fabric of its NIC rate, cached per target hypervisor (the fleet needs
+    the source direction for ReHype-style rollback)."""
 
-    def __init__(self, machine: Optional[Machine] = None,
-                 node_spec: MachineSpec = CLUSTER_NODE_SPEC,
-                 link_rate: Optional[float] = None,
-                 cost: CostModel = DEFAULT_COST_MODEL,
+    def __init__(self, spec: MachineSpec = CLUSTER_NODE_SPEC,
                  verify: Optional[VerifySpec] = None):
-        self.machine = machine if machine is not None else Machine(
-            node_spec, name="pipeline-reference")
-        self.link_rate = (link_rate if link_rate is not None
-                          else fabric_link_rate(node_spec))
-        self.cost = cost
+        self.spec = spec
+        #: effective bytes/s of the shared migration fabric
+        self.link_rate = effective_tcp_rate(gigabits(spec.nic_gbps))
         self.verify = verify
         self._inplace: Dict[HypervisorKind, InPlacePipeline] = {}
         self._migration: Dict[HypervisorKind, MigrationPipeline] = {}
@@ -330,11 +326,11 @@ class TransplantPipelines:
     def inplace(self, target_kind: HypervisorKind) -> InPlacePipeline:
         if target_kind not in self._inplace:
             self._inplace[target_kind] = InPlacePipeline(
-                self.machine, self.cost, target_kind, verify=self.verify)
+                self.spec, target_kind, verify=self.verify)
         return self._inplace[target_kind]
 
     def migration(self, target_kind: HypervisorKind) -> MigrationPipeline:
         if target_kind not in self._migration:
             self._migration[target_kind] = MigrationPipeline(
-                self.link_rate, self.cost, target_kind)
+                self.link_rate, target_kind)
         return self._migration[target_kind]

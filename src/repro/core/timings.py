@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.errors import MigrationError, TransplantError
-from repro.hw.machine import Machine
+from repro.hw.machine import MachineSpec
 from repro.hw.memory import PAGE_4K
 from repro.hypervisors.base import HypervisorKind
+from repro.sim.resources import CPUPool
 
 
 @dataclass(frozen=True)
@@ -76,60 +77,42 @@ class CostModel:
     # -- in-place guest resume --
     resume_per_vm_s: float = 0.004
 
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def entries_for(memory_bytes: int, page_size: int,
-                    huge_pages: bool) -> int:
-        """PRAM page entries describing one VM (8 B each, §5.5)."""
-        effective = page_size if huge_pages else PAGE_4K
-        return -(-memory_bytes // effective)
-
     # -- InPlaceTP phases ----------------------------------------------------
 
-    def pram_vm_task_s(self, machine: Machine, entries: int) -> float:
+    def pram_vm_task_s(self, spec: MachineSpec, entries: int) -> float:
         per_vm = self.pram_fixed_per_vm_s + self.pram_per_entry_s * entries
-        return per_vm * machine.spec.pram_factor
+        return per_vm * spec.pram_factor
 
-    def pram_phase_s(self, machine: Machine, entry_counts: Sequence[int],
+    def pram_phase_s(self, spec: MachineSpec, entry_counts: Sequence[int],
                      parallel: bool = True) -> float:
         """Wall time to build PRAM files for all VMs (before pausing)."""
-        tasks = [self.pram_vm_task_s(machine, e) for e in entry_counts]
-        if parallel:
-            makespan = machine.cpu_pool.parallel_makespan(tasks)
-        else:
-            makespan = machine.cpu_pool.serial_makespan(tasks)
+        tasks = [self.pram_vm_task_s(spec, e) for e in entry_counts]
         finalize = self.pram_finalize_per_vm_s * len(entry_counts)
-        return makespan + finalize * machine.spec.pram_factor
+        return _makespan(spec, tasks, parallel) + finalize * spec.pram_factor
 
-    def translate_vm_task_s(self, machine: Machine, vcpus: int,
+    def translate_vm_task_s(self, spec: MachineSpec, vcpus: int,
                             entries: int) -> float:
         work = (
             self.translate_fixed_per_vm_s
             + self.translate_per_vcpu_s * vcpus
             + self.translate_per_entry_s * entries
         )
-        return machine.host_work_time(work)
+        return spec.host_work_time(work)
 
-    def translate_phase_s(self, machine: Machine,
+    def translate_phase_s(self, spec: MachineSpec,
                           vm_shapes: Sequence, parallel: bool = True) -> float:
         """Wall time of the UISR-translation step (VMs are paused).
 
         ``vm_shapes`` is a sequence of (vcpus, entries) pairs.
         """
-        tasks = [self.translate_vm_task_s(machine, v, e) for v, e in vm_shapes]
-        if parallel:
-            makespan = machine.cpu_pool.parallel_makespan(tasks)
-        else:
-            makespan = machine.cpu_pool.serial_makespan(tasks)
+        tasks = [self.translate_vm_task_s(spec, v, e) for v, e in vm_shapes]
         host_scan = self.translate_per_host_gib_s * (
-            machine.spec.ram_bytes / (1 << 30)
+            spec.ram_bytes / (1 << 30)
         )
-        return makespan + host_scan
+        return _makespan(spec, tasks, parallel) + host_scan
 
-    def kernel_boot_s(self, machine: Machine, target_kind: HypervisorKind) -> float:
+    def kernel_boot_s(self, spec: MachineSpec,
+                      target_kind: HypervisorKind) -> float:
         if target_kind is HypervisorKind.XEN:
             base = self.xen_kernel_boot_s
             per_cpu = self.xen_per_cpu_boot_s
@@ -141,38 +124,33 @@ class CostModel:
             per_cpu = self.nova_per_cpu_boot_s
         else:
             raise TransplantError(f"no boot model for {target_kind}")
-        return (base * machine.spec.boot_factor
-                + per_cpu * machine.spec.threads)
+        return base * spec.boot_factor + per_cpu * spec.threads
 
-    def reboot_phase_s(self, machine: Machine, target_kind: HypervisorKind,
+    def reboot_phase_s(self, spec: MachineSpec, target_kind: HypervisorKind,
                        total_entries: int) -> float:
         """kexec jump + target kernel(s) boot + sequential PRAM parse."""
         parse = self.pram_parse_per_entry_s * total_entries
         return (self.kexec_jump_s
-                + self.kernel_boot_s(machine, target_kind)
-                + machine.host_work_time(parse))
+                + self.kernel_boot_s(spec, target_kind)
+                + spec.host_work_time(parse))
 
-    def restore_vm_task_s(self, machine: Machine, vcpus: int,
+    def restore_vm_task_s(self, spec: MachineSpec, vcpus: int,
                           entries: int) -> float:
         work = (
             self.restore_fixed_per_vm_s
             + self.restore_per_vcpu_s * vcpus
             + self.restore_per_entry_s * entries
         )
-        return machine.host_work_time(work)
+        return spec.host_work_time(work)
 
-    def restore_phase_s(self, machine: Machine, vm_shapes: Sequence,
+    def restore_phase_s(self, spec: MachineSpec, vm_shapes: Sequence,
                         parallel: bool = True,
                         early_restoration: bool = True) -> float:
-        tasks = [self.restore_vm_task_s(machine, v, e) for v, e in vm_shapes]
-        if parallel:
-            makespan = machine.cpu_pool.parallel_makespan(tasks)
-        else:
-            makespan = machine.cpu_pool.serial_makespan(tasks)
+        tasks = [self.restore_vm_task_s(spec, v, e) for v, e in vm_shapes]
         host_scan = self.restore_per_host_gib_s * (
-            machine.spec.ram_bytes / (1 << 30)
+            spec.ram_bytes / (1 << 30)
         )
-        total = makespan + host_scan
+        total = _makespan(spec, tasks, parallel) + host_scan
         if not early_restoration:
             # Without the early-restoration optimisation, restoration waits
             # for all host services instead of starting as soon as the KVM
@@ -200,7 +178,24 @@ class CostModel:
                 + self.xen_stopcopy_per_vcpu_s * vcpus)
 
 
+#: the one calibration every mechanism, pipeline and campaign prices with
 DEFAULT_COST_MODEL = CostModel()
+
+
+def entries_for(memory_bytes: int, page_size: int, huge_pages: bool) -> int:
+    """PRAM page entries describing one VM (8 B each, §5.5)."""
+    effective = page_size if huge_pages else PAGE_4K
+    return -(-memory_bytes // effective)
+
+
+def _makespan(spec: MachineSpec, tasks: Sequence[float],
+              parallel: bool) -> float:
+    """Wall time of per-VM ``tasks`` on the spec's worker threads, or one
+    after another when the parallel optimisation is off."""
+    pool = CPUPool(spec.worker_threads)
+    if parallel:
+        return pool.parallel_makespan(tasks)
+    return pool.serial_makespan(tasks)
 
 
 # -- pre-copy migration --------------------------------------------------------
@@ -217,8 +212,7 @@ class PreCopyRound:
 
 
 def plan_precopy(memory_bytes: int, rate_bytes_s: float,
-                 dirty_rate_bytes_s: float,
-                 cost: CostModel) -> List[PreCopyRound]:
+                 dirty_rate_bytes_s: float) -> List[PreCopyRound]:
     """Compute the pre-copy rounds for one VM.
 
     Round 1 ships all memory; round *k* ships what was dirtied during round
@@ -231,6 +225,7 @@ def plan_precopy(memory_bytes: int, rate_bytes_s: float,
     if dirty_rate_bytes_s < 0:
         raise MigrationError(
             f"dirty rate must be >= 0 bytes/s, got {dirty_rate_bytes_s:g}")
+    cost = DEFAULT_COST_MODEL
     rounds: List[PreCopyRound] = []
     to_send = memory_bytes
     threshold = max(1, int(memory_bytes * cost.stop_threshold_fraction))

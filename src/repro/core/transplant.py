@@ -7,10 +7,9 @@ proxies first, then the host micro-reboots into the target hypervisor with
 the remaining VMs carried through PRAM.
 
 HyperTP is a thin composer: the mechanism objects (:class:`InPlaceTP`,
-:class:`MigrationTP`) simulate execution, and their ``stage_plan`` methods
-price a run on the shared stage protocol (:mod:`repro.core.pipeline`) —
-the same :class:`~repro.core.pipeline.StagePlan` builders the cluster
-executor and the fleet control plane charge.
+:class:`MigrationTP`) simulate execution and charge the
+:class:`~repro.core.pipeline.StagePlan` their ``stage_plan`` methods
+return — built by the same pipeline the fleet control plane charges.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +23,6 @@ from repro.sim.clock import SimClock
 from repro.core.inplace import InPlaceReport, InPlaceTP
 from repro.core.migration import MigrationReport, MigrationTP
 from repro.core.optimizations import DEFAULT_OPTIMIZATIONS, OptimizationConfig
-from repro.core.timings import DEFAULT_COST_MODEL, CostModel
 
 
 @dataclass
@@ -66,9 +64,8 @@ def evacuees(hypervisor: Hypervisor) -> List[Domain]:
 class HyperTP:
     """Framework entry point: per-VM migration, per-host in-place, or both."""
 
-    def __init__(self, cost_model: CostModel = DEFAULT_COST_MODEL,
+    def __init__(self,
                  optimizations: OptimizationConfig = DEFAULT_OPTIMIZATIONS):
-        self.cost = cost_model
         self.opts = optimizations
 
     # -- the two mechanisms --------------------------------------------------
@@ -76,18 +73,15 @@ class HyperTP:
     def inplace(self, machine: Machine, target_kind: HypervisorKind,
                 clock: Optional[SimClock] = None) -> InPlaceReport:
         """InPlaceTP: micro-reboot ``machine`` into ``target_kind``."""
-        transplant = InPlaceTP(
-            machine, target_kind,
-            cost_model=self.cost, optimizations=self.opts,
-        )
+        transplant = InPlaceTP(machine, target_kind,
+                               optimizations=self.opts)
         return transplant.run(clock or SimClock())
 
     def migrate(self, fabric: Fabric, source: Machine, destination: Machine,
                 domain, clock: Optional[SimClock] = None,
                 dirty_rate_bytes_s: float = 1 << 20) -> MigrationReport:
         """MigrationTP: move one VM to a host running a different hypervisor."""
-        migrator = MigrationTP(fabric, source, destination,
-                               cost_model=self.cost)
+        migrator = MigrationTP(fabric, source, destination)
         return migrator.migrate(domain, clock or SimClock(),
                                 dirty_rate_bytes_s=dirty_rate_bytes_s)
 
@@ -126,8 +120,7 @@ class HyperTP:
                 raise TransplantError(
                     f"spare host {spare.name} must run {target_kind.value}"
                 )
-            migrator = MigrationTP(fabric, machine, spare,
-                                   cost_model=self.cost)
+            migrator = MigrationTP(fabric, machine, spare)
             for domain in incompatible:
                 report.migrated.append(migrator.migrate(domain, clock))
 

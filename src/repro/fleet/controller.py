@@ -46,11 +46,9 @@ from repro.core.mechanisms import (
     mechanism_mix,
 )
 from repro.core.pipeline import Stage, StagePlan, TransplantPipelines, VerifySpec
-from repro.core.timings import DEFAULT_COST_MODEL, CostModel
 from repro.fleet.failures import FailureInjector, FailurePhase, RetryPolicy
 from repro.fleet.metrics import FleetMetrics, collect_metrics
 from repro.fleet.state import FleetTrace, HostRecord, HostState
-from repro.hw.machine import CLUSTER_NODE_SPEC, Machine, MachineSpec
 from repro.hypervisors.base import HypervisorKind
 from repro.obs import Trace, trace_fleet
 from repro.sim.clock import SimClock
@@ -201,14 +199,11 @@ class FleetController:
                  db: Optional[VulnerabilityDatabase] = None,
                  injector: Optional[FailureInjector] = None,
                  retry: Optional[RetryPolicy] = None,
-                 node_spec: MachineSpec = CLUSTER_NODE_SPEC,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
                  journal=None):
         self.config = config = config if config is not None else FleetConfig()
         self.db = db if db is not None else load_default_database()
         self.injector = injector if injector is not None else FailureInjector()
         self.retry = retry if retry is not None else RetryPolicy()
-        self.cost = cost_model
         # Any object with transition/wave_barrier/checkpoint/commit methods,
         # normally a repro.journal.CampaignJournal.  Duck-typed so the fleet
         # layer never imports repro.journal (which imports fleet lazily).
@@ -232,11 +227,9 @@ class FleetController:
                     f"{config.current_hypervisor}"
                 )
             self.target_kind = HypervisorKind(self.advice.recommended_target)
-        self._machine = Machine(node_spec, name="fleet-reference")
         # The one cost path: per-host durations come from the staged
-        # pipeline, verify stage included.
+        # pipeline for the paper's cluster nodes, verify stage included.
         self._pipelines = TransplantPipelines(
-            machine=self._machine, node_spec=node_spec, cost=cost_model,
             verify=VerifySpec(config.verify_fixed_s, config.verify_per_vm_s),
         )
         self.policy = MechanismPolicy(config.mechanism)

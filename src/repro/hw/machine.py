@@ -16,7 +16,7 @@ from typing import Optional
 from repro.errors import HardwareError
 from repro.hw.memory import PhysicalMemory
 from repro.hw.nic import NIC
-from repro.sim.resources import CPUPool, gigabits
+from repro.sim.resources import gigabits
 
 GIB = 1024 ** 3
 
@@ -53,6 +53,12 @@ class MachineSpec:
     def worker_threads(self) -> int:
         """Threads usable for transplant work after the admin reservation."""
         return max(1, self.threads - self.reserved_admin_cpus)
+
+    def host_work_time(self, single_thread_seconds: float) -> float:
+        """Scale nominal single-thread work by this machine's CPU speed."""
+        if single_thread_seconds < 0:
+            raise HardwareError("work time must be non-negative")
+        return single_thread_seconds * self.cpu_speed_factor
 
 
 # The paper's machines.  ``nic_init_s`` reproduces the measured link
@@ -100,7 +106,7 @@ CLUSTER_NODE_SPEC = MachineSpec(
 
 
 class Machine:
-    """A physical machine instance: RAM, NIC, CPU pool, installed hypervisor.
+    """A physical machine instance: RAM, NIC, installed hypervisor.
 
     ``hypervisor`` is set by :meth:`repro.hypervisors.base.Hypervisor.boot`;
     the machine itself stays hypervisor-agnostic.
@@ -115,7 +121,6 @@ class Machine:
         self.name = name or f"{spec.name}-{self.machine_id}"
         self.memory = PhysicalMemory(spec.ram_bytes)
         self.nic = NIC(rate_bytes_per_s=gigabits(spec.nic_gbps), init_s=spec.nic_init_s)
-        self.cpu_pool = CPUPool(spec.worker_threads)
         self.hypervisor = None  # type: Optional[object]
         # Staged kexec image (hypervisor kind loaded ahead of time, step 1 of
         # the InPlaceTP workflow, Fig. 3).
@@ -124,12 +129,6 @@ class Machine:
     def stage_kernel(self, kernel) -> None:
         """Load a target hypervisor image into RAM ahead of the micro-reboot."""
         self.staged_kernel = kernel
-
-    def host_work_time(self, single_thread_seconds: float) -> float:
-        """Scale nominal single-thread work by this machine's CPU speed."""
-        if single_thread_seconds < 0:
-            raise HardwareError("work time must be non-negative")
-        return single_thread_seconds * self.spec.cpu_speed_factor
 
     def __repr__(self) -> str:
         hv = type(self.hypervisor).__name__ if self.hypervisor else "none"

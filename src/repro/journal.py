@@ -50,7 +50,7 @@ CI smoke job drive.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import JournalCrash, JournalDivergence, JournalError
@@ -631,35 +631,26 @@ class CampaignJournal:
 # -- campaign glue ------------------------------------------------------------
 
 
-def campaign_meta(config, injector, retry) -> Dict:
-    """The CAMPAIGN_META document for a controller's full configuration.
+#: FleetConfig fields journaled only when they differ from these values,
+#: so campaigns that leave them alone stay byte-identical to journals
+#: written before the knob existed; recover() falls back to the same
+#: FleetConfig defaults for a missing key
+_UNJOURNALED_DEFAULTS = {"mechanism": "hybrid", "target_override": None}
 
-    The mechanism policy is journaled only when it differs from the
-    hybrid default: default campaigns stay byte-identical to journals
-    written before the policy knob existed, and :func:`recover` falls
-    back to the FleetConfig default for the missing key either way.
-    """
-    meta = {
+
+def campaign_meta(config, injector, retry) -> Dict:
+    """The CAMPAIGN_META document for a controller's full configuration:
+    every FleetConfig field (bar ``_UNJOURNALED_DEFAULTS``), the
+    failure rates and the retry policy."""
+    config_doc = asdict(config)
+    config_doc["pool"] = list(config.pool)
+    for name, default in _UNJOURNALED_DEFAULTS.items():
+        if config_doc[name] == default:
+            del config_doc[name]
+    return {
         "format": JOURNAL_FORMAT,
         "version": JOURNAL_VERSION,
-        "config": {
-            "hosts": config.hosts,
-            "vms_per_host": config.vms_per_host,
-            "inplace_fraction": config.inplace_fraction,
-            "group_size": config.group_size,
-            "seed": config.seed,
-            "concurrency": config.concurrency,
-            "sequential_groups": config.sequential_groups,
-            "migration_streams": config.migration_streams,
-            "stall_timeout_s": config.stall_timeout_s,
-            "kexec_watchdog_s": config.kexec_watchdog_s,
-            "verify_fixed_s": config.verify_fixed_s,
-            "verify_per_vm_s": config.verify_per_vm_s,
-            "trigger_cve": config.trigger_cve,
-            "current_hypervisor": config.current_hypervisor,
-            "pool": list(config.pool),
-            "disclosure_at_s": config.disclosure_at_s,
-        },
+        "config": config_doc,
         "failures": {
             "rates": {phase.value: rate
                       for phase, rate in sorted(injector.rates.items(),
@@ -673,11 +664,6 @@ def campaign_meta(config, injector, retry) -> Dict:
             "backoff_max_s": retry.backoff_max_s,
         },
     }
-    if config.mechanism != "hybrid":
-        meta["config"]["mechanism"] = config.mechanism
-    if config.target_override is not None:
-        meta["config"]["target_override"] = config.target_override
-    return meta
 
 
 def recover(path: str, *, crash_after: Optional[int] = None):

@@ -83,17 +83,6 @@ class MetricSeries:
             )
         return sum(window) / len(window)
 
-    def percentile(self, fraction: float) -> float:
-        """Nearest-rank percentile (e.g. ``0.99`` for p99)."""
-        if not self.values:
-            raise ReproError(f"series {self.name} is empty")
-        if not 0.0 <= fraction <= 1.0:
-            raise ReproError(f"percentile fraction out of range: {fraction}")
-        ordered = sorted(self.values)
-        rank = min(len(ordered) - 1,
-                   max(0, int(round(fraction * len(ordered))) - 1))
-        return ordered[rank]
-
     def zero_span(self) -> Tuple[Optional[float], Optional[float]]:
         """First and last time the series reads (near) zero, if any."""
         zeros = [t for t, v in zip(self.times, self.values) if v <= 1e-9]

@@ -11,6 +11,10 @@ agree with, kept verbatim for differential tests:
   evacuated VM, O(hosts) per migration;
 * :func:`plan_host_rebuild` / :func:`plan_vm_rebuild` — a stage plan
   built afresh on every call, never cached by shape;
+* :func:`former_inplace_timings` / :func:`former_migration_timings` —
+  InPlaceTP's four phases and downtime, and a migration's pre-copy time
+  and downtime, as the runs priced them inline (four ``CostModel`` calls
+  and the run's own downtime sum) before each charged its own stage plan;
 * :class:`HeapEngine` — a heap of event objects ordered by the
   Python-level ``HeapEvent.__lt__``;
 * :class:`FleetProcess` with :class:`Gate`, :class:`Latch` and
@@ -98,7 +102,7 @@ from repro.core.pipeline import (
     TransplantPipelines,
     _fold,
 )
-from repro.core.timings import DEFAULT_COST_MODEL, CostModel, plan_precopy
+from repro.core.timings import DEFAULT_COST_MODEL, entries_for, plan_precopy
 from repro.core.convert.compat import apply_platform_fixups
 from repro.core.convert.verify import verify_restore_target
 from repro.core.uisr.codec import encode_uisr
@@ -219,8 +223,9 @@ class LiveListPlanner(BtrPlacePlanner):
 def plan_host_rebuild(pipeline: InPlacePipeline, vm_count: int,
                       total_memory_bytes: int) -> StagePlan:
     """``pipeline.plan_host``, built from scratch on every call."""
+    cost = DEFAULT_COST_MODEL
     entries_per_vm = (
-        pipeline.cost.entries_for(
+        entries_for(
             total_memory_bytes // max(1, vm_count), PAGE_2M,
             huge_pages=True,
         )
@@ -228,13 +233,13 @@ def plan_host_rebuild(pipeline: InPlacePipeline, vm_count: int,
     )
     entry_counts = [entries_per_vm] * vm_count
     vm_shapes = [(1, entries_per_vm)] * vm_count
-    capture = (pipeline.cost.pram_phase_s(pipeline.machine, entry_counts)
+    capture = (cost.pram_phase_s(pipeline.spec, entry_counts)
                if vm_count else 0.0)
     total_entries = sum(entry_counts)
-    translate = pipeline.cost.translate_phase_s(pipeline.machine, vm_shapes)
-    transfer = pipeline.cost.reboot_phase_s(pipeline.machine, pipeline.target_kind,
-                                        total_entries)
-    restore = pipeline.cost.restore_phase_s(pipeline.machine, vm_shapes)
+    translate = cost.translate_phase_s(pipeline.spec, vm_shapes)
+    transfer = cost.reboot_phase_s(pipeline.spec, pipeline.target_kind,
+                                   total_entries)
+    restore = cost.restore_phase_s(pipeline.spec, vm_shapes)
     verify = pipeline.verify.duration_s(vm_count) if pipeline.verify else 0.0
     stages = (
         StageCost(Stage.QUIESCE, 0.0, downtime=False,
@@ -261,16 +266,17 @@ def plan_host_rebuild(pipeline: InPlacePipeline, vm_count: int,
 def plan_vm_rebuild(pipeline: MigrationPipeline, memory_bytes: int,
                     dirty_rate_bytes_s: float, vcpus: int = 1) -> StagePlan:
     """``pipeline.plan_vm``, built from scratch on every call."""
+    cost = DEFAULT_COST_MODEL
     rounds = plan_precopy(memory_bytes, pipeline.link_rate,
-                          dirty_rate_bytes_s, pipeline.cost)
+                          dirty_rate_bytes_s)
     capture = sum(r.duration_s for r in rounds)
     residual = rounds[-1].dirty_after_bytes
     transfer = residual / pipeline.link_rate
-    restore = pipeline.cost.stopcopy_overhead_s(pipeline.target_kind, vcpus)
-    translate = (2 * pipeline.cost.proxy_translate_s
+    restore = cost.stopcopy_overhead_s(pipeline.target_kind, vcpus)
+    translate = (2 * cost.proxy_translate_s
                  if pipeline.charge_proxy else 0.0)
     stages = (
-        StageCost(Stage.QUIESCE, pipeline.cost.migration_setup_s,
+        StageCost(Stage.QUIESCE, cost.migration_setup_s,
                   downtime=False,
                   detail="connection + negotiation + first scan"),
         StageCost(Stage.CAPTURE, capture, downtime=False,
@@ -287,10 +293,63 @@ def plan_vm_rebuild(pipeline: MigrationPipeline, memory_bytes: int,
                   detail="resume on destination"),
     )
     busy = _fold([s.duration_s for s in stages if not s.downtime])
-    downtime = _fold([s.duration_s for s in stages if s.downtime])
+    downtime = transfer + restore + translate
     total = busy + downtime
     return StagePlan(mechanism=pipeline.mechanism, stages=stages,
                      total_s=total, execute_s=total, downtime_s=downtime)
+
+
+def former_inplace_timings(transplant) -> Tuple[float, float, float, float,
+                                                float]:
+    """``(pram, translation, reboot, restoration, downtime)`` of an
+    :class:`~repro.core.inplace.InPlaceTP` about to run, priced the way
+    its run priced each phase inline before it charged its stage plan."""
+    cost = DEFAULT_COST_MODEL
+    spec = transplant.machine.spec
+    opts = transplant.opts
+    domains = sorted(transplant.source.domains.values(),
+                     key=lambda d: d.domid)
+    entry_counts = []
+    for domain in domains:
+        image = domain.vm.image
+        entry_counts.append(entries_for(image.size_bytes, image.page_size,
+                                        opts.huge_pages))
+    pram = cost.pram_phase_s(spec, entry_counts, parallel=opts.parallel)
+    vm_shapes = [(domain.vm.config.vcpus, entries) for domain, entries
+                 in zip(domains, entry_counts, strict=True)]
+    translation = cost.translate_phase_s(spec, vm_shapes,
+                                         parallel=opts.parallel)
+    total_entries = sum(e for _, e in vm_shapes)
+    reboot = cost.reboot_phase_s(spec, transplant.target_kind, total_entries)
+    restoration = cost.restore_phase_s(
+        spec, vm_shapes, parallel=opts.parallel,
+        early_restoration=opts.early_restoration,
+    )
+    downtime = (translation + reboot + restoration
+                + (0.0 if opts.prepare_ahead else pram))
+    return pram, translation, reboot, restoration, downtime
+
+
+def former_migration_timings(migrator, domain: Domain,
+                             dirty_rate_bytes_s: float, concurrent: int,
+                             receive_queue_position: int
+                             ) -> Tuple[float, float]:
+    """``(precopy, downtime)`` of a migration about to run, priced the way
+    :class:`FormerLiveMigration` and :class:`FormerMigrationTP` priced it
+    inline."""
+    cost = DEFAULT_COST_MODEL
+    vm = domain.vm
+    rate = migrator._flow_rate(concurrent)
+    rounds = plan_precopy(vm.image.size_bytes, rate, dirty_rate_bytes_s)
+    precopy = cost.migration_setup_s + sum(r.duration_s for r in rounds)
+    final_copy_s = rounds[-1].dirty_after_bytes / rate
+    activation_s = cost.stopcopy_overhead_s(
+        migrator.destination.hypervisor.kind, vm.config.vcpus)
+    if migrator.heterogeneous:
+        tail_s = 2 * cost.proxy_translate_s
+    else:
+        tail_s = receive_queue_position * activation_s
+    return precopy, final_copy_s + activation_s + tail_s
 
 
 class HeapEvent:
@@ -899,10 +958,9 @@ class FormerLiveMigration(LiveMigration):
         )
 
         rate = self._flow_rate(concurrent)
-        rounds = plan_precopy(vm.image.size_bytes, rate, dirty_rate_bytes_s,
-                              self.cost)
+        rounds = plan_precopy(vm.image.size_bytes, rate, dirty_rate_bytes_s)
         report.rounds = rounds
-        report.precopy_s = (self.cost.migration_setup_s
+        report.precopy_s = (DEFAULT_COST_MODEL.migration_setup_s
                             + sum(r.duration_s for r in rounds))
         report.bytes_transferred = sum(r.bytes_sent for r in rounds)
 
@@ -919,7 +977,7 @@ class FormerLiveMigration(LiveMigration):
         vm.pause(pause_time)
         residual = rounds[-1].dirty_after_bytes
         final_copy_s = residual / rate
-        activation_s = self.cost.stopcopy_overhead_s(
+        activation_s = DEFAULT_COST_MODEL.stopcopy_overhead_s(
             dst_hv.kind, vm.config.vcpus
         )
         queue_wait_s = receive_queue_position * activation_s
@@ -995,10 +1053,9 @@ class FormerMigrationTP(MigrationTP):
         )
 
         rate = self._flow_rate(concurrent)
-        rounds = plan_precopy(vm.image.size_bytes, rate, dirty_rate_bytes_s,
-                              self.cost)
+        rounds = plan_precopy(vm.image.size_bytes, rate, dirty_rate_bytes_s)
         report.rounds = rounds
-        report.precopy_s = (self.cost.migration_setup_s
+        report.precopy_s = (DEFAULT_COST_MODEL.migration_setup_s
                             + sum(r.duration_s for r in rounds))
         report.bytes_transferred = sum(r.bytes_sent for r in rounds)
 
@@ -1016,11 +1073,11 @@ class FormerMigrationTP(MigrationTP):
         vm.pause(pause_time)
         residual = rounds[-1].dirty_after_bytes
         final_copy_s = residual / rate
-        activation_s = self.cost.stopcopy_overhead_s(
+        activation_s = DEFAULT_COST_MODEL.stopcopy_overhead_s(
             dst_hv.kind, vm.config.vcpus
         )
         report.downtime_s = (final_copy_s + activation_s
-                             + 2 * self.cost.proxy_translate_s)
+                             + 2 * DEFAULT_COST_MODEL.proxy_translate_s)
         report.bytes_transferred += residual
         clock.advance(report.downtime_s)
 
@@ -1344,13 +1401,10 @@ class PlanExecutor:
     """Times a :class:`ReconfigurationPlan` against the staged pipeline."""
 
     def __init__(self, node_spec: MachineSpec = CLUSTER_NODE_SPEC,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
                  target_kind: HypervisorKind = HypervisorKind.KVM):
         self.node_spec = node_spec
-        self.cost = cost_model
         self.target_kind = target_kind
-        self.pipelines = TransplantPipelines(
-            node_spec=node_spec, cost=cost_model)
+        self.pipelines = TransplantPipelines(node_spec)
 
     # -- per-action stage plans ----------------------------------------------
 

@@ -872,8 +872,8 @@ class TestMechanismHygiene:
                 """
                 from repro.core.timings import plan_precopy as precopy
 
-                def migration_time(memory, rate, dirty, cost):
-                    return precopy(memory, rate, dirty, cost)
+                def migration_time(memory, rate, dirty):
+                    return precopy(memory, rate, dirty)
                 """
             ),
         }
@@ -889,11 +889,25 @@ class TestMechanismHygiene:
             """
         )
         sources = {path: body for path in (
-            "core/pipeline.py", "core/inplace.py",
-            "core/migration.py", "core/timings.py",
+            "core/pipeline.py", "core/migration.py", "core/timings.py",
         )}
         findings, _ = analyze(sources, rules=["mechanism-hygiene"])
         assert findings == []
+
+    def test_inplace_mechanism_charges_its_stage_plan(self):
+        # InPlaceTP's run charges the plan its stage_plan returns; a phase
+        # priced inline there is a second cost path.
+        sources = {
+            "core/inplace.py": textwrap.dedent(
+                """
+                def reboot_s(cost, spec, kind, entries):
+                    return cost.reboot_phase_s(spec, kind, entries)
+                """
+            ),
+        }
+        findings, _ = analyze(sources, rules=["mechanism-hygiene"])
+        assert [(f.path, "reboot_phase_s" in f.message)
+                for f in findings] == [("core/inplace.py", True)]
 
     def test_stage_plan_consumers_are_clean(self):
         sources = {

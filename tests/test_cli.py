@@ -379,11 +379,16 @@ DATAPLANE_GOLDENS = Path(__file__).parent / "goldens" / "dataplane"
 KINDS = ("xen", "kvm", "nova")
 
 
+#: the InPlaceTP ablations whose phase sums the run takes from its plan
+INPLACE_ABLATIONS = ("no-prepare-ahead", "no-parallel", "no-huge-pages")
+
+
 def dataplane_runs():
-    """The nine data-plane runs CI also compares with the goldens:
-    InPlaceTP over the six ordered pairs, each writing its trace, and a
+    """The thirteen data-plane runs CI also compares with the goldens:
+    InPlaceTP over the six ordered pairs, each writing its trace, a
     migration to every destination (the Xen->Xen baseline or
-    MigrationTP)."""
+    MigrationTP), and the default InPlaceTP and three of its
+    optimisation ablations, each writing its trace."""
     runs = []
     for source in KINDS:
         for target in KINDS:
@@ -397,6 +402,14 @@ def dataplane_runs():
         runs.append(pytest.param(f"migrate-{dest}",
                                  ["migrate", "--dest", dest],
                                  id=f"migrate-{dest}"))
+    runs.append(pytest.param(
+        "inplace-default", ["inplace", "--trace", "inplace-default.trace.json"],
+        id="inplace-default"))
+    for ablation in INPLACE_ABLATIONS:
+        name = f"inplace-{ablation}"
+        runs.append(pytest.param(
+            name, ["inplace", "--vms", "3", "--vcpus", "2", f"--{ablation}",
+                   "--trace", f"{name}.trace.json"], id=name))
     return runs
 
 

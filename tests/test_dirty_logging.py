@@ -84,10 +84,9 @@ class TestDirtyLogDrivesPreCopy:
         domain = next(iter(source.hypervisor.domains.values()))
         migrator = MigrationTP(fabric, source, destination)
         stream = wire.MigrationStream()
-        from repro.core.timings import DEFAULT_COST_MODEL, plan_precopy
+        from repro.core.timings import plan_precopy
 
-        rounds = plan_precopy(1 << 30, migrator._flow_rate(1), 1 << 20,
-                              DEFAULT_COST_MODEL)
+        rounds = plan_precopy(1 << 30, migrator._flow_rate(1), 1 << 20)
         residual = migrator._stream_precopy(domain.vm, rounds, stream, None)
         assert residual == []
         messages = list(stream.receive_all())

@@ -52,7 +52,7 @@ from repro.core.timings import CostModel
 from repro.errors import ClusterError, PlanningError, SentinelError
 from repro.fleet import FleetConfig, FleetController
 from repro.fleet import failures
-from repro.hw.machine import CLUSTER_NODE_SPEC, Machine
+from repro.hw.machine import CLUSTER_NODE_SPEC
 from repro.hypervisors.base import HypervisorKind
 from repro.sentinel import FeedSchedule, FleetInventory, Sentinel, SentinelConfig
 from repro.vulndb.cve import CVERecord
@@ -279,7 +279,6 @@ def test_accrual_cost_bounded_by_open_cves_times_kinds(monkeypatch, hosts):
 
 # -- stage plans memoized by shape ---------------------------------------------
 
-MACHINE = Machine(CLUSTER_NODE_SPEC, name="memo-reference")
 DIRTY_RATES = tuple(kind.dirty_rate_bytes_s for kind in WorkloadKind)
 
 
@@ -314,7 +313,8 @@ def plan_calls(draw):
 @settings(max_examples=150, deadline=None)
 def test_memoized_plans_match_rebuild(kind, verify, link_rate, charge_proxy,
                                       calls):
-    inplace = InPlacePipeline(MACHINE, target_kind=kind, verify=verify)
+    inplace = InPlacePipeline(CLUSTER_NODE_SPEC, target_kind=kind,
+                              verify=verify)
     migration = MigrationPipeline(link_rate, target_kind=kind,
                                   charge_proxy=charge_proxy)
     first_seen = {}
@@ -340,15 +340,13 @@ def _costing_calls(monkeypatch, config):
     plan_precopy, pram_phase_s = (pipeline_module.plan_precopy,
                                   CostModel.pram_phase_s)
 
-    def counting_precopy(memory_bytes, rate_bytes_s, dirty_rate_bytes_s,
-                         cost):
+    def counting_precopy(memory_bytes, rate_bytes_s, dirty_rate_bytes_s):
         precopy_calls[memory_bytes, rate_bytes_s, dirty_rate_bytes_s] += 1
-        return plan_precopy(memory_bytes, rate_bytes_s, dirty_rate_bytes_s,
-                            cost)
+        return plan_precopy(memory_bytes, rate_bytes_s, dirty_rate_bytes_s)
 
-    def counting_pram(self, machine, entry_counts, *args, **kwargs):
-        pram_calls[id(machine), tuple(entry_counts)] += 1
-        return pram_phase_s(self, machine, entry_counts, *args, **kwargs)
+    def counting_pram(self, spec, entry_counts, *args, **kwargs):
+        pram_calls[spec, tuple(entry_counts)] += 1
+        return pram_phase_s(self, spec, entry_counts, *args, **kwargs)
 
     monkeypatch.setattr(pipeline_module, "plan_precopy", counting_precopy)
     monkeypatch.setattr(CostModel, "pram_phase_s", counting_pram)

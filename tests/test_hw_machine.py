@@ -44,12 +44,11 @@ class TestMachine:
         assert a.name != b.name
 
     def test_host_work_time_scales_by_speed_factor(self):
-        m2 = Machine(M2_SPEC)
-        assert m2.host_work_time(1.0) == pytest.approx(2.5 / 1.7)
+        assert M2_SPEC.host_work_time(1.0) == pytest.approx(2.5 / 1.7)
 
-    def test_host_work_time_rejects_negative(self, m1):
+    def test_host_work_time_rejects_negative(self):
         with pytest.raises(HardwareError):
-            m1.host_work_time(-1.0)
+            M1_SPEC.host_work_time(-1.0)
 
     def test_stage_kernel(self, m1):
         m1.stage_kernel("image")

@@ -147,7 +147,7 @@ class TestRegistryCompleteness:
         from repro.core.timings import DEFAULT_COST_MODEL
 
         for kind in HypervisorKind:
-            assert DEFAULT_COST_MODEL.kernel_boot_s(m1, kind) > 0
+            assert DEFAULT_COST_MODEL.kernel_boot_s(m1.spec, kind) > 0
 
     def test_every_kind_has_stopcopy_model(self):
         from repro.core.timings import DEFAULT_COST_MODEL

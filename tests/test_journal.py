@@ -7,6 +7,7 @@ resumed journal file itself converges to the uninterrupted journal's
 bytes.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -147,6 +148,42 @@ class TestRecordCodecs:
     def test_meta_round_trips_the_campaign_shape(self):
         meta = campaign_meta(*campaign_parts())
         assert decode_record(CAMPAIGN_META_FRAME, encode_meta(meta)) == meta
+
+    def test_meta_journals_every_config_field(self):
+        # Only the mechanism and the target override stay out, and only
+        # at their defaults.
+        names = {f.name for f in dataclasses.fields(FleetConfig)}
+        _, injector, retry = campaign_parts()
+        default = campaign_meta(FleetConfig(), injector, retry)["config"]
+        assert set(default) == names - {"mechanism", "target_override"}
+        assert default["pool"] == ["xen", "kvm"]
+        tuned = campaign_meta(FleetConfig(mechanism="auto",
+                                          target_override="kvm"),
+                              injector, retry)["config"]
+        assert set(tuned) == names
+
+    def test_recover_rebuilds_every_config_field(self, tmp_path):
+        config = FleetConfig(
+            hosts=3, vms_per_host=4, inplace_fraction=0.5, group_size=1,
+            seed=7, concurrency=2, sequential_groups=True,
+            migration_streams=2, stall_timeout_s=30.0, kexec_watchdog_s=15.0,
+            verify_fixed_s=0.02, verify_per_vm_s=0.001, mechanism="auto",
+            trigger_cve="CVE-2015-3456", current_hypervisor="kvm",
+            pool=("kvm", "nova"), disclosure_at_s=5.0,
+            target_override="nova",
+        )
+        defaults = FleetConfig()
+        assert [f.name for f in dataclasses.fields(FleetConfig)
+                if getattr(config, f.name) == getattr(defaults, f.name)] == []
+        path = str(tmp_path / "c.journal")
+        # crash_after=1: the file holds CAMPAIGN_META alone.
+        with pytest.raises(JournalCrash):
+            CampaignJournal.create(path, campaign_meta(
+                config, FailureInjector(0.0, seed=1), RetryPolicy()),
+                crash_after=1)
+        controller, journal = recover(path)
+        journal.close()
+        assert controller.config == config
 
 
 # -- the acceptance loop: kill and resume at every record ----------------------

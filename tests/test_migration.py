@@ -28,32 +28,32 @@ MB = 1 << 20
 
 class TestPreCopyPlanning:
     def test_round1_ships_everything(self):
-        rounds = plan_precopy(GIB, 100 * MB, MB, DEFAULT_COST_MODEL)
+        rounds = plan_precopy(GIB, 100 * MB, MB)
         assert rounds[0].bytes_sent == GIB
 
     def test_idle_vm_converges_quickly(self):
-        rounds = plan_precopy(GIB, 100 * MB, MB, DEFAULT_COST_MODEL)
+        rounds = plan_precopy(GIB, 100 * MB, MB)
         assert len(rounds) <= 3
         assert rounds[-1].dirty_after_bytes <= GIB * 0.002
 
     def test_busy_vm_needs_more_rounds(self):
-        idle = plan_precopy(GIB, 100 * MB, MB, DEFAULT_COST_MODEL)
-        busy = plan_precopy(GIB, 100 * MB, 50 * MB, DEFAULT_COST_MODEL)
+        idle = plan_precopy(GIB, 100 * MB, MB)
+        busy = plan_precopy(GIB, 100 * MB, 50 * MB)
         assert len(busy) > len(idle)
         assert sum(r.bytes_sent for r in busy) > sum(r.bytes_sent for r in idle)
 
     def test_write_storm_cuts_to_stop_and_copy(self):
         # Dirty rate >= link rate: pre-copy cannot converge.
-        rounds = plan_precopy(GIB, 100 * MB, 200 * MB, DEFAULT_COST_MODEL)
+        rounds = plan_precopy(GIB, 100 * MB, 200 * MB)
         assert len(rounds) <= DEFAULT_COST_MODEL.max_precopy_rounds
 
     def test_round_budget_respected(self):
-        rounds = plan_precopy(GIB, 100 * MB, 90 * MB, DEFAULT_COST_MODEL)
+        rounds = plan_precopy(GIB, 100 * MB, 90 * MB)
         assert len(rounds) <= DEFAULT_COST_MODEL.max_precopy_rounds
 
     def test_zero_rate_rejected(self):
         with pytest.raises(MigrationError):
-            plan_precopy(GIB, 0, MB, DEFAULT_COST_MODEL)
+            plan_precopy(GIB, 0, MB)
 
 
 class TestMigrationTP:

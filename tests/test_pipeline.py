@@ -7,11 +7,16 @@ default campaign's artifacts must stay byte-identical to the
 pre-refactor goldens.
 """
 
+import dataclasses
+import itertools
 import json
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.bench import make_host
 from repro.cluster.model import build_paper_cluster
 from repro.cluster.btrplace import BtrPlacePlanner
 from repro.core.mechanisms import (
@@ -28,15 +33,19 @@ from repro.core.pipeline import (
     StagePlan,
     TransplantPipelines,
     VerifySpec,
-    fabric_link_rate,
 )
 from repro.core.timings import DEFAULT_COST_MODEL
 from repro.errors import FleetError, TransplantError
 from repro.fleet import FleetConfig, FleetController, UpgradeCampaign
+from repro.hw.machine import CLUSTER_NODE_SPEC, M1_SPEC, M2_SPEC, Machine
 from repro.hypervisors.base import HypervisorKind
 from repro.sim.clock import SimClock
 
-from tests.oracles import PlanExecutor
+from tests.oracles import (
+    PlanExecutor,
+    former_inplace_timings,
+    former_migration_timings,
+)
 
 GIB = 1024 ** 3
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
@@ -98,7 +107,7 @@ class TestStagePlan:
                                    Stage.RESTORE]
         assert plan.stage_s(Stage.TRANSLATE) == 0.0  # planner: no proxy term
         charged = MigrationPipeline(
-            fabric_link_rate(), charge_proxy=True,
+            TransplantPipelines().link_rate, charge_proxy=True,
         ).plan_vm(4 * GIB, 48 << 20)
         assert charged.stage_s(Stage.TRANSLATE) == pytest.approx(
             2 * DEFAULT_COST_MODEL.proxy_translate_s)
@@ -111,6 +120,15 @@ class TestStagePlan:
             0.01 + 0.002 * 10)
         assert plan.total_s == pytest.approx(
             plan.execute_s + plan.stage_s(Stage.VERIFY))
+
+    def test_pricing_builds_no_machine(self):
+        # Plans are priced from the spec alone: building the control
+        # plane's cost path uses up no machine id.
+        before = Machine._ids
+        TransplantPipelines().inplace(HypervisorKind.KVM).plan_host(
+            10, 40 * GIB)
+        FleetController(FleetConfig(hosts=4, vms_per_host=4, seed=7))
+        assert Machine._ids == before
 
 
 # -- executor parity -----------------------------------------------------------
@@ -312,38 +330,98 @@ class TestGoldenByteIdentity:
 # -- mechanism simulations against the pipeline --------------------------------
 
 
+KINDS = list(HypervisorKind)
+#: every OptimizationConfig, as (prepare_ahead, parallel, huge_pages,
+#: early_restoration)
+ALL_FLAGS = list(itertools.product((True, False), repeat=4))
+#: 16-256 MiB guests, whole 2 MiB pages
+MEMORY_MIB = st.integers(8, 128).map(lambda pages: 2 * pages)
+
+
+def _flags_id(flags):
+    names = ("prepare_ahead", "parallel", "huge_pages", "early_restoration")
+    off = [f"no_{name}"
+           for name, flag in zip(names, flags, strict=True) if not flag]
+    return "-".join(off) or "all"
+
+
 class TestMechanismStagePlans:
-    def test_inplace_stage_plan_matches_run_report(self, xen_host_factory):
+    """A live run charges exactly the plan its ``stage_plan`` returns, and
+    that plan prices every phase as the run priced it inline before."""
+
+    @pytest.mark.parametrize("flags", ALL_FLAGS, ids=_flags_id)
+    @given(kinds=st.sampled_from([(s, t) for s in KINDS for t in KINDS
+                                  if s is not t]),
+           spec=st.sampled_from([M1_SPEC, M2_SPEC]),
+           vm_count=st.integers(1, 4), vcpus=st.integers(1, 4),
+           memory_mib=MEMORY_MIB)
+    @example(kinds=(HypervisorKind.XEN, HypervisorKind.KVM), spec=M2_SPEC,
+             vm_count=4, vcpus=4, memory_mib=256)
+    @settings(max_examples=5, deadline=None)
+    def test_inplace_run_charges_its_stage_plan(self, flags, kinds, spec,
+                                                vm_count, vcpus,
+                                                memory_mib):
         from repro.core.inplace import InPlaceTP
+        from repro.core.optimizations import OptimizationConfig
 
-        machine = xen_host_factory(vm_count=3, memory_gib=2.0)
-        transplant = InPlaceTP(machine, HypervisorKind.KVM)
+        machine = make_host(spec, kinds[0], vm_count=vm_count, vcpus=vcpus,
+                            memory_gib=memory_mib / 1024, name="inplace")
+        transplant = InPlaceTP(machine, kinds[1],
+                               optimizations=OptimizationConfig(*flags))
         plan = transplant.stage_plan()
+        former = former_inplace_timings(transplant)
         report = transplant.run(SimClock())
-        assert plan.stage_s(Stage.CAPTURE) == pytest.approx(report.pram_s)
-        assert plan.stage_s(Stage.TRANSLATE) == pytest.approx(
-            report.translation_s)
-        assert plan.stage_s(Stage.TRANSFER) == pytest.approx(report.reboot_s)
-        assert plan.stage_s(Stage.RESTORE) == pytest.approx(
-            report.restoration_s)
-        assert plan.downtime_s == pytest.approx(report.downtime_s)
+        charged = (report.pram_s, report.translation_s, report.reboot_s,
+                   report.restoration_s, report.downtime_s)
+        assert charged == (plan.stage_s(Stage.CAPTURE),
+                           plan.stage_s(Stage.TRANSLATE),
+                           plan.stage_s(Stage.TRANSFER),
+                           plan.stage_s(Stage.RESTORE), plan.downtime_s)
+        assert charged == former
 
-    def test_migration_stage_plan_matches_migrate_report(
-            self, xen_host_factory, kvm_host_factory, fabric):
-        from repro.core.migration import MigrationTP
+    @given(kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+           vcpus=st.integers(1, 4), memory_mib=MEMORY_MIB,
+           dirty_mib_s=st.integers(0, 64), concurrent=st.integers(1, 4),
+           position=st.integers(0, 3))
+    # Summing the proxy pair before the residual copy moves this
+    # MigrationTP downtime by one ulp.
+    @example(kinds=(HypervisorKind.KVM, HypervisorKind.XEN), vcpus=1,
+             memory_mib=16, dirty_mib_s=16, concurrent=2, position=1)
+    @example(kinds=(HypervisorKind.XEN, HypervisorKind.XEN), vcpus=2,
+             memory_mib=64, dirty_mib_s=32, concurrent=4, position=3)
+    @settings(max_examples=100, deadline=None)
+    def test_migration_run_charges_its_stage_plan(self, kinds, vcpus,
+                                                  memory_mib, dirty_mib_s,
+                                                  concurrent, position):
+        from repro.core.migration import LiveMigration, MigrationTP
+        from repro.hw.network import Fabric
 
-        source = xen_host_factory(vm_count=1, memory_gib=1.0)
-        destination = kvm_host_factory()
+        source = make_host(M1_SPEC, kinds[0], vm_count=1, vcpus=vcpus,
+                           memory_gib=memory_mib / 1024, name="src")
+        destination = make_host(M1_SPEC, kinds[1], name="dst")
+        fabric = Fabric()
         fabric.connect(source, destination)
-        migrator = MigrationTP(fabric, source, destination)
-        domain = next(iter(source.hypervisor.domains.values()))
-        plan = migrator.stage_plan(domain, dirty_rate_bytes_s=1 << 20)
+        migrator_cls = LiveMigration if kinds[0] is kinds[1] else MigrationTP
+        migrator = migrator_cls(fabric, source, destination)
+        (domain,) = source.hypervisor.domains.values()
+        dirty = dirty_mib_s << 20
+        plan = migrator.stage_plan(domain, dirty, concurrent)
+        former = former_migration_timings(migrator, domain, dirty,
+                                          concurrent, position)
         report = migrator.migrate(domain, SimClock(),
-                                  dirty_rate_bytes_s=1 << 20)
-        assert plan.downtime_s == pytest.approx(report.downtime_s)
-        assert plan.total_s == pytest.approx(report.total_s)
-        # The mechanism sim charges the UISR proxy pair (§3.3).
-        assert plan.stage_s(Stage.TRANSLATE) > 0.0
+                                  dirty_rate_bytes_s=dirty,
+                                  concurrent=concurrent,
+                                  receive_queue_position=position)
+        # Only the homogeneous baseline serializes its receive side.
+        queue_s = (position * plan.stage_s(Stage.RESTORE)
+                   if migrator_cls is LiveMigration else 0.0)
+        charged = (report.precopy_s, report.downtime_s)
+        assert charged == (
+            plan.stage_s(Stage.QUIESCE) + plan.stage_s(Stage.CAPTURE),
+            plan.downtime_s + queue_s)
+        assert charged == former
+        assert (plan.stage_s(Stage.TRANSLATE) > 0.0) is (
+            migrator_cls is MigrationTP)
 
 
 # -- mechanism policy ----------------------------------------------------------
@@ -443,7 +521,9 @@ class TestMechanismPolicy:
         # A fabric so slow that MigrationTP's own stop-and-copy downtime
         # exceeds the streaming SLO: migrating would be worse than riding,
         # so the VM rides and the violation is recorded.
-        slow = TransplantPipelines(link_rate=1 << 20)  # 1 MiB/s
+        # A 9 Mbit/s NIC moves about 1 MiB/s.
+        slow = TransplantPipelines(dataclasses.replace(
+            CLUSTER_NODE_SPEC, nic_gbps=0.009))
         vms = [profile("vm0", "streaming")] + [
             profile(f"vm{i}") for i in range(1, 10)]
         decision = decide("auto", vms, slow, spare=100)

@@ -1,10 +1,10 @@
-"""Tests for reconfiguration-plan serialization and metric percentiles."""
+"""Tests for reconfiguration-plan serialization."""
 
 import json
 
 import pytest
 
-from repro.errors import PlanningError, ReproError
+from repro.errors import PlanningError
 from repro.cluster import (
     decode_plan,
     encode_plan,
@@ -14,7 +14,6 @@ from repro.cluster import (
 )
 from repro.cluster.btrplace import BtrPlacePlanner
 from repro.cluster.model import build_paper_cluster
-from repro.workloads.base import MetricSeries
 
 from tests.oracles import PlanExecutor
 
@@ -63,27 +62,6 @@ class TestPlanSerialization:
         assert f"{plan.migration_count} migrations" in summary
         for group in plan.groups:
             assert f"round {group.group_index}" in summary
-
-
-class TestPercentiles:
-    def _series(self):
-        series = MetricSeries("m", "x")
-        for i in range(100):
-            series.append(float(i), float(i + 1))  # 1..100
-        return series
-
-    def test_median_and_p99(self):
-        series = self._series()
-        assert series.percentile(0.5) == 50.0
-        assert series.percentile(0.99) == 99.0
-        assert series.percentile(1.0) == 100.0
-        assert series.percentile(0.0) == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ReproError):
-            MetricSeries("m", "x").percentile(0.5)
-        with pytest.raises(ReproError):
-            self._series().percentile(1.5)
 
 
 class TestPlanBlobCodec:
